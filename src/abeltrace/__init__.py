@@ -40,12 +40,9 @@ from .geometry import (
 )
 from .multipoly import MultiPoly
 from .numeric import (
-    HankelFit,
     PolyFit,
-    SampleGrid,
     UniPoly,
     cauchy_derivative,
-    hankel_fit,
     poly_interpolate,
     poly_roots,
 )
@@ -68,7 +65,6 @@ from .reconstruct import (
     verify_traces_match,
 )
 from .residues import (
-    DiskPlan,
     GridPlan,
     ListPlan,
     TorusPlan,

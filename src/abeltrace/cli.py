@@ -2,9 +2,9 @@
 verification reports, reconstruction, and trace extension.
 
 Exit codes: 0 success / verification passed, 1 input or usage error,
-2 verification failed. Every JSON artifact includes provenance (input
-file hashes, tolerances, seed), so runs are reproducible; identical jobs
-produce byte-identical outputs.
+2 verification failed. Every JSON artifact includes provenance (the
+command, input file hashes and the job's parameters); no computation is
+randomized, so identical jobs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -244,7 +244,6 @@ def _add_data_args(sp):
 
 def _common(sp):
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output", help="output JSON path (default stdout)")
 
 
@@ -274,7 +273,6 @@ def build_parser():
     sp.add_argument("--d-max", type=int, default=6)
     sp.add_argument("--deg-bound", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("extend", help="propagate traces to a larger polydisc")
@@ -289,13 +287,11 @@ def build_parser():
     sp = vsub.add_parser("shock", help="closedness relations on a trace table")
     sp.add_argument("--traces", required=True)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
 
     sp = vsub.add_parser("holomorphy", help="pole classification of a transform")
     sp.add_argument("--radon", required=True)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
 
     sp = vsub.add_parser("match", help="trace agreement of two datasets")
@@ -304,7 +300,6 @@ def build_parser():
     sp.add_argument("--domain", required=True)
     sp.add_argument("--order", type=int, default=4)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
 
     sp = vsub.add_parser("equivariance", help="reparametrization equivariance")
@@ -312,7 +307,6 @@ def build_parser():
     sp.add_argument("--domain", required=True)
     sp.add_argument("--map", required=True, help="AffineMap JSON")
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
 
     return ap
@@ -328,7 +322,7 @@ def job_from_args(args):
         val = getattr(args, key, None)
         if val is not None:
             inputs[key] = val
-    for key in ("order", "grid", "tol", "seed", "label"):
+    for key in ("order", "grid", "tol", "label"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AbelTraceError,
     DegreeDrop,
     DimensionMismatch,
     NearDiscriminantWarning,
@@ -126,22 +127,6 @@ class DomainSpec:
             updates[key] = vec[names.index(key)] + complex(dz)
         return self.chart.replace(**updates)
 
-    def contains(self, chart, slack=1e-12):
-        ref = self.chart.to_params()
-        vec = chart.to_params()
-        for idx, name in enumerate(self.chart.param_names()):
-            r = self.radii.get(name, 0.0)
-            if abs(vec[idx] - ref[idx]) > r + slack:
-                return False
-        return True
-
-    def enlarged(self, factors):
-        """Scale selected radii: factors maps parameter name -> factor."""
-        radii = dict(self.radii)
-        for key, fac in factors.items():
-            radii[key] = radii.get(key, 0.0) * fac
-        return DomainSpec(self.chart, radii)
-
 
 # ---------------------------------------------------------------------------
 # varieties and residue data
@@ -219,7 +204,7 @@ class VarietySpec:
             fiber = solve_fiber(self, chart, expected_degree=None)
         except (UnsupportedShape, UnsupportedDimension):
             raise
-        except Exception as exc:
+        except (AbelTraceError, ValueError) as exc:
             raise ValueError(
                 f"probe fiber failed; system is not zero-dimensional in y ({exc})"
             ) from exc

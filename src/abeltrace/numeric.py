@@ -1,12 +1,11 @@
 """Foundational numerics: univariate complex polynomials, simultaneous
-root finding, Cauchy-integral differentiation, shifted-Hankel moment fits,
-and least-squares polynomial interpolation.
-
-Everything here is pure: functions take immutable inputs and return new
-values, so callers may evaluate independent instances in parallel.
+root finding, Cauchy-integral differentiation, least-squares polynomial
+interpolation, polydisc Taylor models fitted on torus grids, and
+Gauss-Legendre segment quadrature.
 
 Default tolerances: 1e-10 for arithmetic-level checks (roots, zero snaps),
-1e-8 for fitting-level checks (Hankel, interpolation).
+1e-8 for fitting-level checks (the shifted-Hankel recurrence fit in
+reconstruct, interpolation).
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegreeUndetectable,
     EvaluationError,
-    IllConditioned,
     NonConvergence,
     OverdeterminedMismatch,
     ZeroPolynomial,
@@ -27,6 +24,8 @@ from .errors import (
 TOL_ARITH = 1e-10
 TOL_FIT = 1e-8
 COND_CAP = 1e12
+# Taylor coefficients below this share of the largest one are dropped
+TRUNC_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -323,101 +322,6 @@ def cauchy_derivative(f, z0, radius, order=1, nodes=64):
 
 
 # ---------------------------------------------------------------------------
-# shifted-Hankel moment fit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HankelFit:
-    """Monic-recurrence coefficients (a_1..a_d) with fit diagnostics."""
-
-    coeffs: tuple
-    condition: float
-    residual: float
-    degree: int
-
-
-def _hankel_system(m, d):
-    rows = len(m) - d
-    a = np.empty((rows, d), dtype=complex)
-    for k in range(rows):
-        for j in range(1, d + 1):
-            a[k, j - 1] = m[k + d - j]
-    return a, -np.asarray(m[d:], dtype=complex)
-
-
-def hankel_fit(moments, d=None, tol=TOL_FIT, d_max=None, cond_cap=COND_CAP):
-    """Fit the linear recurrence u_{k+d} + a_1 u_{k+d-1} + ... + a_d u_k = 0.
-
-    Parameters
-    ----------
-    moments : sequence of complex moments u_0, u_1, ...
-    d : recurrence length; None selects the smallest degree whose relative
-        residual falls below ``tol`` (rank detection by residual
-        thresholding, not SVD rank; the condition number is reported for
-        diagnostics).
-    tol : residual acceptance threshold, relative to max |moment|.
-    d_max : cap for automatic degree detection (default (len-1)//2).
-    cond_cap : condition number above which the fit is rejected as
-        near-discriminant data.
-
-    Raises
-    ------
-    DegreeUndetectable : no degree <= d_max meets tol, or all moments
-        vanish (zero_moments=True; callers interpret that as zero data).
-    IllConditioned : accepted system condition exceeds ``cond_cap``.
-    """
-    m = np.asarray(list(moments), dtype=complex)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale == 0.0:
-        raise DegreeUndetectable(
-            "all moments vanish; data is identically zero", zero_moments=True
-        )
-
-    def solve_for(dd):
-        if len(m) < 2 * dd:
-            return None
-        a, rhs = _hankel_system(m, dd)
-        sol, _, _, sv = np.linalg.lstsq(a, rhs, rcond=None)
-        resid = float(np.max(np.abs(a @ sol - rhs))) / scale
-        cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
-        return tuple(map(complex, sol)), cond, resid
-
-    if d is not None:
-        if len(m) < 2 * d:
-            raise ValueError(f"need at least {2 * d} moments for degree {d}")
-        sol, cond, resid = solve_for(d)
-        if cond > cond_cap:
-            raise IllConditioned(
-                f"recurrence system condition {cond:.3e} beyond cap", condition=cond
-            )
-        return HankelFit(sol, cond, resid, d)
-
-    if d_max is None:
-        d_max = (len(m) - 1) // 2
-    if d_max < 1:
-        raise ValueError("too few moments for automatic degree detection")
-    best = None
-    for dd in range(1, d_max + 1):
-        out = solve_for(dd)
-        if out is None:
-            break
-        sol, cond, resid = out
-        if best is None or resid < best[3]:
-            best = (dd, sol, cond, resid)
-        if resid <= tol:
-            if cond > cond_cap:
-                raise IllConditioned(
-                    f"detected degree {dd} but condition {cond:.3e} beyond cap",
-                    condition=cond,
-                )
-            return HankelFit(sol, cond, resid, dd)
-    detail = f" (best residual {best[3]:.3e} at degree {best[0]})" if best else ""
-    raise DegreeUndetectable(f"no degree <= {d_max} meets tolerance {tol:g}{detail}")
-
-
-# ---------------------------------------------------------------------------
 # least-squares polynomial interpolation
 # ---------------------------------------------------------------------------
 
@@ -472,37 +376,6 @@ def poly_interpolate(samples, deg_bound, tol=TOL_FIT):
             residual=residual,
         )
     return PolyFit(poly, residual, cond)
-
-
-# ---------------------------------------------------------------------------
-# sampled values on a polydisc
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """(point, value) samples inside a closed polydisc.
-
-    Points are tuples of complex coordinates; constructing a grid with a
-    node outside the polydisc described by center/radii raises.
-    """
-
-    center: tuple
-    radii: tuple
-    nodes: tuple  # of (point, value)
-
-    def __post_init__(self):
-        for point, _ in self.nodes:
-            for z, c, r in zip(point, self.center, self.radii):
-                if abs(complex(z) - complex(c)) > r * (1 + 1e-12):
-                    raise ValueError(
-                        f"node {point} lies outside the polydisc"
-                    )
-
-    def points(self):
-        return [pt for pt, _ in self.nodes]
-
-    def values(self):
-        return np.asarray([v for _, v in self.nodes], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +437,19 @@ def torus_nodes(center, radii, nodes):
     return pts
 
 
-def polydisc_fit_grid(grid, center, radii, trunc_tol=1e-14):
+def polydisc_fit_grid(grid, center, radii):
     """Fit a PolydiscModel from values sampled on the torus_nodes grid.
 
     The multidimensional DFT of the value grid yields Taylor coefficients;
     frequencies above nodes//2 per axis are discarded (aliasing guard), as
-    are coefficients below trunc_tol * max|coeff|.
+    are coefficients below TRUNC_TOL * max|coeff|.
     """
     grid = np.asarray(grid, dtype=complex)
     nodes = grid.shape[0]
     coeff_grid = np.fft.fftn(grid) / grid.size
     keep = nodes // 2
     cmax = float(np.max(np.abs(coeff_grid)))
-    cutoff = trunc_tol * max(cmax, 1e-300)
+    cutoff = TRUNC_TOL * max(cmax, 1e-300)
     coeffs = {}
     for idx in np.ndindex(*coeff_grid.shape):
         if any(i > keep for i in idx):
@@ -587,27 +460,6 @@ def polydisc_fit_grid(grid, center, radii, trunc_tol=1e-14):
     return PolydiscModel(
         tuple(map(complex, center)), tuple(map(float, radii)), coeffs
     )
-
-
-def polydisc_fit(f, center, radii, nodes=32, trunc_tol=1e-14):
-    """Fit a PolydiscModel to an evaluator by FFT on the distinguished
-    boundary; the model records a validation error from off-grid interior
-    probes. ``f`` takes a point (sequence of complex parameter values)."""
-    k = len(center)
-    pts = torus_nodes(center, radii, nodes)
-    grid = np.empty((nodes,) * k, dtype=complex)
-    for idx in np.ndindex(*grid.shape):
-        grid[idx] = f(pts[idx])
-    model = polydisc_fit_grid(grid, center, radii, trunc_tol)
-
-    err = 0.0
-    for t in range(4):
-        w = np.exp(1j * (0.41 + 1.77 * t))
-        pt = [center[ax] + 0.57 * radii[ax] * w * np.exp(0.23j * (ax + 1))
-              for ax in range(k)]
-        err = max(err, abs(model(pt) - f(pt)))
-    model.build_error = err
-    return model
 
 
 def gauss_legendre_segment(g, z0, z1, nodes=24):

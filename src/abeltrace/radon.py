@@ -7,7 +7,8 @@ In the affine chart the transform of data of top bidegree is the 1-form
 (n = 1) or n-form whose coefficient on the slot choice (j_1..j_n), with
 slot 0 standing for b_i and slot j >= 1 for a_i^j, is the trace u_I where
 I counts the slot choices per fiber variable. Two labels with the same
-count vector share a coefficient.
+count vector share a coefficient, so the sampled transform is a view of
+the trace table over exactly those count vectors.
 """
 
 from __future__ import annotations
@@ -34,14 +35,19 @@ from .numeric import (
 )
 from .residues import (
     CLEAN,
-    CLUSTER,
-    DROPPED,
     POLE,
+    TorusPlan,
     TraceTable,
     _baseline_degree,
     _neville_at_zero,
+    _sample_charts,
     evaluate_chart,
 )
+
+# Cauchy circle radius of the shock check, as a share of the domain radius
+SHOCK_MARGIN = 0.3
+# highest total degree of the local polynomial models in verify_holomorphy
+HOLO_MAX_FIT_DEGREE = 8
 
 
 def radon_labels(n, p):
@@ -55,82 +61,34 @@ def label_index(label, p):
     return tuple(sum(1 for j in label if j == jj) for jj in range(1, p + 1))
 
 
-@dataclass
-class RadonTransform:
-    """Sampled coefficient family of the transform over a domain."""
-
-    data: ResidueData
-    domain: DomainSpec
-    offsets: tuple
-    coeffs: dict          # label -> complex array over samples
-    flags: tuple          # per-sample: clean / cluster / pole / degree-drop
-    term_scales: np.ndarray
-    baseline_degree: int
+class RadonTransform(TraceTable):
+    """Sampled coefficient family of the transform over a domain: a trace
+    table over the labels' count vectors, read through ``label_index``.
+    Samples where the support meets the chart degenerately (weight pole)
+    are flagged 'pole' and hold NaN; degree drops are flagged likewise."""
 
     @property
-    def n(self):
-        return self.data.variety.n
-
-    @property
-    def p(self):
-        return self.data.variety.p
+    def coeffs(self):
+        """label -> complex array over samples (shared per count vector)."""
+        return {
+            lb: self.entries[label_index(lb, self.p)]
+            for lb in radon_labels(self.n, self.p)
+        }
 
     def labels(self):
-        return sorted(self.coeffs)
+        return radon_labels(self.n, self.p)
 
-    def clean_mask(self):
-        return np.array([f in (CLEAN, CLUSTER) for f in self.flags])
-
-    def term_scale(self):
-        mask = self.clean_mask()
-        vals = self.term_scales[mask]
-        return float(np.max(vals)) if vals.size else 0.0
-
-    def max_coefficient(self):
-        mask = self.clean_mask()
-        best = 0.0
-        for vals in self.coeffs.values():
-            v = np.abs(np.asarray(vals)[mask])
-            if v.size:
-                best = max(best, float(np.max(v)))
-        return best
+    max_coefficient = TraceTable.scale
 
 
 def radon_coefficients(data: ResidueData, domain: DomainSpec, plan,
                        tol=TOL_ARITH):
-    """Sample every coefficient of the transform on the plan's charts.
-
-    Samples where the support meets the chart degenerately (weight pole)
-    are flagged 'pole' and hold NaN; degree drops are flagged likewise.
-    """
-    n, p = data.variety.n, data.variety.p
-    labels = radon_labels(n, p)
-    indices = sorted({label_index(lb, p) for lb in labels})
-    offsets = plan.offsets(domain)
+    """Sample every coefficient of the transform on the plan's charts."""
+    p = data.variety.p
+    indices = sorted({label_index(lb, p) for lb in radon_labels(data.variety.n, p)})
     baseline = _baseline_degree(data, domain, tol)
-
-    values = {idx: np.full(len(offsets), np.nan, dtype=complex) for idx in indices}
-    term_scales = np.zeros(len(offsets))
-    flags = []
-    for s, off in enumerate(offsets):
-        chart = domain.chart_at(off)
-        try:
-            ev = evaluate_chart(data, chart, tol, expected_degree=baseline)
-        except PoleDetected:
-            flags.append(POLE)
-            continue
-        except DegreeDrop:
-            flags.append(DROPPED)
-            continue
-        flags.append(CLUSTER if ev.ladders else CLEAN)
-        for idx in indices:
-            val, scale = ev.value(idx)
-            values[idx][s] = val
-            term_scales[s] = max(term_scales[s], scale)
-
-    coeffs = {lb: values[label_index(lb, p)] for lb in labels}
-    return RadonTransform(
-        data, domain, tuple(offsets), coeffs, tuple(flags), term_scales, baseline
+    return _sample_charts(
+        data, domain, plan, indices, baseline, tol, cls=RadonTransform
     )
 
 
@@ -157,39 +115,36 @@ class ShockReport:
         }
 
 
-def _probe_offsets(domain, probes, shrink=0.45):
-    """Deterministic interior probe offsets for a domain."""
+def _probe_offsets(domain, probes):
+    """Deterministic interior probe offsets for a domain, at 0.45 of
+    each radius."""
     out = []
     names = domain.varying
     for k in range(probes):
         phase = 2.0 * np.pi * k / probes + 0.9
         out.append(
             {
-                nm: shrink * domain.radii[nm] * np.exp(1j * (phase + 0.61 * i))
+                nm: 0.45 * domain.radii[nm] * np.exp(1j * (phase + 0.61 * i))
                 for i, nm in enumerate(names)
             }
         )
     return out
 
 
-def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32,
-                           margin=0.3, slots="all"):
+def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     """Check the closedness identities of the transform on a trace table:
-    for each base slot i and fiber slot j, the b_i-derivative of u_{I+e_j}
-    must equal the a_i^j-derivative of u_I. Derivatives are taken by
-    Cauchy integrals on circles of radius margin * (domain radius), so the
-    table's domain must leave that much margin in both parameters.
-
-    ``slots``: "first" restricts to j = 1 (the propagation driver);
-    "all" checks every fiber slot whose parameter varies.
+    for each base slot i and every fiber slot j whose parameter varies,
+    the b_i-derivative of u_{I+e_j} must equal the a_i^j-derivative of
+    u_I. Derivatives are taken by Cauchy integrals on circles of radius
+    SHOCK_MARGIN * (domain radius), so the table's domain must leave that
+    much margin in both parameters.
     """
     n, p = t.n, t.p
-    order = range(1, 2) if slots == "first" else range(1, p + 1)
     pairs = []
     for i in range(1, n + 1):
         if f"b{i}" not in t.domain.radii:
             raise InsufficientMargin(f"parameter b{i} is frozen; cannot differentiate")
-        for j in order:
+        for j in range(1, p + 1):
             a_name = f"a{i}.{j}"
             if a_name not in t.domain.radii:
                 if j == 1:
@@ -198,8 +153,6 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32,
                     )
                 continue
             pairs.append((i, j, a_name))
-    if margin <= 0 or margin >= 1:
-        raise InsufficientMargin("margin must sit strictly inside the domain")
 
     indices = [
         idx for idx in t.indices()
@@ -224,11 +177,11 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32,
                 here = dict(zip(chart0.param_names(), chart0.to_params()))
                 db = cauchy_derivative(
                     u_of(b_name, up), complex(here[b_name]),
-                    margin * t.domain.radii[b_name], 1, nodes,
+                    SHOCK_MARGIN * t.domain.radii[b_name], 1, nodes,
                 )
                 da = cauchy_derivative(
                     u_of(a_name, idx), complex(here[a_name]),
-                    margin * t.domain.radii[a_name], 1, nodes,
+                    SHOCK_MARGIN * t.domain.radii[a_name], 1, nodes,
                 )
                 resid = abs(db - da)
                 scale = max(1.0, abs(db), abs(da))
@@ -277,7 +230,7 @@ def _poly_features(offsets, names, radii, deg):
     return np.asarray(rows, dtype=complex)
 
 
-def verify_holomorphy(rt: RadonTransform, tol, max_fit_degree=8):
+def verify_holomorphy(rt: RadonTransform, tol):
     """Classify each coefficient as pole-free on the domain or flag its
     pole samples.
 
@@ -299,7 +252,7 @@ def verify_holomorphy(rt: RadonTransform, tol, max_fit_degree=8):
     def sweep(values, offsets):
         best = np.inf
         best_deg = 0
-        for deg in range(1, max_fit_degree + 1):
+        for deg in range(1, HOLO_MAX_FIT_DEGREE + 1):
             feats = _poly_features(offsets, names, rt.domain.radii, deg)
             if feats.shape[0] <= feats.shape[1]:
                 break
@@ -389,7 +342,7 @@ class EquivarianceReport:
 
 
 def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
-                        tol=1e-8, probes=4, tol_solve=TOL_ARITH):
+                        tol=1e-8, probes=4):
     """Compare the transform of the reparametrized family against the
     pullback of the original transform through ``mu``.
 
@@ -429,7 +382,7 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
         tp = domain.chart_at(off).to_params()
         theta = mu(tp)
         chart = PlaneChart.from_params(n, p, theta)
-        ev = evaluate_chart(data, chart, tol_solve, expected_degree=None)
+        ev = evaluate_chart(data, chart, TOL_ARITH, expected_degree=None)
 
         # pullback side: label coefficients at the image chart, chain rule
         u = {}
@@ -477,9 +430,18 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
 # trace extension along the closedness relations
 # ---------------------------------------------------------------------------
 
+def _torus_grid(f, center, radii, nodes):
+    """Values of ``f`` on the torus_nodes grid, one array axis per
+    parameter."""
+    pts = torus_nodes(center, radii, nodes)
+    grid = np.empty(pts.shape[:-1], dtype=complex)
+    for idx in np.ndindex(*grid.shape):
+        grid[idx] = f(pts[idx])
+    return grid
+
+
 def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
-                              order, fft_nodes=32, gl_nodes=24,
-                              trunc_tol=1e-14):
+                              order, fft_nodes=32):
     """Extend the trace ladder u_(k,0,..) from a polydisc P to an enlarged
     polydisc P' = P_a x P_b' given an extension evaluator for the order-0
     trace on P'.
@@ -529,22 +491,15 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
         off = {nm: complex(point[i]) - center[i] for i, nm in enumerate(names)}
         return big_domain.chart_at(off)
 
-    pts = torus_nodes(center, radii, fft_nodes)
-    shape = (fft_nodes,) * len(names)
-
-    def sample_grid(f):
-        grid = np.empty(shape, dtype=complex)
-        for idx in np.ndindex(*shape):
-            grid[idx] = f(pts[idx])
-        return grid
-
     try:
-        grid0 = sample_grid(lambda point: u0_ext(chart_of(point)))
+        grid0 = _torus_grid(
+            lambda point: u0_ext(chart_of(point)), center, radii, fft_nodes
+        )
     except (PoleDetected, DegreeDrop) as exc:
         raise PathCrossesPole(
             f"order-0 extension blows up on the enlarged polydisc: {exc}"
         ) from exc
-    model0 = polydisc_fit_grid(grid0, center, radii, trunc_tol)
+    model0 = polydisc_fit_grid(grid0, center, radii)
     # a pole strictly inside the polydisc spoils Taylor convergence even
     # when no sample lands on the divisor; validate off-grid
     verr = 0.0
@@ -587,17 +542,12 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
             return t.value(new_idx, chart_of(point))
 
         try:
-            a_pts = torus_nodes(a_center, a_radii, fft_nodes)
-            base_grid = np.empty((fft_nodes,) * len(a_axes), dtype=complex)
-            for idx in np.ndindex(*base_grid.shape):
-                base_grid[idx] = base_eval(
-                    [a_pts[idx + (pos,)] for pos in range(len(a_axes))]
-                )
+            base_grid = _torus_grid(base_eval, a_center, a_radii, fft_nodes)
         except (PoleDetected, DegreeDrop) as exc:
             raise PathCrossesPole(
                 f"base slice for level {k} is contaminated: {exc}"
             ) from exc
-        base_model = polydisc_fit_grid(base_grid, a_center, a_radii, trunc_tol)
+        base_model = polydisc_fit_grid(base_grid, a_center, a_radii)
 
         deriv = models[prev_idx].derivative(ia)
 
@@ -610,21 +560,14 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
                 q[ib] = beta
                 return deriv(q)
 
-            return base + gauss_legendre_segment(
-                integrand, b_star, point[ib], gl_nodes
-            )
+            return base + gauss_legendre_segment(integrand, b_star, point[ib])
 
-        grid_k = sample_grid(value_at)
-        models[new_idx] = polydisc_fit_grid(grid_k, center, radii, trunc_tol)
+        grid_k = _torus_grid(value_at, center, radii, fft_nodes)
+        models[new_idx] = polydisc_fit_grid(grid_k, center, radii)
         grids[new_idx] = grid_k
         prev_idx = new_idx
 
-    offsets = []
-    ring = np.exp(2j * np.pi * np.arange(fft_nodes) / fft_nodes)
-    for idx in np.ndindex(*shape):
-        offsets.append(
-            {nm: complex(radii[i] * ring[idx[i]]) for i, nm in enumerate(names)}
-        )
+    offsets = TorusPlan(fft_nodes).offsets(big_domain)
     m = len(offsets)
     entries = {idx: grids[idx].ravel() for idx in grids}
     term_scales = np.zeros(m)

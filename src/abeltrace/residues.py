@@ -14,14 +14,13 @@ is stable even when the individual points are not.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    AbelTraceError,
     ClusterPoint,
     DegreeDrop,
     NearDiscriminantWarning,
@@ -37,9 +36,15 @@ from .geometry import (
     hypersurface_section,
     solve_fiber,
 )
-from .numeric import TOL_ARITH, SampleGrid
+from .numeric import TOL_ARITH
 
 POLE_REL_TOL = 1e-8
+# cluster perturbation ladder: first b_1 step (relative to |b_1| + 1),
+# halved at each of the levels
+CLUSTER_DELTA = 1e-2
+CLUSTER_LEVELS = 5
+# trace_table refuses a plan with fewer usable samples than this share
+MIN_CLEAN_FRACTION = 0.5
 
 CLEAN, CLUSTER, POLE, DROPPED = "clean", "cluster", "pole", "degree-drop"
 
@@ -139,7 +144,7 @@ def _point_weight(data, pt, chart_params=None):
     return num / (wval * pt.jacobian)
 
 
-def _cluster_ladder(data, chart, cluster_pts, tol, delta, levels, expected=None):
+def _cluster_ladder(data, chart, cluster_pts, tol, expected=None):
     """Perturb the chart in b_1 and capture the cluster's simple terms at a
     geometric ladder of perturbation sizes."""
     m = sum(pt.cluster_size for pt in cluster_pts)
@@ -156,8 +161,8 @@ def _cluster_ladder(data, chart, cluster_pts, tol, delta, levels, expected=None)
         direction = np.exp(1j * (0.37 + 2.0 * np.pi * attempt / 5.0))
         deltas, snapshots = [], []
         ok = True
-        for lev in range(levels):
-            d = delta * base / 2.0**lev
+        for lev in range(CLUSTER_LEVELS):
+            d = CLUSTER_DELTA * base / 2.0**lev
             pchart = chart.replace(b1=chart.b[0] + d * direction)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NearDiscriminantWarning)
@@ -165,7 +170,7 @@ def _cluster_ladder(data, chart, cluster_pts, tol, delta, levels, expected=None)
                     fiber = solve_fiber(
                         data.variety, pchart, tol, expected_degree=expected
                     )
-                except Exception:
+                except (AbelTraceError, ValueError):
                     ok = False
                     break
             cands = sorted(
@@ -199,7 +204,7 @@ def _cluster_ladder(data, chart, cluster_pts, tol, delta, levels, expected=None)
 
 
 def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
-                   expected_degree=None, cluster_delta=1e-2, cluster_levels=5):
+                   expected_degree=None):
     """Build the ChartEvaluation for one chart (shared by all indices)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearDiscriminantWarning)
@@ -211,8 +216,7 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
         else:
             clusters.append(pt)
     ladders = [
-        _cluster_ladder(data, chart, [pt], tol, cluster_delta, cluster_levels,
-                        expected=expected_degree)
+        _cluster_ladder(data, chart, [pt], tol, expected=expected_degree)
         for pt in clusters
     ]
     return ChartEvaluation(data, chart, simple, ladders)
@@ -237,7 +241,7 @@ def punctual_residue(data: ResidueData, chart: PlaneChart, point: FiberPoint,
 
 
 def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
-                      tol=TOL_ARITH, delta=1e-2, levels=5):
+                      tol=TOL_ARITH):
     """Total residue of a cluster at a (near-)degenerate chart.
 
     The chart is perturbed in b_1 along a fixed complex direction, the
@@ -250,7 +254,7 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
     """
     index = _normalize_index(index, data.variety.p)
     cluster = list(cluster)
-    ladder = _cluster_ladder(data, chart, cluster, tol, delta, levels)
+    ladder = _cluster_ladder(data, chart, cluster, tol)
     sums = []
     for level in ladder.levels:
         s = 0j
@@ -261,14 +265,11 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
 
 
 def trace(data: ResidueData, chart: PlaneChart, index, tol=TOL_ARITH,
-          expected_degree=None, cluster_delta=1e-2, cluster_levels=5):
+          expected_degree=None):
     """Trace of the data against y^index over one chart: the sum of
     punctual (or cluster-summed) residues over the fiber."""
     index = _normalize_index(index, data.variety.p)
-    ev = evaluate_chart(
-        data, chart, tol, expected_degree=expected_degree,
-        cluster_delta=cluster_delta, cluster_levels=cluster_levels,
-    )
+    ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree)
     return ev.value(index)[0]
 
 
@@ -332,7 +333,6 @@ class TorusPlan:
     natural plan for Taylor-model fitting."""
 
     nodes: int = 16
-    shrink: float = 1.0
 
     def offsets(self, domain: DomainSpec):
         names = list(domain.varying)
@@ -341,31 +341,10 @@ class TorusPlan:
         for combo in np.ndindex(*([self.nodes] * len(names))):
             out.append(
                 {
-                    k: complex(domain.radii[k] * self.shrink * ring[combo[i]])
+                    k: complex(domain.radii[k] * ring[combo[i]])
                     for i, k in enumerate(names)
                 }
             )
-        return out
-
-
-@dataclass(frozen=True)
-class DiskPlan:
-    """Seeded uniform samples in the open polydisc."""
-
-    count: int
-    seed: int = 0
-    shrink: float = 0.9
-
-    def offsets(self, domain: DomainSpec):
-        rng = np.random.default_rng(self.seed)
-        names = list(domain.varying)
-        out = []
-        for _ in range(self.count):
-            d = {}
-            for k in names:
-                r = domain.radii[k] * self.shrink * np.sqrt(rng.uniform())
-                d[k] = complex(r * np.exp(2j * np.pi * rng.uniform()))
-            out.append(d)
         return out
 
 
@@ -377,14 +356,6 @@ class ListPlan:
 
     def offsets(self, domain: DomainSpec):
         return [dict(pt) for pt in self.points]
-
-
-def _plan_workers():
-    raw = os.environ.get("RT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -469,24 +440,6 @@ class TraceTable:
     def column(self, index):
         return np.asarray(self.entries[_normalize_index(index, self.p)])
 
-    def sample_grid(self, index):
-        """One entry as a SampleGrid over the varying parameters (clean
-        and cluster-corrected samples only)."""
-        index = _normalize_index(index, self.p)
-        names = self.domain.varying
-        ref = dict(zip(self.domain.chart.param_names(), self.domain.chart.to_params()))
-        center = tuple(complex(ref[nm]) for nm in names)
-        radii = tuple(float(self.domain.radii[nm]) for nm in names)
-        mask = self.clean_mask()
-        nodes = []
-        for keep, off, val in zip(mask, self.offsets, self.entries[index]):
-            if not keep:
-                continue
-            pt = tuple(center[i] + complex(off.get(nm, 0.0))
-                       for i, nm in enumerate(names))
-            nodes.append((pt, complex(val)))
-        return SampleGrid(center, radii, tuple(nodes))
-
 
 def _box_indices(p, max_order):
     if p <= 2:
@@ -496,8 +449,46 @@ def _box_indices(p, max_order):
     ]
 
 
+def _sample_charts(data, domain, plan, indices, baseline, tol,
+                   cls=TraceTable):
+    """Evaluate every plan chart once and read off the listed indices.
+
+    Each chart is solved against the ``baseline`` fiber degree; samples
+    that drop degree or meet the weight's pole divisor are flagged and
+    hold NaN. The per-sample term scale is the largest residue term any
+    listed index summed there. Returns a ``cls`` table whose max_order
+    is the largest per-slot entry of ``indices``.
+    """
+    offsets = plan.offsets(domain)
+    m = len(offsets)
+    entries = {idx: np.full(m, np.nan, dtype=complex) for idx in indices}
+    term_scales = np.zeros(m)
+    flags = []
+    for s, off in enumerate(offsets):
+        try:
+            ev = evaluate_chart(
+                data, domain.chart_at(off), tol, expected_degree=baseline
+            )
+        except PoleDetected:
+            flags.append(POLE)
+            continue
+        except DegreeDrop:
+            flags.append(DROPPED)
+            continue
+        flags.append(CLUSTER if ev.ladders else CLEAN)
+        for idx in indices:
+            val, scale = ev.value(idx)
+            entries[idx][s] = val
+            term_scales[s] = max(term_scales[s], scale)
+    max_order = max(max(idx) for idx in indices)
+    return cls(
+        data, domain, offsets, entries, term_scales, flags,
+        max_order, baseline, tol=tol,
+    )
+
+
 def trace_table(data: ResidueData, domain: DomainSpec, max_order=None,
-                plan=None, tol=TOL_ARITH, min_clean_fraction=0.5):
+                plan=None, tol=TOL_ARITH):
     """Sample all traces u_I with per-slot index up to ``max_order`` over
     the plan's charts (total degree up to max_order for p >= 3, where the
     full box would explode).
@@ -508,57 +499,25 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order=None,
     (domain-local properness); samples that drop degree or meet the
     weight's pole divisor are flagged and hold NaN.
 
-    Raises TooFewCleanSamples when fewer than ``min_clean_fraction`` of
-    the samples are usable.
+    Raises TooFewCleanSamples when fewer than MIN_CLEAN_FRACTION of the
+    samples are usable.
     """
     if plan is None:
         raise ValueError("a sampling plan is required")
     baseline = _baseline_degree(data, domain, tol)
     if max_order is None:
         max_order = 2 * baseline + 1
-    offsets = plan.offsets(domain)
-    indices = _box_indices(data.variety.p, max_order)
-
-    def one(off):
-        chart = domain.chart_at(off)
-        try:
-            ev = evaluate_chart(data, chart, tol, expected_degree=baseline)
-        except PoleDetected:
-            return POLE, None
-        except DegreeDrop:
-            return DROPPED, None
-        flag = CLUSTER if ev.ladders else CLEAN
-        return flag, ev
-
-    workers = _plan_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, offsets))
-    else:
-        results = [one(off) for off in offsets]
-
-    m = len(offsets)
-    entries = {idx: np.full(m, np.nan, dtype=complex) for idx in indices}
-    term_scales = np.zeros(m)
-    flags = []
-    for s, (flag, ev) in enumerate(results):
-        flags.append(flag)
-        if ev is None:
-            continue
-        for idx in indices:
-            val, scale = ev.value(idx)
-            entries[idx][s] = val
-            term_scales[s] = max(term_scales[s], scale)
-
-    clean = sum(1 for f in flags if f in (CLEAN, CLUSTER))
-    if clean < max(1, int(np.ceil(min_clean_fraction * m))):
+    t = _sample_charts(
+        data, domain, plan, _box_indices(data.variety.p, max_order),
+        baseline, tol,
+    )
+    m = len(t.offsets)
+    clean = int(np.sum(t.clean_mask()))
+    if clean < max(1, int(np.ceil(MIN_CLEAN_FRACTION * m))):
         raise TooFewCleanSamples(
             f"only {clean} of {m} samples usable (poles/degree drops elsewhere)"
         )
-    return TraceTable(
-        data, domain, offsets, entries, term_scales, flags,
-        max_order, baseline, tol=tol,
-    )
+    return t
 
 
 def _baseline_degree(data, domain, tol):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from .multipoly import MultiPoly
-from .radon import AffineMap, RadonTransform
+from .radon import AffineMap, RadonTransform, label_index
 from .reconstruct import MinimalPolySet, ReconstructedData
 from .residues import TraceTable
 
@@ -197,14 +197,17 @@ def encode_radon(rt: RadonTransform):
 
 
 def decode_radon(obj):
+    # labels sharing a count vector carry the same values; keep one array
+    data = decode_residue_data(obj["source"])
+    p = data.variety.p
+    entries = {
+        label_index(_parse_index(k), p): _decode_values(v)
+        for k, v in obj["coefficients"].items()
+    }
     return RadonTransform(
-        decode_residue_data(obj["source"]),
-        decode_domain(obj["domain"]),
-        tuple(decode_offsets(obj["offsets"])),
-        {_parse_index(k): _decode_values(v) for k, v in obj["coefficients"].items()},
-        tuple(obj["flags"]),
-        np.asarray(obj["term_scales"], dtype=float),
-        int(obj["baseline_degree"]),
+        data, decode_domain(obj["domain"]), decode_offsets(obj["offsets"]),
+        entries, np.asarray(obj["term_scales"], dtype=float),
+        tuple(obj["flags"]), data.variety.n, int(obj["baseline_degree"]),
     )
 
 

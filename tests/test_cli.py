@@ -77,10 +77,29 @@ class TestSerialization:
             VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2)
         )
         dom = DomainSpec(PlaneChart([[0.1]], [2.0]), {"a1.1": 0.2, "b1": 0.3})
-        rt = radon_coefficients(data, dom, GridPlan({"a1.1": 3, "b1": 3}))
-        back = ser.decode_radon(ser.encode_radon(rt))
-        for lb in rt.coeffs:
-            assert np.allclose(back.coeffs[lb], rt.coeffs[lb])
+        # n = 2: labels (0, 1) and (1, 0) both have count vector (1,), so
+        # the table holds one array for them; the file keeps every label
+        v3 = ("x1", "x2", "y")
+        f3 = MultiPoly(v3, {(0, 0, 2): 1.0, (1, 0, 0): -1.0, (0, 1, 0): -0.5})
+        data3 = ResidueData(
+            VarietySpec(("x1", "x2"), ("y",), [f3]), MultiPoly.constant(1.0, v3)
+        )
+        dom3 = DomainSpec(
+            PlaneChart([[0.1], [0.2]], [2.0, 1.0]), {"b1": 0.3, "b2": 0.2}
+        )
+        cases = (
+            (data, dom, GridPlan({"a1.1": 3, "b1": 3}), [(0,), (1,)]),
+            (data3, dom3, GridPlan({"b1": 2, "b2": 2}),
+             [(0, 0), (0, 1), (1, 0), (1, 1)]),
+        )
+        for d, dm, plan, labels in cases:
+            rt = radon_coefficients(d, dm, plan)
+            text = ser.dumps(ser.encode_radon(rt))
+            back = ser.decode_radon(json.loads(text))
+            assert back.labels() == labels
+            for lb in labels:
+                assert np.allclose(back.coeffs[lb], rt.coeffs[lb])
+            assert ser.dumps(ser.encode_radon(back)) == text
 
     def test_affine_map_round_trip(self):
         mu = AffineMap(

@@ -8,16 +8,21 @@ from abeltrace.errors import (
     OverdeterminedMismatch,
     ZeroPolynomial,
 )
+from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
+from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import (
-    PolydiscModel,
     UniPoly,
     cauchy_derivative,
     gauss_legendre_segment,
-    hankel_fit,
     poly_interpolate,
     poly_roots,
-    polydisc_fit,
+    polydisc_fit_grid,
+    torus_nodes,
 )
+from abeltrace.reconstruct import fit_minimal_polys
+from abeltrace.residues import ListPlan, trace_table
+
+V2 = ("x", "y")
 
 
 def roots_dict(pairs):
@@ -153,35 +158,57 @@ class TestCauchyDerivative:
             cauchy_derivative(np.exp, 0.0, -1.0)
 
 
+def single_chart_table(roots, numerator, max_order=None):
+    """Trace table at one vertical chart of the constant family
+    prod(y - roots) with a numerator in y: its moments are
+    u_k = -sum numerator(r) r^k / P'(r) over the roots."""
+    f = MultiPoly.from_univariate(UniPoly.from_roots(roots), "y", V2)
+    data = ResidueData(
+        VarietySpec(("x",), ("y",), [f]),
+        MultiPoly.from_univariate(UniPoly(numerator), "y", V2),
+    )
+    dom = DomainSpec(PlaneChart.vertical([0.4]), {})
+    return trace_table(data, dom, max_order, ListPlan(({},)))
+
+
+def recurrence(minimal):
+    """(a_1..a_d) of the one fitted slot, at the table's chart."""
+    return minimal.coefficient_values(0, 0.4)
+
+
 class TestHankelFit:
+    """The shifted-Hankel recurrence fit, through fit_minimal_polys on
+    single-chart tables."""
+
     def test_period_two_moments(self):
-        # u_{k+2} = 3 u_k, so a_1 = 0 and a_2 = -3
-        fit = hankel_fit([0, 1, 0, 3, 0, 9], d=2)
-        assert fit.coeffs[0] == pytest.approx(0.0, abs=1e-12)
-        assert fit.coeffs[1] == pytest.approx(-3.0)
-        assert fit.residual <= 1e-12
+        # y^2 - 3 with numerator -1 gives u = 0, 1, 0, 3, 0, 9, ...,
+        # so u_{k+2} = 3 u_k: a_1 = 0 and a_2 = -3
+        t = single_chart_table([3**0.5, -(3**0.5)], [-1.0])
+        assert t.column(1)[0] == pytest.approx(1.0)
+        assert abs(t.column(2)[0]) < 1e-12
+        a = recurrence(fit_minimal_polys(t, 2))
+        assert a[0] == pytest.approx(0.0, abs=1e-12)
+        assert a[1] == pytest.approx(-3.0)
 
     def test_geometric_sequence(self):
         c = 0.7 - 0.4j
-        fit = hankel_fit([1, c, c**2, c**3], d=1)
-        assert fit.coeffs[0] == pytest.approx(-c)
+        a = recurrence(fit_minimal_polys(single_chart_table([c], [1.0]), 1))
+        assert a[0] == pytest.approx(-c)
 
     def test_all_zero_moments(self):
+        t = single_chart_table([0.5, -0.8], [0.0])
         with pytest.raises(DegreeUndetectable) as info:
-            hankel_fit([0, 0, 0, 0], d=None)
+            fit_minimal_polys(t, 2)
         assert info.value.zero_moments
 
     def test_auto_degree_picks_smallest(self):
-        c = 0.5 + 0.2j
-        moments = [c**k for k in range(7)]
-        fit = hankel_fit(moments, d=None, tol=1e-8)
-        assert fit.degree == 1
+        t = single_chart_table([0.5 + 0.2j], [1.0], max_order=7)
+        assert fit_minimal_polys(t, 4).degrees == (1,)
 
     def test_random_recurrences_recovered(self):
-        # moments generated from random monic P via weighted power sums
+        # random monic P with separated roots and a random numerator
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            d = int(rng.integers(1, 7))
+        for d in list(range(1, 7)) * 3:
             roots = []
             while len(roots) < d:
                 cand = (0.4 + 0.9 * rng.uniform()) * np.exp(
@@ -189,29 +216,32 @@ class TestHankelFit:
                 )
                 if all(abs(cand - r) > 0.2 for r in roots):
                     roots.append(cand)
-            weights = 0.5 + rng.uniform(size=d)
-            moments = [
-                sum(w * r**k for w, r in zip(weights, roots))
-                for k in range(2 * d + 2)
-            ]
-            fit = hankel_fit(moments, d=d)
+            q = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            minimal = fit_minimal_polys(single_chart_table(roots, q), d)
+            assert minimal.degrees == (d,)
             p_true = UniPoly.from_roots(roots)
-            # coeffs are (a_1..a_d) against lowest-first (c_0..c_{d-1}, 1)
+            # (a_1..a_d) against lowest-first (c_0..c_{d-1}, 1)
             expect = [p_true.coeffs[d - j] for j in range(1, d + 1)]
-            err = max(abs(a - e) for a, e in zip(fit.coeffs, expect))
+            err = max(abs(a - e) for a, e in zip(recurrence(minimal), expect))
             assert err <= 1e-8 * max(1.0, max(abs(e) for e in expect))
 
     def test_ill_conditioned_near_discriminant(self):
-        r = 1.0
-        eps = 1e-8
-        moments = [r**k + (r + eps) ** k for k in range(8)]
+        # numerator P' weights both sheets alike (u_k = -(r1^k + r2^k));
+        # sheets 2e-5 apart stay two simple points yet make the degree-2
+        # recurrence condition about 2e10
+        roots = [1.0, 1.0 + 2e-5]
+        t = single_chart_table(
+            roots, UniPoly.from_roots(roots).derivative().coeffs, max_order=5
+        )
+        assert t.flags == ("clean",)
+        assert fit_minimal_polys(t, 2, tol=1e-12).degrees == (2,)
         with pytest.raises(IllConditioned):
-            hankel_fit(moments, d=2, cond_cap=1e10)
+            fit_minimal_polys(t, 2, tol=1e-12, cond_cap=1e10)
 
     def test_degree_undetectable(self):
-        moments = [1.0 / (k + 1) for k in range(9)]
+        t = single_chart_table([0.5, -0.7, 0.9j, -1.1j], [1.0, 0.3])
         with pytest.raises(DegreeUndetectable) as info:
-            hankel_fit(moments, d=None, d_max=3, tol=1e-10)
+            fit_minimal_polys(t, 2)
         assert not info.value.zero_moments
 
 
@@ -250,24 +280,32 @@ class TestPolyInterpolate:
             poly_interpolate([(0.0, 1.0), (1.0, 2.0)], 3)
 
 
+def fit_on_torus(f, center, radii, nodes):
+    grid = np.apply_along_axis(f, -1, torus_nodes(center, radii, nodes))
+    return polydisc_fit_grid(grid, center, radii)
+
+
 class TestPolydiscModel:
     def test_fit_and_derivative(self):
-        model = polydisc_fit(
-            lambda pt: np.exp(pt[0]) * np.cos(pt[1]), (0.0, 0.0), (0.8, 0.8),
-            nodes=32,
-        )
-        assert model.build_error < 1e-12
+        def f(pt):
+            return np.exp(pt[0]) * np.cos(pt[1])
+
+        model = fit_on_torus(f, (0.0, 0.0), (0.8, 0.8), 32)
+        for k in range(4):
+            w = np.exp(1j * (0.41 + 1.77 * k))
+            pt = (0.57 * 0.8 * w * np.exp(0.23j), 0.57 * 0.8 * w * np.exp(0.46j))
+            assert abs(model(pt) - f(pt)) < 1e-12
         d0 = model.derivative(0)
         pt = (0.2 + 0.1j, -0.3)
         assert abs(d0(pt) - np.exp(pt[0]) * np.cos(pt[1])) < 1e-10
 
     def test_polynomial_exact(self):
-        model = polydisc_fit(
-            lambda pt: 2.0 + pt[0] ** 2 * pt[1] - 3.0 * pt[1], (0.1, -0.2),
-            (1.0, 1.5), nodes=16,
-        )
+        def f(pt):
+            return 2.0 + pt[0] ** 2 * pt[1] - 3.0 * pt[1]
+
+        model = fit_on_torus(f, (0.1, -0.2), (1.0, 1.5), 16)
         pt = (0.9, 1.1)
-        assert abs(model(pt) - (2.0 + pt[0] ** 2 * pt[1] - 3.0 * pt[1])) < 1e-12
+        assert abs(model(pt) - f(pt)) < 1e-12
 
 
 def test_gauss_legendre_polynomial_exact():

@@ -17,7 +17,6 @@ from abeltrace.radon import (
 )
 from abeltrace.reconstruct import fit_minimal_polys, reconstruct_numerator
 from abeltrace.residues import (
-    DiskPlan,
     GridPlan,
     TorusPlan,
     trace,
@@ -135,21 +134,6 @@ def test_degree_four_base_varying_round_trip():
         a = psi.terms.get(exps, 0.0)
         b = rec.numerator.terms.get(exps, 0.0)
         assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
-
-
-def test_disk_plan_seeded_and_inside():
-    f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
-    data = ResidueData(VarietySpec(("x",), ("y",), [f]),
-                       MultiPoly.constant(1.0, V2))
-    dom = DomainSpec(PlaneChart([[0.1]], [2.0]), {"a1.1": 0.3, "b1": 0.4})
-    plan = DiskPlan(12, seed=5)
-    offs1 = plan.offsets(dom)
-    offs2 = DiskPlan(12, seed=5).offsets(dom)
-    assert offs1 == offs2
-    for off in offs1:
-        assert abs(off["a1.1"]) <= 0.3 and abs(off["b1"]) <= 0.4
-    t = trace_table(data, dom, 2, plan)
-    assert all(flag == "clean" for flag in t.flags)
 
 
 def test_equivariance_closed_form_scaling():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from abeltrace import residues
 from abeltrace.errors import (
     ClusterPoint,
     PoleDetected,
@@ -22,6 +23,7 @@ from abeltrace.residues import (
     ListPlan,
     TorusPlan,
     clustered_residue,
+    evaluate_chart,
     hypersurface_trace,
     moment_sign,
     punctual_residue,
@@ -220,6 +222,23 @@ class TestClusteredResidue:
             fiber = solve_fiber(data.variety, chart)
         assert clustered_residue(data, chart, fiber.points, (2,)) == 0
 
+    def test_solver_bug_on_perturbed_chart_propagates(self, monkeypatch):
+        # only the solver's own failures mean "this perturbation did not
+        # separate the cluster"; any other exception is a bug and must
+        # surface instead of turning into PerturbationFailure
+        data = parabola_data()
+        chart = PlaneChart([[0.0]], [0.0])
+        real_solve = residues.solve_fiber
+
+        def solve(variety, ch, *args, **kwargs):
+            if ch.b[0] != chart.b[0]:
+                raise TypeError("bug in the solve path")
+            return real_solve(variety, ch, *args, **kwargs)
+
+        monkeypatch.setattr(residues, "solve_fiber", solve)
+        with pytest.raises(TypeError):
+            evaluate_chart(data, chart)
+
     def test_consistency_on_simple_points(self):
         # a loose "cluster" of two genuinely simple points: the
         # extrapolated sum must agree with the direct sum of residues
@@ -280,9 +299,7 @@ class TestTraceTable:
         a = 0.2
         dom = DomainSpec(PlaneChart([[a]], [2.0 - 3.0 * a]), {"b1": 0.5})
         t = trace_table(
-            data, dom, 1,
-            ListPlan(({"b1": 0.0}, {"b1": 0.3}, {"b1": -0.25})),
-            min_clean_fraction=0.5,
+            data, dom, 1, ListPlan(({"b1": 0.0}, {"b1": 0.3}, {"b1": -0.25}))
         )
         assert t.flags[0] == "pole"
         assert t.flags[1] == "clean" and t.flags[2] == "clean"
@@ -305,25 +322,6 @@ class TestTraceTable:
         data = ResidueData(v, MultiPoly.constant(2.0, V2), weight=weight)
         with pytest.raises(PoleDetected):
             trace(data, PlaneChart([[0.2]], [2.0 - 0.6]), 0)
-
-
-class TestSampleGrid:
-    def test_table_exposes_sample_grid(self):
-        data = parabola_data()
-        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 1.0})
-        t = trace_table(data, dom, 3, GridPlan({"b1": 5}))
-        grid = t.sample_grid(3)
-        assert grid.center == (3.0 + 0j,)
-        assert grid.radii == (1.0,)
-        assert len(grid.nodes) == 5
-        for (pt,), val in grid.nodes:
-            assert val == pytest.approx(-pt)
-
-    def test_nodes_outside_polydisc_rejected(self):
-        from abeltrace.numeric import SampleGrid
-
-        with pytest.raises(ValueError):
-            SampleGrid((0.0,), (1.0,), (((2.0,), 1.0),))
 
 
 class TestHypersurfaceTrace:
