@@ -602,13 +602,14 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
         raise UnsupportedDimension("hypersurface sections support n = p = 1")
     h = hyper if hyper.vars == v.vars else hyper.with_vars(v.vars)
     sols = solve_bivariate(v.defs[0], h, tol)
+    h_partials = [h.partial(nm) for nm in v.vars]
     out = []
     for sol, m in sols:
         coords = tuple(sol[nm] for nm in v.vars)
         point = dict(zip(v.vars, coords))
         jm = np.array(
-            [[v.defs[0].partial(nm).evaluate(point) for nm in v.vars],
-             [h.partial(nm).evaluate(point) for nm in v.vars]],
+            [[d.evaluate(point) for d in v._partials[0]],
+             [d.evaluate(point) for d in h_partials]],
             dtype=complex,
         )
         out.append(FiberPoint(coords, complex(np.linalg.det(jm)), m))

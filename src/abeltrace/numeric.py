@@ -32,6 +32,14 @@ TRUNC_TOL = 1e-14
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
+def _horner(coeffs, z):
+    """Value at z of the polynomial with coefficients lowest degree first."""
+    acc = 0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
 class UniPoly:
     """Univariate polynomial with complex coefficients, lowest degree first.
 
@@ -70,10 +78,7 @@ class UniPoly:
         return cls(c)
 
     def __call__(self, z):
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
     def derivative(self, order=1):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -143,13 +148,6 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
-
-def _horner(coeffs, z):
-    acc = 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
 
 def _aberth_refine(coeffs, z, max_iter=80, step_tol=1e-15):
     """Aberth-Ehrlich simultaneous refinement of root estimates ``z``."""

@@ -39,7 +39,6 @@ from .residues import (
     TorusPlan,
     TraceTable,
     _baseline_degree,
-    _neville_at_zero,
     _sample_charts,
     evaluate_chart,
 )
@@ -403,20 +402,10 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
         tvals = dict(zip(tvars, tp))
         for c in range(k):
             acc = 0j
-            for coords, w in ev.simple:
+            for coords, w in ev.terms:
                 point = dict(zip(data.variety.vars, coords))
                 point.update(tvals)
                 acc += w * (-d_composed[c].evaluate(point))
-            for ladder in ev.ladders:
-                sums = []
-                for level in ladder.levels:
-                    s = 0j
-                    for coords, w in level:
-                        point = dict(zip(data.variety.vars, coords))
-                        point.update(tvals)
-                        s += w * (-d_composed[c].evaluate(point))
-                    sums.append(s)
-                acc += _neville_at_zero(ladder.deltas, sums)
             direct[c] = acc
 
         resid = float(np.max(np.abs(direct - pull)))

@@ -9,7 +9,9 @@ where J is the full Jacobian determinant of (defs, plane equations) in the
 repo variable order. Clusters (multiple points near the discriminant) are
 never split: their total contribution is recovered by perturbing the chart
 and extrapolating the cluster sum back to the degenerate parameter, which
-is stable even when the individual points are not.
+is stable even when the individual points are not. The extrapolation is
+linear in the perturbed points' residues, so a cluster enters a chart's
+trace as its perturbed points with the extrapolation weights folded in.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .geometry import (
     hypersurface_section,
     solve_fiber,
 )
-from .numeric import TOL_ARITH
+from .numeric import TOL_ARITH, torus_nodes
 
 POLE_REL_TOL = 1e-8
 # cluster perturbation ladder: first b_1 step (relative to |b_1| + 1),
@@ -77,58 +79,42 @@ def _weight_scale(weight, coords):
     return max(total, 1.0)
 
 
-def _neville_at_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to 0 (Neville's scheme)."""
-    vals = list(ys)
-    n = len(vals)
-    for level in range(1, n):
-        for i in range(n - level):
-            vals[i] = (
-                (0.0 - xs[i + level]) * vals[i] - (0.0 - xs[i]) * vals[i + 1]
-            ) / (xs[i] - xs[i + level])
-    return vals[0]
-
-
-@dataclass
-class _ClusterLadder:
-    """Perturbed snapshots of one cluster: deltas and, per delta, the
-    matched simple (coords, weight) terms."""
-
-    deltas: tuple
-    levels: tuple  # tuple of tuples of (coords, weight)
+def _extrapolation_weights(xs):
+    """Lagrange basis at 0 over the nodes ``xs``: the weights c_l with
+    sum_l c_l * ys[l] equal to the interpolant of (xs, ys) at 0."""
+    out = []
+    for l, xl in enumerate(xs):
+        c = 1.0 + 0j
+        for k, xk in enumerate(xs):
+            if k != l:
+                c *= xk / (xk - xl)
+        out.append(c)
+    return out
 
 
 class ChartEvaluation:
-    """All index-independent work for the trace at one chart: simple-point
-    weights plus perturbation ladders for any clusters. Evaluating an
-    index is then a cheap weighted monomial sum."""
+    """All index-independent work for the trace at one chart: a flat list
+    of (coords, weight) terms. Simple points carry their residue weight;
+    a cluster contributes its perturbed points with the extrapolation
+    weights folded in. Evaluating an index is then one weighted monomial
+    sum."""
 
-    __slots__ = ("data", "chart", "simple", "ladders", "n")
+    __slots__ = ("data", "chart", "terms", "clustered", "n")
 
-    def __init__(self, data, chart, simple, ladders):
+    def __init__(self, data, chart, terms, clustered):
         self.data = data
         self.chart = chart
-        self.simple = simple        # list of (coords, weight)
-        self.ladders = ladders      # list of _ClusterLadder
+        self.terms = terms          # list of (coords, weight)
+        self.clustered = clustered
         self.n = data.variety.n
 
     def value(self, index):
         total = 0j
         scale = 0.0
-        for coords, w in self.simple:
+        for coords, w in self.terms:
             term = w * _monomial_value(coords, self.n, index)
             total += term
             scale = max(scale, abs(term))
-        for ladder in self.ladders:
-            sums = []
-            for level in ladder.levels:
-                s = 0j
-                for coords, w in level:
-                    term = w * _monomial_value(coords, self.n, index)
-                    s += term
-                    scale = max(scale, abs(s))
-                sums.append(s)
-            total += _neville_at_zero(ladder.deltas, sums)
         return total, scale
 
 
@@ -144,11 +130,13 @@ def _point_weight(data, pt, chart_params=None):
     return num / (wval * pt.jacobian)
 
 
-def _cluster_ladder(data, chart, cluster_pts, tol, expected=None):
-    """Perturb the chart in b_1 and capture the cluster's simple terms at a
-    geometric ladder of perturbation sizes."""
+def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
+    """Perturb the chart in b_1, match the cluster's simple points at a
+    geometric ladder of perturbation sizes, and return them as
+    (coords, c_l * weight) terms, c_l being the extrapolation weight of
+    level l. Extrapolating the level sums to zero perturbation is linear
+    in those sums, so the terms add up to the cluster's total residue."""
     m = sum(pt.cluster_size for pt in cluster_pts)
-    p = data.variety.p
     n = data.variety.n
     ys = np.array(
         [pt.coords[n:] for pt in cluster_pts for _ in range(pt.cluster_size)],
@@ -159,7 +147,7 @@ def _cluster_ladder(data, chart, cluster_pts, tol, expected=None):
     base = abs(chart.b[0]) + 1.0
     for attempt in range(5):
         direction = np.exp(1j * (0.37 + 2.0 * np.pi * attempt / 5.0))
-        deltas, snapshots = [], []
+        deltas, levels = [], []
         ok = True
         for lev in range(CLUSTER_LEVELS):
             d = CLUSTER_DELTA * base / 2.0**lev
@@ -190,14 +178,17 @@ def _cluster_ladder(data, chart, cluster_pts, tol, expected=None):
             ):
                 ok = False
                 break
-            terms = tuple(
-                (pt.coords, _point_weight(data, pt, pchart.to_params()))
-                for pt in matched
-            )
             deltas.append(d * direction)
-            snapshots.append(terms)
+            levels.append(
+                [(pt.coords, _point_weight(data, pt, pchart.to_params()))
+                 for pt in matched]
+            )
         if ok:
-            return _ClusterLadder(tuple(deltas), tuple(snapshots))
+            return [
+                (coords, c * w)
+                for c, level in zip(_extrapolation_weights(deltas), levels)
+                for coords, w in level
+            ]
     raise PerturbationFailure(
         f"cluster of multiplicity {m} stayed degenerate under perturbation"
     )
@@ -209,17 +200,15 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearDiscriminantWarning)
         fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
-    simple, clusters = [], []
+    terms, clusters = [], []
     for pt in fiber.points:
         if pt.cluster_size == 1:
-            simple.append((pt.coords, _point_weight(data, pt, chart.to_params())))
+            terms.append((pt.coords, _point_weight(data, pt, chart.to_params())))
         else:
             clusters.append(pt)
-    ladders = [
-        _cluster_ladder(data, chart, [pt], tol, expected=expected_degree)
-        for pt in clusters
-    ]
-    return ChartEvaluation(data, chart, simple, ladders)
+    for pt in clusters:
+        terms += _cluster_terms(data, chart, [pt], tol, expected=expected_degree)
+    return ChartEvaluation(data, chart, terms, bool(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +242,10 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
     from solve_fiber or nearby simple points from a perturbed chart.
     """
     index = _normalize_index(index, data.variety.p)
-    cluster = list(cluster)
-    ladder = _cluster_ladder(data, chart, cluster, tol)
-    sums = []
-    for level in ladder.levels:
-        s = 0j
-        for coords, w in level:
-            s += w * _monomial_value(coords, data.variety.n, index)
-        sums.append(s)
-    return _neville_at_zero(ladder.deltas, sums)
+    total = 0j
+    for coords, w in _cluster_terms(data, chart, list(cluster), tol):
+        total += w * _monomial_value(coords, data.variety.n, index)
+    return total
 
 
 def trace(data: ResidueData, chart: PlaneChart, index, tol=TOL_ARITH,
@@ -330,22 +314,17 @@ class GridPlan:
 @dataclass(frozen=True)
 class TorusPlan:
     """Samples on the distinguished boundary (product of circles), the
-    natural plan for Taylor-model fitting."""
+    natural plan for Taylor-model fitting; offsets follow the
+    ``torus_nodes`` grid order."""
 
     nodes: int = 16
 
     def offsets(self, domain: DomainSpec):
         names = list(domain.varying)
-        ring = np.exp(2j * np.pi * np.arange(self.nodes) / self.nodes)
-        out = []
-        for combo in np.ndindex(*([self.nodes] * len(names))):
-            out.append(
-                {
-                    k: complex(domain.radii[k] * ring[combo[i]])
-                    for i, k in enumerate(names)
-                }
-            )
-        return out
+        pts = torus_nodes(
+            [0j] * len(names), [domain.radii[k] for k in names], self.nodes
+        ).reshape(self.nodes ** len(names), len(names))
+        return [{k: complex(pt[i]) for i, k in enumerate(names)} for pt in pts]
 
 
 @dataclass(frozen=True)
@@ -475,7 +454,7 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
         except DegreeDrop:
             flags.append(DROPPED)
             continue
-        flags.append(CLUSTER if ev.ladders else CLEAN)
+        flags.append(CLUSTER if ev.clustered else CLEAN)
         for idx in indices:
             val, scale = ev.value(idx)
             entries[idx][s] = val

@@ -18,7 +18,14 @@ from abeltrace.radon import (
     verify_holomorphy,
     verify_shock_relations,
 )
-from abeltrace.residues import GridPlan, ListPlan, TorusPlan, trace, trace_table
+from abeltrace.residues import (
+    GridPlan,
+    ListPlan,
+    TorusPlan,
+    evaluate_chart,
+    trace,
+    trace_table,
+)
 
 V2 = ("x", "y")
 
@@ -256,6 +263,22 @@ class TestEquivariance:
             v = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             rep = reparametrize_check(data, dom, AffineMap(m, v), tol=1e-8)
             assert rep.passed
+
+    def test_affine_map_onto_discriminant(self):
+        # every probe image chart is x = 2 (a = 0, b = 2), where
+        # y^3 - 3y - x has the double root y = -1: the direct side then
+        # sums the cluster's folded perturbation terms
+        data = make_data({(0, 3): 1.0, (0, 1): -3.0, (1, 0): -1.0},
+                         {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.25j})
+        t0 = np.array([0.1 + 0.05j, 0.7])
+        m = np.array([[1.3, 0.4 - 0.2j], [0.3j, 0.9]])
+        mu = AffineMap(m, np.array([0.0, 2.0]) - m @ t0)
+        dom = DomainSpec(
+            PlaneChart([[t0[0]]], [t0[1]]), {"a1.1": 1e-12, "b1": 1e-12}
+        )
+        assert evaluate_chart(data, PlaneChart([[0.0]], [2.0])).clustered
+        rep = reparametrize_check(data, dom, mu, tol=1e-9)
+        assert rep.passed
 
     def test_higher_base_dimension_rejected(self):
         f1 = MultiPoly(("x1", "x2", "y"), {(0, 0, 1): 1.0, (1, 0, 0): -1.0})

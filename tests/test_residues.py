@@ -251,6 +251,26 @@ class TestClusteredResidue:
         clustered = clustered_residue(data, chart, fiber.points, (3,))
         assert abs(clustered - direct) < 1e-12 * max(1.0, abs(direct))
 
+    def test_extrapolation_weights_reproduce_polynomial_at_zero(self):
+        # on the ladder's geometric complex nodes, the folded weights
+        # extrapolate any polynomial of degree below the level count
+        # exactly, and a constant (degree 0) to itself
+        rng = np.random.default_rng(7)
+        direction = np.exp(0.37j)
+        for base in (1.0, 3.5):
+            nodes = [
+                residues.CLUSTER_DELTA * base / 2.0**lev * direction
+                for lev in range(residues.CLUSTER_LEVELS)
+            ]
+            weights = residues._extrapolation_weights(nodes)
+            assert abs(sum(weights) - 1.0) < 1e-13
+            for deg in range(residues.CLUSTER_LEVELS):
+                coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+                p = UniPoly(coeffs)
+                got = sum(c * p(x) for c, x in zip(weights, nodes))
+                scale = max(abs(c) for c in coeffs)
+                assert abs(got - coeffs[0]) < 1e-13 * scale
+
     def test_near_degenerate_matches_perturbed_limit(self):
         # trace through the cluster path matches the closed form u_3 = -b
         data = parabola_data()
