@@ -78,18 +78,6 @@ class PlaneChart:
             vec[names.index(key)] = val
         return PlaneChart.from_params(self.n, self.p, vec)
 
-    def plane_polys(self, x_vars, y_vars):
-        """The n plane equations l_i as MultiPolys over (x_vars + y_vars)."""
-        allv = tuple(x_vars) + tuple(y_vars)
-        out = []
-        for i in range(self.n):
-            l = MultiPoly.variable(x_vars[i], allv) - MultiPoly.constant(self.b[i], allv)
-            for j in range(self.p):
-                if self.a[i, j] != 0:
-                    l = l - self.a[i, j] * MultiPoly.variable(y_vars[j], allv)
-            out.append(l)
-        return out
-
     def __repr__(self):
         return f"PlaneChart(a={self.a.tolist()}, b={self.b.tolist()})"
 
@@ -315,26 +303,29 @@ def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
     return complex(np.linalg.det(j))
 
 
-def _newton_polish(polys, y_names, start, steps=4):
-    """A few Newton steps on the square system polys(y) = 0."""
-    y = {k: complex(vv) for k, vv in start.items()}
+def _newton_polish(polys, y_names, solutions):
+    """Up to four Newton steps on the square system polys(y) = 0 from each
+    simple solution of ``solutions`` ({name: value}, multiplicity);
+    multiple points are returned unchanged."""
     parts = [[f.partial(nm) for nm in y_names] for f in polys]
-    for _ in range(steps):
-        fv = np.array([f.evaluate(y) for f in polys], dtype=complex)
-        jm = np.array(
-            [[parts[r][c].evaluate(y) for c in range(len(y_names))]
-             for r in range(len(polys))],
-            dtype=complex,
-        )
-        try:
-            step = np.linalg.solve(jm, fv)
-        except np.linalg.LinAlgError:
-            break
-        for k, nm in enumerate(y_names):
-            y[nm] -= step[k]
-        if np.max(np.abs(step)) < 1e-15 * (1.0 + max(abs(v) for v in y.values())):
-            break
-    return y
+    out = []
+    for start, mult in solutions:
+        y = {k: complex(vv) for k, vv in start.items()}
+        for _ in range(4 if mult == 1 else 0):
+            fv = np.array([f.evaluate(y) for f in polys], dtype=complex)
+            jm = np.array(
+                [[d.evaluate(y) for d in row] for row in parts], dtype=complex
+            )
+            try:
+                step = np.linalg.solve(jm, fv)
+            except np.linalg.LinAlgError:
+                break
+            for k, nm in enumerate(y_names):
+                y[nm] -= step[k]
+            if np.max(np.abs(step)) < 1e-15 * (1.0 + max(abs(v) for v in y.values())):
+                break
+        out.append((y, mult))
+    return out
 
 
 # -- shape-specific solvers -------------------------------------------------
@@ -388,7 +379,7 @@ def _solve_triangular(subs, y_names, order, tol):
             for r, m in poly_roots(g, tol):
                 new_branches.append(({**assignment, var: r}, mult * m))
         branches = new_branches
-    return branches
+    return _newton_polish([s.restricted(y_names) for s in subs], y_names, branches)
 
 
 def _dft_interpolate(values, radius, count):
@@ -466,12 +457,8 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
         # a multiple resultant root with a single fiber candidate is a
         # genuine multiple intersection point; keep its full count
         for w_val in cands:
-            mult = u_mult if len(cands) == 1 else 1
-            if mult == 1:
-                sol = _newton_polish([g1, g2], (u, w), {u: u_val, w: w_val})
-            else:
-                sol = {u: u_val, w: w_val}
-            out.append((sol, mult))
+            out.append(({u: u_val, w: w_val}, u_mult if len(cands) == 1 else 1))
+    out = _newton_polish([g1, g2], (u, w), out)
 
     # merge duplicates into clusters
     merged = []
@@ -508,7 +495,7 @@ def _solve_lifted(v, chart, tol):
 
 
 def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
-                expected_degree="variety", escape_radius=ESCAPE_RADIUS):
+                expected_degree="variety"):
     """All intersection points of the variety with the chart's plane.
 
     Supported shapes: p = 1 (univariate after substitution); triangular
@@ -523,7 +510,7 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
     with cluster_size > 1.
 
     Raises DegreeDrop when points are missing against the expectation or
-    escape beyond ``escape_radius``.
+    escape beyond ESCAPE_RADIUS.
     """
     if chart.n != v.n or chart.p != v.p:
         raise DimensionMismatch(
@@ -552,24 +539,16 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
                 raise UnsupportedShape(
                     f"no supported solve path for p={v.p} non-triangular systems"
                 )
-        # polish simple points on the substituted square system
-        polished = []
-        for y_vals, mult in solutions:
-            if mult == 1 and v.p >= 2:
-                y_vals = _newton_polish(
-                    [s.restricted(v.y_vars) for s in subs], v.y_vars, y_vals
-                )
-            polished.append((y_vals, mult))
         points = []
-        for y_vals, mult in polished:
+        for y_vals, mult in solutions:
             coords = _point_coords(v, chart, y_vals)
             jac = full_jacobian(v, chart, coords)
             points.append(FiberPoint(coords, jac, mult))
 
     for pt in points:
-        if max(abs(c) for c in pt.coords) > escape_radius:
+        if max(abs(c) for c in pt.coords) > ESCAPE_RADIUS:
             raise DegreeDrop(
-                f"fiber point escaped beyond |z| = {escape_radius:g}",
+                f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
                 found=None, expected=None,
             )
 

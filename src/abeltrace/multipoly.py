@@ -213,11 +213,6 @@ class MultiPoly:
             out = out + term
         return out
 
-    def rename(self, mapping):
-        """Rename variables ({old: new}); order is preserved."""
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        return MultiPoly(new_vars, dict(self.terms))
-
     def with_vars(self, new_vars):
         """Re-embed into a superset variable tuple."""
         new_vars = tuple(new_vars)

@@ -71,8 +71,9 @@ class UniPoly:
         return cls((value,))
 
     @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        c = np.array([leading], dtype=complex)
+    def from_roots(cls, roots):
+        """Monic polynomial with the given roots."""
+        c = np.array([1.0], dtype=complex)
         for r in roots:
             c = np.convolve(c, np.array([-r, 1.0], dtype=complex))
         return cls(c)
@@ -87,42 +88,6 @@ class UniPoly:
                 return UniPoly.zero()
             c = c[1:] * np.arange(1, len(c))
         return UniPoly(c)
-
-    def monic(self):
-        if self.is_zero:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return UniPoly(np.asarray(self.coeffs) / self.coeffs[-1])
-
-    def __add__(self, other):
-        other = other if isinstance(other, UniPoly) else UniPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs), 1)
-        a = np.zeros(n, dtype=complex)
-        if self.coeffs:
-            a[: len(self.coeffs)] += self.coeffs
-        if other.coeffs:
-            a[: len(other.coeffs)] += other.coeffs
-        return UniPoly(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = other if isinstance(other, UniPoly) else UniPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly.zero()
-            return UniPoly(np.convolve(self.coeffs, other.coeffs))
-        return UniPoly(np.asarray(self.coeffs, dtype=complex) * other)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -149,11 +114,12 @@ class UniPoly:
 # root finding
 # ---------------------------------------------------------------------------
 
-def _aberth_refine(coeffs, z, max_iter=80, step_tol=1e-15):
-    """Aberth-Ehrlich simultaneous refinement of root estimates ``z``."""
+def _aberth_refine(coeffs, z):
+    """Aberth-Ehrlich simultaneous refinement of root estimates ``z``: at
+    most 80 sweeps, stopping once no estimate moves by 1e-15 relative."""
     d = len(coeffs) - 1
     dcoeffs = np.asarray(coeffs[1:], dtype=complex) * np.arange(1, d + 1)
-    for _ in range(max_iter):
+    for _ in range(80):
         moved = 0.0
         for j in range(d):
             pj = _horner(coeffs, z[j])
@@ -171,19 +137,9 @@ def _aberth_refine(coeffs, z, max_iter=80, step_tol=1e-15):
             step = ratio / denom if denom != 0 else ratio
             z[j] -= step
             moved = max(moved, abs(step) / (1.0 + abs(z[j])))
-        if moved < step_tol:
+        if moved < 1e-15:
             break
     return z
-
-
-def _circle_start(coeffs):
-    """Initial estimates on a circle sized by the Cauchy root bound."""
-    d = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead
-    radius = min(bound, max(abs(coeffs[0]) / lead, 1e-6) ** (1.0 / d) + 0.5)
-    angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.43
-    return (radius * np.exp(1j * angles)).astype(complex)
 
 
 def _merge_clusters(roots, tol):
@@ -211,15 +167,18 @@ def _merge_clusters(roots, tol):
 def _cluster_residuals_ok(coeffs, merged, tol):
     """Residual acceptance against the local evaluation scale, with a
     coefficient-scale floor so multiple roots (where the evaluation scale
-    itself vanishes) are judged fairly. Returns worst failing residual."""
-    d = len(coeffs) - 1
+    itself vanishes) are judged fairly. Returns worst failing residual.
+
+    Outside the unit disc the residual and both scales are divided by
+    |z|^d, i.e. the reversed polynomial is judged at 1/z: the same rule,
+    with no power of |z| that can overflow."""
     cmax = max(abs(c) for c in coeffs)
     worst = 0.0
     for root, mult in merged:
-        az = abs(root)
-        scale = sum(abs(c) * az**k for k, c in enumerate(coeffs))
-        scale = max(scale, cmax * max(1.0, az) ** d)
-        rel = abs(_horner(coeffs, root)) / scale
+        c, z = (coeffs, root) if abs(root) <= 1.0 else (coeffs[::-1], 1.0 / root)
+        az = abs(z)
+        scale = max(sum(abs(ck) * az**k for k, ck in enumerate(c)), cmax)
+        rel = abs(_horner(c, z)) / scale
         eff = tol ** (1.0 / mult) if mult > 1 else tol
         if rel > eff:
             worst = max(worst, rel)
@@ -229,12 +188,12 @@ def _cluster_residuals_ok(coeffs, merged, tol):
 def poly_roots(p, tol=TOL_ARITH):
     """All roots of ``p`` with multiplicities.
 
-    Simultaneous Aberth-Ehrlich iteration from circle starting points,
-    falling back to companion-matrix eigenvalues (followed by the same
-    refinement) when the primary iteration stalls. Nearby iterates are
-    merged into clusters whose radius scales like tol^(1/multiplicity);
-    a merged cluster carries the summed multiplicity so downstream residue
-    code can sum over it.
+    Companion-matrix eigenvalues (``np.roots``) start a simultaneous
+    Aberth-Ehrlich refinement. Nearby iterates are merged into clusters
+    whose radius scales like tol^(1/multiplicity); a merged cluster
+    carries the summed multiplicity so downstream residue code can sum
+    over it. Every cluster's residual is then checked against the local
+    evaluation scale.
 
     Parameters
     ----------
@@ -248,39 +207,31 @@ def poly_roots(p, tol=TOL_ARITH):
 
     Raises
     ------
+    ValueError : a coefficient is not finite, or tol is not positive.
     ZeroPolynomial : degree < 1.
-    NonConvergence : residuals above tolerance after both attempts;
+    NonConvergence : a residual is above tolerance after refinement;
         carries the worst relative residual.
     """
     if not isinstance(p, UniPoly):
         p = UniPoly(p)
+    coeffs = np.asarray(p.coeffs, dtype=complex)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("polynomial coefficients must be finite")
     if p.degree < 1:
         raise ZeroPolynomial(f"need degree >= 1, got degree {p.degree}")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    coeffs = np.asarray(p.coeffs, dtype=complex)
     coeffs = tuple(coeffs / np.max(np.abs(coeffs)))
-    d = len(coeffs) - 1
 
     # exact roots at the origin come off first
     k0 = 0
-    while k0 <= d and coeffs[k0] == 0:
+    while coeffs[k0] == 0:
         k0 += 1
     work = coeffs[k0:]
-
-    def attempt(start):
-        z = list(start)
-        if len(work) > 1:
-            z = list(_aberth_refine(work, np.asarray(z, dtype=complex)))
-        merged = _merge_clusters(list(z) + [0.0] * k0, tol)
-        return merged, _cluster_residuals_ok(coeffs, merged, tol)
-
-    merged, worst = (
-        attempt(_circle_start(work)) if len(work) > 1 else attempt([])
-    )
-    if worst > 0.0 and len(work) > 1:
-        merged, worst = attempt(np.roots(np.asarray(work)[::-1]).astype(complex))
+    z = _aberth_refine(work, np.roots(np.asarray(work)[::-1]).astype(complex))
+    merged = _merge_clusters(list(z) + [0.0] * k0, tol)
+    worst = _cluster_residuals_ok(coeffs, merged, tol)
     if worst > 0.0:
         raise NonConvergence(
             f"root refinement stalled (worst relative residual {worst:.3e})",
@@ -417,10 +368,6 @@ class PolydiscModel:
             out[key] = out.get(key, 0j) + c * e / r
         return PolydiscModel(self.center, self.radii, out, self.build_error)
 
-    @property
-    def max_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
 
 def torus_nodes(center, radii, nodes):
     """The distinguished-boundary sample grid: per grid index, the point
@@ -460,12 +407,15 @@ def polydisc_fit_grid(grid, center, radii):
     )
 
 
-def gauss_legendre_segment(g, z0, z1, nodes=24):
+# nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def gauss_legendre_segment(g, z0, z1):
     """Gauss-Legendre quadrature of ``g`` along the straight segment z0->z1."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
     mid = 0.5 * (z0 + z1)
     half = 0.5 * (z1 - z0)
     total = 0j
-    for xi, wi in zip(x, w):
+    for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
         total += wi * g(mid + half * xi)
     return total * half

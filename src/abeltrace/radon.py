@@ -350,6 +350,12 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
     against those derivative polynomials; the pullback side evaluates the
     standard coefficient labels at mu(t') and applies the chain rule
     matrix. ``domain`` is the probe domain in the new parameters.
+
+    For an affine ``mu`` the direct side's integrand -d(composed)/dt'_c
+    is sum_row M[row, c] * (y_row, or 1 on the b row), so the direct sum
+    equals the pullback term by term for any residue weights: the check
+    tests the chain rule through the transform's labels, not the
+    residues themselves.
     """
     n, p = data.variety.n, data.variety.p
     if n != 1:

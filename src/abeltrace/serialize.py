@@ -80,21 +80,6 @@ def decode_residue_data(obj):
     )
 
 
-def encode_chart(ch: PlaneChart):
-    return {
-        "n": ch.n,
-        "p": ch.p,
-        "a": [[_c(ch.a[i, j]) for j in range(ch.p)] for i in range(ch.n)],
-        "b": [_c(ch.b[i]) for i in range(ch.n)],
-    }
-
-
-def decode_chart(obj):
-    a = [[_uc(z) for z in row] for row in obj["a"]]
-    b = [_uc(z) for z in obj["b"]]
-    return PlaneChart(a, b)
-
-
 def encode_domain(dom: DomainSpec):
     # flat pinned form: center over all parameters, radius 0 = frozen
     names = dom.chart.param_names()

@@ -141,8 +141,8 @@ class TestSolveFiber:
         for pt in fiber.points:
             point = dict(zip(v.vars, pt.coords))
             assert abs(v.defs[0].evaluate(point)) < 1e-9
-            for l in chart.plane_polys(v.x_vars, v.y_vars):
-                assert abs(l.evaluate(point)) < 1e-12
+            xs, ys = np.array(pt.coords[: v.n]), np.array(pt.coords[v.n:])
+            assert np.max(np.abs(xs - (chart.a @ ys + chart.b))) < 1e-12
 
     def test_fiber_degree_constant_over_domain(self):
         v = elliptic()

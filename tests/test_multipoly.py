@@ -85,13 +85,6 @@ def test_as_univariate_and_coeffs():
     assert g.as_univariate("y") == UniPoly([1.0, 0.0, 2.0])
 
 
-def test_rename():
-    f = MultiPoly(V, {(1, 2): 1.0})
-    g = f.rename({"x": "u"})
-    assert g.vars == ("u", "y")
-    assert g.terms == f.terms
-
-
 def test_from_univariate_round_trip():
     p = UniPoly([1.0, 0.0, -2.0])
     f = MultiPoly.from_univariate(p, "y", V)
