@@ -289,13 +289,12 @@ def _point_coords(v, chart, y_values):
 def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
     """det of the (n+p) x (n+p) Jacobian of (defs..., plane equations...)
     with respect to (x_vars..., y_vars...) at the given point."""
-    allv = v.vars
-    m = len(allv)
+    m = len(v.vars)
     j = np.zeros((m, m), dtype=complex)
-    point = dict(zip(allv, coords))
-    for r in range(len(v.defs)):
-        for c in range(m):
-            j[r, c] = v._partials[r][c].evaluate(point)
+    for r, row in enumerate(v._partials):
+        for c, d in enumerate(row):
+            if not d.is_zero:
+                j[r, c] = d.evaluate(coords)
     for i in range(v.n):
         j[v.p + i, i] = 1.0
         for jj in range(v.p):
@@ -389,17 +388,13 @@ def _dft_interpolate(values, radius, count):
     return coeffs / radius ** np.arange(count)
 
 
-def _sylvester_det(cf, cg):
-    """Resultant of two coefficient vectors (lowest first, formal degrees
-    len-1) via the Sylvester matrix determinant."""
-    m, n = len(cf) - 1, len(cg) - 1
-    size = m + n
-    s = np.zeros((size, size), dtype=complex)
-    for r in range(n):
-        s[r, r: r + m + 1] = cf[::-1]
-    for r in range(m):
-        s[n + r, r: r + n + 1] = cg[::-1]
-    return complex(np.linalg.det(s))
+def _coefficient_matrix(g, du):
+    """Dense coefficients of g(u, w): entry [j, i] is that of u^i w^j,
+    with columns up to u^du."""
+    out = np.zeros((g.degree(g.vars[1]) + 1, du + 1), dtype=complex)
+    for (i, j), c in g.terms.items():
+        out[j, i] = c
+    return out
 
 
 def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
@@ -424,14 +419,20 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     radius = 1.37
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
 
-    c1 = g1.univariate_coeffs(w)
-    c2 = g2.univariate_coeffs(w)
-    dets = []
-    for z in nodes:
-        cf = [cp.evaluate({u: z}) for cp in c1]
-        cg = [cp.evaluate({u: z}) for cp in c2]
-        dets.append(_sylvester_det(cf, cg))
-    dets = np.asarray(dets)
+    # Sylvester matrices of g1, g2 in w at every node, stacked
+    du = max(du1, du2)
+    m1 = _coefficient_matrix(g1, du)
+    m2 = _coefficient_matrix(g2, du)
+    node_powers = nodes[:, None] ** np.arange(du + 1)
+    cf = node_powers @ m1.T
+    cg = node_powers @ m2.T
+    size = dw1 + dw2
+    syl = np.zeros((count, size, size), dtype=complex)
+    for r in range(dw2):
+        syl[:, r, r: r + dw1 + 1] = cf[:, ::-1]
+    for r in range(dw1):
+        syl[:, dw2 + r, r: r + dw2 + 1] = cg[:, ::-1]
+    dets = np.linalg.det(syl)
     dscale = float(np.max(np.abs(dets)))
     if dscale == 0.0:
         raise ValueError("resultant vanishes identically; common component present")
@@ -442,15 +443,16 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
 
     out = []
     for u_val, u_mult in poly_roots(res_poly, tol):
-        h1 = UniPoly([cp.evaluate({u: u_val}) for cp in c1])
-        h2 = UniPoly([cp.evaluate({u: u_val}) for cp in c2])
+        upow = u_val ** np.arange(du + 1)
+        h1 = UniPoly(m1 @ upow)
+        h2 = UniPoly(m2 @ upow)
         lead, other = (h1, g2) if h1.degree >= h2.degree else (h2, g1)
         if lead.degree < 1:
             continue
         oscale = max(other.coefficient_scale(), 1e-300)
         cands = []
         for w_val, _ in poly_roots(lead, tol):
-            if abs(other.evaluate({u: u_val, w: w_val})) <= 1e-6 * oscale * max(
+            if abs(other.evaluate((u_val, w_val))) <= 1e-6 * oscale * max(
                 1.0, abs(w_val)
             ) ** other.degree(w):
                 cands.append(w_val)

@@ -1,20 +1,33 @@
 """Sparse multivariate polynomials with complex coefficients.
 
 Terms are stored as a map from exponent vectors to coefficients; no
-zero-coefficient term is kept. Instances are treated as immutable.
+zero-coefficient term is kept. Instances are immutable: the degree in each
+variable is computed once, at construction.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from .numeric import UniPoly
 
 
+def _mul_terms(t1, t2):
+    """Product of two exponent-vector -> coefficient maps."""
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0j) + c1 * c2
+    return out
+
+
 class MultiPoly:
     """Polynomial in named variables, exponent-vector -> coefficient."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_degrees")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
@@ -31,6 +44,11 @@ class MultiPoly:
             if c != 0:
                 clean[exps] = clean.get(exps, 0j) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
+        # degree in each variable, 0 throughout for the zero polynomial
+        if self.terms:
+            self._degrees = tuple(map(max, zip(*self.terms)))
+        else:
+            self._degrees = (0,) * len(self.vars)
 
     # -- constructors -------------------------------------------------
 
@@ -73,12 +91,10 @@ class MultiPoly:
             return -1
         if name is None:
             return max(sum(e) for e in self.terms)
-        idx = self.vars.index(name)
-        return max(e[idx] for e in self.terms)
+        return self._degrees[self.vars.index(name)]
 
     def uses(self, name):
-        idx = self.vars.index(name)
-        return any(e[idx] for e in self.terms)
+        return self._degrees[self.vars.index(name)] > 0
 
     def coefficient_scale(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -116,26 +132,9 @@ class MultiPoly:
                 self.vars, {e: c * other for e, c in self.terms.items()}
             )
         other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0j) + c1 * c2
-        return MultiPoly(self.vars, terms)
+        return MultiPoly(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(1.0, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         return (
@@ -166,10 +165,13 @@ class MultiPoly:
             point = [complex(values[v]) for v in self.vars]
         else:
             point = [complex(v) for v in values]
+            if len(point) != len(self.vars):
+                raise ValueError(
+                    f"point has {len(point)} values for variables {self.vars}"
+                )
         # cache powers per variable up to the needed degree
         powers = []
-        for i, z in enumerate(point):
-            dmax = max((e[i] for e in self.terms), default=0)
+        for z, dmax in zip(point, self._degrees):
             col = [1.0 + 0j]
             for _ in range(dmax):
                 col.append(col[-1] * z)
@@ -177,9 +179,9 @@ class MultiPoly:
         total = 0j
         for e, c in self.terms.items():
             term = c
-            for i, k in enumerate(e):
+            for col, k in zip(powers, e):
                 if k:
-                    term *= powers[i][k]
+                    term *= col[k]
             total += term
         return total
 
@@ -188,7 +190,8 @@ class MultiPoly:
 
         ``mapping`` sends variable names to MultiPoly instances over a
         common target variable tuple; unmapped variables must appear in
-        the target tuple themselves.
+        the target tuple themselves. The powers of each image are built
+        once per call, each from the one below it.
         """
         target = None
         for v in mapping.values():
@@ -198,20 +201,27 @@ class MultiPoly:
                 raise ValueError("substitution images use inconsistent variables")
         if target is None:
             target = self.vars
-        images = []
-        for name in self.vars:
+        one = (0,) * len(target)
+        # powers[i][k] = (image of variable i)^k as a term map
+        powers = []
+        for name, dmax in zip(self.vars, self._degrees):
             if name in mapping:
-                images.append(mapping[name])
+                img = mapping[name].terms
             else:
-                images.append(MultiPoly.variable(name, target))
-        out = MultiPoly.zero(target)
+                img = MultiPoly.variable(name, target).terms
+            col = [{one: 1.0 + 0j}]
+            for _ in range(dmax):
+                col.append(_mul_terms(col[-1], img))
+            powers.append(col)
+        out = {}
         for e, c in self.terms.items():
-            term = MultiPoly.constant(c, target)
-            for img, k in zip(images, e):
+            term = {one: c}
+            for col, k in zip(powers, e):
                 if k:
-                    term = term * img**k
-            out = out + term
-        return out
+                    term = _mul_terms(term, col[k])
+            for te, tc in term.items():
+                out[te] = out.get(te, 0j) + tc
+        return MultiPoly(target, out)
 
     def with_vars(self, new_vars):
         """Re-embed into a superset variable tuple."""

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abeltrace.errors import (
     DegreeDrop,
@@ -220,6 +222,32 @@ class TestSolveBivariate:
         sol, mult = sols[0]
         assert mult == 2
         assert abs(sol["x"] - 1.0) < 1e-4 and abs(sol["y"] - 1.0) < 1e-4
+
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 3), d2=st.integers(1, 3))
+    def test_dense_random_systems(self, seed, d1, d2):
+        # generic dense systems meet in the Bezout count d1 * d2 of points
+        rng = np.random.default_rng(seed)
+
+        def dense(d):
+            return MultiPoly(V2, {
+                (i, j): complex(*rng.standard_normal(2))
+                for i in range(d + 1) for j in range(d + 1 - i)
+            })
+
+        g1, g2 = dense(d1), dense(d2)
+        sols = solve_bivariate(g1, g2)
+        assert sum(m for _, m in sols) == d1 * d2
+        for sol, m in sols:
+            if m > 1:
+                continue
+            for g in (g1, g2):
+                scale = sum(
+                    abs(c) * abs(sol["x"]) ** i * abs(sol["y"]) ** j
+                    for (i, j), c in g.terms.items()
+                )
+                assert abs(g.evaluate(sol)) <= 1e-12 * scale
 
 
 class TestVeroneseLift:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import UniPoly
@@ -46,13 +50,22 @@ def test_partial_matches_finite_difference():
     assert f.partial("x").evaluate(pt) == pytest.approx((up - dn) / (2 * h), rel=1e-7)
 
 
-def test_pow_and_degree():
+def test_product_and_degree():
     x = MultiPoly.variable("x", V)
     y = MultiPoly.variable("y", V)
-    f = (x + y) ** 3
+    f = (x + y) * (x + y) * (x + y)
     assert f.degree() == 3
     assert f.degree("x") == 3
     assert f.terms[(2, 1)] == pytest.approx(3.0)
+
+
+def test_evaluate_checks_point_length():
+    f = MultiPoly(V, {(1, 0): 1.0})
+    assert f.evaluate([3.0, 5.0]) == 3.0
+    with pytest.raises(ValueError):
+        f.evaluate([3.0])
+    with pytest.raises(ValueError):
+        f.evaluate([3.0, 5.0, 7.0])
 
 
 def test_substitute_affine():
@@ -62,6 +75,38 @@ def test_substitute_affine():
     sub = f.substitute({"x": img})
     assert sub.vars == ("y",)
     assert sub.terms == {(2,): 1.0 + 0j, (1,): -2.0 + 0j, (0,): -5.0 + 0j}
+
+
+V4 = ("x1", "x2", "y1", "y2")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 5),
+    nterms=st.integers(1, 12),
+)
+def test_substitute_matches_evaluation_on_the_plane(seed, degree, nterms):
+    # f(a y + b, y) two ways: expand the substitution, then evaluate at y;
+    # or evaluate f at the point (a y + b, y)
+    rng = np.random.default_rng(seed)
+    monos = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree]
+    picks = rng.choice(len(monos), size=min(nterms, len(monos)), replace=False)
+    f = MultiPoly(V4, {monos[i]: complex(*rng.standard_normal(2)) for i in picks})
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    images = {
+        f"x{i + 1}": MultiPoly(("y1", "y2"), {(0, 0): b[i], (1, 0): a[i, 0], (0, 1): a[i, 1]})
+        for i in range(2)
+    }
+    got = f.substitute(images).evaluate(y)
+    want = f.evaluate(list(a @ y + b) + list(y))
+    # rounding scale of either side: each variable bounded by the sum of
+    # the absolute values of its image's terms
+    bounds = list(np.abs(a) @ np.abs(y) + np.abs(b)) + list(np.abs(y))
+    scale = sum(abs(c) * np.prod([s**k for s, k in zip(bounds, e)]) for e, c in f.terms.items())
+    assert abs(got - want) <= 1e-12 * scale
 
 
 def test_with_vars_and_restricted():
