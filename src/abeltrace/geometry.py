@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedShape,
 )
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _evaluate_all
 from .numeric import TOL_ARITH, UniPoly, poly_roots
 
 ESCAPE_RADIUS = 1e8
@@ -141,7 +141,7 @@ class VarietySpec:
     points; trace sampling establishes its own per-domain baseline.
     """
 
-    __slots__ = ("x_vars", "y_vars", "defs", "degree", "lift", "_partials")
+    __slots__ = ("x_vars", "y_vars", "defs", "degree", "lift", "_partials", "_degrees")
 
     def __init__(self, x_vars, y_vars, defs, degree=None, lift=None):
         self.x_vars = tuple(x_vars)
@@ -162,9 +162,9 @@ class VarietySpec:
             fixed.append(f)
         self.defs = tuple(fixed)
         self.lift = lift
-        self._partials = tuple(
-            tuple(f.partial(var) for var in allv) for f in self.defs
-        )
+        # every partial, def by def, and a bound on their degrees
+        self._partials = tuple(f.partial(var) for f in self.defs for var in allv)
+        self._degrees = tuple(map(max, zip(*(f._degrees for f in self.defs))))
         if degree is None:
             degree = self._probe_degree()
         self.degree = int(degree)
@@ -291,10 +291,8 @@ def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
     with respect to (x_vars..., y_vars...) at the given point."""
     m = len(v.vars)
     j = np.zeros((m, m), dtype=complex)
-    for r, row in enumerate(v._partials):
-        for c, d in enumerate(row):
-            if not d.is_zero:
-                j[r, c] = d.evaluate(coords)
+    for k, val in enumerate(_evaluate_all(v._partials, coords, v._degrees)):
+        j[divmod(k, m)] = val
     for i in range(v.n):
         j[v.p + i, i] = 1.0
         for jj in range(v.p):
@@ -306,17 +304,16 @@ def _newton_polish(polys, y_names, solutions):
     """Up to four Newton steps on the square system polys(y) = 0 from each
     simple solution of ``solutions`` ({name: value}, multiplicity);
     multiple points are returned unchanged."""
-    parts = [[f.partial(nm) for nm in y_names] for f in polys]
+    system = list(polys) + [f.partial(nm) for f in polys for nm in y_names]
+    degrees = tuple(map(max, zip(*(f._degrees for f in polys))))
+    p = len(polys)
     out = []
     for start, mult in solutions:
         y = {k: complex(vv) for k, vv in start.items()}
         for _ in range(4 if mult == 1 else 0):
-            fv = np.array([f.evaluate(y) for f in polys], dtype=complex)
-            jm = np.array(
-                [[d.evaluate(y) for d in row] for row in parts], dtype=complex
-            )
+            vals = np.array(_evaluate_all(system, [y[nm] for nm in y_names], degrees))
             try:
-                step = np.linalg.solve(jm, fv)
+                step = np.linalg.solve(vals[p:].reshape(p, p), vals[:p])
             except np.linalg.LinAlgError:
                 break
             for k, nm in enumerate(y_names):
@@ -589,7 +586,7 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
         coords = tuple(sol[nm] for nm in v.vars)
         point = dict(zip(v.vars, coords))
         jm = np.array(
-            [[d.evaluate(point) for d in v._partials[0]],
+            [[d.evaluate(point) for d in v._partials],
              [d.evaluate(point) for d in h_partials]],
             dtype=complex,
         )

@@ -24,6 +24,31 @@ def _mul_terms(t1, t2):
     return out
 
 
+def _evaluate_all(polys, point, degrees):
+    """Values of polynomials over the same variables at one point, a
+    sequence aligned with their variables, from one shared table of the
+    powers of each coordinate; ``degrees`` bounds their degree in each
+    variable."""
+    powers = []
+    for z, dmax in zip(point, degrees):
+        col = [1.0 + 0j]
+        z = complex(z)
+        for _ in range(dmax):
+            col.append(col[-1] * z)
+        powers.append(col)
+    out = []
+    for p in polys:
+        total = 0j
+        for e, c in p.terms.items():
+            term = c
+            for col, k in zip(powers, e):
+                if k:
+                    term *= col[k]
+            total += term
+        out.append(total)
+    return out
+
+
 class MultiPoly:
     """Polynomial in named variables, exponent-vector -> coefficient."""
 
@@ -162,28 +187,14 @@ class MultiPoly:
         """Evaluate at a point given as {name: value} or a sequence
         aligned with ``self.vars``."""
         if isinstance(values, dict):
-            point = [complex(values[v]) for v in self.vars]
+            point = [values[v] for v in self.vars]
         else:
-            point = [complex(v) for v in values]
+            point = list(values)
             if len(point) != len(self.vars):
                 raise ValueError(
                     f"point has {len(point)} values for variables {self.vars}"
                 )
-        # cache powers per variable up to the needed degree
-        powers = []
-        for z, dmax in zip(point, self._degrees):
-            col = [1.0 + 0j]
-            for _ in range(dmax):
-                col.append(col[-1] * z)
-            powers.append(col)
-        total = 0j
-        for e, c in self.terms.items():
-            term = c
-            for col, k in zip(powers, e):
-                if k:
-                    term *= col[k]
-            total += term
-        return total
+        return _evaluate_all((self,), point, self._degrees)[0]
 
     def substitute(self, mapping):
         """Substitute polynomials for variables.

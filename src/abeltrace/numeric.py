@@ -337,36 +337,38 @@ class PolydiscModel:
 
     Coefficients live in the scaled variables s_k = (z_k - center_k) /
     radius_k, so the model's natural domain is the unit polydisc in s.
+    ``coeffs[e]`` multiplies prod_k s_k^e_k: a dense tensor with one axis
+    per variable, all of the same length.
     """
 
     center: tuple
     radii: tuple
-    coeffs: dict  # exponent tuple -> complex
+    coeffs: np.ndarray
     build_error: float = 0.0
 
     def __call__(self, point):
-        s = [(complex(point[k]) - self.center[k]) / self.radii[k]
-             for k in range(len(self.center))]
-        total = 0j
-        for exps, c in self.coeffs.items():
-            term = c
-            for e, sk in zip(exps, s):
-                if e:
-                    term *= sk**e
-            total += term
-        return total
+        """Value at ``point``, one coordinate per variable. Coordinates may
+        be arrays that broadcast against each other; the value then has
+        their broadcast shape. The tensor is contracted one axis at a time
+        against that variable's powers."""
+        out = self.coeffs
+        k, d = out.ndim, out.shape[0]
+        for ax in range(k):
+            s = (np.asarray(point[ax], dtype=complex) - self.center[ax]) / self.radii[ax]
+            # leading axes of ``out``: the coordinates' broadcast shape so far
+            out = out.reshape(out.shape[: out.ndim + ax - k] + (d, -1))
+            out = (s[..., None, None] ** np.arange(d)) @ out
+            out = out.reshape(out.shape[:-2] + (d,) * (k - ax - 1))
+        return out[()]
 
     def derivative(self, axis):
         """Analytic partial derivative along one axis (unscaled variable)."""
-        out = {}
-        r = self.radii[axis]
-        for exps, c in self.coeffs.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            key = exps[:axis] + (e - 1,) + exps[axis + 1:]
-            out[key] = out.get(key, 0j) + c * e / r
-        return PolydiscModel(self.center, self.radii, out, self.build_error)
+        c = np.moveaxis(self.coeffs, axis, -1)
+        out = np.zeros_like(c)
+        out[..., :-1] = c[..., 1:] * np.arange(1, c.shape[-1]) / self.radii[axis]
+        return PolydiscModel(
+            self.center, self.radii, np.moveaxis(out, -1, axis), self.build_error
+        )
 
 
 def torus_nodes(center, radii, nodes):
@@ -374,11 +376,10 @@ def torus_nodes(center, radii, nodes):
     (center_k + radii_k * e^{2 pi i idx_k / nodes})_k."""
     ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     k = len(center)
-    shape = (nodes,) * k
-    pts = np.empty(shape + (k,), dtype=complex)
-    for idx in np.ndindex(*shape):
-        for ax in range(k):
-            pts[idx + (ax,)] = center[ax] + radii[ax] * ring[idx[ax]]
+    pts = np.empty((nodes,) * k + (k,), dtype=complex)
+    for ax in range(k):
+        shape = (nodes,) + (1,) * (k - ax - 1)
+        pts[..., ax] = np.reshape(center[ax] + radii[ax] * ring, shape)
     return pts
 
 
@@ -386,24 +387,16 @@ def polydisc_fit_grid(grid, center, radii):
     """Fit a PolydiscModel from values sampled on the torus_nodes grid.
 
     The multidimensional DFT of the value grid yields Taylor coefficients;
-    frequencies above nodes//2 per axis are discarded (aliasing guard), as
-    are coefficients below TRUNC_TOL * max|coeff|.
+    frequencies above nodes//2 per axis are discarded (aliasing guard), and
+    coefficients below TRUNC_TOL * max|coeff| are set to 0.
     """
     grid = np.asarray(grid, dtype=complex)
-    nodes = grid.shape[0]
     coeff_grid = np.fft.fftn(grid) / grid.size
-    keep = nodes // 2
-    cmax = float(np.max(np.abs(coeff_grid)))
-    cutoff = TRUNC_TOL * max(cmax, 1e-300)
-    coeffs = {}
-    for idx in np.ndindex(*coeff_grid.shape):
-        if any(i > keep for i in idx):
-            continue
-        c = coeff_grid[idx]
-        if abs(c) > cutoff:
-            coeffs[idx] = complex(c)
+    cutoff = TRUNC_TOL * max(float(np.max(np.abs(coeff_grid))), 1e-300)
+    coeffs = coeff_grid[(slice(grid.shape[0] // 2 + 1),) * grid.ndim]
     return PolydiscModel(
-        tuple(map(complex, center)), tuple(map(float, radii)), coeffs
+        tuple(map(complex, center)), tuple(map(float, radii)),
+        np.where(np.abs(coeffs) > cutoff, coeffs, 0j),
     )
 
 
@@ -412,10 +405,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def gauss_legendre_segment(g, z0, z1):
-    """Gauss-Legendre quadrature of ``g`` along the straight segment z0->z1."""
-    mid = 0.5 * (z0 + z1)
-    half = 0.5 * (z1 - z0)
-    total = 0j
-    for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        total += wi * g(mid + half * xi)
-    return total * half
+    """Gauss-Legendre quadrature of ``g`` along the straight segments
+    z0 -> z1. The end points may be arrays that broadcast; ``g`` is called
+    once on every segment's nodes, which sit on a trailing axis, and the
+    result has the end points' broadcast shape."""
+    mid = 0.5 * (np.asarray(z0) + z1)
+    half = 0.5 * (np.asarray(z1) - z0)
+    return (g(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS) * half

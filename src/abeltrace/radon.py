@@ -425,10 +425,9 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
 # trace extension along the closedness relations
 # ---------------------------------------------------------------------------
 
-def _torus_grid(f, center, radii, nodes):
-    """Values of ``f`` on the torus_nodes grid, one array axis per
-    parameter."""
-    pts = torus_nodes(center, radii, nodes)
+def _torus_grid(f, pts):
+    """Values of ``f`` at the points of a torus_nodes grid, one array axis
+    per parameter."""
     grid = np.empty(pts.shape[:-1], dtype=complex)
     for idx in np.ndindex(*grid.shape):
         grid[idx] = f(pts[idx])
@@ -444,9 +443,10 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     Each new level is built from the previous one through the closedness
     identity: for fixed a, the b_1-differential of u_{I+e_1} equals the
     a_1^1-derivative of u_I, so its value is the base value at (a, b*)
-    plus a Gauss-Legendre integral along the straight segment b* -> b.
-    Levels are represented as Taylor models fitted on the distinguished
-    boundary of P'; base values on P come from the input table.
+    plus a Gauss-Legendre integral along the straight segment b* -> b,
+    taken over the whole torus grid in one quadrature call. Levels are
+    represented as Taylor models fitted on the distinguished boundary of
+    P'; base values on P come from the input table.
 
     ``u0_ext`` takes a PlaneChart and returns the extended order-0 trace.
     Returns a TraceTable on P' carrying sampled values and the fitted
@@ -486,10 +486,9 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
         off = {nm: complex(point[i]) - center[i] for i, nm in enumerate(names)}
         return big_domain.chart_at(off)
 
+    pts = torus_nodes(center, radii, fft_nodes)
     try:
-        grid0 = _torus_grid(
-            lambda point: u0_ext(chart_of(point)), center, radii, fft_nodes
-        )
+        grid0 = _torus_grid(lambda point: u0_ext(chart_of(point)), pts)
     except (PoleDetected, DegreeDrop) as exc:
         raise PathCrossesPole(
             f"order-0 extension blows up on the enlarged polydisc: {exc}"
@@ -521,6 +520,8 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     grids = {(0,) * p: grid0}
 
     a_axes = [i for i in range(len(names)) if i != ib]
+    # the torus points with a trailing axis for the quadrature nodes
+    q = [pts[..., ax, None] for ax in range(len(names))]
     a_center = [center[i] for i in a_axes]
     a_radii = [radii[i] for i in a_axes]
 
@@ -537,7 +538,7 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
             return t.value(new_idx, chart_of(point))
 
         try:
-            base_grid = _torus_grid(base_eval, a_center, a_radii, fft_nodes)
+            base_grid = _torus_grid(base_eval, torus_nodes(a_center, a_radii, fft_nodes))
         except (PoleDetected, DegreeDrop) as exc:
             raise PathCrossesPole(
                 f"base slice for level {k} is contaminated: {exc}"
@@ -545,19 +546,9 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
         base_model = polydisc_fit_grid(base_grid, a_center, a_radii)
 
         deriv = models[prev_idx].derivative(ia)
-
-        def value_at(point):
-            a_part = [point[ax] for ax in a_axes]
-            base = base_model(a_part)
-
-            def integrand(beta):
-                q = list(point)
-                q[ib] = beta
-                return deriv(q)
-
-            return base + gauss_legendre_segment(integrand, b_star, point[ib])
-
-        grid_k = _torus_grid(value_at, center, radii, fft_nodes)
+        grid_k = base_model([pts[..., ax] for ax in a_axes]) + gauss_legendre_segment(
+            lambda beta: deriv(q[:ib] + [beta] + q[ib + 1:]), b_star, pts[..., ib]
+        )
         models[new_idx] = polydisc_fit_grid(grid_k, center, radii)
         grids[new_idx] = grid_k
         prev_idx = new_idx

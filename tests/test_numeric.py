@@ -13,6 +13,7 @@ from abeltrace.errors import (
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import (
+    PolydiscModel,
     UniPoly,
     cauchy_derivative,
     gauss_legendre_segment,
@@ -343,6 +344,117 @@ class TestPolydiscModel:
         model = fit_on_torus(f, (0.1, -0.2), (1.0, 1.5), 16)
         pt = (0.9, 1.1)
         assert abs(model(pt) - f(pt)) < 1e-12
+
+
+def _random_model(rng, k, d):
+    center = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    radii = tuple(rng.uniform(0.3, 2.0, k))
+    coeffs = rng.standard_normal((d,) * k) + 1j * rng.standard_normal((d,) * k)
+    return PolydiscModel(center, radii, coeffs)
+
+
+def _term_sum(model, point, axis=None):
+    """The model, or its partial along ``axis``, at one point, summed term
+    by term over the coefficient tensor."""
+    s = [(complex(z) - c) / r for z, c, r in zip(point, model.center, model.radii)]
+    total = 0j
+    for e in np.ndindex(*model.coeffs.shape):
+        term = model.coeffs[e]
+        for ax, (sk, ek) in enumerate(zip(s, e)):
+            if ax == axis:
+                term *= ek * sk ** (ek - 1) / model.radii[ax] if ek else 0.0
+            else:
+                term *= sk**ek
+        total += term
+    return total
+
+
+class TestPolydiscArrays:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_call_broadcasts_like_scalar_calls(self, k):
+        rng = np.random.default_rng(10 + k)
+        model = _random_model(rng, k, 5)
+        # axis ax varies along array axis ax only, so the shapes broadcast
+        coords = []
+        for ax in range(k):
+            shape = [1] * k
+            shape[ax] = 3 + ax
+            z = model.center[ax] + model.radii[ax] * 0.8 * (
+                rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+            )
+            coords.append(z)
+        got = model(coords)
+        assert got.shape == tuple(3 + ax for ax in range(k))
+        scale = np.sum(np.abs(model.coeffs))
+        for idx in np.ndindex(*got.shape):
+            pt = [complex(np.broadcast_to(z, got.shape)[idx]) for z in coords]
+            assert abs(got[idx] - model(pt)) <= 1e-14 * scale
+            assert abs(got[idx] - _term_sum(model, pt)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_derivative_of_dense_tensor(self, k):
+        rng = np.random.default_rng(20 + k)
+        model = _random_model(rng, k, 4)
+        scale = np.sum(np.abs(model.coeffs)) * 4 / min(model.radii)
+        for axis in range(k):
+            deriv = model.derivative(axis)
+            assert deriv.coeffs.shape == model.coeffs.shape
+            for _ in range(3):
+                pt = [c + r * 0.7 * np.exp(2j * np.pi * rng.uniform())
+                      for c, r in zip(model.center, model.radii)]
+                assert abs(deriv(pt) - _term_sum(model, pt, axis)) <= 1e-14 * scale
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        nodes=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_recovers_polynomial(self, k, nodes, seed):
+        # degree <= nodes//2 per axis: the torus samples alias nothing
+        rng = np.random.default_rng(seed)
+        truth = _random_model(rng, k, nodes // 2 + 1)
+        grid = truth(np.moveaxis(torus_nodes(truth.center, truth.radii, nodes), -1, 0))
+        fit = polydisc_fit_grid(grid, truth.center, truth.radii)
+        scale = np.max(np.abs(truth.coeffs))
+        assert fit.coeffs.shape == truth.coeffs.shape
+        assert np.max(np.abs(fit.coeffs - truth.coeffs)) <= 1e-12 * scale
+        pt = [c + 0.6 * r * np.exp(2j * np.pi * rng.uniform())
+              for c, r in zip(truth.center, truth.radii)]
+        assert abs(fit(pt) - _term_sum(truth, pt)) <= 1e-12 * np.sum(np.abs(truth.coeffs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_torus_nodes_point_order(k):
+    center = [0.3 - 0.2j, -1.1, 2.5j][:k]
+    radii = [0.7, 1.9, 0.05][:k]
+    for nodes in range(1, 9):
+        ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        pts = torus_nodes(center, radii, nodes)
+        assert pts.shape == (nodes,) * k + (k,)
+        for idx in np.ndindex(*pts.shape[:-1]):
+            want = [center[ax] + radii[ax] * ring[i] for ax, i in enumerate(idx)]
+            assert np.array_equal(pts[idx], want)
+
+
+def test_gauss_legendre_array_end_points():
+    rng = np.random.default_rng(7)
+    z0 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    z1 = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
+
+    seen = []
+
+    def g(z):
+        seen.append(np.shape(z))
+        return np.exp(z) + z**3
+
+    got = gauss_legendre_segment(g, z0, z1)
+    # one call on every segment's nodes, the nodes on a trailing axis
+    assert seen == [(3, 4, 24)]
+    assert got.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        want = gauss_legendre_segment(g, complex(z0[i, 0]), complex(z1[0, j]))
+        assert abs(got[i, j] - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_gauss_legendre_polynomial_exact():

@@ -344,6 +344,23 @@ class TestTraceTable:
             trace(data, PlaneChart([[0.2]], [2.0 - 0.6]), 0)
 
 
+@pytest.mark.parametrize(
+    "radii", [{"b1": 0.7}, {"a1.1": 0.7, "b1": 1.9}, {"a1.1": 0.7, "a1.2": 1.9, "b1": 0.05}]
+)
+def test_torus_plan_offset_order(radii):
+    # propagate_trace_extension pairs grids[idx].ravel() with these offsets
+    dom = DomainSpec(PlaneChart([[0.3, -0.2j]], [1.1]), radii)
+    names = dom.varying
+    assert set(names) == set(radii)
+    for nodes in range(1, 9):
+        ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        offsets = TorusPlan(nodes).offsets(dom)
+        idxs = list(np.ndindex(*(nodes,) * len(names)))
+        assert len(offsets) == len(idxs)
+        for off, idx in zip(offsets, idxs):
+            assert off == {nm: 0j + radii[nm] * ring[i] for nm, i in zip(names, idx)}
+
+
 class TestHypersurfaceTrace:
     def test_parabola_against_horizontal_line(self):
         # f = y - x^2 meets y = 4 at x = +-2; det[[df],[dC]] = -2x,
