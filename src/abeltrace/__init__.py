@@ -12,7 +12,6 @@ from .errors import (
     IllConditioned,
     InconsistentTraces,
     InsufficientMargin,
-    NearDiscriminantWarning,
     NonConvergence,
     OverdeterminedMismatch,
     PathCrossesPole,

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories."""
+"""Exception hierarchy."""
 
 
 class AbelTraceError(Exception):
@@ -72,10 +72,6 @@ class UnsupportedDimension(AbelTraceError):
 
 class UnsupportedShape(AbelTraceError):
     """Polynomial system shape outside the supported solver classes."""
-
-
-class NearDiscriminantWarning(UserWarning):
-    """A fiber contains a root cluster; residues are cluster-summed."""
 
 
 # --- residue / trace ---

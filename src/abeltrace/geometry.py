@@ -10,7 +10,6 @@ equals (-1)^(n p) times the y-Jacobian of the substituted system.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import (
     AbelTraceError,
     DegreeDrop,
     DimensionMismatch,
-    NearDiscriminantWarning,
     UnsupportedDimension,
     UnsupportedShape,
 )
@@ -250,7 +248,6 @@ class FiberPoint:
 @dataclass(frozen=True)
 class Fiber:
     points: tuple
-    chart: PlaneChart
 
     @property
     def total_multiplicity(self):
@@ -268,22 +265,14 @@ def plane_substitute(v: VarietySpec, chart: PlaneChart):
         raise DimensionMismatch(
             f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})"
         )
-    mapping = {}
-    for i, xv in enumerate(v.x_vars):
-        img = MultiPoly.constant(chart.b[i], v.y_vars)
-        for j, yv in enumerate(v.y_vars):
-            if chart.a[i, j] != 0:
-                img = img + chart.a[i, j] * MultiPoly.variable(yv, v.y_vars)
-        mapping[xv] = img
-    for yv in v.y_vars:
-        mapping[yv] = MultiPoly.variable(yv, v.y_vars)
+    # x_i -> b_i + sum_j a_ij y_j; the term order 1, y_1..y_p fixes the
+    # order of every sum in substitute, which leaves each y alone
+    exps = [(0,) * v.p] + [tuple(int(k == j) for k in range(v.p)) for j in range(v.p)]
+    mapping = {
+        xv: MultiPoly(v.y_vars, dict(zip(exps, (chart.b[i], *chart.a[i]))))
+        for i, xv in enumerate(v.x_vars)
+    }
     return [f.substitute(mapping) for f in v.defs]
-
-
-def _point_coords(v, chart, y_values):
-    ys = np.array([y_values[yv] for yv in v.y_vars], dtype=complex)
-    xs = chart.a @ ys + chart.b
-    return tuple(map(complex, xs)) + tuple(map(complex, ys))
 
 
 def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
@@ -300,27 +289,27 @@ def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
     return complex(np.linalg.det(j))
 
 
-def _newton_polish(polys, y_names, solutions):
+def _newton_polish(polys, solutions):
     """Up to four Newton steps on the square system polys(y) = 0 from each
-    simple solution of ``solutions`` ({name: value}, multiplicity);
-    multiple points are returned unchanged."""
-    system = list(polys) + [f.partial(nm) for f in polys for nm in y_names]
+    simple solution of ``solutions``, (values, multiplicity) pairs whose
+    values are aligned with the polynomials' variables; multiple points
+    are returned unchanged. Values come back as tuples of complex."""
+    system = list(polys) + [f.partial(nm) for f in polys for nm in polys[0].vars]
     degrees = tuple(map(max, zip(*(f._degrees for f in polys))))
     p = len(polys)
     out = []
     for start, mult in solutions:
-        y = {k: complex(vv) for k, vv in start.items()}
+        y = np.array(start, dtype=complex)
         for _ in range(4 if mult == 1 else 0):
-            vals = np.array(_evaluate_all(system, [y[nm] for nm in y_names], degrees))
+            vals = np.array(_evaluate_all(system, y, degrees))
             try:
                 step = np.linalg.solve(vals[p:].reshape(p, p), vals[:p])
             except np.linalg.LinAlgError:
                 break
-            for k, nm in enumerate(y_names):
-                y[nm] -= step[k]
-            if np.max(np.abs(step)) < 1e-15 * (1.0 + max(abs(v) for v in y.values())):
+            y -= step
+            if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(y))):
                 break
-        out.append((y, mult))
+        out.append((tuple(map(complex, y)), mult))
     return out
 
 
@@ -332,7 +321,7 @@ def _solve_univariate(subs, y_name, tol):
         raise ValueError("substituted system vanishes identically; not zero-dimensional")
     if g.degree < 1:
         return []
-    return [({y_name: r}, m) for r, m in poly_roots(g, tol)]
+    return [((r,), m) for r, m in poly_roots(g, tol)]
 
 
 def _triangular_order(subs, y_names):
@@ -375,7 +364,10 @@ def _solve_triangular(subs, y_names, order, tol):
             for r, m in poly_roots(g, tol):
                 new_branches.append(({**assignment, var: r}, mult * m))
         branches = new_branches
-    return _newton_polish([s.restricted(y_names) for s in subs], y_names, branches)
+    return _newton_polish(
+        [s.restricted(y_names) for s in subs],
+        [(tuple(assignment[v] for v in y_names), mult) for assignment, mult in branches],
+    )
 
 
 def _dft_interpolate(values, radius, count):
@@ -399,7 +391,8 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     elimination step (evaluation-interpolation of the Sylvester
     determinant), then back-substitution and Newton polish.
 
-    Returns a list of ({var: value}, multiplicity) pairs.
+    Returns a list of ((u, w), multiplicity) pairs, the values aligned
+    with the polynomials' variables (u, w).
     """
     if g1.vars != g2.vars or len(g1.vars) != 2:
         raise UnsupportedShape("solve_bivariate needs two polynomials in the same two variables")
@@ -456,25 +449,26 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
         # a multiple resultant root with a single fiber candidate is a
         # genuine multiple intersection point; keep its full count
         for w_val in cands:
-            out.append(({u: u_val, w: w_val}, u_mult if len(cands) == 1 else 1))
-    out = _newton_polish([g1, g2], (u, w), out)
+            out.append(((u_val, w_val), u_mult if len(cands) == 1 else 1))
+    out = _newton_polish([g1, g2], out)
 
     # merge duplicates into clusters
     merged = []
     for sol, m in out:
-        vec = np.array([sol[u], sol[w]])
+        vec = np.array(sol)
         for entry in merged:
             if np.max(np.abs(vec - entry[0])) < 1e-7 * (1.0 + np.max(np.abs(vec))):
                 entry[1] += m
                 break
         else:
             merged.append([vec, m])
-    return [({u: complex(vec[0]), w: complex(vec[1])}, m) for vec, m in merged]
+    return [(tuple(map(complex, vec)), m) for vec, m in merged]
 
 
 def _solve_lifted(v, chart, tol):
     """Fiber of a lifted variety through the graph correspondence: pull the
-    plane back to the original chart, solve there, lift the points."""
+    plane back to the original chart, solve there, lift the points.
+    Returns (lifted coordinates, multiplicity) pairs."""
     info = v.lift
     orig = info.original
     cmap = info.coordinate_map
@@ -484,13 +478,10 @@ def _solve_lifted(v, chart, tol):
     for j in range(1, len(cmap)):
         if chart.a[0, j - 1] != 0:
             hyper = hyper - chart.a[0, j - 1] * cmap[j]
-    sols = solve_bivariate(orig.defs[0], hyper, tol)
-    out = []
-    for sol, m in sols:
-        base_pt = [sol[nm] for nm in orig.vars]
-        coords = tuple(mp.evaluate(dict(zip(orig.vars, base_pt))) for mp in cmap)
-        out.append((dict(zip(v.y_vars, coords[1:])), m, coords))
-    return out
+    return [
+        (tuple(mp.evaluate(sol) for mp in cmap), m)
+        for sol, m in solve_bivariate(orig.defs[0], hyper, tol)
+    ]
 
 
 def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
@@ -499,14 +490,16 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
 
     Supported shapes: p = 1 (univariate after substitution); triangular
     cascades for p >= 2; general p = 2 via one resultant step; Veronese
-    lifts via the graph correspondence. Each simple point carries the
-    determinant of the full (n+p) x (n+p) Jacobian of (defs, plane
-    equations) in the repo variable order.
+    lifts via the graph correspondence. Every path but the lifted one
+    returns (y values, multiplicity) pairs, and the plane gives the x
+    values. Each point carries its coordinates as a tuple of complex
+    aligned with v.vars and the determinant of the full (n+p) x (n+p)
+    Jacobian of (defs, plane equations) in the repo variable order.
 
     ``expected_degree``: "variety" checks against v.degree, None disables
     the constancy check, an integer checks against that value. A cluster
-    (multiple point) triggers a NearDiscriminantWarning and is returned
-    with cluster_size > 1.
+    (multiple point) is returned as one point with cluster_size > 1, and
+    the fiber reports it as ``clustered``.
 
     Raises DegreeDrop when points are missing against the expectation or
     escape beyond ESCAPE_RADIUS.
@@ -518,10 +511,6 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
 
     if v.lift is not None:
         solutions = _solve_lifted(v, chart, tol)
-        points = []
-        for y_vals, mult, coords in solutions:
-            jac = full_jacobian(v, chart, coords)
-            points.append(FiberPoint(tuple(map(complex, coords)), jac, mult))
     else:
         subs = plane_substitute(v, chart)
         if v.p == 1:
@@ -538,20 +527,20 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
                 raise UnsupportedShape(
                     f"no supported solve path for p={v.p} non-triangular systems"
                 )
-        points = []
-        for y_vals, mult in solutions:
-            coords = _point_coords(v, chart, y_vals)
-            jac = full_jacobian(v, chart, coords)
-            points.append(FiberPoint(coords, jac, mult))
+        solutions = [
+            (tuple(map(complex, chart.a @ ys + chart.b)) + ys, mult)
+            for ys, mult in solutions
+        ]
 
-    for pt in points:
-        if max(abs(c) for c in pt.coords) > ESCAPE_RADIUS:
-            raise DegreeDrop(
-                f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
-                found=None, expected=None,
-            )
-
-    fiber = Fiber(tuple(points), chart)
+    fiber = Fiber(tuple(
+        FiberPoint(coords, full_jacobian(v, chart, coords), mult)
+        for coords, mult in solutions
+    ))
+    if any(max(map(abs, pt.coords)) > ESCAPE_RADIUS for pt in fiber.points):
+        raise DegreeDrop(
+            f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
+            found=None, expected=None,
+        )
     if expected_degree == "variety":
         expected_degree = v.degree
     if expected_degree is not None and fiber.total_multiplicity != expected_degree:
@@ -560,13 +549,6 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
             f"expected {expected_degree}",
             found=fiber.total_multiplicity,
             expected=expected_degree,
-        )
-    if fiber.clustered:
-        warnings.warn(
-            "fiber contains a root cluster (near the discriminant); "
-            "residues will be cluster-summed",
-            NearDiscriminantWarning,
-            stacklevel=2,
         )
     return fiber
 
@@ -579,17 +561,12 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
     if v.n != 1 or v.p != 1:
         raise UnsupportedDimension("hypersurface sections support n = p = 1")
     h = hyper if hyper.vars == v.vars else hyper.with_vars(v.vars)
-    sols = solve_bivariate(v.defs[0], h, tol)
-    h_partials = [h.partial(nm) for nm in v.vars]
+    # Jacobian rows: the def's partials, then the hypersurface's
+    partials = v._partials + tuple(h.partial(nm) for nm in v.vars)
+    degrees = tuple(map(max, v._degrees, h._degrees))
     out = []
-    for sol, m in sols:
-        coords = tuple(sol[nm] for nm in v.vars)
-        point = dict(zip(v.vars, coords))
-        jm = np.array(
-            [[d.evaluate(point) for d in v._partials],
-             [d.evaluate(point) for d in h_partials]],
-            dtype=complex,
-        )
+    for coords, m in solve_bivariate(v.defs[0], h, tol):
+        jm = np.reshape(_evaluate_all(partials, coords, degrees), (2, 2))
         out.append(FiberPoint(coords, complex(np.linalg.det(jm)), m))
     return out
 

@@ -331,14 +331,14 @@ def poly_interpolate(samples, deg_bound, tol=TOL_FIT):
 # polydisc Taylor models
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PolydiscModel:
     """Truncated Taylor model of a holomorphic function on a polydisc.
 
     Coefficients live in the scaled variables s_k = (z_k - center_k) /
     radius_k, so the model's natural domain is the unit polydisc in s.
     ``coeffs[e]`` multiplies prod_k s_k^e_k: a dense tensor with one axis
-    per variable, all of the same length.
+    per variable, all of the same length. Models compare by identity.
     """
 
     center: tuple

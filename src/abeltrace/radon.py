@@ -221,12 +221,12 @@ class HolomorphyReport:
 
 
 def _poly_features(offsets, names, radii, deg):
+    """Monomials of total degree <= deg in the scaled offsets, one row
+    per offset."""
     exps = [e for e in np.ndindex(*([deg + 1] * len(names))) if sum(e) <= deg]
-    rows = []
-    for off in offsets:
-        s = [complex(off.get(nm, 0.0)) / radii[nm] for nm in names]
-        rows.append([np.prod([sk**e for sk, e in zip(s, ex)]) for ex in exps])
-    return np.asarray(rows, dtype=complex)
+    s = np.array([[complex(off.get(nm, 0.0)) / radii[nm] for nm in names]
+                  for off in offsets], dtype=complex).reshape(len(offsets), len(names))
+    return np.prod(s[:, None, :] ** np.array(exps), axis=-1)
 
 
 def verify_holomorphy(rt: RadonTransform, tol):

@@ -16,7 +16,6 @@ trace as its perturbed points with the extrapolation weights folded in.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
     AbelTraceError,
     ClusterPoint,
     DegreeDrop,
-    NearDiscriminantWarning,
     PerturbationFailure,
     PoleDetected,
     TooFewCleanSamples,
@@ -152,15 +150,11 @@ def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
         for lev in range(CLUSTER_LEVELS):
             d = CLUSTER_DELTA * base / 2.0**lev
             pchart = chart.replace(b1=chart.b[0] + d * direction)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NearDiscriminantWarning)
-                try:
-                    fiber = solve_fiber(
-                        data.variety, pchart, tol, expected_degree=expected
-                    )
-                except (AbelTraceError, ValueError):
-                    ok = False
-                    break
+            try:
+                fiber = solve_fiber(data.variety, pchart, tol, expected_degree=expected)
+            except (AbelTraceError, ValueError):
+                ok = False
+                break
             cands = sorted(
                 fiber.points,
                 key=lambda pt: float(
@@ -197,9 +191,7 @@ def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
 def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
                    expected_degree=None):
     """Build the ChartEvaluation for one chart (shared by all indices)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearDiscriminantWarning)
-        fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
+    fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
     terms, clusters = [], []
     for pt in fiber.points:
         if pt.cluster_size == 1:
@@ -267,12 +259,7 @@ def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
     for pt in pts:
         if pt.cluster_size != 1:
             raise ClusterPoint("hypersurface section is degenerate")
-        w = _point_weight(data, pt)
-        mono = 1.0 + 0j
-        for z, e in zip(pt.coords, index_exps):
-            if e:
-                mono *= z**e
-        total += w * mono
+        total += _point_weight(data, pt) * _monomial_value(pt.coords, 0, index_exps)
     return total
 
 
@@ -501,7 +488,5 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order=None,
 
 def _baseline_degree(data, domain, tol):
     """Fiber degree at the domain center (the domain's properness baseline)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearDiscriminantWarning)
-        fiber = solve_fiber(data.variety, domain.chart, tol, expected_degree=None)
+    fiber = solve_fiber(data.variety, domain.chart, tol, expected_degree=None)
     return fiber.total_multiplicity

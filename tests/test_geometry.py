@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from abeltrace.errors import (
     DegreeDrop,
     DimensionMismatch,
-    NearDiscriminantWarning,
     UnsupportedDimension,
 )
 from abeltrace.geometry import (
@@ -16,6 +15,7 @@ from abeltrace.geometry import (
     PlaneChart,
     ResidueData,
     VarietySpec,
+    _triangular_order,
     full_jacobian,
     plane_substitute,
     solve_bivariate,
@@ -113,8 +113,11 @@ class TestSolveFiber:
             assert abs(pt.jacobian) == pytest.approx(4.0)
 
     def test_double_point_cluster(self):
-        with pytest.warns(NearDiscriminantWarning):
+        # the cluster is reported by the fiber itself, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [0.0]))
+        assert fiber.clustered
         assert len(fiber.points) == 1
         assert fiber.points[0].cluster_size == 2
         assert fiber.total_multiplicity == 2
@@ -198,7 +201,7 @@ class TestSolveBivariate:
         g = MultiPoly(V2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -2.0})
         sols = solve_bivariate(f, g)
         got = {
-            (complex(np.round(s["x"], 9)), complex(np.round(s["y"], 9)))
+            (complex(np.round(s[0], 9)), complex(np.round(s[1], 9)))
             for s, _ in sols
         }
         assert got == {(1 + 0j, 1 + 0j), (-2 + 0j, 4 + 0j)}
@@ -221,7 +224,7 @@ class TestSolveBivariate:
         assert len(sols) == 1
         sol, mult = sols[0]
         assert mult == 2
-        assert abs(sol["x"] - 1.0) < 1e-4 and abs(sol["y"] - 1.0) < 1e-4
+        assert abs(sol[0] - 1.0) < 1e-4 and abs(sol[1] - 1.0) < 1e-4
 
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -244,10 +247,95 @@ class TestSolveBivariate:
                 continue
             for g in (g1, g2):
                 scale = sum(
-                    abs(c) * abs(sol["x"]) ** i * abs(sol["y"]) ** j
+                    abs(c) * abs(sol[0]) ** i * abs(sol[1]) ** j
                     for (i, j), c in g.terms.items()
                 )
                 assert abs(g.evaluate(sol)) <= 1e-12 * scale
+
+
+def _cn(rng, scale):
+    return complex(*rng.normal(0.0, scale, 2))
+
+
+def _fiber_case(path, rng):
+    """(variety, chart, expected fiber count) for one solve path, with
+    charts near the benchmark's (|a| ~ 0.1, |b| ~ 0.5)."""
+    if path == "univariate":
+        # monic in y, small top-form x terms: degree d on every such chart
+        d = int(rng.integers(1, 7))
+        terms = {(0, d): 1.0}
+        for i in range(d + 1):
+            for j in range(d + 1 - i):
+                if (i, j) != (0, d):
+                    terms[(i, j)] = _cn(rng, 0.05 if i + j == d else 0.4)
+        v = VarietySpec(("x",), ("y1",), [MultiPoly(("x", "y1"), terms)])
+        return v, PlaneChart([[_cn(rng, 0.1)]], [_cn(rng, 0.5)]), d
+    if path == "lifted":
+        # degree-2 Veronese lift of y^2 = x^3 + ...: a conic section, 6 points
+        f = {(0, 2): 1.0, (3, 0): -1.0}
+        for e in range(3):
+            f[(e, 0)] = _cn(rng, 0.3)
+        v, _ = veronese_lift(VarietySpec(("x",), ("y",), [MultiPoly(V2, f)]), 2)
+        a = [0.35 * _cn(rng, 1.0) for _ in range(3)]
+        a.append((0.25 + 0.25 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        return v, PlaneChart([a], [0.8 + 0.25 * _cn(rng, 1.0)]), 6
+    d1, d2 = (int(k) for k in rng.integers(1, 4, size=2))
+    if path == "triangular":
+        # f1 in (x, y1) only and a chart with a_12 = 0; f2 monic in y2
+        f1 = {(0, d1, 0): 1.0}
+        for i in range(d1 + 1):
+            for j in range(d1 + 1 - i):
+                if (i, j) != (0, d1):
+                    f1[(i, j, 0)] = _cn(rng, 0.05 if i + j == d1 else 0.4)
+        f2 = {(0, 0, d2): 1.0}
+        for i, j, k in np.ndindex(2, 2, d2):
+            f2[(i, j, k)] = _cn(rng, 0.4)
+        chart = PlaneChart([[_cn(rng, 0.1), 0.0]], [_cn(rng, 0.5)])
+    else:
+        # dense in (y1, y2), coefficient scale ~ 1; the top forms
+        # y1^d1 + y2^d1 and y1^d2 - 2 y2^d2 share no zero at infinity
+        f1, f2 = {(0, d1, 0): 1.0, (0, 0, d1): 1.0}, {(0, d2, 0): 1.0, (0, 0, d2): -2.0}
+        for f, d in ((f1, d1), (f2, d2)):
+            for j1 in range(d):
+                for j2 in range(d - j1):
+                    f[(0, j1, j2)] = _cn(rng, 0.5)
+            f[(1, 0, 0)] = 1.0 + _cn(rng, 0.2)
+        chart = PlaneChart([[_cn(rng, 0.1), _cn(rng, 0.1)]], [_cn(rng, 0.5)])
+    v = VarietySpec(("x",), ("y1", "y2"), [MultiPoly(V3, f1), MultiPoly(V3, f2)])
+    return v, chart, d1 * d2
+
+
+def _evaluation_scale(f, coords):
+    return sum(
+        abs(c) * np.prod([abs(z) ** e for z, e in zip(coords, exps)])
+        for exps, c in f.terms.items()
+    )
+
+
+class TestFiberContract:
+    @pytest.mark.parametrize("path", ["univariate", "triangular", "resultant", "lifted"])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_solve_path(self, path, seed):
+        v, chart, count = _fiber_case(path, np.random.default_rng(seed))
+        if v.lift is None:
+            order = _triangular_order(plane_substitute(v, chart), v.y_vars)
+            assert (order is not None) == (path != "resultant")
+        fiber = solve_fiber(v, chart, expected_degree=None)
+        assert fiber.total_multiplicity == count
+        assert fiber.clustered == any(pt.cluster_size > 1 for pt in fiber.points)
+        for pt in fiber.points:
+            assert type(pt.coords) is tuple and len(pt.coords) == v.n + v.p
+            assert all(type(z) is complex for z in pt.coords)
+            if pt.cluster_size > 1:
+                continue
+            for f in v.defs:
+                scale = _evaluation_scale(f, pt.coords)
+                assert abs(f.evaluate(pt.coords)) <= 1e-10 * scale
+            xs, ys = np.array(pt.coords[: v.n]), np.array(pt.coords[v.n:])
+            plane = xs - chart.a @ ys - chart.b
+            scale = np.abs(xs) + np.abs(chart.a) @ np.abs(ys) + np.abs(chart.b)
+            assert np.all(np.abs(plane) <= 1e-10 * scale)
 
 
 class TestVeroneseLift:

@@ -423,6 +423,16 @@ class TestPolydiscArrays:
               for c, r in zip(truth.center, truth.radii)]
         assert abs(fit(pt) - _term_sum(truth, pt)) <= 1e-12 * np.sum(np.abs(truth.coeffs))
 
+    def test_models_compare_by_identity(self):
+        # two models holding equal 3 x 3 tensors are distinct objects;
+        # comparing them must not reach the arrays' truth value
+        coeffs = np.arange(9, dtype=complex).reshape(3, 3)
+        m1 = PolydiscModel((0j, 0j), (1.0, 1.0), coeffs.copy())
+        m2 = PolydiscModel((0j, 0j), (1.0, 1.0), coeffs.copy())
+        assert m1 == m1
+        assert m1 != m2
+        assert m1 in [m2, m1]
+
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_torus_nodes_point_order(k):
