@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedShape,
 )
-from .multipoly import MultiPoly, _evaluate_all
+from .multipoly import MultiPoly, _evaluate_all, _substitute_terms
 from .numeric import TOL_ARITH, UniPoly, poly_roots
 
 ESCAPE_RADIUS = 1e8
@@ -278,15 +278,21 @@ def plane_substitute(v: VarietySpec, chart: PlaneChart):
 def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
     """det of the (n+p) x (n+p) Jacobian of (defs..., plane equations...)
     with respect to (x_vars..., y_vars...) at the given point."""
+    return complex(_jacobian_dets(v, chart.a, coords))
+
+
+def _jacobian_dets(v, a, coords):
+    """full_jacobian at the points ``coords`` (one value or array of shape
+    S per variable) of the charts ``a``, shape (n, p) + S."""
     m = len(v.vars)
-    j = np.zeros((m, m), dtype=complex)
+    j = np.zeros((m, m) + a.shape[2:], dtype=complex)
     for k, val in enumerate(_evaluate_all(v._partials, coords, v._degrees)):
         j[divmod(k, m)] = val
     for i in range(v.n):
         j[v.p + i, i] = 1.0
         for jj in range(v.p):
-            j[v.p + i, v.n + jj] = -chart.a[i, jj]
-    return complex(np.linalg.det(j))
+            j[v.p + i, v.n + jj] = -a[i, jj]
+    return np.linalg.det(j.transpose(*range(2, j.ndim), 0, 1))
 
 
 def _newton_polish(polys, solutions):
@@ -370,20 +376,49 @@ def _solve_triangular(subs, y_names, order, tol):
     )
 
 
-def _dft_interpolate(values, radius, count):
-    """Coefficients of the polynomial with the given values at
-    radius * e^(2 pi i k / count), lowest degree first."""
-    coeffs = np.fft.fft(np.asarray(values, dtype=complex)) / count
-    return coeffs / radius ** np.arange(count)
+def _coefficient_tensors(systems, m):
+    """Dense coefficients of two polynomials in (u, w), term maps whose
+    coefficients may be arrays over m charts: [c, j, i] holds u^i w^j on
+    chart c. Top rows and columns zero on every chart are dropped, then
+    both are padded to one u-degree. Returns them and their (w, u) degrees."""
+    out = []
+    for terms in systems:
+        t = np.zeros((m,) + tuple(1 + max(e[k] for e in terms) for k in (1, 0)), dtype=complex)
+        for (i, j), c in terms.items():
+            t[:, j, i] = c
+        rows, cols = np.nonzero(t.any(axis=0))
+        out.append(t[:, :max(rows, default=0) + 1, :max(cols, default=0) + 1])
+    degrees = [(t.shape[1] - 1, t.shape[2] - 1) for t in out]
+    du = max(d for _, d in degrees)
+    return [np.pad(t, ((0, 0), (0, 0), (0, du + 1 - t.shape[2]))) for t in out], degrees
 
 
-def _coefficient_matrix(g, du):
-    """Dense coefficients of g(u, w): entry [j, i] is that of u^i w^j,
-    with columns up to u^du."""
-    out = np.zeros((g.degree(g.vars[1]) + 1, du + 1), dtype=complex)
-    for (i, j), c in g.terms.items():
-        out[j, i] = c
-    return out
+def _resultants(t1, t2, bound):
+    """Resultants in u of the pairs (t1[c], t2[c]) of _coefficient_tensors:
+    the Sylvester determinant in w, sampled at bound + 1 nodes on a circle
+    and interpolated. Returns (charts, bound + 1) coefficients, lowest
+    first, those below 1e-11 of a row's largest set to 0 (a row of zeros
+    where the resultant vanishes identically)."""
+    count = bound + 1
+    radius = 1.37
+    nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    dw1, dw2 = t1.shape[1] - 1, t2.shape[1] - 1
+    node_powers = nodes[:, None] ** np.arange(t1.shape[2])
+    cf = node_powers @ np.swapaxes(t1, 1, 2)
+    cg = node_powers @ np.swapaxes(t2, 1, 2)
+    size = dw1 + dw2
+    syl = np.zeros((len(t1), count, size, size), dtype=complex)
+    for r in range(dw2):
+        syl[:, :, r, r: r + dw1 + 1] = cf[:, :, ::-1]
+    for r in range(dw1):
+        syl[:, :, dw2 + r, r: r + dw2 + 1] = cg[:, :, ::-1]
+    dets = np.linalg.det(syl)
+    dscale = np.max(np.abs(dets), axis=1, keepdims=True)
+    # interpolate: the DFT of the values at radius * e^(2 pi i k / count)
+    coeffs = np.fft.fft(dets / np.where(dscale == 0.0, 1.0, dscale)) / count
+    coeffs /= radius ** np.arange(count)
+    cutoff = 1e-11 * np.max(np.abs(coeffs), axis=1, keepdims=True)
+    return np.where(np.abs(coeffs) <= cutoff, 0.0, coeffs)
 
 
 def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
@@ -404,32 +439,16 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     if dw1 == 0 and dw2 == 0:
         raise UnsupportedShape("neither polynomial involves the elimination variable")
 
-    bound = max(du1 * dw2 + du2 * dw1, 1)
-    count = bound + 1
-    radius = 1.37
-    nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-
-    # Sylvester matrices of g1, g2 in w at every node, stacked
-    du = max(du1, du2)
-    m1 = _coefficient_matrix(g1, du)
-    m2 = _coefficient_matrix(g2, du)
-    node_powers = nodes[:, None] ** np.arange(du + 1)
-    cf = node_powers @ m1.T
-    cg = node_powers @ m2.T
-    size = dw1 + dw2
-    syl = np.zeros((count, size, size), dtype=complex)
-    for r in range(dw2):
-        syl[:, r, r: r + dw1 + 1] = cf[:, ::-1]
-    for r in range(dw1):
-        syl[:, dw2 + r, r: r + dw2 + 1] = cg[:, ::-1]
-    dets = np.linalg.det(syl)
-    dscale = float(np.max(np.abs(dets)))
-    if dscale == 0.0:
+    (m1, m2), _ = _coefficient_tensors((g1.terms, g2.terms), 1)
+    coeffs = _resultants(m1, m2, max(du1 * dw2 + du2 * dw1, 1))[0]
+    if not coeffs.any():
         raise ValueError("resultant vanishes identically; common component present")
-    coeffs = _dft_interpolate(dets / dscale, radius, count)
-    res_poly = UniPoly(coeffs).snapped(1e-11)
+    res_poly = UniPoly(coeffs)
     if res_poly.degree < 1:
         return []
+
+    m1, m2 = m1[0], m2[0]
+    du = m1.shape[1] - 1
 
     out = []
     for u_val, u_mult in poly_roots(res_poly, tol):
@@ -465,6 +484,17 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     return [(tuple(map(complex, vec)), m) for vec, m in merged]
 
 
+def _lifted_plane(cmap, a, b):
+    """Term map of the plane pulled back through the coordinate map,
+    cmap[0] - b_1 - sum_j a_1j cmap[j]; a, b may carry a chart axis."""
+    terms = dict(cmap[0].terms)
+    terms[(0, 0)] = terms.get((0, 0), 0j) - b[..., 0]
+    for j in range(1, len(cmap)):
+        for e, c in cmap[j].terms.items():
+            terms[e] = terms.get(e, 0j) - c * a[..., 0, j - 1]
+    return terms
+
+
 def _solve_lifted(v, chart, tol):
     """Fiber of a lifted variety through the graph correspondence: pull the
     plane back to the original chart, solve there, lift the points.
@@ -474,10 +504,7 @@ def _solve_lifted(v, chart, tol):
     cmap = info.coordinate_map
     if chart.n != 1:
         raise UnsupportedShape("lifted fibers support a single plane equation")
-    hyper = cmap[0] - MultiPoly.constant(chart.b[0], orig.vars)
-    for j in range(1, len(cmap)):
-        if chart.a[0, j - 1] != 0:
-            hyper = hyper - chart.a[0, j - 1] * cmap[j]
+    hyper = MultiPoly(orig.vars, _lifted_plane(cmap, chart.a, chart.b))
     return [
         (tuple(mp.evaluate(sol) for mp in cmap), m)
         for sol, m in solve_bivariate(orig.defs[0], hyper, tol)
@@ -551,6 +578,141 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
             expected=expected_degree,
         )
     return fiber
+
+
+# -- chart families -----------------------------------------------------
+
+def _companion_roots(c):
+    """Roots of polynomials stacked on leading axes (coefficients lowest
+    first, leading one nonzero): eigenvalues of np.roots' companions."""
+    d = c.shape[-1] - 1
+    comp = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    comp[..., 0, :] = -c[..., -2::-1] / c[..., -1:]
+    comp[..., np.arange(1, d), np.arange(d - 1)] = 1.0
+    return np.linalg.eigvals(comp)
+
+
+def _dense_values(t, u, w):
+    """Values of the polynomials t[c] of _coefficient_tensors at points
+    u, w of shape (c, ...)."""
+    return np.einsum("cji,c...i,c...j->c...", t, u[..., None] ** np.arange(t.shape[2]),
+                     w[..., None] ** np.arange(t.shape[1]))
+
+
+def _separated(z, reach):
+    """Per chart c: no two vectors z[c, k, :] lie within reach[c, k] of
+    each other (in the largest coordinate difference)."""
+    gap = np.abs(z[:, :, None] - z[:, None, :]).max(axis=-1)
+    return ~np.any((gap <= reach[:, :, None]) & ~np.eye(z.shape[1], dtype=bool), axis=(1, 2))
+
+
+def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
+    """Fibers of a family of charts in one stacked pass, for the charts it
+    certifies; the rest are left to solve_fiber. Covers p = 2 resultant
+    families and Veronese lifts in which both polynomials involve both
+    variables (so no chart is triangular). A chart is certified when it
+    has the family's degrees and resultant degree ``degree``, its roots
+    pass poly_roots' residual rule and lie outside each other's merge
+    radius, each has one w candidate, no two points merge, and every
+    coordinate is within ESCAPE_RADIUS with a nonzero Jacobian; solve_fiber
+    then finds the same simple points. Returns (positions, coords,
+    jacobians) of shapes (k,), (k, degree, n + p) and (k, degree); None
+    for other families."""
+    a = np.array([ch.a for ch in charts])
+    b = np.array([ch.b for ch in charts])
+    if a.shape[1:] != (v.n, v.p):
+        return None
+    if v.lift is not None:
+        # the original curve and the pulled-back plane in (x, y)
+        systems = (v.lift.original.defs[0].terms, _lifted_plane(v.lift.coordinate_map, a, b))
+    elif v.p == 2:
+        # the substituted defs in (y1, y2), in plane_substitute's term order
+        one = (0, 0)
+        images = [{one: b[:, i], (1, 0): a[:, i, 0], (0, 1): a[:, i, 1]}
+                  for i in range(v.n)] + [{(1, 0): 1.0 + 0j}, {(0, 1): 1.0 + 0j}]
+        systems = [_substitute_terms(f.terms, f._degrees, images, one) for f in v.defs]
+    else:
+        return None
+    (t1, t2), degrees = _coefficient_tensors(systems, len(charts))
+    (dw1, du1), (dw2, du2) = degrees
+    bound = du1 * dw2 + du2 * dw1
+    if min(du1, dw1, du2, dw2) < 1 or not 1 <= degree <= bound:
+        return None
+    ok = np.logical_and.reduce([t[:, :, d_u].any(axis=1) & t[:, d_w].any(axis=1)
+                                for t, (d_w, d_u) in zip((t1, t2), degrees)])
+    idx, t1, t2, a, b = (arr[ok] for arr in (np.arange(len(charts)), t1, t2, a, b))
+
+    # u: roots of each resultant, which must have degree ``degree``
+    res = _resultants(t1, t2, bound)
+    ok = (res[:, degree] != 0) & ~res[:, degree + 1:].any(axis=1)
+    idx, t1, t2, a, b, res = (arr[ok] for arr in (idx, t1, t2, a, b, res[:, :degree + 1]))
+    z = _companion_roots(res)
+    for step in range(3):
+        # poly_roots' residual orientation: the reversed polynomial at
+        # 1/z outside the unit disc, where p/p' = z q / (d q - r q')
+        out = np.abs(z) > 1.0
+        r = np.where(out, 1.0 / np.where(out, z, 1.0), z)
+        cc = np.where(out[..., None], res[:, None, ::-1], res[:, None, :])
+        val = der = np.zeros_like(z)
+        for k in range(degree, -1, -1):
+            der = der * r + val
+            val = val * r + cc[..., k]
+        if step == 2:
+            break
+        num = np.where(out, z * val, val)
+        den = np.where(out, degree * val - r * der, der)
+        z = z - np.divide(num, den, out=np.zeros_like(z), where=den != 0)
+    scale = np.maximum(np.sum(np.abs(cc) * np.abs(r)[..., None] ** np.arange(degree + 1), -1),
+                       np.max(np.abs(res), axis=1)[:, None])
+    ok = (np.all((np.abs(val) <= tol * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=1)
+          & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * tol**0.5))
+    idx, t1, t2, a, b, z = (arr[ok] for arr in (idx, t1, t2, a, b, z))
+
+    # w: roots of the w-polynomial of higher degree at each u (g1 on a
+    # tie), kept where the other polynomial vanishes (solve_bivariate's test)
+    (lead, dl), (other, do) = sorted([(t1, dw1), (t2, dw2)], key=lambda td: -td[1])
+    h = np.einsum("cji,cdi->cdj", lead, z[..., None] ** np.arange(lead.shape[2]))
+    # a smaller (or zero) leading coefficient puts a root beyond ESCAPE_RADIUS
+    top = np.abs(h[..., dl]) * (2.0 * ESCAPE_RADIUS) ** dl > np.max(np.abs(h), axis=-1)
+    h[..., dl][~top] = 1.0
+    w = _companion_roots(h)
+    ok = np.all(top & np.all(np.abs(w) <= ESCAPE_RADIUS, axis=-1), axis=1)
+    idx, t1, t2, a, b, z, w, other = (arr[ok] for arr in (idx, t1, t2, a, b, z, w, other))
+    oscale = np.maximum(np.max(np.abs(other), axis=(1, 2)), 1e-300)[:, None, None]
+    hit = (np.abs(_dense_values(other, np.broadcast_to(z[..., None], w.shape), w))
+           <= 1e-6 * oscale * np.maximum(1.0, np.abs(w)) ** do)
+    ok = np.all(hit.sum(axis=-1) == 1, axis=1)
+    y = np.stack([z, np.sum(np.where(hit, w, 0.0), axis=-1)], axis=-1)
+    idx, t1, t2, a, b, y = (arr[ok] for arr in (idx, t1, t2, a, b, y))
+
+    # polish: at most four Newton steps per point, _newton_polish's rule
+    system = [t1, t2] + [d for t in (t1, t2) for d in (
+        t[:, :, 1:] * np.arange(1, t.shape[2]), t[:, 1:] * np.arange(1, t.shape[1])[:, None])]
+    active = np.ones(y.shape[:2], dtype=bool)
+    for _ in range(4):
+        ci, pi = np.nonzero(active)
+        ya = y[ci, pi]
+        vals = np.stack([_dense_values(t[ci], ya[:, 0], ya[:, 1]) for t in system], axis=-1)
+        jm = vals[:, 2:].reshape(-1, 2, 2)
+        go = np.linalg.det(jm) != 0
+        step = np.zeros_like(ya)
+        step[go] = np.linalg.solve(jm[go], vals[go, :2, None])[..., 0]
+        y[ci, pi] = ya = ya - step
+        active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
+        active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
+    ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
+          & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)))
+    idx, a, b, y = (arr[ok] for arr in (idx, a, b, y))
+
+    if v.lift is not None:
+        cmap, deg = v.lift.coordinate_map, v.lift.degree
+        coords = np.stack(_evaluate_all(cmap, (y[..., 0], y[..., 1]), (deg, deg)), axis=-1)
+    else:
+        coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
+    a_at = np.broadcast_to(a.transpose(1, 2, 0)[..., None], a.shape[1:] + coords.shape[:2])
+    jac = _jacobian_dets(v, a_at, tuple(np.moveaxis(coords, -1, 0)))
+    ok = np.all(np.all(np.abs(coords) <= ESCAPE_RADIUS, axis=-1) & (jac != 0), axis=1)
+    return idx[ok], coords[ok], jac[ok]
 
 
 def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):

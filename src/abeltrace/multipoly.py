@@ -24,15 +24,39 @@ def _mul_terms(t1, t2):
     return out
 
 
+def _substitute_terms(terms, degrees, images, one):
+    """Term map of sum c * prod_i images[i]^e_i over ``terms``: images[i]
+    replaces variable i, ``degrees`` bound the degrees and ``one`` is the
+    target's zero exponent; coefficients may be arrays over charts.
+    powers[i][k] = images[i]^k is built once, from powers[i][k - 1]."""
+    powers = []
+    for img, dmax in zip(images, degrees):
+        col = [{one: 1.0 + 0j}]
+        for _ in range(dmax):
+            col.append(_mul_terms(col[-1], img))
+        powers.append(col)
+    out = {}
+    for e, c in terms.items():
+        term = {one: c}
+        for col, k in zip(powers, e):
+            if k:
+                term = _mul_terms(term, col[k])
+        for te, tc in term.items():
+            out[te] = out.get(te, 0j) + tc
+    return out
+
+
 def _evaluate_all(polys, point, degrees):
-    """Values of polynomials over the same variables at one point, a
+    """Values of polynomials over the same variables at a point, a
     sequence aligned with their variables, from one shared table of the
     powers of each coordinate; ``degrees`` bounds their degree in each
-    variable."""
+    variable. A coordinate may be an array (all of one shape), which
+    evaluates at every point of that shape at once."""
     powers = []
     for z, dmax in zip(point, degrees):
         col = [1.0 + 0j]
-        z = complex(z)
+        if not isinstance(z, np.ndarray):
+            z = complex(z)
         for _ in range(dmax):
             col.append(col[-1] * z)
         powers.append(col)
@@ -185,7 +209,8 @@ class MultiPoly:
 
     def evaluate(self, values):
         """Evaluate at a point given as {name: value} or a sequence
-        aligned with ``self.vars``."""
+        aligned with ``self.vars``; values may be arrays of one shape,
+        giving the value at each of their points."""
         if isinstance(values, dict):
             point = [values[v] for v in self.vars]
         else:
@@ -212,27 +237,10 @@ class MultiPoly:
                 raise ValueError("substitution images use inconsistent variables")
         if target is None:
             target = self.vars
-        one = (0,) * len(target)
-        # powers[i][k] = (image of variable i)^k as a term map
-        powers = []
-        for name, dmax in zip(self.vars, self._degrees):
-            if name in mapping:
-                img = mapping[name].terms
-            else:
-                img = MultiPoly.variable(name, target).terms
-            col = [{one: 1.0 + 0j}]
-            for _ in range(dmax):
-                col.append(_mul_terms(col[-1], img))
-            powers.append(col)
-        out = {}
-        for e, c in self.terms.items():
-            term = {one: c}
-            for col, k in zip(powers, e):
-                if k:
-                    term = _mul_terms(term, col[k])
-            for te, tc in term.items():
-                out[te] = out.get(te, 0j) + tc
-        return MultiPoly(target, out)
+        images = [(mapping[name] if name in mapping else MultiPoly.variable(name, target)).terms
+                  for name in self.vars]
+        terms = _substitute_terms(self.terms, self._degrees, images, (0,) * len(target))
+        return MultiPoly(target, terms)
 
     def with_vars(self, new_vars):
         """Re-embed into a superset variable tuple."""

@@ -34,6 +34,7 @@ from .geometry import (
     PlaneChart,
     ResidueData,
     hypersurface_section,
+    solve_family,
     solve_fiber,
 )
 from .numeric import TOL_ARITH, torus_nodes
@@ -63,10 +64,12 @@ def _monomial_value(coords, n, index):
     return val
 
 
-def _weight_scale(weight, coords):
-    """Evaluation-magnitude of the weight polynomial at a point."""
+def _on_pole(weight, coords, wval):
+    """Whether a point (each point, for array coordinates) lies on the
+    pole divisor of the weight, whose value there is ``wval``: |wval| at
+    most POLE_REL_TOL of the weight's evaluation magnitude (at least 1)."""
     if weight is None:
-        return 1.0
+        return False
     total = 0.0
     for exps, c in weight.terms.items():
         term = abs(c)
@@ -74,7 +77,7 @@ def _weight_scale(weight, coords):
             if e:
                 term *= abs(z) ** e
         total += term
-    return max(total, 1.0)
+    return abs(wval) <= POLE_REL_TOL * np.maximum(total, 1.0)
 
 
 def _extrapolation_weights(xs):
@@ -119,8 +122,7 @@ class ChartEvaluation:
 def _point_weight(data, pt, chart_params=None):
     num = data.numerator_at(pt.coords)
     wval = data.weight_at(pt.coords)
-    wscale = _weight_scale(data.weight, pt.coords)
-    if data.weight is not None and abs(wval) <= POLE_REL_TOL * wscale:
+    if _on_pole(data.weight, pt.coords, wval):
         raise PoleDetected(
             "fiber point lies on the pole divisor of the data weight",
             chart_params=chart_params,
@@ -193,9 +195,10 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
     """Build the ChartEvaluation for one chart (shared by all indices)."""
     fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
     terms, clusters = [], []
+    params = chart.to_params()
     for pt in fiber.points:
         if pt.cluster_size == 1:
-            terms.append((pt.coords, _point_weight(data, pt, chart.to_params())))
+            terms.append((pt.coords, _point_weight(data, pt, params)))
         else:
             clusters.append(pt)
     for pt in clusters:
@@ -415,6 +418,22 @@ def _box_indices(p, max_order):
     ]
 
 
+def _family_traces(data, index, coords, jac, indices):
+    """Traces at the charts a family solve certified (positions ``index``,
+    points ``coords``, Jacobians ``jac``) that have no point on the
+    weight's pole divisor: (positions, values of shape (charts,
+    len(indices)), term scales)."""
+    cols = tuple(np.moveaxis(coords, -1, 0))
+    wval = data.weight_at(cols)
+    clear = ~np.any(np.broadcast_to(_on_pole(data.weight, cols, wval), jac.shape), axis=1)
+    weights = (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
+    powers = coords[clear, :, data.variety.n:, None] ** np.arange(max(map(max, indices)) + 1)
+    exps = np.array(indices)
+    monomials = np.prod(powers[:, :, np.arange(exps.shape[1]), exps], axis=-1)
+    terms = weights[..., None] * monomials
+    return index[clear], terms.sum(axis=1), np.abs(terms).max(axis=(1, 2), initial=0.0)
+
+
 def _sample_charts(data, domain, plan, indices, baseline, tol,
                    cls=TraceTable):
     """Evaluate every plan chart once and read off the listed indices.
@@ -422,26 +441,37 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
     Each chart is solved against the ``baseline`` fiber degree; samples
     that drop degree or meet the weight's pole divisor are flagged and
     hold NaN. The per-sample term scale is the largest residue term any
-    listed index summed there. Returns a ``cls`` table whose max_order
-    is the largest per-slot entry of ``indices``.
+    listed index summed there. Charts that ``solve_family`` certifies are
+    read off its stacked points; every other chart goes through
+    ``evaluate_chart``. Returns a ``cls`` table whose max_order is the
+    largest per-slot entry of ``indices``.
     """
     offsets = plan.offsets(domain)
+    charts = [domain.chart_at(off) for off in offsets]
     m = len(offsets)
     entries = {idx: np.full(m, np.nan, dtype=complex) for idx in indices}
     term_scales = np.zeros(m)
-    flags = []
-    for s, off in enumerate(offsets):
+    flags = [None] * m
+    family = solve_family(data.variety, charts, baseline, tol)
+    if family is not None:
+        pos, values, scales = _family_traces(data, *family, indices)
+        for k, idx in enumerate(indices):
+            entries[idx][pos] = values[:, k]
+        term_scales[pos] = scales
+        for s in pos:
+            flags[s] = CLEAN
+    for s, chart in enumerate(charts):
+        if flags[s] is not None:
+            continue
         try:
-            ev = evaluate_chart(
-                data, domain.chart_at(off), tol, expected_degree=baseline
-            )
+            ev = evaluate_chart(data, chart, tol, expected_degree=baseline)
         except PoleDetected:
-            flags.append(POLE)
+            flags[s] = POLE
             continue
         except DegreeDrop:
-            flags.append(DROPPED)
+            flags[s] = DROPPED
             continue
-        flags.append(CLUSTER if ev.clustered else CLEAN)
+        flags[s] = CLUSTER if ev.clustered else CLEAN
         for idx in indices:
             val, scale = ev.value(idx)
             entries[idx][s] = val

@@ -1,7 +1,9 @@
-import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abeltrace import residues
 from abeltrace.errors import (
@@ -14,7 +16,11 @@ from abeltrace.geometry import (
     PlaneChart,
     ResidueData,
     VarietySpec,
+    full_jacobian,
+    lift_residue_data,
+    solve_family,
     solve_fiber,
+    veronese_lift,
 )
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import UniPoly
@@ -32,6 +38,7 @@ from abeltrace.residues import (
 )
 
 V2 = ("x", "y")
+V3 = ("x", "y1", "y2")
 
 
 def parabola_data(psi=None):
@@ -78,9 +85,7 @@ class TestPunctualResidue:
     def test_cluster_point_rejected(self):
         data = parabola_data()
         chart = PlaneChart([[0.0]], [0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart)
         with pytest.raises(ClusterPoint):
             punctual_residue(data, chart, fiber.points[0], (0,))
 
@@ -206,9 +211,7 @@ class TestClusteredResidue:
         # at b -> 0 the parabola's double point: u_1 = -1 and u_3 = -b -> 0
         data = parabola_data()
         chart = PlaneChart([[0.0]], [0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart)
         val1 = clustered_residue(data, chart, fiber.points, (1,))
         val3 = clustered_residue(data, chart, fiber.points, (3,))
         assert val1 == pytest.approx(-1.0, abs=1e-10)
@@ -217,9 +220,7 @@ class TestClusteredResidue:
     def test_zero_numerator_cluster(self):
         data = parabola_data(MultiPoly.zero(V2))
         chart = PlaneChart([[0.0]], [0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart)
         assert clustered_residue(data, chart, fiber.points, (2,)) == 0
 
     def test_solver_bug_on_perturbed_chart_propagates(self, monkeypatch):
@@ -379,3 +380,131 @@ def test_moment_sign():
     assert moment_sign(2, 1) == 1.0
     assert moment_sign(2, 3) == 1.0
     assert moment_sign(3, 1) == -1.0
+
+
+# ---------------------------------------------------------------------------
+# chart families: the stacked solve against the per-chart path
+# ---------------------------------------------------------------------------
+
+def _dense(rng, vars, d):
+    """Complex normal coefficients on every monomial of total degree <= d."""
+    return MultiPoly(vars, {
+        e: complex(*rng.standard_normal(2))
+        for e in np.ndindex(*(d + 1,) * len(vars)) if sum(e) <= d
+    })
+
+
+def _family_case(kind, rng):
+    """(residue data, domain, max_order) of a p = 2 resultant family with
+    n = 1 or 2, or of a degree-2 Veronese lift of a random cubic."""
+    if kind == "lifted":
+        curve = VarietySpec(("x",), ("y",), [_dense(rng, V2, 3)])
+        base = ResidueData(curve, _dense(rng, V2, 1))
+        v, _ = veronese_lift(base.variety, 2)
+        a = 0.35 * (rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4)))
+        chart = PlaneChart(a, [0.8 + 0.25 * complex(*rng.standard_normal(2))])
+        return lift_residue_data(base, v), DomainSpec(chart, {"a1.1": 0.05, "b1": 0.1}), 1
+    n = 1 if kind == "p2_n1" else 2
+    vars = ("x1", "x2")[:n] + ("y1", "y2")
+    d1, d2 = rng.integers(1, 4, size=2)
+    v = VarietySpec(vars[:n], vars[n:], [_dense(rng, vars, d1), _dense(rng, vars, d2)])
+    a = 0.3 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    b = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    domain = DomainSpec(PlaneChart(a, b), {"a1.1": 0.2, "b1": 0.3})
+    return ResidueData(v, _dense(rng, vars, 1)), domain, 3
+
+
+def _per_chart_table(data, domain, order, plan):
+    with mock.patch.object(residues, "solve_family", return_value=None):
+        return trace_table(data, domain, order, plan)
+
+
+def _assert_same_table(got, want):
+    assert got.flags == want.flags
+    for idx, col in want.entries.items():
+        assert np.array_equal(np.isnan(got.entries[idx]), np.isnan(col))
+        clean = ~np.isnan(col)
+        err = np.abs(got.entries[idx][clean] - col[clean])
+        assert np.all(err <= 1e-12 * want.term_scales[clean])
+    assert np.all(np.abs(got.term_scales - want.term_scales) <= 1e-12 * want.term_scales)
+
+
+class TestChartFamily:
+    @pytest.mark.parametrize("kind", ["p2_n1", "p2_n2", "lifted"])
+    @pytest.mark.parametrize("plan", [TorusPlan(3), GridPlan({"a1.1": 3, "b1": 3})])
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_family_matches_per_chart_path(self, kind, plan, seed):
+        data, domain, order = _family_case(kind, np.random.default_rng(seed))
+        _assert_same_table(
+            trace_table(data, domain, order, plan), _per_chart_table(data, domain, order, plan)
+        )
+        # the stacked Jacobians are full_jacobian's, point by point
+        v = data.variety
+        charts = [domain.chart_at(off) for off in plan.offsets(domain)]
+        baseline = solve_fiber(v, domain.chart, expected_degree=None).total_multiplicity
+        for s, points, jacs in zip(*solve_family(v, charts, baseline)):
+            for pt, jac in zip(points, jacs):
+                want = full_jacobian(v, charts[s], tuple(pt))
+                assert abs(jac - want) <= 1e-12 * abs(want)
+
+    def _tangent_family(self, weight=None):
+        # the parabola y2 = y1^2 against the planes x = a y1 + b with
+        # f2 = y2 - x: tangent at b = -a^2 / 4, the grid's centre
+        v = VarietySpec(("x",), ("y1", "y2"), [
+            MultiPoly(V3, {(0, 0, 1): 1.0, (0, 2, 0): -1.0}),
+            MultiPoly(V3, {(0, 0, 1): 1.0, (1, 0, 0): -1.0}),
+        ])
+        data = ResidueData(v, MultiPoly(V3, {(0, 0, 0): 1.0, (0, 1, 0): 0.7}), weight=weight)
+        return data, DomainSpec(PlaneChart([[0.5, 0.0]], [-0.0625]), {"b1": 0.1})
+
+    def test_fallback_on_cluster_and_pole_charts(self, monkeypatch):
+        plan = GridPlan({"b1": 5})
+        _, domain = self._tangent_family()
+        # a weight vanishing at one fiber point of the chart b = -0.0125
+        root = np.roots([1.0, -0.5, 0.0625 - 0.05])[0]
+        data, _ = self._tangent_family(MultiPoly(V3, {(0, 1, 0): 1.0, (0, 0, 0): -root}))
+        want = _per_chart_table(data, domain, 3, plan)
+        calls = []
+        real = residues.evaluate_chart
+        monkeypatch.setattr(residues, "evaluate_chart",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        got = trace_table(data, domain, 3, plan)
+        assert want.flags == ("clean", "clean", "cluster", "pole", "clean")
+        _assert_same_table(got, want)
+        assert len(calls) == 2
+
+    def test_vanishing_w_polynomial_falls_back(self):
+        # f1 = y1 (y2 + x): at the resultant root y1 = 0 the w-polynomial of
+        # f1 vanishes identically, so no chart can be certified
+        v = VarietySpec(("x",), ("y1", "y2"), [
+            MultiPoly(V3, {(0, 1, 1): 1.0, (1, 1, 0): 1.0}),
+            MultiPoly(V3, {(0, 0, 1): 1.0, (0, 2, 0): 0.3, (1, 0, 0): 0.2, (0, 0, 0): -0.5}),
+        ])
+        data = ResidueData(v, MultiPoly(V3, {(0, 0, 0): 1.0, (0, 1, 0): 0.5}))
+        domain = DomainSpec(PlaneChart([[0.3, 0.1]], [0.2]), {"a1.1": 0.1, "b1": 0.2})
+        plan = GridPlan({"a1.1": 3, "b1": 3})
+        positions, _, _ = solve_family(v, [domain.chart_at(off) for off in plan.offsets(domain)], 3)
+        assert positions.size == 0
+        _assert_same_table(
+            trace_table(data, domain, 2, plan), _per_chart_table(data, domain, 2, plan)
+        )
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_no_plan_chart_falls_back(self, vertical, monkeypatch):
+        # the x^3 term raises the first def's y-degree to 3 where a != 0;
+        # on vertical charts (a = 0) the family's degree-3 terms vanish on
+        # every chart, so its degrees are those of each chart
+        rng = np.random.default_rng(7)
+        f1 = _dense(rng, V3, 2) + MultiPoly(V3, {(3, 0, 0): 1.0})
+        v = VarietySpec(("x",), ("y1", "y2"), [f1, _dense(rng, V3, 2)])
+        data = ResidueData(v, _dense(rng, V3, 1))
+        if vertical:
+            domain = DomainSpec(PlaneChart.vertical([0.4 - 0.2j], p=2), {"b1": 0.3})
+        else:
+            chart = PlaneChart([[0.2, -0.1j]], [0.4 - 0.2j])
+            domain = DomainSpec(chart, {"a1.1": 0.2, "b1": 0.3})
+        monkeypatch.setattr(residues, "evaluate_chart", mock.Mock(side_effect=AssertionError))
+        t = trace_table(data, domain, 3, TorusPlan(4))
+        assert set(t.flags) == {"clean"}
+        assert t.baseline_degree == (4 if vertical else 6)
