@@ -10,6 +10,7 @@ randomized, so identical jobs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -247,7 +248,10 @@ def _common(sp):
     sp.add_argument("-o", "--output", help="output JSON path (default stdout)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args fills a
+    fresh namespace from the defaults on every call."""
     ap = argparse.ArgumentParser(
         prog="abeltrace",
         description="Traces and the Abel-Radon transform of rational residue "

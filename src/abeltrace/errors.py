@@ -77,7 +77,12 @@ class UnsupportedShape(AbelTraceError):
 # --- residue / trace ---
 
 class ClusterPoint(AbelTraceError):
-    """Punctual residue requested at a multiple fiber point."""
+    """Punctual residue requested at a multiple fiber point, or at a point
+    where the plane is not transverse (zero Jacobian)."""
+
+    def __init__(self, message, chart_params=None):
+        super().__init__(message)
+        self.chart_params = chart_params
 
 
 class PerturbationFailure(AbelTraceError):

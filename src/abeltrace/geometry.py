@@ -89,29 +89,28 @@ class DomainSpec:
     radii: dict
 
     def __post_init__(self):
-        names = self.chart.param_names()
+        # parameter name -> position in the flattened parameter vector
+        positions = {k: i for i, k in enumerate(self.chart.param_names())}
         for key, r in self.radii.items():
-            if key not in names:
+            if key not in positions:
                 raise DimensionMismatch(f"unknown parameter {key!r}")
             if not r > 0:
                 raise ValueError(f"radius for {key!r} must be positive")
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def varying(self):
-        order = self.chart.param_names()
-        return tuple(k for k in order if k in self.radii)
+        return tuple(k for k in self._positions if k in self.radii)
 
     def chart_at(self, offsets):
         """Chart at center + offsets, offsets keyed by parameter name or a
         sequence aligned with ``self.varying``."""
         if not isinstance(offsets, dict):
             offsets = dict(zip(self.varying, offsets))
-        updates = {}
-        names = self.chart.param_names()
         vec = self.chart.to_params()
         for key, dz in offsets.items():
-            updates[key] = vec[names.index(key)] + complex(dz)
-        return self.chart.replace(**updates)
+            vec[self._positions[key]] += complex(dz)
+        return PlaneChart.from_params(self.chart.n, self.chart.p, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +581,16 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
 
 # -- chart families -----------------------------------------------------
 
+def _with_lead(c):
+    """Polynomials stacked on leading axes (coefficients lowest first),
+    each leading coefficient too small to keep every root within
+    2 ESCAPE_RADIUS replaced by 1, and a mask of where it was large
+    enough (a smaller, or zero, one puts a root beyond ESCAPE_RADIUS)."""
+    d = c.shape[-1] - 1
+    top = np.abs(c[..., d]) * (2.0 * ESCAPE_RADIUS) ** d > np.max(np.abs(c), axis=-1)
+    return np.where((np.arange(d + 1) < d) | top[..., None], c, 1.0), top
+
+
 def _companion_roots(c):
     """Roots of polynomials stacked on leading axes (coefficients lowest
     first, leading one nonzero): eigenvalues of np.roots' companions."""
@@ -592,6 +601,39 @@ def _companion_roots(c):
     return np.linalg.eigvals(comp)
 
 
+def _certified_roots(c, tol):
+    """Roots of polynomials stacked on leading axes (coefficients lowest
+    first): companion eigenvalues, then two Newton steps. Also returns,
+    per polynomial, whether its roots are certified: the leading
+    coefficient passes _with_lead, every root passes poly_roots' residual
+    rule and lies within ESCAPE_RADIUS, and none lies within another's
+    merge radius max(1, |z|) tol^(1/2); poly_roots then finds the same
+    simple roots."""
+    d = c.shape[-1] - 1
+    c, top = _with_lead(c)
+    z = _companion_roots(c)
+    for step in range(3):
+        # poly_roots' residual orientation: the reversed polynomial at
+        # 1/z outside the unit disc, where p/p' = z q / (d q - r q')
+        out = np.abs(z) > 1.0
+        r = np.where(out, 1.0 / np.where(out, z, 1.0), z)
+        cc = np.where(out[..., None], c[..., None, ::-1], c[..., None, :])
+        val = der = np.zeros_like(z)
+        for k in range(d, -1, -1):
+            der = der * r + val
+            val = val * r + cc[..., k]
+        if step == 2:
+            break
+        num = np.where(out, z * val, val)
+        den = np.where(out, d * val - r * der, der)
+        z = z - np.divide(num, den, out=np.zeros_like(z), where=den != 0)
+    scale = np.maximum(np.sum(np.abs(cc) * np.abs(r)[..., None] ** np.arange(d + 1), -1),
+                       np.max(np.abs(c), axis=-1)[..., None])
+    ok = (top & np.all((np.abs(val) <= tol * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=-1)
+          & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * tol**0.5))
+    return z, ok
+
+
 def _dense_values(t, u, w):
     """Values of the polynomials t[c] of _coefficient_tensors at points
     u, w of shape (c, ...)."""
@@ -600,22 +642,106 @@ def _dense_values(t, u, w):
 
 
 def _separated(z, reach):
-    """Per chart c: no two vectors z[c, k, :] lie within reach[c, k] of
-    each other (in the largest coordinate difference)."""
-    gap = np.abs(z[:, :, None] - z[:, None, :]).max(axis=-1)
-    return ~np.any((gap <= reach[:, :, None]) & ~np.eye(z.shape[1], dtype=bool), axis=(1, 2))
+    """Per leading index: no two vectors z[..., k, :] lie within
+    reach[..., k] of each other (in the largest coordinate difference)."""
+    gap = np.abs(z[..., :, None, :] - z[..., None, :, :]).max(axis=-1)
+    return ~np.any((gap <= reach[..., None]) & ~np.eye(z.shape[-2], dtype=bool), axis=(-2, -1))
+
+
+def _resultant_points(t1, t2, degrees, degree, tol):
+    """Points (u, w) of the charts of a family in which both polynomials
+    involve both variables: the roots u of each resultant, then the
+    w-roots of one polynomial at each u, kept where the other vanishes. A
+    chart counts when it has the family's degrees, its resultant has
+    degree ``degree`` and certified roots, and each root has exactly one
+    w candidate. Returns (positions, points of shape (k, degree, 2)), or
+    None when no chart can have ``degree`` points."""
+    (dw1, du1), (dw2, du2) = degrees
+    bound = du1 * dw2 + du2 * dw1
+    if not 1 <= degree <= bound:
+        return None
+    ok = np.logical_and.reduce([t[:, :, d_u].any(axis=1) & t[:, d_w].any(axis=1)
+                                for t, (d_w, d_u) in zip((t1, t2), degrees)])
+    idx, t1, t2 = (arr[ok] for arr in (np.arange(len(t1)), t1, t2))
+
+    # u: roots of each resultant, which must have degree ``degree``
+    res = _resultants(t1, t2, bound)
+    ok = (res[:, degree] != 0) & ~res[:, degree + 1:].any(axis=1)
+    idx, t1, t2, res = (arr[ok] for arr in (idx, t1, t2, res[:, :degree + 1]))
+    z, ok = _certified_roots(res, tol)
+    idx, t1, t2, z = (arr[ok] for arr in (idx, t1, t2, z))
+
+    # w: roots of the w-polynomial of higher degree at each u (g1 on a
+    # tie), kept where the other polynomial vanishes (solve_bivariate's test)
+    (lead, dl), (other, do) = sorted([(t1, dw1), (t2, dw2)], key=lambda td: -td[1])
+    h, top = _with_lead(np.einsum("cji,cdi->cdj", lead, z[..., None] ** np.arange(lead.shape[2])))
+    w = _companion_roots(h)
+    ok = np.all(top & np.all(np.abs(w) <= ESCAPE_RADIUS, axis=-1), axis=1)
+    idx, z, w, other = (arr[ok] for arr in (idx, z, w, other))
+    oscale = np.maximum(np.max(np.abs(other), axis=(1, 2)), 1e-300)[:, None, None]
+    hit = (np.abs(_dense_values(other, np.broadcast_to(z[..., None], w.shape), w))
+           <= 1e-6 * oscale * np.maximum(1.0, np.abs(w)) ** do)
+    ok = np.all(hit.sum(axis=-1) == 1, axis=1)
+    y = np.stack([z, np.sum(np.where(hit, w, 0.0), axis=-1)], axis=-1)
+    return idx[ok], y[ok]
+
+
+def _triangular_points(t1, t2, degrees, degree, tol):
+    """Points (u, w) of the charts of a triangular family, stage by stage:
+    the roots of the polynomial of w-degree 0, then at each of them the
+    w-roots of the other polynomial; every pair is a point. With no
+    polynomial of w-degree 0 (one has u-degree 0), u and w swap roles and
+    the point columns are swapped back. A chart counts when both stages'
+    roots are certified (which needs both leading coefficients) and
+    their count du * dw is ``degree``. Returns (positions, points of shape
+    (k, degree, 2)), or None when no chart can have ``degree`` points."""
+    swap = min(d_w for d_w, _ in degrees) > 0
+    if swap:
+        t1, t2 = t1.swapaxes(1, 2), t2.swapaxes(1, 2)
+        degrees = [d[::-1] for d in degrees]
+    (ta, (_, du)), (tb, (dw, _)) = sorted(zip((t1, t2), degrees), key=lambda td: td[1][0])
+    if min(du, dw) < 1 or du * dw != degree:
+        return None
+    z, ok = _certified_roots(ta[:, 0, :du + 1], tol)
+    idx, tb, z = np.flatnonzero(ok), tb[ok], z[ok]
+    w, ok = _certified_roots(
+        np.einsum("cji,cdi->cdj", tb[:, :dw + 1], z[..., None] ** np.arange(tb.shape[2])), tol)
+    ok = np.all(ok, axis=1)
+    y = np.stack(np.broadcast_arrays(z[ok, :, None], w[ok]), axis=-1).reshape(-1, degree, 2)
+    return idx[ok], y[..., ::-1] if swap else y
+
+
+def _polish(t1, t2, y):
+    """At most four Newton steps on the systems (t1[c], t2[c]) of
+    _coefficient_tensors from each point y[c, k], in place, with
+    _newton_polish's stop rule; a point beyond ESCAPE_RADIUS stops."""
+    system = [t1, t2] + [d for t in (t1, t2) for d in (
+        t[:, :, 1:] * np.arange(1, t.shape[2]), t[:, 1:] * np.arange(1, t.shape[1])[:, None])]
+    active = np.ones(y.shape[:2], dtype=bool)
+    for _ in range(4):
+        ci, pi = np.nonzero(active)
+        ya = y[ci, pi]
+        vals = np.stack([_dense_values(t[ci], ya[:, 0], ya[:, 1]) for t in system], axis=-1)
+        jm = vals[:, 2:].reshape(-1, 2, 2)
+        go = np.linalg.det(jm) != 0
+        step = np.zeros_like(ya)
+        step[go] = np.linalg.solve(jm[go], vals[go, :2, None])[..., 0]
+        y[ci, pi] = ya = ya - step
+        active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
+        active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
+    return y
 
 
 def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     """Fibers of a family of charts in one stacked pass, for the charts it
-    certifies; the rest are left to solve_fiber. Covers p = 2 resultant
-    families and Veronese lifts in which both polynomials involve both
-    variables (so no chart is triangular). A chart is certified when it
-    has the family's degrees and resultant degree ``degree``, its roots
-    pass poly_roots' residual rule and lie outside each other's merge
-    radius, each has one w candidate, no two points merge, and every
-    coordinate is within ESCAPE_RADIUS with a nonzero Jacobian; solve_fiber
-    then finds the same simple points. Returns (positions, coords,
+    certifies; the rest are left to solve_fiber. Covers p = 2 families
+    and Veronese lifts in which both polynomials involve both variables
+    (_resultant_points), and p = 2 families in which, on every chart, one
+    substituted def has degree 0 in one of the variables
+    (_triangular_points). A certified chart's points are then polished
+    together; the chart stays certified when no two points merge and
+    every coordinate is within ESCAPE_RADIUS with a nonzero Jacobian, so
+    solve_fiber finds the same simple points. Returns (positions, coords,
     jacobians) of shapes (k,), (k, degree, n + p) and (k, degree); None
     for other families."""
     a = np.array([ch.a for ch in charts])
@@ -634,72 +760,14 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     else:
         return None
     (t1, t2), degrees = _coefficient_tensors(systems, len(charts))
-    (dw1, du1), (dw2, du2) = degrees
-    bound = du1 * dw2 + du2 * dw1
-    if min(du1, dw1, du2, dw2) < 1 or not 1 <= degree <= bound:
+    if min(map(min, degrees)) > 0:
+        found = _resultant_points(t1, t2, degrees, degree, tol)
+    else:
+        found = None if v.lift is not None else _triangular_points(t1, t2, degrees, degree, tol)
+    if found is None:
         return None
-    ok = np.logical_and.reduce([t[:, :, d_u].any(axis=1) & t[:, d_w].any(axis=1)
-                                for t, (d_w, d_u) in zip((t1, t2), degrees)])
-    idx, t1, t2, a, b = (arr[ok] for arr in (np.arange(len(charts)), t1, t2, a, b))
-
-    # u: roots of each resultant, which must have degree ``degree``
-    res = _resultants(t1, t2, bound)
-    ok = (res[:, degree] != 0) & ~res[:, degree + 1:].any(axis=1)
-    idx, t1, t2, a, b, res = (arr[ok] for arr in (idx, t1, t2, a, b, res[:, :degree + 1]))
-    z = _companion_roots(res)
-    for step in range(3):
-        # poly_roots' residual orientation: the reversed polynomial at
-        # 1/z outside the unit disc, where p/p' = z q / (d q - r q')
-        out = np.abs(z) > 1.0
-        r = np.where(out, 1.0 / np.where(out, z, 1.0), z)
-        cc = np.where(out[..., None], res[:, None, ::-1], res[:, None, :])
-        val = der = np.zeros_like(z)
-        for k in range(degree, -1, -1):
-            der = der * r + val
-            val = val * r + cc[..., k]
-        if step == 2:
-            break
-        num = np.where(out, z * val, val)
-        den = np.where(out, degree * val - r * der, der)
-        z = z - np.divide(num, den, out=np.zeros_like(z), where=den != 0)
-    scale = np.maximum(np.sum(np.abs(cc) * np.abs(r)[..., None] ** np.arange(degree + 1), -1),
-                       np.max(np.abs(res), axis=1)[:, None])
-    ok = (np.all((np.abs(val) <= tol * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=1)
-          & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * tol**0.5))
-    idx, t1, t2, a, b, z = (arr[ok] for arr in (idx, t1, t2, a, b, z))
-
-    # w: roots of the w-polynomial of higher degree at each u (g1 on a
-    # tie), kept where the other polynomial vanishes (solve_bivariate's test)
-    (lead, dl), (other, do) = sorted([(t1, dw1), (t2, dw2)], key=lambda td: -td[1])
-    h = np.einsum("cji,cdi->cdj", lead, z[..., None] ** np.arange(lead.shape[2]))
-    # a smaller (or zero) leading coefficient puts a root beyond ESCAPE_RADIUS
-    top = np.abs(h[..., dl]) * (2.0 * ESCAPE_RADIUS) ** dl > np.max(np.abs(h), axis=-1)
-    h[..., dl][~top] = 1.0
-    w = _companion_roots(h)
-    ok = np.all(top & np.all(np.abs(w) <= ESCAPE_RADIUS, axis=-1), axis=1)
-    idx, t1, t2, a, b, z, w, other = (arr[ok] for arr in (idx, t1, t2, a, b, z, w, other))
-    oscale = np.maximum(np.max(np.abs(other), axis=(1, 2)), 1e-300)[:, None, None]
-    hit = (np.abs(_dense_values(other, np.broadcast_to(z[..., None], w.shape), w))
-           <= 1e-6 * oscale * np.maximum(1.0, np.abs(w)) ** do)
-    ok = np.all(hit.sum(axis=-1) == 1, axis=1)
-    y = np.stack([z, np.sum(np.where(hit, w, 0.0), axis=-1)], axis=-1)
-    idx, t1, t2, a, b, y = (arr[ok] for arr in (idx, t1, t2, a, b, y))
-
-    # polish: at most four Newton steps per point, _newton_polish's rule
-    system = [t1, t2] + [d for t in (t1, t2) for d in (
-        t[:, :, 1:] * np.arange(1, t.shape[2]), t[:, 1:] * np.arange(1, t.shape[1])[:, None])]
-    active = np.ones(y.shape[:2], dtype=bool)
-    for _ in range(4):
-        ci, pi = np.nonzero(active)
-        ya = y[ci, pi]
-        vals = np.stack([_dense_values(t[ci], ya[:, 0], ya[:, 1]) for t in system], axis=-1)
-        jm = vals[:, 2:].reshape(-1, 2, 2)
-        go = np.linalg.det(jm) != 0
-        step = np.zeros_like(ya)
-        step[go] = np.linalg.solve(jm[go], vals[go, :2, None])[..., 0]
-        y[ci, pi] = ya = ya - step
-        active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
-        active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
+    idx, y = found
+    a, b, y = a[idx], b[idx], _polish(t1[idx], t2[idx], y)
     ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
           & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)))
     idx, a, b, y = (arr[ok] for arr in (idx, a, b, y))

@@ -127,7 +127,13 @@ def _point_weight(data, pt, chart_params=None):
             "fiber point lies on the pole divisor of the data weight",
             chart_params=chart_params,
         )
-    return num / (wval * pt.jacobian)
+    den = wval * pt.jacobian
+    if den == 0:
+        raise ClusterPoint(
+            "fiber point has a zero Jacobian: the plane is not transverse there",
+            chart_params=chart_params,
+        )
+    return num / den
 
 
 def _cluster_terms(data, chart, cluster_pts, tol, expected=None):

@@ -248,6 +248,37 @@ class TestCli:
         obj = json.loads((tmp_path / "ext.json").read_text())
         assert obj["result"]["kind"] == "trace_table"
 
+    def test_repeated_calls_keep_defaults(self, parabola_files):
+        # one parser serves every call; an option given in one call must
+        # not leak into a later call that omits it
+        tmp_path, paths = parabola_files
+        data = ["--variety", str(paths["variety"]), "--numerator", str(paths["numerator"]),
+                "--domain", str(paths["vdomain"])]
+        first = tmp_path / "first.json"
+        assert main(["trace", *data, "--order", "5", "--grid", "torus:9",
+                     "--tol", "1e-9", "--label", "tagged", "-o", str(first)]) == 0
+        assert main(["reconstruct", "--traces", str(first), "--d-max", "2",
+                     "--tol", "1e-7", "-o", str(tmp_path / "rec.json")]) == 0
+        slanted = self.run_trace(paths, tmp_path, "slanted.json")
+        assert main(["verify", "shock", "--traces", str(slanted),
+                     "-o", str(tmp_path / "shock.json")]) == 0
+        second = tmp_path / "second.json"
+        assert main(["trace", *data, "--order", "3", "-o", str(second)]) == 0
+        assert main(["reconstruct", "--traces", str(first), "--d-max", "2",
+                     "-o", str(tmp_path / "rec2.json")]) == 0
+
+        def params(name):
+            return json.loads((tmp_path / name).read_text())["provenance"]["params"]
+
+        assert params("first.json") == {"grid": "torus:9", "label": "tagged",
+                                        "order": 5, "tol": 1e-9}
+        assert params("rec.json") == {"d_max": 2, "deg_bound": None, "tol": 1e-7}
+        assert params("shock.json") == {"tol": 1e-6}
+        assert params("second.json") == {"grid": "torus:8", "label": "", "order": 3,
+                                         "tol": 1e-10}
+        assert params("rec2.json") == {"d_max": 2, "deg_bound": None, "tol": 1e-8}
+        assert len(json.loads(second.read_text())["result"]["offsets"]) == 8
+
     def test_input_error_exit_code(self, tmp_path):
         code = main([
             "reconstruct", "--traces", str(tmp_path / "missing.json"),

@@ -76,6 +76,24 @@ class TestDomainSpec:
         assert ch.b[0] == pytest.approx(2.5)
         assert dom.chart_at([1.5]).b[0] == pytest.approx(2.5)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_chart_at_adds_offsets_at_varying_positions(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        size = n * (p + 1)
+        center = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        chart = PlaneChart.from_params(n, p, center)
+        names = chart.param_names()
+        varying = sorted(rng.choice(size, size=rng.integers(1, size + 1), replace=False))
+        dom = DomainSpec(chart, {names[i]: 1.0 for i in varying})
+        dz = rng.standard_normal(len(varying)) + 1j * rng.standard_normal(len(varying))
+        want = center.copy()
+        want[varying] = center[varying] + dz
+        for off in (list(dz), dict(zip(dom.varying, dz))):
+            got = dom.chart_at(off).to_params()
+            assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(chart.to_params(), center)
+
 
 class TestPlaneSubstitute:
     def test_vertical(self):

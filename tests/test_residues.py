@@ -116,6 +116,20 @@ class TestTrace:
         for k in range(4):
             assert trace(data, chart, k) == pytest.approx(-(g**k))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_jacobian_raises_cluster_point(self, seed):
+        # x^2 y = 0 has the double component x = 0, where its gradient
+        # vanishes: the lifted fiber point there has a zero Jacobian
+        curve = VarietySpec(("x",), ("y",), [MultiPoly(V2, {(2, 1): 1.0})])
+        v, _ = veronese_lift(curve, 2)
+        data = lift_residue_data(ResidueData(curve, MultiPoly.constant(1.0, V2)), v)
+        rng = np.random.default_rng(seed)
+        chart = PlaneChart(rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4)),
+                           [complex(*rng.standard_normal(2))])
+        with pytest.raises(ClusterPoint, match="not transverse") as exc:
+            trace(data, chart, (0, 0, 0, 0))
+        assert np.array_equal(exc.value.chart_params, chart.to_params())
+
     def test_linear_in_numerator(self):
         rng = np.random.default_rng(2)
         t1 = {(int(rng.integers(0, 2)), int(rng.integers(0, 2))): 1.3 - 0.2j}
@@ -396,7 +410,18 @@ def _dense(rng, vars, d):
 
 def _family_case(kind, rng):
     """(residue data, domain, max_order) of a p = 2 resultant family with
-    n = 1 or 2, or of a degree-2 Veronese lift of a random cubic."""
+    n = 1 or 2, of a degree-2 Veronese lift of a random cubic, or of
+    product-form data on vertical charts (a triangular family), the def in
+    y1 listed first or, for p2_triangular_y2, the def in y2."""
+    if kind.startswith("p2_triangular"):
+        # def s: monic of degree d_s in y_s, coefficients quadratic in x
+        d = rng.integers(1, 4, size=2)
+        defs = [MultiPoly(V3, {(e, k * (s == 0), k * (s == 1)): (
+            complex(*rng.standard_normal(2)) if k < d[s] else float(e == 0))
+            for e in range(3) for k in range(d[s] + 1)}) for s in range(2)]
+        v = VarietySpec(("x",), ("y1", "y2"), defs[::-1] if kind.endswith("y2") else defs)
+        chart = PlaneChart.vertical([0.5 * complex(*rng.standard_normal(2))], p=2)
+        return ResidueData(v, _dense(rng, V3, 2)), DomainSpec(chart, {"b1": 0.3}), 3
     if kind == "lifted":
         curve = VarietySpec(("x",), ("y",), [_dense(rng, V2, 3)])
         base = ResidueData(curve, _dense(rng, V2, 1))
@@ -430,7 +455,8 @@ def _assert_same_table(got, want):
 
 
 class TestChartFamily:
-    @pytest.mark.parametrize("kind", ["p2_n1", "p2_n2", "lifted"])
+    @pytest.mark.parametrize("kind", ["p2_n1", "p2_n2", "lifted", "p2_triangular",
+                                      "p2_triangular_y2"])
     @pytest.mark.parametrize("plan", [TorusPlan(3), GridPlan({"a1.1": 3, "b1": 3})])
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -443,10 +469,14 @@ class TestChartFamily:
         v = data.variety
         charts = [domain.chart_at(off) for off in plan.offsets(domain)]
         baseline = solve_fiber(v, domain.chart, expected_degree=None).total_multiplicity
-        for s, points, jacs in zip(*solve_family(v, charts, baseline)):
+        family = solve_family(v, charts, baseline)
+        for s, points, jacs in zip(*family):
             for pt, jac in zip(points, jacs):
                 want = full_jacobian(v, charts[s], tuple(pt))
                 assert abs(jac - want) <= 1e-12 * abs(want)
+        if kind.startswith("p2_triangular"):
+            # product-form fibers are well separated: every chart certified
+            assert len(family[0]) == len(charts)
 
     def _tangent_family(self, weight=None):
         # the parabola y2 = y1^2 against the planes x = a y1 + b with
@@ -473,6 +503,34 @@ class TestChartFamily:
         assert want.flags == ("clean", "clean", "cluster", "pole", "clean")
         _assert_same_table(got, want)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_triangular_double_root_chart_falls_back(self, swap, monkeypatch):
+        # f1 = u^2 - x has a double root u = 0 on the vertical chart x = 0,
+        # the grid's centre; f2 involves both fiber variables. u is y1, or
+        # y2 (the family solve then swaps the roles of y1 and y2)
+        def poly(terms):
+            return MultiPoly(V3, {(e[0], *e[1:][::-1 if swap else 1]): c
+                                  for e, c in terms.items()})
+
+        v = VarietySpec(("x",), ("y1", "y2"), [
+            poly({(0, 2, 0): 1.0, (1, 0, 0): -1.0}),
+            poly({(0, 0, 2): 1.0, (0, 1, 1): 0.5, (0, 1, 0): 0.2, (1, 0, 0): 0.3,
+                  (0, 0, 0): -1.0}),
+        ])
+        data = ResidueData(v, poly({(0, 0, 0): 1.0, (0, 1, 0): 0.6, (0, 0, 1): -0.4j}))
+        domain = DomainSpec(PlaneChart.vertical([0.0], p=2), {"b1": 0.2})
+        plan = GridPlan({"b1": 5})
+        want = _per_chart_table(data, domain, 3, plan)
+        calls = []
+        real = residues.evaluate_chart
+        monkeypatch.setattr(residues, "evaluate_chart",
+                            lambda data, chart, *args, **kw: calls.append(chart.b[0])
+                            or real(data, chart, *args, **kw))
+        got = trace_table(data, domain, 3, plan)
+        assert want.flags == ("clean", "clean", "cluster", "clean", "clean")
+        _assert_same_table(got, want)
+        assert calls == [0.0]
 
     def test_vanishing_w_polynomial_falls_back(self):
         # f1 = y1 (y2 + x): at the resultant root y1 = 0 the w-polynomial of
