@@ -734,16 +734,16 @@ def _polish(t1, t2, y):
 
 def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     """Fibers of a family of charts in one stacked pass, for the charts it
-    certifies; the rest are left to solve_fiber. Covers p = 2 families
-    and Veronese lifts in which both polynomials involve both variables
-    (_resultant_points), and p = 2 families in which, on every chart, one
-    substituted def has degree 0 in one of the variables
-    (_triangular_points). A certified chart's points are then polished
-    together; the chart stays certified when no two points merge and
-    every coordinate is within ESCAPE_RADIUS with a nonzero Jacobian, so
-    solve_fiber finds the same simple points. Returns (positions, coords,
-    jacobians) of shapes (k,), (k, degree, n + p) and (k, degree); None
-    for other families."""
+    certifies; the rest are left to solve_fiber. Covers p = 1 families,
+    p = 2 families and Veronese lifts in which both polynomials involve
+    both variables (_resultant_points), and p = 2 families in which, on
+    every chart, one substituted def has degree 0 in one of the variables
+    (_triangular_points). The points of a certified p = 2 chart are then
+    polished together; a chart stays certified when no two points merge
+    and every coordinate is within ESCAPE_RADIUS with a nonzero Jacobian,
+    so solve_fiber finds the same simple points. Returns (positions,
+    coords, jacobians) of shapes (k,), (k, degree, n + p) and (k,
+    degree); None for other families."""
     a = np.array([ch.a for ch in charts])
     b = np.array([ch.b for ch in charts])
     if a.shape[1:] != (v.n, v.p):
@@ -751,26 +751,38 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     if v.lift is not None:
         # the original curve and the pulled-back plane in (x, y)
         systems = (v.lift.original.defs[0].terms, _lifted_plane(v.lift.coordinate_map, a, b))
-    elif v.p == 2:
-        # the substituted defs in (y1, y2), in plane_substitute's term order
-        one = (0, 0)
-        images = [{one: b[:, i], (1, 0): a[:, i, 0], (0, 1): a[:, i, 1]}
-                  for i in range(v.n)] + [{(1, 0): 1.0 + 0j}, {(0, 1): 1.0 + 0j}]
+    elif v.p <= 2:
+        # the substituted defs in (y1, y2), keyed (k, 0) for p = 1, in
+        # plane_substitute's term order
+        one, units = (0, 0), ((1, 0), (0, 1))[:v.p]
+        images = [{one: b[:, i], **{e: a[:, i, j] for j, e in enumerate(units)}}
+                  for i in range(v.n)] + [{e: 1.0 + 0j} for e in units]
         systems = [_substitute_terms(f.terms, f._degrees, images, one) for f in v.defs]
     else:
         return None
-    (t1, t2), degrees = _coefficient_tensors(systems, len(charts))
-    if min(map(min, degrees)) > 0:
-        found = _resultant_points(t1, t2, degrees, degree, tol)
+    tensors, degrees = _coefficient_tensors(systems, len(charts))
+    if v.p == 1:
+        # a chart counts when its coefficients above ``degree`` are exactly
+        # 0 and its roots are certified
+        c = tensors[0][:, 0]
+        if not 1 <= degree < c.shape[1]:
+            return None
+        z, ok = _certified_roots(c[:, :degree + 1], tol)
+        ok &= ~c[:, degree + 1:].any(axis=1)
+        found = np.flatnonzero(ok), z[ok, :, None]
+    elif min(map(min, degrees)) > 0:
+        found = _resultant_points(*tensors, degrees, degree, tol)
     else:
-        found = None if v.lift is not None else _triangular_points(t1, t2, degrees, degree, tol)
+        found = None if v.lift is not None else _triangular_points(*tensors, degrees, degree, tol)
     if found is None:
         return None
     idx, y = found
-    a, b, y = a[idx], b[idx], _polish(t1[idx], t2[idx], y)
-    ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
-          & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)))
-    idx, a, b, y = (arr[ok] for arr in (idx, a, b, y))
+    if v.p > 1:
+        y = _polish(*(t[idx] for t in tensors), y)
+        ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
+              & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)))
+        idx, y = idx[ok], y[ok]
+    a, b = a[idx], b[idx]
 
     if v.lift is not None:
         cmap, deg = v.lift.coordinate_map, v.lift.degree

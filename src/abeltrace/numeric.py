@@ -246,6 +246,13 @@ def poly_roots(p, tol=TOL_ARITH):
 # Cauchy-integral differentiation
 # ---------------------------------------------------------------------------
 
+def cauchy_nodes(z0, radius, nodes):
+    """Angles and points z0 + radius e^(i angle) of the ``nodes``-point
+    trapezoid rule on a circle, as cauchy_derivative samples it."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    return theta, z0 + radius * np.exp(1j * theta)
+
+
 def cauchy_derivative(f, z0, radius, order=1, nodes=64):
     """order-th derivative of a holomorphic ``f`` at ``z0``.
 
@@ -260,10 +267,9 @@ def cauchy_derivative(f, z0, radius, order=1, nodes=64):
         raise ValueError("nodes must be >= 16")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
+    theta, points = cauchy_nodes(z0, radius, nodes)
     try:
-        vals = np.array([f(z0 + radius * w) for w in ring], dtype=complex)
+        vals = np.array([f(z) for z in points], dtype=complex)
     except Exception as exc:  # noqa: BLE001 - evaluator contract
         raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
     fact = float(np.prod(np.arange(1, order + 1)))

@@ -29,6 +29,7 @@ from .multipoly import MultiPoly
 from .numeric import (
     TOL_ARITH,
     cauchy_derivative,
+    cauchy_nodes,
     gauss_legendre_segment,
     polydisc_fit_grid,
     torus_nodes,
@@ -136,8 +137,12 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     the b_i-derivative of u_{I+e_j} must equal the a_i^j-derivative of
     u_I. Derivatives are taken by Cauchy integrals on circles of radius
     SHOCK_MARGIN * (domain radius), so the table's domain must leave that
-    much margin in both parameters.
+    much margin in both parameters. All circle charts are solved as one
+    chart family first (``TraceTable._prefetch``). Raises ValueError for
+    probes < 1 and InsufficientMargin when no (index, slot) pair exists.
     """
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
     n, p = t.n, t.p
     pairs = []
     for i in range(1, n + 1):
@@ -147,41 +152,37 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
             a_name = f"a{i}.{j}"
             if a_name not in t.domain.radii:
                 if j == 1:
-                    raise InsufficientMargin(
-                        f"parameter {a_name} is frozen; cannot differentiate"
-                    )
+                    raise InsufficientMargin(f"parameter {a_name} is frozen; cannot differentiate")
                 continue
             pairs.append((i, j, a_name))
 
-    indices = [
-        idx for idx in t.indices()
-        if all(
-            tuple(np.add(idx, _unit(j - 1, p))) in t.entries
-            for (_, j, _) in pairs
-        )
-    ]
+    indices = [idx for idx in t.indices()
+               if all(tuple(np.add(idx, _unit(j - 1, p))) in t.entries for (_, j, _) in pairs)]
+    if not indices:
+        raise InsufficientMargin(f"the order-{t.max_order} table has no index to check")
+
+    # the circle of each (probe, parameter): its centre and {node: chart}
+    circles = {}
+    for k, off in enumerate(_probe_offsets(t.domain, probes)):
+        chart0 = t.domain.chart_at(off)
+        here = dict(zip(chart0.param_names(), map(complex, chart0.to_params())))
+        for nm in dict.fromkeys(nm for (i, _, a_name) in pairs for nm in (f"b{i}", a_name)):
+            zs = cauchy_nodes(here[nm], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
+            circles[k, nm] = here[nm], {z: chart0.replace(**{nm: z}) for z in zs}
+    t._prefetch([ch for _, charts in circles.values() for ch in charts.values()])
+
+    def derivative(k, name, index):
+        z0, charts = circles[k, name]
+        return cauchy_derivative(lambda z: t.value(index, charts[z]), z0,
+                                 SHOCK_MARGIN * t.domain.radii[name], 1, nodes)
 
     max_abs, max_rel, details = 0.0, 0.0, []
     checked = 0
-    for off in _probe_offsets(t.domain, probes):
-        chart0 = t.domain.chart_at(off)
+    for k in range(probes):
         for idx in indices:
             for (i, j, a_name) in pairs:
-                up = tuple(np.add(idx, _unit(j - 1, p)))
-                b_name = f"b{i}"
-
-                def u_of(name, index):
-                    return lambda z: t.value(index, chart0.replace(**{name: z}))
-
-                here = dict(zip(chart0.param_names(), chart0.to_params()))
-                db = cauchy_derivative(
-                    u_of(b_name, up), complex(here[b_name]),
-                    SHOCK_MARGIN * t.domain.radii[b_name], 1, nodes,
-                )
-                da = cauchy_derivative(
-                    u_of(a_name, idx), complex(here[a_name]),
-                    SHOCK_MARGIN * t.domain.radii[a_name], 1, nodes,
-                )
+                db = derivative(k, f"b{i}", tuple(np.add(idx, _unit(j - 1, p))))
+                da = derivative(k, a_name, idx)
                 resid = abs(db - da)
                 scale = max(1.0, abs(db), abs(da))
                 max_abs = max(max_abs, resid)

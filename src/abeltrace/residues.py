@@ -406,6 +406,23 @@ class TraceTable:
             self._cache[key] = ev
         return ev.value(index)[0]
 
+    def _prefetch(self, charts):
+        """Solve the charts not yet cached as one family and cache the
+        evaluation of each certified chart with no point on the weight's
+        pole divisor; ``value`` evaluates the others one by one."""
+        todo = {ch.to_params().tobytes(): ch for ch in charts}
+        todo = {key: ch for key, ch in todo.items() if key not in self._cache}
+        family = solve_family(self.data.variety, list(todo.values()), self.baseline_degree,
+                              self.tol)
+        if family is None:
+            return
+        index, coords, jac = family
+        clear, weights = _family_weights(self.data, coords, jac)
+        keys = list(todo)
+        for s, points, ws in zip(index[clear], coords[clear], weights):
+            terms = list(zip(map(tuple, points.tolist()), ws.tolist()))
+            self._cache[keys[s]] = ChartEvaluation(self.data, todo[keys[s]], terms, False)
+
     def model_value(self, index, chart):
         index = _normalize_index(index, self.p)
         model = self.models[index]
@@ -424,15 +441,22 @@ def _box_indices(p, max_order):
     ]
 
 
+def _family_weights(data, coords, jac):
+    """Residue weights at the points ``coords`` of the charts a family
+    solve certified, with Jacobians ``jac``: (mask of the charts with no
+    point on the weight's pole divisor, their weights)."""
+    cols = tuple(np.moveaxis(coords, -1, 0))
+    wval = data.weight_at(cols)
+    clear = ~np.any(np.broadcast_to(_on_pole(data.weight, cols, wval), jac.shape), axis=1)
+    return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
+
+
 def _family_traces(data, index, coords, jac, indices):
     """Traces at the charts a family solve certified (positions ``index``,
     points ``coords``, Jacobians ``jac``) that have no point on the
     weight's pole divisor: (positions, values of shape (charts,
     len(indices)), term scales)."""
-    cols = tuple(np.moveaxis(coords, -1, 0))
-    wval = data.weight_at(cols)
-    clear = ~np.any(np.broadcast_to(_on_pole(data.weight, cols, wval), jac.shape), axis=1)
-    weights = (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
+    clear, weights = _family_weights(data, coords, jac)
     powers = coords[clear, :, data.variety.n:, None] ** np.arange(max(map(max, indices)) + 1)
     exps = np.array(indices)
     monomials = np.prod(powers[:, :, np.arange(exps.shape[1]), exps], axis=-1)
@@ -458,7 +482,9 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
     entries = {idx: np.full(m, np.nan, dtype=complex) for idx in indices}
     term_scales = np.zeros(m)
     flags = [None] * m
-    family = solve_family(data.variety, charts, baseline, tol)
+    # p = 1 plans stay per chart: the traced benchmark needs a p = 1 table
+    # that reaches evaluate_chart (see ROADMAP item 3)
+    family = solve_family(data.variety, charts, baseline, tol) if data.variety.p > 1 else None
     if family is not None:
         pos, values, scales = _family_traces(data, *family, indices)
         for k, idx in enumerate(indices):

@@ -11,6 +11,7 @@ from abeltrace.errors import (
     UnsupportedDimension,
 )
 from abeltrace.geometry import (
+    ESCAPE_RADIUS,
     DomainSpec,
     PlaneChart,
     ResidueData,
@@ -19,6 +20,7 @@ from abeltrace.geometry import (
     full_jacobian,
     plane_substitute,
     solve_bivariate,
+    solve_family,
     solve_fiber,
     veronese_lift,
 )
@@ -354,6 +356,59 @@ class TestFiberContract:
             plane = xs - chart.a @ ys - chart.b
             scale = np.abs(xs) + np.abs(chart.a) @ np.abs(ys) + np.abs(chart.b)
             assert np.all(np.abs(plane) <= 1e-10 * scale)
+
+
+class TestUnivariateFamily:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 7), log_scale=st.floats(-3, 3))
+    def test_family_matches_solve_fiber(self, seed, d, log_scale):
+        # f(x/s, y/s) for f of total degree d with x-degree <= 2 and no
+        # y^d term: on the chart x = a y + b the y^d coefficient is
+        # lead(a) = c_(1,d-1) a + c_(2,d-2) a^2, exactly 0 at a = 0
+        rng = np.random.default_rng(seed)
+        s = 10.0**log_scale
+        terms = {(i, k): _cn(rng, 1.0) / s ** (i + k) for i in range(3) for k in range(d + 1)
+                 if i + k <= d and (i, k) != (0, d)}
+        v = VarietySpec(("x",), ("y",), [MultiPoly(V2, terms)], degree=d)
+        charts = [PlaneChart([[0.5 + 0.3 * _cn(rng, 1.0)]], [s * _cn(rng, 1.0)])
+                  for _ in range(5)]
+        # degree drop: a = 0; escape: lead(a) = 1e-14 of its largest
+        # coefficient, which puts a root near 1e14 s
+        lead = [terms.get((i, d - i), 0j) for i in (2, 1)]
+        tiny = 1e-14 * max(map(abs, lead))
+        a_esc = min(np.roots([*lead, -tiny]), key=abs) if d > 1 else tiny / lead[1]
+        declined = [PlaneChart([[a]], [s * _cn(rng, 1.0)]) for a in (0.0, a_esc)]
+        for chart in declined:
+            with pytest.raises(DegreeDrop):
+                solve_fiber(v, chart, expected_degree=d)
+
+        index, coords, jac = solve_family(v, charts + declined, d)
+        assert set(index.tolist()) <= set(range(len(charts)))
+        assert len(index) >= len(charts) - 1
+        assert np.all(np.abs(coords) <= ESCAPE_RADIUS)
+        for k, points, jacs in zip(index, coords, jac):
+            fiber = solve_fiber(v, charts[k], expected_degree=d)
+            assert not fiber.clustered
+            for pt, jv in zip(points, jacs):
+                want = min(fiber.points, key=lambda q: abs(q.coords[1] - pt[1]))
+                assert np.max(np.abs(np.array(want.coords) - pt)) <= 1e-12 * np.max(np.abs(pt))
+                assert abs(jv - want.jacobian) <= 1e-12 * abs(want.jacobian)
+
+        if d > 1:
+            # against degree d - 1 only the vertical chart counts: its
+            # y^d coefficient is exactly 0, the others' are not
+            assert solve_family(v, charts + declined, d - 1)[0].tolist() == [len(charts)]
+            # add alpha + beta y to f so that f(a y + b, y) has a double
+            # root at y = ys on the first chart
+            f, chart, ys = v.defs[0], charts[0], s * _cn(rng, 1.0)
+            xs = chart.a[0, 0] * ys + chart.b[0]
+            beta = -(f.partial("y").evaluate((xs, ys))
+                     + chart.a[0, 0] * f.partial("x").evaluate((xs, ys)))
+            alpha = -f.evaluate((xs, ys)) - beta * ys
+            g = f + MultiPoly(V2, {(0, 0): alpha, (0, 1): beta})
+            v2 = VarietySpec(("x",), ("y",), [g], degree=d)
+            assert 0 not in solve_family(v2, charts, d)[0].tolist()
+            assert solve_fiber(v2, chart, expected_degree=d).clustered
 
 
 class TestVeroneseLift:

@@ -5,6 +5,7 @@ closed-form sanity checks for the equivariance bookkeeping."""
 import numpy as np
 import pytest
 
+from abeltrace import residues
 from abeltrace.errors import OverdeterminedMismatch
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
@@ -32,19 +33,34 @@ def triangular_data():
     return ResidueData(v, MultiPoly.constant(1.0, V3))
 
 
-def test_shock_relations_both_slots_p2():
-    # closedness holds per fiber slot; with both a-parameters varying the
-    # verifier checks the j = 1 and j = 2 identities
+def _p2_shock_table():
     data = triangular_data()
     dom = DomainSpec(
         PlaneChart([[0.1 + 0.05j, 0.07]], [2.0 + 0.3j]),
         {"a1.1": 0.25, "a1.2": 0.25, "b1": 0.4},
     )
-    t = trace_table(data, dom, 3, GridPlan({"a1.1": 2, "a1.2": 2, "b1": 2}))
+    return trace_table(data, dom, 3, GridPlan({"a1.1": 2, "a1.2": 2, "b1": 2}))
+
+
+def test_shock_relations_both_slots_p2():
+    # closedness holds per fiber slot; with both a-parameters varying the
+    # verifier checks the j = 1 and j = 2 identities
+    t = _p2_shock_table()
     rep = verify_shock_relations(t, 1e-7, probes=2)
     assert rep.passed
     slots = {j for (_, _, j, _) in rep.details}
     assert slots == {1, 2}
+
+
+def test_shock_circles_p2_need_no_per_chart_solve(monkeypatch):
+    # every circle chart of both probes is certified by the family solve
+    t = _p2_shock_table()
+    calls = []
+    real = residues.evaluate_chart
+    monkeypatch.setattr(residues, "evaluate_chart",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    assert verify_shock_relations(t, 1e-7, probes=2).passed
+    assert calls == []
 
 
 def test_propagation_ladder_p2():

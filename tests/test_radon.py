@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from abeltrace import residues
 from abeltrace.errors import (
+    EvaluationError,
     InsufficientMargin,
     PathCrossesPole,
     UnsupportedDimension,
 )
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
+from abeltrace.numeric import cauchy_nodes
 from abeltrace.radon import (
+    SHOCK_MARGIN,
     AffineMap,
+    _probe_offsets,
     label_index,
     propagate_trace_extension,
     radon_coefficients,
@@ -22,6 +27,7 @@ from abeltrace.residues import (
     GridPlan,
     ListPlan,
     TorusPlan,
+    TraceTable,
     evaluate_chart,
     trace,
     trace_table,
@@ -178,6 +184,72 @@ class TestShockRelations:
         t = trace_table(data, dom, 2, GridPlan({"b1": 3}))
         with pytest.raises(InsufficientMargin):
             verify_shock_relations(t, 1e-6)
+
+    def test_nothing_to_check_raises(self):
+        # an order-0 table has no shifted index: no (index, slot) pair
+        dom = DomainSpec(PlaneChart([[0.1]], [2.5]), {"a1.1": 0.4, "b1": 0.6})
+        t = trace_table(parabola_data(), dom, 0, GridPlan({"a1.1": 3, "b1": 3}))
+        with pytest.raises(InsufficientMargin):
+            verify_shock_relations(t, 1e-6)
+
+    def test_no_probe_raises(self):
+        dom = DomainSpec(PlaneChart([[0.1]], [2.5]), {"a1.1": 0.4, "b1": 0.6})
+        t = trace_table(parabola_data(), dom, 2, GridPlan({"a1.1": 3, "b1": 3}))
+        with pytest.raises(ValueError):
+            verify_shock_relations(t, 1e-6, probes=0)
+
+    def _cubic_table(self, weight_terms=None):
+        data = make_data({(0, 3): 1.0, (0, 1): 0.4 + 0.3j, (1, 0): -1.0},
+                         {(0, 0): 0.7, (1, 1): -0.2 + 0.5j}, weight_terms)
+        dom = DomainSpec(PlaneChart([[0.2 + 0.1j]], [1.8 + 0.6j]), {"a1.1": 0.3, "b1": 0.4})
+        return trace_table(data, dom, 3, GridPlan({"a1.1": 3, "b1": 3}))
+
+    def _count_evaluate_chart(self, monkeypatch):
+        calls = []
+        real = residues.evaluate_chart
+        monkeypatch.setattr(residues, "evaluate_chart",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        return calls
+
+    def test_circles_are_solved_as_one_family(self, monkeypatch):
+        t = self._cubic_table()
+        calls = self._count_evaluate_chart(monkeypatch)
+        assert verify_shock_relations(t, 1e-6).passed
+        assert calls == []
+
+    def test_report_matches_per_chart_evaluation(self, monkeypatch):
+        t = self._cubic_table()
+        got = verify_shock_relations(t, 1e-6)
+        # every cached circle evaluation against its own per-chart one
+        assert len(t._cache) == 3 * 2 * 32
+        for ev in t._cache.values():
+            want = evaluate_chart(t.data, ev.chart, expected_degree=t.baseline_degree)
+            scale = max(want.value(idx)[1] for idx in t.indices())
+            for idx in t.indices():
+                assert abs(ev.value(idx)[0] - want.value(idx)[0]) <= 1e-14 * scale
+        t = self._cubic_table()
+        monkeypatch.setattr(TraceTable, "_prefetch", lambda self, charts: None)
+        calls = self._count_evaluate_chart(monkeypatch)
+        want = verify_shock_relations(t, 1e-6)
+        assert len(calls) == 3 * 2 * 32
+        assert got.checked == want.checked == 9
+        for g, w in zip(got.details, want.details):
+            assert g[:3] == w[:3] and abs(g[3] - w[3]) <= 1e-12
+        assert abs(got.max_residual - want.max_residual) <= 1e-12
+
+    def test_circle_through_weight_pole_raises(self, monkeypatch):
+        # a weight y - y0 whose divisor meets the chart at the sixth node
+        # of the first probe's b-circle
+        t = self._cubic_table()
+        chart = t.domain.chart_at(_probe_offsets(t.domain, 3)[0])
+        b = cauchy_nodes(complex(chart.b[0]), SHOCK_MARGIN * 0.4, 32)[1][5]
+        # fiber of y^3 + g y - x = 0 on x = a y + b: y^3 + (g - a) y - b
+        y0 = np.roots([1.0, 0.0, 0.4 + 0.3j - chart.a[0, 0], -b])[0]
+        t = self._cubic_table({(0, 1): 1.0, (0, 0): -y0})
+        calls = self._count_evaluate_chart(monkeypatch)
+        with pytest.raises(EvaluationError):
+            verify_shock_relations(t, 1e-6)
+        assert calls == [1]
 
     def test_elliptic_nonvanishing_coefficients_still_closed(self):
         # numerator x on the cubic: the transform does not vanish, but
