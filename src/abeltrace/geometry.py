@@ -18,11 +18,12 @@ from .errors import (
     AbelTraceError,
     DegreeDrop,
     DimensionMismatch,
+    NonConvergence,
     UnsupportedDimension,
     UnsupportedShape,
 )
-from .multipoly import MultiPoly, _evaluate_all, _substitute_terms
-from .numeric import TOL_ARITH, UniPoly, poly_roots
+from .multipoly import MultiPoly, _monomial_values, _substitute_terms, _term_matrix
+from .numeric import TOL_ARITH, UniPoly, _companion_roots, poly_roots
 
 ESCAPE_RADIUS = 1e8
 
@@ -159,9 +160,9 @@ class VarietySpec:
             fixed.append(f)
         self.defs = tuple(fixed)
         self.lift = lift
-        # every partial, def by def, and a bound on their degrees
-        self._partials = tuple(f.partial(var) for f in self.defs for var in allv)
         self._degrees = tuple(map(max, zip(*(f._degrees for f in self.defs))))
+        # every partial, def by def
+        self._partials = _term_matrix([f.partial(var) for f in self.defs for var in allv])
         if degree is None:
             degree = self._probe_degree()
         self.degree = int(degree)
@@ -276,46 +277,65 @@ def plane_substitute(v: VarietySpec, chart: PlaneChart):
 
 def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
     """det of the (n+p) x (n+p) Jacobian of (defs..., plane equations...)
-    with respect to (x_vars..., y_vars...) at the given point."""
-    return complex(_jacobian_dets(v, chart.a, coords))
+    with respect to (x_vars..., y_vars...) at the given point, or, for
+    coordinate arrays of one shape, an array of the value at each point."""
+    dets = _jacobian_dets(v, chart.a, coords)
+    return dets if dets.ndim else complex(dets)
 
 
 def _jacobian_dets(v, a, coords):
-    """full_jacobian at the points ``coords`` (one value or array of shape
-    S per variable) of the charts ``a``, shape (n, p) + S."""
-    m = len(v.vars)
-    j = np.zeros((m, m) + a.shape[2:], dtype=complex)
-    for k, val in enumerate(_evaluate_all(v._partials, coords, v._degrees)):
-        j[divmod(k, m)] = val
-    for i in range(v.n):
-        j[v.p + i, i] = 1.0
-        for jj in range(v.p):
-            j[v.p + i, v.n + jj] = -a[i, jj]
-    return np.linalg.det(j.transpose(*range(2, j.ndim), 0, 1))
+    """full_jacobian at ``coords`` (values or arrays of shape S) of charts
+    ``a``, shape T + (n, p) with T broadcasting to S: F_defs over [I, -a]."""
+    f = _monomial_values(v._partials[0], coords) @ v._partials[1]
+    j = np.zeros(f.shape[:-1] + (len(v.vars),) * 2, dtype=complex)
+    j[..., :v.p, :] = f.reshape(j.shape[:-2] + (v.p, len(v.vars)))
+    j[..., v.p:, :v.n] = np.eye(v.n)
+    j[..., v.p:, v.n:] = -a
+    return np.linalg.det(j)
 
 
-def _newton_polish(polys, solutions):
-    """Up to four Newton steps on the square system polys(y) = 0 from each
-    simple solution of ``solutions``, (values, multiplicity) pairs whose
-    values are aligned with the polynomials' variables; multiple points
-    are returned unchanged. Values come back as tuples of complex."""
-    system = list(polys) + [f.partial(nm) for f in polys for nm in polys[0].vars]
-    degrees = tuple(map(max, zip(*(f._degrees for f in polys))))
-    p = len(polys)
-    out = []
-    for start, mult in solutions:
-        y = np.array(start, dtype=complex)
-        for _ in range(4 if mult == 1 else 0):
-            vals = np.array(_evaluate_all(system, y, degrees))
-            try:
-                step = np.linalg.solve(vals[p:].reshape(p, p), vals[:p])
-            except np.linalg.LinAlgError:
-                break
-            y -= step
-            if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(y))):
-                break
-        out.append((tuple(map(complex, y)), mult))
-    return out
+def _newton_polish(exps, coefs, y, active):
+    """At most four Newton steps, in place, from each active point y[c, k]
+    on chart c's square system: values, then Jacobian rows, at z are
+    _monomial_values(exps, z) @ coefs[c]. A point stops on a step below
+    1e-15 relative, a singular Jacobian or |z| > ESCAPE_RADIUS. Returns
+    each point's largest |value| over evaluation scale, coordinates at
+    least 1 as in solve_bivariate's candidate rule (0 past the radius)."""
+    p = y.shape[-1]
+    for _ in range(4):
+        ci, pi = np.nonzero(active)
+        if not ci.size:
+            break
+        ya = y[ci, pi]
+        vals = (_monomial_values(exps, tuple(ya.T))[:, None] @ coefs[ci])[:, 0]
+        jm = vals[:, p:].reshape(-1, p, p)
+        go = np.linalg.det(jm) != 0
+        step = np.zeros_like(ya)
+        step[go] = np.linalg.solve(jm[go], vals[go, :p, None])[..., 0]
+        y[ci, pi] = ya = ya - step
+        active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
+        active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
+    z = tuple(np.where(np.abs(y) <= ESCAPE_RADIUS, y, 0.0).transpose(2, 0, 1))
+    vals = (_monomial_values(exps, z) @ coefs)[..., :p]
+    floor = [np.maximum(1.0, np.abs(c)) for c in z]
+    scale = (_monomial_values(exps, floor) @ np.abs(coefs))[..., :p]
+    res = np.max(np.abs(vals) / np.maximum(scale.real, 1e-300), axis=-1, initial=0.0)
+    return np.where(np.abs(y).max(axis=-1, initial=0.0) <= ESCAPE_RADIUS, res, 0.0)
+
+
+def _polish_solutions(polys, solutions):
+    """_newton_polish from each simple one of ``solutions``, (values,
+    multiplicity) pairs; values come back as tuples of complex, and
+    NonConvergence when a polished point misses the system by over 1e-6."""
+    exps, coefs = _term_matrix(
+        list(polys) + [f.partial(nm) for f in polys for nm in polys[0].vars])
+    y = np.array([ys for ys, _ in solutions], dtype=complex).reshape(1, -1, len(polys))
+    simple = np.array([[m == 1 for _, m in solutions]], dtype=bool)
+    worst = _newton_polish(exps, coefs[None], y, simple.copy())[simple].max(initial=0.0)
+    if worst > 1e-6:
+        raise NonConvergence(f"polished fiber point misses the system (relative residual "
+                             f"{worst:.3e})", worst_residual=worst)
+    return [(tuple(ys), m) for ys, (_, m) in zip(y[0].tolist(), solutions)]
 
 
 # -- shape-specific solvers -------------------------------------------------
@@ -369,7 +389,7 @@ def _solve_triangular(subs, y_names, order, tol):
             for r, m in poly_roots(g, tol):
                 new_branches.append(({**assignment, var: r}, mult * m))
         branches = new_branches
-    return _newton_polish(
+    return _polish_solutions(
         [s.restricted(y_names) for s in subs],
         [(tuple(assignment[v] for v in y_names), mult) for assignment, mult in branches],
     )
@@ -468,7 +488,7 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
         # genuine multiple intersection point; keep its full count
         for w_val in cands:
             out.append(((u_val, w_val), u_mult if len(cands) == 1 else 1))
-    out = _newton_polish([g1, g2], out)
+    out = _polish_solutions([g1, g2], out)
 
     # merge duplicates into clusters
     merged = []
@@ -537,6 +557,7 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
 
     if v.lift is not None:
         solutions = _solve_lifted(v, chart, tol)
+        coords = np.array([c for c, _ in solutions], dtype=complex).reshape(-1, len(v.vars))
     else:
         subs = plane_substitute(v, chart)
         if v.p == 1:
@@ -553,16 +574,14 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
                 raise UnsupportedShape(
                     f"no supported solve path for p={v.p} non-triangular systems"
                 )
-        solutions = [
-            (tuple(map(complex, chart.a @ ys + chart.b)) + ys, mult)
-            for ys, mult in solutions
-        ]
-
+        ys = np.array([ys for ys, _ in solutions], dtype=complex).reshape(-1, v.p)
+        coords = np.concatenate([ys @ chart.a.T + chart.b, ys], axis=1)
+    jac = full_jacobian(v, chart, tuple(coords.T))
     fiber = Fiber(tuple(
-        FiberPoint(coords, full_jacobian(v, chart, coords), mult)
-        for coords, mult in solutions
+        FiberPoint(tuple(c), j, mult)
+        for c, j, (_, mult) in zip(coords.tolist(), jac.tolist(), solutions)
     ))
-    if any(max(map(abs, pt.coords)) > ESCAPE_RADIUS for pt in fiber.points):
+    if not np.all(np.abs(coords) <= ESCAPE_RADIUS):
         raise DegreeDrop(
             f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
             found=None, expected=None,
@@ -589,16 +608,6 @@ def _with_lead(c):
     d = c.shape[-1] - 1
     top = np.abs(c[..., d]) * (2.0 * ESCAPE_RADIUS) ** d > np.max(np.abs(c), axis=-1)
     return np.where((np.arange(d + 1) < d) | top[..., None], c, 1.0), top
-
-
-def _companion_roots(c):
-    """Roots of polynomials stacked on leading axes (coefficients lowest
-    first, leading one nonzero): eigenvalues of np.roots' companions."""
-    d = c.shape[-1] - 1
-    comp = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
-    comp[..., 0, :] = -c[..., -2::-1] / c[..., -1:]
-    comp[..., np.arange(1, d), np.arange(d - 1)] = 1.0
-    return np.linalg.eigvals(comp)
 
 
 def _certified_roots(c, tol):
@@ -711,27 +720,6 @@ def _triangular_points(t1, t2, degrees, degree, tol):
     return idx[ok], y[..., ::-1] if swap else y
 
 
-def _polish(t1, t2, y):
-    """At most four Newton steps on the systems (t1[c], t2[c]) of
-    _coefficient_tensors from each point y[c, k], in place, with
-    _newton_polish's stop rule; a point beyond ESCAPE_RADIUS stops."""
-    system = [t1, t2] + [d for t in (t1, t2) for d in (
-        t[:, :, 1:] * np.arange(1, t.shape[2]), t[:, 1:] * np.arange(1, t.shape[1])[:, None])]
-    active = np.ones(y.shape[:2], dtype=bool)
-    for _ in range(4):
-        ci, pi = np.nonzero(active)
-        ya = y[ci, pi]
-        vals = np.stack([_dense_values(t[ci], ya[:, 0], ya[:, 1]) for t in system], axis=-1)
-        jm = vals[:, 2:].reshape(-1, 2, 2)
-        go = np.linalg.det(jm) != 0
-        step = np.zeros_like(ya)
-        step[go] = np.linalg.solve(jm[go], vals[go, :2, None])[..., 0]
-        y[ci, pi] = ya = ya - step
-        active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
-        active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
-    return y
-
-
 def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     """Fibers of a family of charts in one stacked pass, for the charts it
     certifies; the rest are left to solve_fiber. Covers p = 1 families,
@@ -739,11 +727,11 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     both variables (_resultant_points), and p = 2 families in which, on
     every chart, one substituted def has degree 0 in one of the variables
     (_triangular_points). The points of a certified p = 2 chart are then
-    polished together; a chart stays certified when no two points merge
-    and every coordinate is within ESCAPE_RADIUS with a nonzero Jacobian,
-    so solve_fiber finds the same simple points. Returns (positions,
-    coords, jacobians) of shapes (k,), (k, degree, n + p) and (k,
-    degree); None for other families."""
+    polished together; a chart stays certified when no two points merge,
+    each passes the polish's 1e-6 residual rule and every coordinate is
+    within ESCAPE_RADIUS with a nonzero Jacobian, so solve_fiber finds
+    the same simple points. Returns (positions, coords, jacobians) of
+    shapes (k,), (k, degree, n + p) and (k, degree); None otherwise."""
     a = np.array([ch.a for ch in charts])
     b = np.array([ch.b for ch in charts])
     if a.shape[1:] != (v.n, v.p):
@@ -757,7 +745,7 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
         one, units = (0, 0), ((1, 0), (0, 1))[:v.p]
         images = [{one: b[:, i], **{e: a[:, i, j] for j, e in enumerate(units)}}
                   for i in range(v.n)] + [{e: 1.0 + 0j} for e in units]
-        systems = [_substitute_terms(f.terms, f._degrees, images, one) for f in v.defs]
+        systems = [_substitute_terms(f, images, one) for f in v.defs]
     else:
         return None
     tensors, degrees = _coefficient_tensors(systems, len(charts))
@@ -778,19 +766,24 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
         return None
     idx, y = found
     if v.p > 1:
-        y = _polish(*(t[idx] for t in tensors), y)
+        # both systems and their partials over one (u, w) exponent grid
+        grid = np.indices((max(t.shape[1] for t in tensors), tensors[0].shape[2]))
+        ts = [np.pad(t[idx], ((0, 0), (0, len(grid[0]) - t.shape[1]), (0, 0))) for t in tensors]
+        ts += [np.roll(t * e, -1, ax) for t in ts[:2] for ax, e in ((2, grid[1]), (1, grid[0]))]
+        res = _newton_polish(grid[::-1].reshape(2, -1).T,
+                             np.stack(ts, -1).reshape(len(idx), grid[0].size, 6), y,
+                             np.ones(y.shape[:2], dtype=bool))
         ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
-              & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)))
+              & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)) & np.all(res <= 1e-6, axis=1))
         idx, y = idx[ok], y[ok]
     a, b = a[idx], b[idx]
 
     if v.lift is not None:
-        cmap, deg = v.lift.coordinate_map, v.lift.degree
-        coords = np.stack(_evaluate_all(cmap, (y[..., 0], y[..., 1]), (deg, deg)), axis=-1)
+        exps, coefs = _term_matrix(v.lift.coordinate_map)
+        coords = _monomial_values(exps, (y[..., 0], y[..., 1])) @ coefs
     else:
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
-    a_at = np.broadcast_to(a.transpose(1, 2, 0)[..., None], a.shape[1:] + coords.shape[:2])
-    jac = _jacobian_dets(v, a_at, tuple(np.moveaxis(coords, -1, 0)))
+    jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
     ok = np.all(np.all(np.abs(coords) <= ESCAPE_RADIUS, axis=-1) & (jac != 0), axis=1)
     return idx[ok], coords[ok], jac[ok]
 
@@ -804,13 +797,11 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
         raise UnsupportedDimension("hypersurface sections support n = p = 1")
     h = hyper if hyper.vars == v.vars else hyper.with_vars(v.vars)
     # Jacobian rows: the def's partials, then the hypersurface's
-    partials = v._partials + tuple(h.partial(nm) for nm in v.vars)
-    degrees = tuple(map(max, v._degrees, h._degrees))
-    out = []
-    for coords, m in solve_bivariate(v.defs[0], h, tol):
-        jm = np.reshape(_evaluate_all(partials, coords, degrees), (2, 2))
-        out.append(FiberPoint(coords, complex(np.linalg.det(jm)), m))
-    return out
+    exps, coefs = _term_matrix([f.partial(nm) for f in (v.defs[0], h) for nm in v.vars])
+    sols = solve_bivariate(v.defs[0], h, tol)
+    pts = tuple(np.array([c for c, _ in sols], dtype=complex).reshape(-1, 2).T)
+    jac = np.linalg.det((_monomial_values(exps, pts) @ coefs).reshape(-1, 2, 2))
+    return [FiberPoint(c, j, m) for (c, m), j in zip(sols, jac.tolist())]
 
 
 # ---------------------------------------------------------------------------

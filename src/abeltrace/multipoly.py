@@ -7,6 +7,8 @@ variable is computed once, at construction.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 
 import numpy as np
@@ -24,75 +26,92 @@ def _mul_terms(t1, t2):
     return out
 
 
-def _substitute_terms(terms, degrees, images, one):
-    """Term map of sum c * prod_i images[i]^e_i over ``terms``: images[i]
-    replaces variable i, ``degrees`` bound the degrees and ``one`` is the
-    target's zero exponent; coefficients may be arrays over charts.
-    powers[i][k] = images[i]^k is built once, from powers[i][k - 1]."""
-    powers = []
-    for img, dmax in zip(images, degrees):
-        col = [{one: 1.0 + 0j}]
-        for _ in range(dmax):
-            col.append(_mul_terms(col[-1], img))
-        powers.append(col)
-    out = {}
-    for e, c in terms.items():
-        term = {one: c}
-        for col, k in zip(powers, e):
-            if k:
-                term = _mul_terms(term, col[k])
-        for te, tc in term.items():
-            out[te] = out.get(te, 0j) + tc
+def _substitute_terms(poly, images, one):
+    """Term map of ``poly`` with images[i] (term maps over the targets, zero
+    exponent ``one``, coefficients maybe chart arrays) for variable i, by
+    Horner's rule on one dense tensor kept on ``poly`` per image layout:
+    chart axis; an axis per image but a monomial of coefficient 1, which
+    places the terms, each folded in from the top, one shifted add per
+    image term; flat target exponents up to the most a term can reach."""
+    horner = tuple(i for i, img in enumerate(images)
+                   if [type(c) is complex and c == 1 for c in img.values()] != [True])
+    key = (one, horner) + tuple(map(tuple, images))
+    if key not in poly._layouts:
+        poly._layouts[key] = _substitution_layout(poly, images, horner, one)
+    keys, sizes, offsets, t = poly._layouts[key]
+    lead = next((c.shape for i in horner for c in images[i].values()
+                 if isinstance(c, np.ndarray)), ())
+    t = np.broadcast_to(t, lead + t.shape) if lead else t
+    for i, size, offs in zip(horner, sizes, offsets):
+        block = t.shape[-1] // size
+        shifts = [(o, c[..., None] if isinstance(c, np.ndarray) else c)
+                  for o, c in zip(offs, images[i].values())]
+        acc = t[..., -block:]
+        for k in range(size - 2, -1, -1):
+            prev, acc = acc, t[..., k * block:(k + 1) * block].copy()
+            for o, c in shifts:
+                acc[..., o:] += c * prev[..., :block - o]
+        t = acc
+    values = t.tolist() if not lead else list(t.transpose(-1, *range(len(lead))))
+    return dict(zip(keys, values))
+
+
+def _substitution_layout(poly, images, horner, one):
+    """For _substitute_terms: the target exponents, the Horner axis sizes,
+    the flat shift of each Horner image term, and the placed tensor."""
+    exps = np.array(list(poly.terms), dtype=int).reshape(-1, len(images))
+    image_degrees = [list(map(max, zip(*img))) if img else one for img in images]
+    tshape = [d + 1 for d in (exps @ image_degrees).max(axis=0, initial=0).tolist()]
+    shape = [poly._degrees[i] + 1 for i in horner] + tshape
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    offset = lambda e: sum(map(operator.mul, e, strides[len(horner):]))  # noqa: E731
+    step = [strides[horner.index(i)] if i in horner else offset(next(iter(img)))
+            for i, img in enumerate(images)]
+    t = np.zeros(math.prod(shape), dtype=complex)
+    np.add.at(t, exps @ step, list(poly.terms.values()))
+    return (list(itertools.product(*map(range, tshape))), shape[:len(horner)],
+            [[offset(e) for e in images[i]] for i in horner], t)
+
+
+def _monomial_values(exps, point):
+    """Values of the monomials z^e, e the rows of the integer array
+    ``exps``, at m values or arrays of one shape S: shape S + (rows,)."""
+    out = 1.0
+    for z, col in zip(point, exps.T):
+        out = out * np.asarray(z, dtype=complex)[..., None] ** col
     return out
 
 
-def _evaluate_all(polys, point, degrees):
-    """Values of polynomials over the same variables at a point, a
-    sequence aligned with their variables, from one shared table of the
-    powers of each coordinate; ``degrees`` bounds their degree in each
-    variable. A coordinate may be an array (all of one shape), which
-    evaluates at every point of that shape at once."""
-    powers = []
-    for z, dmax in zip(point, degrees):
-        col = [1.0 + 0j]
-        if not isinstance(z, np.ndarray):
-            z = complex(z)
-        for _ in range(dmax):
-            col.append(col[-1] * z)
-        powers.append(col)
-    out = []
-    for p in polys:
-        total = 0j
-        for e, c in p.terms.items():
-            term = c
-            for col, k in zip(powers, e):
-                if k:
-                    term *= col[k]
-            total += term
-        out.append(total)
-    return out
+def _term_matrix(polys):
+    """(exps, coefs) with _monomial_values(exps, z) @ coefs the values of
+    ``polys`` at z: the monomials any of them uses, and their coefficients."""
+    monos = sorted(set().union(*(f.terms for f in polys)))
+    return (np.array(monos, dtype=int).reshape(-1, len(polys[0].vars)),
+            np.array([[f.terms.get(e, 0j) for f in polys] for e in monos],
+                     dtype=complex).reshape(-1, len(polys)))
 
 
 class MultiPoly:
     """Polynomial in named variables, exponent-vector -> coefficient."""
 
-    __slots__ = ("vars", "terms", "_degrees")
+    __slots__ = ("vars", "terms", "_degrees", "_layouts")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != len(self.vars):
                 raise ValueError(
                     f"exponent vector {exps} does not match variables {self.vars}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             c = complex(c)
             if c != 0:
                 clean[exps] = clean.get(exps, 0j) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
+        self._layouts = {}  # _substitute_terms' tensors, one per image layout
         # degree in each variable, 0 throughout for the zero polynomial
         if self.terms:
             self._degrees = tuple(map(max, zip(*self.terms)))
@@ -219,7 +238,19 @@ class MultiPoly:
                 raise ValueError(
                     f"point has {len(point)} values for variables {self.vars}"
                 )
-        return _evaluate_all((self,), point, self._degrees)[0]
+        powers = []
+        for z, dmax in zip(point, self._degrees):
+            z = z if isinstance(z, np.ndarray) else complex(z)
+            powers.append([1.0, z])
+            for _ in range(dmax - 1):
+                powers[-1].append(powers[-1][-1] * z)
+        total = 0j
+        for e, c in self.terms.items():
+            for col, k in zip(powers, e):
+                if k:
+                    c = c * col[k]
+            total += c
+        return total
 
     def substitute(self, mapping):
         """Substitute polynomials for variables.
@@ -239,7 +270,7 @@ class MultiPoly:
             target = self.vars
         images = [(mapping[name] if name in mapping else MultiPoly.variable(name, target)).terms
                   for name in self.vars]
-        terms = _substitute_terms(self.terms, self._degrees, images, (0,) * len(target))
+        terms = _substitute_terms(self, images, (0,) * len(target))
         return MultiPoly(target, terms)
 
     def with_vars(self, new_vars):

@@ -10,6 +10,8 @@ reconstruct, interpolation).
 
 from __future__ import annotations
 
+import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +116,16 @@ class UniPoly:
 # root finding
 # ---------------------------------------------------------------------------
 
+def _companion_roots(c):
+    """Roots of polynomials stacked on leading axes (coefficients lowest
+    first, leading one nonzero): eigenvalues of np.roots' companions."""
+    d = c.shape[-1] - 1
+    comp = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    comp[..., 0, :] = -c[..., -2::-1] / c[..., -1:]
+    comp[..., np.arange(1, d), np.arange(d - 1)] = 1.0
+    return np.linalg.eigvals(comp)
+
+
 def _aberth_refine(coeffs, z):
     """Aberth-Ehrlich simultaneous refinement of root estimates ``z``: at
     most 80 sweeps, stopping once no estimate moves by 1e-15 relative."""
@@ -143,25 +155,34 @@ def _aberth_refine(coeffs, z):
 
 
 def _merge_clusters(roots, tol):
-    """Greedy agglomerative merge; radius scales like tol^(1/multiplicity)."""
-    clusters = [[complex(r), 1] for r in roots]
+    """Multiplicity-aware merge (Z. Zeng, Math. Comp. 74, 2005): m roots,
+    a root's m nearest, become one of multiplicity m at their mean c when
+    their diameter is at most max(1, |z|) tol^(1/m) and prod (z - z_k) is
+    within tol of (z - c)^m on that scale; the largest such group first."""
+    z, out = np.asarray(roots, dtype=complex), []
     while True:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                dist = abs(clusters[i][0] - clusters[j][0])
-                m = clusters[i][1] + clusters[j][1]
-                scale = max(1.0, abs(clusters[i][0]), abs(clusters[j][0]))
-                if dist <= scale * tol ** (1.0 / m) and (best is None or dist < best[0]):
-                    best = (dist, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        ci, cj = clusters[i], clusters[j]
-        m = ci[1] + cj[1]
-        clusters[i] = [(ci[0] * ci[1] + cj[0] * cj[1]) / m, m]
-        del clusters[j]
-    return [(c, m) for c, m in clusters]
+        n, left = z.size, z.tolist()
+        # fast path, exact for tol < 1: a group that fits below has a pair
+        # (its largest |z|, any other) within max(1, |r|, |q|) tol^(1/n)
+        if all(abs(r - q) > max(1.0, abs(r), abs(q)) * tol ** (1.0 / n)
+               for r, q in itertools.combinations(left, 2)):
+            return out + [(r, 1) for r in left]
+        dist = np.abs(z[:, None] - z)
+        order = np.argsort(dist, axis=1, kind="stable")
+        # diameter and scale of each root's k nearest, k = 1..n
+        diam = np.maximum.accumulate(
+            np.triu(dist[order[:, :, None], order[:, None, :]], 1).max(axis=1), axis=1)
+        scale = np.maximum.accumulate(np.maximum(1.0, np.abs(z))[order], axis=1)
+        fits = np.nonzero(diam[:, 1:] <= scale[:, 1:] * tol ** (1.0 / np.arange(2, n + 1)))
+        for s, m in sorted(zip(*fits), key=lambda sm: (-sm[1], diam[sm[0], sm[1] + 1])):
+            group = order[s, :m + 2]
+            if np.all(np.abs(np.poly((z[group] - z[group].mean()) / scale[s, m + 1])[2:m + 2])
+                      <= tol):
+                out.append((complex(z[group].mean()), m + 2))
+                z = np.delete(z, group)
+                break
+        else:
+            return out + [(r, 1) for r in left]
 
 
 def _cluster_residuals_ok(coeffs, merged, tol):
@@ -188,7 +209,7 @@ def _cluster_residuals_ok(coeffs, merged, tol):
 def poly_roots(p, tol=TOL_ARITH):
     """All roots of ``p`` with multiplicities.
 
-    Companion-matrix eigenvalues (``np.roots``) start a simultaneous
+    Companion-matrix eigenvalues (``_companion_roots``) start a simultaneous
     Aberth-Ehrlich refinement. Nearby iterates are merged into clusters
     whose radius scales like tol^(1/multiplicity); a merged cluster
     carries the summed multiplicity so downstream residue code can sum
@@ -214,22 +235,22 @@ def poly_roots(p, tol=TOL_ARITH):
     """
     if not isinstance(p, UniPoly):
         p = UniPoly(p)
-    coeffs = np.asarray(p.coeffs, dtype=complex)
-    if not np.all(np.isfinite(coeffs)):
+    if not all(map(cmath.isfinite, p.coeffs)):
         raise ValueError("polynomial coefficients must be finite")
     if p.degree < 1:
         raise ZeroPolynomial(f"need degree >= 1, got degree {p.degree}")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    coeffs = tuple(coeffs / np.max(np.abs(coeffs)))
+    top = max(map(abs, p.coeffs))
+    coeffs = tuple(c / top for c in p.coeffs)
 
     # exact roots at the origin come off first
     k0 = 0
     while coeffs[k0] == 0:
         k0 += 1
     work = coeffs[k0:]
-    z = _aberth_refine(work, np.roots(np.asarray(work)[::-1]).astype(complex))
+    z = _aberth_refine(work, _companion_roots(np.asarray(work))) if len(work) > 1 else []
     merged = _merge_clusters(list(z) + [0.0] * k0, tol)
     worst = _cluster_residuals_ok(coeffs, merged, tol)
     if worst > 0.0:

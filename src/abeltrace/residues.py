@@ -65,11 +65,11 @@ def _monomial_value(coords, n, index):
 
 
 def _on_pole(weight, coords, wval):
-    """Whether a point (each point, for array coordinates) lies on the
+    """Whether each point of the coordinate arrays ``coords`` lies on the
     pole divisor of the weight, whose value there is ``wval``: |wval| at
     most POLE_REL_TOL of the weight's evaluation magnitude (at least 1)."""
     if weight is None:
-        return False
+        return np.zeros(coords[0].shape, dtype=bool)
     total = 0.0
     for exps, c in weight.terms.items():
         term = abs(c)
@@ -110,30 +110,23 @@ class ChartEvaluation:
         self.n = data.variety.n
 
     def value(self, index):
-        total = 0j
-        scale = 0.0
-        for coords, w in self.terms:
-            term = w * _monomial_value(coords, self.n, index)
-            total += term
-            scale = max(scale, abs(term))
-        return total, scale
+        terms = [w * _monomial_value(coords, self.n, index) for coords, w in self.terms]
+        return sum(terms, 0j), max(map(abs, terms), default=0.0)
 
 
-def _point_weight(data, pt, chart_params=None):
-    num = data.numerator_at(pt.coords)
-    wval = data.weight_at(pt.coords)
-    if _on_pole(data.weight, pt.coords, wval):
-        raise PoleDetected(
-            "fiber point lies on the pole divisor of the data weight",
-            chart_params=chart_params,
-        )
-    den = wval * pt.jacobian
-    if den == 0:
-        raise ClusterPoint(
-            "fiber point has a zero Jacobian: the plane is not transverse there",
-            chart_params=chart_params,
-        )
-    return num / den
+def _point_weights(data, points, chart_params=None):
+    """Residue weights at simple fiber points, from one _family_weights
+    call; PoleDetected for a point on the weight's pole divisor, else
+    ClusterPoint for one with a zero Jacobian (taken as 1 until then)."""
+    coords = np.reshape([pt.coords for pt in points], (1, len(points), len(data.variety.vars)))
+    clear, weights = _family_weights(data, coords, np.array([[p.jacobian or 1.0 for p in points]]))
+    if not clear[0]:
+        raise PoleDetected("fiber point lies on the pole divisor of the data weight",
+                           chart_params=chart_params)
+    if not all(pt.jacobian for pt in points):
+        raise ClusterPoint("fiber point has a zero Jacobian: the plane is not transverse there",
+                           chart_params=chart_params)
+    return weights[0].tolist()
 
 
 def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
@@ -181,10 +174,8 @@ def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
                 ok = False
                 break
             deltas.append(d * direction)
-            levels.append(
-                [(pt.coords, _point_weight(data, pt, pchart.to_params()))
-                 for pt in matched]
-            )
+            levels.append(list(zip([pt.coords for pt in matched],
+                                   _point_weights(data, matched, pchart.to_params()))))
         if ok:
             return [
                 (coords, c * w)
@@ -200,13 +191,10 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
                    expected_degree=None):
     """Build the ChartEvaluation for one chart (shared by all indices)."""
     fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
-    terms, clusters = [], []
-    params = chart.to_params()
-    for pt in fiber.points:
-        if pt.cluster_size == 1:
-            terms.append((pt.coords, _point_weight(data, pt, params)))
-        else:
-            clusters.append(pt)
+    simple = [pt for pt in fiber.points if pt.cluster_size == 1]
+    clusters = [pt for pt in fiber.points if pt.cluster_size > 1]
+    terms = list(zip([pt.coords for pt in simple],
+                     _point_weights(data, simple, chart.to_params())))
     for pt in clusters:
         terms += _cluster_terms(data, chart, [pt], tol, expected=expected_degree)
     return ChartEvaluation(data, chart, terms, bool(clusters))
@@ -226,7 +214,7 @@ def punctual_residue(data: ResidueData, chart: PlaneChart, point: FiberPoint,
             f"point has multiplicity {point.cluster_size}; sum over the cluster instead"
         )
     index = _normalize_index(index, data.variety.p)
-    w = _point_weight(data, point, chart.to_params())
+    w = _point_weights(data, [point], chart.to_params())[0]
     return w * _monomial_value(point.coords, data.variety.n, index)
 
 
@@ -264,12 +252,10 @@ def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
     reduction). ``index_exps`` is an exponent vector over the variety's
     full variable tuple."""
     pts = hypersurface_section(data.variety, hyper, tol)
-    total = 0j
-    for pt in pts:
-        if pt.cluster_size != 1:
-            raise ClusterPoint("hypersurface section is degenerate")
-        total += _point_weight(data, pt) * _monomial_value(pt.coords, 0, index_exps)
-    return total
+    if any(pt.cluster_size != 1 for pt in pts):
+        raise ClusterPoint("hypersurface section is degenerate")
+    return sum((w * _monomial_value(pt.coords, 0, index_exps)
+                for pt, w in zip(pts, _point_weights(data, pts))), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +431,9 @@ def _family_weights(data, coords, jac):
     """Residue weights at the points ``coords`` of the charts a family
     solve certified, with Jacobians ``jac``: (mask of the charts with no
     point on the weight's pole divisor, their weights)."""
-    cols = tuple(np.moveaxis(coords, -1, 0))
+    cols = tuple(coords.transpose(2, 0, 1))
     wval = data.weight_at(cols)
-    clear = ~np.any(np.broadcast_to(_on_pole(data.weight, cols, wval), jac.shape), axis=1)
+    clear = ~_on_pole(data.weight, cols, wval).any(axis=1)
     return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 

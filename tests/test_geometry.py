@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from abeltrace.errors import (
     DegreeDrop,
     DimensionMismatch,
+    NonConvergence,
     UnsupportedDimension,
 )
 from abeltrace.geometry import (
@@ -273,6 +274,28 @@ class TestSolveBivariate:
                 assert abs(g.evaluate(sol)) <= 1e-12 * scale
 
 
+    def test_far_polished_point_raises(self):
+        # degrees (3, 3) with the coefficient of y1^i y2^j divided by
+        # 1000^(i + j): the resultant roots come back inaccurate and the
+        # polish leaves a point far from any root (the first seed of a
+        # search over seeds 0-59 at scales 1e-3 and 1e3). solve_fiber must
+        # raise rather than return it, and the family must decline it
+        rng = np.random.default_rng(0)
+        defs = []
+        for _ in range(2):
+            t = {(0, i, j): complex(*rng.standard_normal(2)) / 1e3 ** (i + j)
+                 for i in range(4) for j in range(4 - i)}
+            t[(1, 0, 0)] = 1.0
+            defs.append(MultiPoly(V3, t))
+        v = VarietySpec(("x",), ("y1", "y2"), defs, degree=9)
+        chart = PlaneChart([[0.3 + 0.1j, -0.2 + 0.4j]], [0.7 - 0.2j])
+        with pytest.raises(NonConvergence) as exc:
+            solve_fiber(v, chart, expected_degree=None)
+        assert exc.value.worst_residual > 1e-6
+        family = solve_family(v, [chart], 9)
+        assert family is None or len(family[0]) == 0
+
+
 def _cn(rng, scale):
     return complex(*rng.normal(0.0, scale, 2))
 
@@ -356,6 +379,31 @@ class TestFiberContract:
             plane = xs - chart.a @ ys - chart.b
             scale = np.abs(xs) + np.abs(chart.a) @ np.abs(ys) + np.abs(chart.b)
             assert np.all(np.abs(plane) <= 1e-10 * scale)
+
+
+class TestFullJacobian:
+    @pytest.mark.parametrize("path", ["univariate", "triangular", "resultant", "lifted"])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_point_arrays_match_points(self, path, seed):
+        # one call on point arrays (here of shape (k, 1)) gives each
+        # point's value, and each value is the determinant of the full
+        # (n+p) x (n+p) matrix of (defs, plane equations)
+        v, chart, _ = _fiber_case(path, np.random.default_rng(seed))
+        coords = np.array([pt.coords for pt in solve_fiber(v, chart, expected_degree=None).points])
+        many = full_jacobian(v, chart, tuple(coords.T[:, :, None]))
+        assert many.shape == (len(coords), 1)
+        m = v.n + v.p
+        for got, pt in zip(many[:, 0], coords):
+            one = full_jacobian(v, chart, tuple(pt))
+            assert type(one) is complex
+            full = np.zeros((m, m), dtype=complex)
+            full[:v.p] = [[f.partial(x).evaluate(pt) for x in v.vars] for f in v.defs]
+            full[v.p:, :v.n] = np.eye(v.n)
+            full[v.p:, v.n:] = -chart.a
+            want = np.linalg.det(full)
+            assert abs(got - one) <= 1e-13 * abs(one)
+            assert abs(one - want) <= 1e-10 * abs(want)
 
 
 class TestUnivariateFamily:

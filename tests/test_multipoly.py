@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abeltrace.multipoly import MultiPoly
+from abeltrace.multipoly import MultiPoly, _substitute_terms
 from abeltrace.numeric import UniPoly
 
 V = ("x", "y")
@@ -107,6 +107,45 @@ def test_substitute_matches_evaluation_on_the_plane(seed, degree, nterms):
     bounds = list(np.abs(a) @ np.abs(y) + np.abs(b)) + list(np.abs(y))
     scale = sum(abs(c) * np.prod([s**k for s, k in zip(bounds, e)]) for e, c in f.terms.items())
     assert abs(got - want) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 4),
+    charts=st.sampled_from([(), (3,)]),
+    kinds=st.lists(st.sampled_from(["poly", "monomial", "zero"]), min_size=3, max_size=3),
+)
+def test_substitute_terms_matches_evaluation(seed, degree, charts, kinds):
+    # sum_e out[e] y^e against f at the images of y, chart by chart, for
+    # images of degree up to 2, one-term images (placed directly) and zero
+    # images, with image coefficients that are arrays over charts or not
+    rng = np.random.default_rng(seed)
+
+    def cn(shape=()):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    monos = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) <= degree]
+    f = {monos[i]: complex(cn()) for i in rng.choice(len(monos), size=min(5, len(monos)))}
+    images = []
+    for kind in kinds:
+        if kind == "poly":
+            images.append({e: cn(charts) for e in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]})
+        elif kind == "monomial":
+            images.append({tuple(int(k) for k in rng.integers(0, 3, size=2)): cn(charts)})
+        else:
+            images.append({})
+    out = _substitute_terms(MultiPoly(("a", "b", "c"), f), images, (0, 0))
+    y = cn(2)
+    at = [np.broadcast_to(sum(c * y[0] ** e[0] * y[1] ** e[1] for e, c in img.items()), charts)
+          for img in images]
+    mag = [np.broadcast_to(sum(abs(c) * abs(y[0]) ** e[0] * abs(y[1]) ** e[1]
+                               for e, c in img.items()), charts) for img in images]
+    got = sum(c * y[0] ** e[0] * y[1] ** e[1] for e, c in out.items())
+    want = sum(c * np.prod([z**k for z, k in zip(at, e)], axis=0) for e, c in f.items())
+    scale = sum(abs(c) * np.prod([z**k for z, k in zip(mag, e)], axis=0) for e, c in f.items())
+    assert np.shape(got) == (charts if any(images) else ())
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1e-300))
 
 
 def test_with_vars_and_restricted():

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abeltrace import numeric
 from abeltrace.errors import (
     DegreeUndetectable,
     EvaluationError,
@@ -101,6 +105,38 @@ class TestPolyRoots:
         root, mult = got[0]
         assert mult == 3
         assert abs(root - 1.0) < 1e-4
+
+    def test_triple_root_far_from_origin(self):
+        # the iterates of a triple root lie about 1e-4 apart, beyond the
+        # pair radius max(1, |z|) tol^(1/2) but within the triple's
+        # max(1, |z|) tol^(1/3): the three must merge into one point
+        r = 3.4558 + 8.2162j
+        got = poly_roots(UniPoly.from_roots([r, r, r]))
+        assert len(got) == 1
+        root, mult = got[0]
+        assert mult == 3
+        assert abs(root - r) < 1e-4 * abs(r)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.floats(0.2, 2.0), st.floats(-3.0, 3.0),
+                              st.floats(-3.0, 3.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=4))
+    def test_merge_fast_path_matches_full_rule(self, clusters):
+        # each cluster is a regular m-gon of radius r about c, so its
+        # centred factor is (z - c)^m - r^m e^(i m phi): with r 0.2 to 2
+        # times max(1, |c|) tol^(1/m), groups fall on both sides of the
+        # merge rule. Bypassing the fast path (below two roots it has no
+        # pair) must change nothing
+        tol = 1e-10
+        roots = []
+        for m, f, re, im, phase in clusters:
+            c = complex(re, im)
+            r = f * max(1.0, abs(c)) * tol ** (1.0 / m)
+            roots += [c + r * np.exp(2j * np.pi * (k / m + phase)) for k in range(m)]
+        no_exit = SimpleNamespace(combinations=lambda xs, k: [(0j, 0j)] * (len(xs) > 1))
+        with mock.patch.object(numeric, "itertools", no_exit):
+            full = numeric._merge_clusters(roots, tol)
+        assert numeric._merge_clusters(roots, tol) == full
 
     def test_mixed_multiplicities(self):
         # (y - 1)^3 (y + 2)^2: cluster sizes 3 and 2

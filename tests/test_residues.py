@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from abeltrace import residues
 from abeltrace.errors import (
     ClusterPoint,
+    DegreeDrop,
     PoleDetected,
     TooFewCleanSamples,
 )
@@ -340,6 +341,22 @@ class TestTraceTable:
         assert t.flags[1] == "clean" and t.flags[2] == "clean"
         assert np.isnan(t.column(0)[0].real)
 
+    def test_escaped_fiber_point_flagged_dropped(self):
+        # triangular p = 2 system; where b1 = 1.5 + 1e-9 the stage-1
+        # quadratic (x - 1.5) y1^2 + y1 - 1 has a root near -1e9, past
+        # ESCAPE_RADIUS: a degree drop, not a failed polish
+        f1 = MultiPoly(V3, {(1, 2, 0): 1.0, (0, 2, 0): -1.5, (0, 1, 0): 1.0, (0, 0, 0): -1.0})
+        f2 = MultiPoly(V3, {(0, 0, 1): 1.0, (0, 1, 0): -1.0, (0, 0, 0): -1.0})
+        v = VarietySpec(("x",), ("y1", "y2"), [f1, f2])
+        escaped = PlaneChart([[0.0, 0.0]], [1.5 + 1e-9])
+        with pytest.raises(DegreeDrop):
+            solve_fiber(v, escaped)
+        assert len(solve_family(v, [escaped], 2)[0]) == 0
+        dom = DomainSpec(PlaneChart([[0.0, 0.0]], [2.0]), {"b1": 1.0})
+        t = trace_table(ResidueData(v, MultiPoly.constant(1.0, V3)), dom, 1,
+                        ListPlan(({"b1": 0.0}, {"b1": -0.5 + 1e-9}, {"b1": 0.3})))
+        assert t.flags == ("clean", "degree-drop", "clean")
+
     def test_too_few_clean_samples(self):
         weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
         f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})
@@ -452,6 +469,25 @@ def _assert_same_table(got, want):
         err = np.abs(got.entries[idx][clean] - col[clean])
         assert np.all(err <= 1e-12 * want.term_scales[clean])
     assert np.all(np.abs(got.term_scales - want.term_scales) <= 1e-12 * want.term_scales)
+
+
+@pytest.mark.parametrize("kind", ["p2_n1", "p2_n2", "lifted", "p2_triangular"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_chart_terms_are_punctual_residues(kind, seed):
+    # each simple-point term of evaluate_chart is punctual_residue at that
+    # point, here with a weight that is not 1
+    data, domain, _ = _family_case(kind, np.random.default_rng(seed))
+    m = len(data.variety.vars)
+    weight = MultiPoly(data.variety.vars, {(0,) * m: 2.0 - 0.5j, (1,) + (0,) * (m - 1): 0.3})
+    data = ResidueData(data.variety, data.numerator, weight=weight)
+    fiber = solve_fiber(data.variety, domain.chart, expected_degree=None)
+    terms = evaluate_chart(data, domain.chart).terms
+    assert len(terms) == len(fiber.points) and not fiber.clustered
+    for pt, (coords, w) in zip(fiber.points, terms):
+        assert coords == pt.coords
+        want = punctual_residue(data, domain.chart, pt, (0,) * data.variety.p)
+        assert abs(w - want) <= 1e-14 * abs(want)
 
 
 class TestChartFamily:
