@@ -91,8 +91,10 @@ def _load_artifact(path):
 
 
 def _emit(job, payload, report_lines):
-    payload = dict(payload)
-    payload["provenance"] = _provenance(job)
+    # encoded results are JSON-safe already; reports and provenance are
+    # small trees that ser.plain converts
+    payload = {k: v if k == "result" else ser.plain(v) for k, v in payload.items()}
+    payload["provenance"] = ser.plain(_provenance(job))
     text = ser.dumps(payload)
     if job.output:
         with open(job.output, "w", encoding="utf-8", newline="\n") as fh:

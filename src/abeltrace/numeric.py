@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +155,37 @@ def _aberth_refine(coeffs, z):
     return z
 
 
-def _merge_clusters(roots, tol):
+def _cluster_centre(coeffs, group, radius, tol):
+    """``group`` as one m-fold root (m = len(group)) of the polynomial with
+    coefficients ``coeffs``, lowest first: the root of its (m-1)-th
+    derivative next to the group's mean, by Newton's method. None unless it
+    is within ``radius`` of the mean and every Taylor coefficient of order
+    j < m there is at most tol of its scale sum_k |c_k| C(k, j) |z|^(k-j)
+    (both divided by max(1, |z|)^(d-j), so that no power overflows)."""
+    m, c = len(group), np.asarray(coeffs, dtype=complex)
+    k = np.arange(len(c))
+    q = c[m - 1:] * np.prod(k[m - 1:, None] - np.arange(m - 1), axis=1)
+    dq = q[1:] * np.arange(1, len(q))
+    z = mean = complex(np.mean(group))
+    for _ in range(10):
+        dqz = _horner(dq, z)
+        step = _horner(q, z) / dqz if dqz else 0.0
+        z -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(z)):
+            break
+    r = max(1.0, abs(z))
+    binom = np.array([[math.comb(kk, j) for kk in k] for j in range(m)], dtype=float)
+    pw = binom * (z / r) ** np.maximum(k - np.arange(m)[:, None], 0) * r ** (k - k[-1])
+    ok = abs(z - mean) <= radius and np.all(np.abs(pw @ c) <= tol * (np.abs(pw) @ np.abs(c)))
+    return z if ok else None
+
+
+def _merge_clusters(roots, tol, coeffs=None):
     """Multiplicity-aware merge (Z. Zeng, Math. Comp. 74, 2005): m roots,
-    a root's m nearest, become one of multiplicity m at their mean c when
-    their diameter is at most max(1, |z|) tol^(1/m) and prod (z - z_k) is
-    within tol of (z - c)^m on that scale; the largest such group first."""
+    a root's m nearest, become one of multiplicity m when their diameter is
+    at most max(1, |z|) tol^(1/m) and ``_cluster_centre`` finds an m-fold
+    root of the polynomial near them, the largest such group first.
+    ``coeffs`` (lowest first) default to those of prod (z - root)."""
     z, out = np.asarray(roots, dtype=complex), []
     while True:
         n, left = z.size, z.tolist()
@@ -167,18 +194,21 @@ def _merge_clusters(roots, tol):
         if all(abs(r - q) > max(1.0, abs(r), abs(q)) * tol ** (1.0 / n)
                for r, q in itertools.combinations(left, 2)):
             return out + [(r, 1) for r in left]
+        if coeffs is None:
+            coeffs = np.poly(z)[::-1]
         dist = np.abs(z[:, None] - z)
         order = np.argsort(dist, axis=1, kind="stable")
         # diameter and scale of each root's k nearest, k = 1..n
         diam = np.maximum.accumulate(
             np.triu(dist[order[:, :, None], order[:, None, :]], 1).max(axis=1), axis=1)
         scale = np.maximum.accumulate(np.maximum(1.0, np.abs(z))[order], axis=1)
-        fits = np.nonzero(diam[:, 1:] <= scale[:, 1:] * tol ** (1.0 / np.arange(2, n + 1)))
+        radius = scale[:, 1:] * tol ** (1.0 / np.arange(2, n + 1))
+        fits = np.nonzero(diam[:, 1:] <= radius)
         for s, m in sorted(zip(*fits), key=lambda sm: (-sm[1], diam[sm[0], sm[1] + 1])):
             group = order[s, :m + 2]
-            if np.all(np.abs(np.poly((z[group] - z[group].mean()) / scale[s, m + 1])[2:m + 2])
-                      <= tol):
-                out.append((complex(z[group].mean()), m + 2))
+            centre = _cluster_centre(coeffs, z[group], radius[s, m], tol)
+            if centre is not None:
+                out.append((centre, m + 2))
                 z = np.delete(z, group)
                 break
         else:
@@ -251,7 +281,7 @@ def poly_roots(p, tol=TOL_ARITH):
         k0 += 1
     work = coeffs[k0:]
     z = _aberth_refine(work, _companion_roots(np.asarray(work))) if len(work) > 1 else []
-    merged = _merge_clusters(list(z) + [0.0] * k0, tol)
+    merged = _merge_clusters(list(z) + [0.0] * k0, tol, coeffs)
     worst = _cluster_residuals_ok(coeffs, merged, tol)
     if worst > 0.0:
         raise NonConvergence(

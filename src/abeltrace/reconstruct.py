@@ -60,20 +60,17 @@ class MinimalPolySet:
         return UniPoly(low_first)
 
     def coefficient_values(self, i, x):
-        """(a_1, ..., a_d) for variable i at a base value."""
-        return [c(x) for c in self.coeffs[i]]
+        """(a_1, ..., a_d) for variable i at a base value, or as arrays
+        over an array of base values."""
+        return [np.polyval(c.coeffs[::-1], x) for c in self.coeffs[i]]
 
     def as_multipoly(self, i, x_var):
         """P_i as a MultiPoly over (x_var, y_i)."""
-        vars2 = (x_var, self.y_vars[i])
         d = self.degrees[i]
-        out = MultiPoly(vars2, {(0, d): 1.0})
-        for j in range(1, d + 1):
-            cf = self.coeffs[i][j - 1]
-            for e, c in enumerate(cf.coeffs):
-                if c != 0:
-                    out = out + MultiPoly(vars2, {(e, d - j): c})
-        return out
+        terms = {(e, d - j): c for j in range(1, d + 1)
+                 for e, c in enumerate(self.coeffs[i][j - 1].coeffs)}
+        terms[(0, d)] = 1.0
+        return MultiPoly((x_var, self.y_vars[i]), terms)
 
 
 @dataclass(frozen=True)
@@ -118,9 +115,9 @@ class ReconstructedData:
 # ---------------------------------------------------------------------------
 
 def _reconstruction_samples(t: TraceTable):
-    """Clean samples of a projection-chart table: list of (x value,
-    {index: trace}) pairs. The table must come from vertical charts
-    (a = 0) with at most b_1 varying."""
+    """Clean samples of a projection-chart table: (base values of shape
+    (k,), moments of shape (k, indices), {index: moment column}). The
+    table must come from vertical charts (a = 0) with at most b_1 varying."""
     if t.n != 1:
         raise UnsupportedDimension("reconstruction supports one base variable")
     if np.any(t.domain.chart.a != 0):
@@ -128,45 +125,44 @@ def _reconstruction_samples(t: TraceTable):
     extra = [k for k in t.domain.varying if k != "b1"]
     if extra:
         raise ValueError(f"reconstruction tables may vary only b1, got {extra}")
-    b0 = complex(t.domain.chart.b[0])
-    out = []
-    for s, off in enumerate(t.offsets):
-        if t.flags[s] != CLEAN:
-            continue
-        x = b0 + complex(off.get("b1", 0.0))
-        moms = {idx: t.entries[idx][s] for idx in t.entries}
-        out.append((x, moms))
-    if not out:
+    keep = [s for s, f in enumerate(t.flags) if f == CLEAN]
+    if not keep:
         raise ValueError("no clean samples available")
-    return out
+    b0 = complex(t.domain.chart.b[0])
+    xs = np.array([b0 + complex(t.offsets[s].get("b1", 0.0)) for s in keep])
+    cols = {idx: j for j, idx in enumerate(t.entries)}
+    moments = np.stack([np.asarray(t.entries[idx], dtype=complex)[keep] for idx in cols], axis=1)
+    return xs, moments, cols
 
 
-def _slot_rows(moms, i, d, p, max_order):
-    """Rows of the recurrence system for fiber slot i at one sample:
+def _slot_rows(cols, i, d, p, max_order):
+    """The recurrence system of fiber slot i as moment columns:
     a_1 * m[.., k_i+d-1, ..] + ... + a_d * m[.., k_i, ..] = -m[.., k_i+d, ..],
-    rows running over k_i and the other slots' indices."""
-    other_ranges = [range(max_order + 1) for _ in range(p - 1)]
-    rows, rhs = [], []
+    one row per k_i and other slots' indices whose top moment the table
+    holds. Returns the left-hand columns (rows, d) and the right-hand
+    columns (rows,)."""
+    lhs, rhs = [], []
     for k_i in range(max_order - d + 1):
-        for other in iproduct(*other_ranges):
-            def full(ki):
-                idx = list(other)
-                idx.insert(i, ki)
-                return tuple(idx)
-            if full(k_i + d) not in moms:
-                continue
-            rows.append([moms[full(k_i + d - j)] for j in range(1, d + 1)])
-            rhs.append(-moms[full(k_i + d)])
-    return np.asarray(rows, dtype=complex), np.asarray(rhs, dtype=complex)
+        for other in iproduct(range(max_order + 1), repeat=p - 1):
+            idx = [other[:i] + (k,) + other[i:] for k in range(k_i + d, k_i - 1, -1)]
+            if idx[0] in cols:
+                rhs.append(cols[idx[0]])
+                lhs.append([cols[ix] for ix in idx[1:]])
+    return np.array(lhs, dtype=int).reshape(len(rhs), d), np.array(rhs, dtype=int)
 
 
-def _fit_slot(moms, i, d, p, max_order, scale):
-    a, rhs = _slot_rows(moms, i, d, p, max_order)
-    if a.shape[0] < d:
-        raise ValueError(f"too few recurrence rows for degree {d} in slot {i}")
-    sol, _, _, sv = np.linalg.lstsq(a, rhs, rcond=None)
-    resid = float(np.max(np.abs(a @ sol - rhs))) / scale if a.size else 0.0
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
+def _fit_slot(moments, rows, scale):
+    """Least-squares solutions of one slot's recurrence at every sample,
+    from one stacked SVD: the minimum-norm solutions np.linalg.lstsq gives
+    with rcond=None, each sample's largest defect over ``scale`` and its
+    condition number (inf when singular), as arrays over the samples."""
+    a, b = moments[:, rows[0]], -moments[:, rows[1]]
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(a.shape[1:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    sol = np.einsum("kij,ki->kj", vh.conj(), inv * np.einsum("kri,kr->ki", u.conj(), b))
+    resid = np.abs(np.einsum("krj,kj->kr", a, sol) - b).max(axis=1) / scale
+    cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] > 0)
     return sol, resid, cond
 
 
@@ -220,7 +216,7 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
     IllConditioned near the discriminant, OverdeterminedMismatch when a
     coefficient is not polynomial within the degree bound.
     """
-    samples = _reconstruction_samples(t)
+    xs, moments, cols = _reconstruction_samples(t)
     p = t.p
     scale = t.scale()
     if scale <= tol * max(t.term_scale(), 1e-300):
@@ -233,19 +229,20 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
             f"(need at least 2*d_max - 1)"
         )
 
-    xs = [s[0] for s in samples]
     degrees, coeff_polys, diags = [], [], {}
     for i in range(p):
         # degree detection at the first clean sample
-        first = samples[0][1]
         detected = None
         best = None
         for d in range(1, d_max + 1):
-            sol, resid, cond = _fit_slot(first, i, d, p, t.max_order, scale)
-            if best is None or resid < best[1]:
-                best = (d, resid)
-            if resid <= tol:
-                detected = (d, cond)
+            rows = _slot_rows(cols, i, d, p, t.max_order)
+            if len(rows[1]) < d:
+                raise ValueError(f"too few recurrence rows for degree {d} in slot {i}")
+            _, resid, cond = _fit_slot(moments[:1], rows, scale)
+            if best is None or resid[0] < best[1]:
+                best = (d, float(resid[0]))
+            if resid[0] <= tol:
+                detected = (d, float(cond[0]))
                 break
         if detected is None:
             raise DegreeUndetectable(
@@ -258,13 +255,9 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
                 f"slot {i} recurrence condition {cond0:.3e} beyond cap",
                 condition=cond0,
             )
-        per_sample = []
-        worst_res, worst_cond = 0.0, cond0
-        for x, moms in samples:
-            sol, resid, cond = _fit_slot(moms, i, d, p, t.max_order, scale)
-            per_sample.append(sol)
-            worst_res = max(worst_res, resid)
-            worst_cond = max(worst_cond, cond)
+        per_sample, resid, cond = _fit_slot(moments, rows, scale)
+        worst_res = float(resid.max())
+        worst_cond = max(cond0, float(cond.max()))
         if worst_cond > cond_cap:
             raise IllConditioned(
                 f"slot {i} recurrence condition {worst_cond:.3e} beyond cap",
@@ -275,7 +268,6 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
                 f"slot {i} degree {d} detected at the first sample does not "
                 f"fit all samples (worst residual {worst_res:.3e})"
             )
-        per_sample = np.asarray(per_sample)
         slot_scale = max(1.0, float(np.max(np.abs(per_sample))))
         fitted = []
         fit_res = 0.0
@@ -310,24 +302,23 @@ def reconstruct_numerator(t: TraceTable, minimal: MinimalPolySet, tol=TOL_FIT,
     reconstruction window exceeds tolerance (the traces are not generated
     by rational data of this shape).
     """
-    samples = _reconstruction_samples(t)
+    xs, moments, cols = _reconstruction_samples(t)
     p = t.p
     sign = moment_sign(t.n, p)
     scale = max(t.scale(), 1e-300)
     degrees = minimal.degrees
+    # per slot, (1, a_1, ..., a_d) at every sample: shape (samples, d + 1)
+    acoef = [np.column_stack([np.ones(len(xs))] + minimal.coefficient_values(i, xs))
+             for i in range(p)]
 
     # truncation-defect check: the recurrence must keep holding on every
     # available index window beyond the fitted degree
     worst = 0.0
-    for x, moms in samples:
-        for i in range(p):
-            avals = minimal.coefficient_values(i, x)
-            a, rhs = _slot_rows(moms, i, degrees[i], p, t.max_order)
-            if a.size:
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(a @ np.asarray(avals) - rhs))) / scale,
-                )
+    for i in range(p):
+        lhs, rhs = _slot_rows(cols, i, degrees[i], p, t.max_order)
+        if rhs.size:
+            defect = np.einsum("krj,kj->kr", moments[:, lhs], acoef[i][:, 1:]) + moments[:, rhs]
+            worst = max(worst, float(np.max(np.abs(defect))) / scale)
     if worst > max(10 * tol, 1e-6):
         raise InconsistentTraces(
             f"recurrence defect {worst:.3e} beyond tolerance; traces are not "
@@ -335,32 +326,21 @@ def reconstruct_numerator(t: TraceTable, minimal: MinimalPolySet, tol=TOL_FIT,
             defect=worst,
         )
 
-    windows = [range(d) for d in degrees]
-    xs = [s[0] for s in samples]
-    coeff_samples = {K: [] for K in iproduct(*windows)}
-    for x, moms in samples:
-        acoef = []
-        for i in range(p):
-            avals = [1.0 + 0j] + list(minimal.coefficient_values(i, x))
-            acoef.append(avals)
-        for K in iproduct(*windows):
-            total = 0j
-            for J in iproduct(*[range(k + 1) for k in K]):
-                prod_a = 1.0 + 0j
-                for i in range(p):
-                    prod_a *= acoef[i][J[i]]
-                midx = tuple(K[i] - J[i] for i in range(p))
-                total += prod_a * (sign * moms[midx])
-            coeff_samples[K].append(total)
+    coeff_samples = {}
+    for K in iproduct(*[range(d) for d in degrees]):
+        total = 0j
+        for J in iproduct(*[range(k + 1) for k in K]):
+            prod_a = np.prod([acoef[i][:, J[i]] for i in range(p)], axis=0)
+            midx = tuple(K[i] - J[i] for i in range(p))
+            total = total + prod_a * (sign * moments[:, cols[midx]])
+        coeff_samples[K] = total
 
     x_var = minimal.base_var
     y_vars = minimal.y_vars
     allv = (x_var,) + tuple(y_vars)
-    num = MultiPoly.zero(allv)
+    terms = {}
     fit_res = 0.0
-    num_scale = max(
-        (abs(v) for vals in coeff_samples.values() for v in vals), default=1.0
-    )
+    num_scale = float(np.max(np.abs(list(coeff_samples.values()))))
     for K, vals in coeff_samples.items():
         poly, res = _fit_coefficient(
             xs, vals, coeff_deg_bound, tol, scale=max(1.0, num_scale)
@@ -368,8 +348,8 @@ def reconstruct_numerator(t: TraceTable, minimal: MinimalPolySet, tol=TOL_FIT,
         fit_res = max(fit_res, res)
         for e, c in enumerate(poly.coeffs):
             if c != 0:
-                exps = (e,) + tuple(degrees[i] - 1 - K[i] for i in range(p))
-                num = num + MultiPoly(allv, {exps: c})
+                terms[(e,) + tuple(degrees[i] - 1 - K[i] for i in range(p))] = c
+    num = MultiPoly(allv, terms)
 
     diags = dict(minimal.diagnostics)
     diags["truncation_defect"] = worst

@@ -24,6 +24,7 @@ from .errors import (
     AbelTraceError,
     ClusterPoint,
     DegreeDrop,
+    NonConvergence,
     PerturbationFailure,
     PoleDetected,
     TooFewCleanSamples,
@@ -47,7 +48,8 @@ CLUSTER_LEVELS = 5
 # trace_table refuses a plan with fewer usable samples than this share
 MIN_CLEAN_FRACTION = 0.5
 
-CLEAN, CLUSTER, POLE, DROPPED = "clean", "cluster", "pole", "degree-drop"
+CLEAN, CLUSTER, POLE, DROPPED, UNCONVERGED = (
+    "clean", "cluster", "pole", "degree-drop", "unconverged")
 
 
 def moment_sign(n, p):
@@ -326,7 +328,8 @@ class ListPlan:
 class TraceTable:
     """Trace values u_I sampled over a domain, all indices sharing one set
     of sample charts. Entries are dense arrays aligned with the charts;
-    contaminated samples (poles, degree drops) hold NaN and are flagged.
+    contaminated samples (poles, degree drops, unconverged solves) hold
+    NaN and are flagged.
 
     The table keeps its source data, so values at off-plan charts can be
     computed on demand (with caching); fitted polydisc models may be
@@ -455,17 +458,17 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
     """Evaluate every plan chart once and read off the listed indices.
 
     Each chart is solved against the ``baseline`` fiber degree; samples
-    that drop degree or meet the weight's pole divisor are flagged and
-    hold NaN. The per-sample term scale is the largest residue term any
-    listed index summed there. Charts that ``solve_family`` certifies are
-    read off its stacked points; every other chart goes through
-    ``evaluate_chart``. Returns a ``cls`` table whose max_order is the
-    largest per-slot entry of ``indices``.
+    that drop degree, meet the weight's pole divisor or whose root finding
+    or polish does not converge are flagged and hold NaN. The per-sample
+    term scale is the largest residue term any listed index summed there.
+    Charts that ``solve_family`` certifies are read off its stacked points;
+    every other chart goes through ``evaluate_chart``. Returns a ``cls``
+    table whose max_order is the largest per-slot entry of ``indices``.
     """
     offsets = plan.offsets(domain)
     charts = [domain.chart_at(off) for off in offsets]
     m = len(offsets)
-    entries = {idx: np.full(m, np.nan, dtype=complex) for idx in indices}
+    entries = {idx: np.full(m, complex(np.nan, np.nan)) for idx in indices}
     term_scales = np.zeros(m)
     flags = [None] * m
     # p = 1 plans stay per chart: the traced benchmark needs a p = 1 table
@@ -485,15 +488,16 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
             ev = evaluate_chart(data, chart, tol, expected_degree=baseline)
         except PoleDetected:
             flags[s] = POLE
-            continue
         except DegreeDrop:
             flags[s] = DROPPED
-            continue
-        flags[s] = CLUSTER if ev.clustered else CLEAN
-        for idx in indices:
-            val, scale = ev.value(idx)
-            entries[idx][s] = val
-            term_scales[s] = max(term_scales[s], scale)
+        except NonConvergence:
+            flags[s] = UNCONVERGED
+        else:
+            flags[s] = CLUSTER if ev.clustered else CLEAN
+            for idx in indices:
+                val, scale = ev.value(idx)
+                entries[idx][s] = val
+                term_scales[s] = max(term_scales[s], scale)
     max_order = max(max(idx) for idx in indices)
     return cls(
         data, domain, offsets, entries, term_scales, flags,

@@ -1,12 +1,16 @@
 """JSON encoding/decoding for every on-disk schema.
 
-Complex numbers are [re, im] pairs of IEEE-754 doubles; dumping uses
-sorted keys and Python's shortest round-trip float repr, so identical
-objects serialize to byte-identical UTF-8 JSON with LF line endings.
+Complex numbers are [re, im] pairs of IEEE-754 doubles. Every encoder
+returns JSON-safe values: a NaN trace entry is null and an infinite float
+the string "inf" or "-inf". ``dumps`` writes compact JSON (sorted keys,
+no whitespace, Python's shortest round-trip float repr, one trailing LF)
+through CPython's C encoder, so identical objects serialize to
+byte-identical UTF-8; ``python -m json.tool`` pretty-prints an artifact.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -19,9 +23,15 @@ from .reconstruct import MinimalPolySet, ReconstructedData
 from .residues import TraceTable
 
 
+def _f(x):
+    """A float as JSON: non-finite values as the strings float() reads."""
+    x = float(x)
+    return x if math.isfinite(x) else str(x)
+
+
 def _c(z):
     z = complex(z)
-    return [float(z.real), float(z.imag)]
+    return [_f(z.real), _f(z.imag)]
 
 
 def _uc(pair):
@@ -111,21 +121,17 @@ def _parse_index(key):
 
 
 def _encode_values(arr):
-    out = []
-    for z in np.asarray(arr):
-        z = complex(z)
-        if math.isnan(z.real) or math.isnan(z.imag):
-            out.append(None)
-        else:
-            out.append(_c(z))
-    return out
+    """[re, im] pairs of a complex array; null for an entry with a NaN part."""
+    arr = np.asarray(arr, dtype=complex)
+    if np.isfinite(arr).all():
+        return np.stack((arr.real, arr.imag), axis=-1).tolist()
+    return [None if cmath.isnan(z) else _c(z) for z in arr.tolist()]
 
 
 def _decode_values(items):
-    out = []
-    for it in items:
-        out.append(complex(np.nan, np.nan) if it is None else _uc(it))
-    return np.asarray(out, dtype=complex)
+    """The complex array of _encode_values' pairs; null is complex(nan, nan)."""
+    pairs = [(np.nan, np.nan) if it is None else it for it in items]
+    return np.array(pairs, dtype=float).reshape(len(items), 2).view(complex)[:, 0]
 
 
 def encode_offsets(offsets):
@@ -147,7 +153,7 @@ def encode_trace_table(t: TraceTable):
         "entries": {
             _index_key(idx): _encode_values(vals) for idx, vals in t.entries.items()
         },
-        "term_scales": [float(s) for s in t.term_scales],
+        "term_scales": [_f(s) for s in t.term_scales.tolist()],
         "flags": list(t.flags),
     }
 
@@ -176,7 +182,7 @@ def encode_radon(rt: RadonTransform):
         "coefficients": {
             _index_key(lb): _encode_values(vals) for lb, vals in rt.coeffs.items()
         },
-        "term_scales": [float(s) for s in rt.term_scales],
+        "term_scales": [_f(s) for s in rt.term_scales.tolist()],
         "flags": list(rt.flags),
     }
 
@@ -218,7 +224,7 @@ def encode_reconstruction(rec: ReconstructedData):
             [encode_unipoly(c) for c in per_var] for per_var in m.coeffs
         ],
         "numerator": encode_multipoly(rec.numerator),
-        "diagnostics": _plain(rec.diagnostics),
+        "diagnostics": plain(rec.diagnostics),
     }
 
 
@@ -255,24 +261,25 @@ def decode_affine_map(obj):
     return AffineMap(m, v)
 
 
-def _plain(obj):
-    """Best-effort conversion of diagnostics to JSON-safe values."""
+def plain(obj):
+    """JSON-safe copy of a small tree (diagnostics, reports, provenance):
+    complex as [re, im], numpy scalars as Python ones, floats by _f."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return _c(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
+    return _f(obj) if isinstance(obj, float) else obj
 
 
 def dumps(obj):
-    """Deterministic JSON text: sorted keys, LF endings, UTF-8."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Compact deterministic JSON text of JSON-safe values (a NaN or an
+    infinity raises ValueError): sorted keys, no whitespace, one LF."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def load_json(path):

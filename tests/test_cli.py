@@ -8,9 +8,24 @@ from abeltrace.cli import main
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
 from abeltrace.radon import AffineMap, radon_coefficients
-from abeltrace.residues import GridPlan, TorusPlan, trace_table
+from abeltrace.residues import GridPlan, TorusPlan, TraceTable, trace_table
 
 V2 = ("x", "y")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture(autouse=True)
+def artifacts_are_strict_json(tmp_path):
+    """Every JSON file a test leaves in its tmp_path parses strictly."""
+    yield
+    for path in sorted(tmp_path.rglob("*.json")):
+        strict_loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -108,6 +123,33 @@ class TestSerialization:
         back = ser.decode_affine_map(ser.encode_affine_map(mu))
         assert np.allclose(back.matrix, mu.matrix)
         assert np.allclose(back.offset, mu.offset)
+
+    def test_trace_table_bitwise_round_trip(self):
+        # every flag, NaN entries at the flagged samples, signed zeros,
+        # subnormal, huge and infinite values
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        dom = DomainSpec(PlaneChart.vertical([3.0]), {"b1": 0.5})
+        flags = ("clean", "cluster", "pole", "degree-drop", "unconverged", "clean")
+        rng = np.random.default_rng(3)
+        entries = {}
+        for idx in [(0,), (1,), (2,)]:
+            vals = (rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
+                    + 1j * rng.standard_normal(6))
+            vals[2:5] = complex(np.nan, np.nan)
+            entries[idx] = vals
+        entries[(0,)][0] = complex(-0.0, 5e-324)
+        entries[(1,)][5] = complex(np.inf, -np.inf)
+        t = TraceTable(data, dom, [{"b1": 0.1 * s} for s in range(6)], entries,
+                       np.array([1.0, 2.5, 0.0, 0.0, 0.0, np.inf]), flags, 2, 2)
+        text = ser.dumps(ser.encode_trace_table(t))
+        back = ser.decode_trace_table(strict_loads(text))
+        assert back.flags == flags
+        assert back.offsets == t.offsets
+        assert back.term_scales.tobytes() == t.term_scales.tobytes()
+        for idx, vals in entries.items():
+            assert back.entries[idx].tobytes() == vals.tobytes()
+        assert ser.dumps(ser.encode_trace_table(back)) == text
 
     def test_dumps_deterministic(self):
         obj = {"b": [1.0, 2.0], "a": {"z": 0.1}}

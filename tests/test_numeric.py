@@ -117,6 +117,24 @@ class TestPolyRoots:
         assert mult == 3
         assert abs(root - r) < 1e-4 * abs(r)
 
+    def test_merged_centre_is_accurate(self):
+        # the mean of that triple root's iterates is 7.4e-6 |r| off; the
+        # root of p'' next to it is exact up to rounding
+        r = 3.4558 + 8.2162j
+        (root, mult), = poly_roots(UniPoly.from_roots([r, r, r]))
+        assert mult == 3
+        assert abs(root - r) <= 1e-12 * abs(r)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("r", [0.36, 8.9, 40.6, -0.7j, 3.4558 + 8.2162j])
+    def test_high_multiplicity_merges(self, m, r):
+        # the iterates of an m-fold root spread about 1e-16^(1/m) |r|
+        # (1.5e-4 |r| at m = 4) and their centred coefficients are far
+        # above tol: the merge must judge the polynomial, not the iterates
+        got = poly_roots(UniPoly.from_roots([r] * m))
+        assert [mult for _, mult in got] == [m]
+        assert abs(got[0][0] - r) <= 1e-12 * abs(r)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 4), st.floats(0.2, 2.0), st.floats(-3.0, 3.0),
                               st.floats(-3.0, 3.0), st.floats(0.0, 1.0)),

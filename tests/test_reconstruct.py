@@ -1,5 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abeltrace import serialize as ser
 
 from abeltrace.errors import (
     DegreeUndetectable,
@@ -12,12 +18,14 @@ from abeltrace.numeric import UniPoly
 from abeltrace.reconstruct import (
     MinimalPolySet,
     ReconstructedData,
+    _fit_slot,
+    _slot_rows,
     fit_minimal_polys,
     reconstruct_global,
     reconstruct_numerator,
     verify_traces_match,
 )
-from abeltrace.residues import ListPlan, TorusPlan, trace_table
+from abeltrace.residues import ListPlan, TorusPlan, TraceTable, trace_table
 
 V2 = ("x", "y")
 V3 = ("x", "y1", "y2")
@@ -348,3 +356,62 @@ def test_reconstructed_data_to_residue_data():
     dom = DomainSpec(PlaneChart.vertical([0.4]), {})
     rep = verify_traces_match(data, back, dom, 6, 1e-8, plan=ListPlan(({},)))
     assert rep.passed
+
+
+def synthetic_table(xs, moments, x0=0.4):
+    """A p = 1 table over vertical charts at base values ``xs`` holding the
+    given moment columns {index: values over xs}."""
+    f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
+    data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+    dom = DomainSpec(PlaneChart.vertical([x0]), {"b1": 1.0})
+    offsets = [{"b1": complex(x) - x0} for x in xs]
+    return TraceTable(data, dom, offsets, {idx: np.asarray(v, dtype=complex)
+                                           for idx, v in moments.items()},
+                      np.ones(len(xs)), ("clean",) * len(xs), max(max(moments)), 2)
+
+
+class TestStackedSlotFit:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 2), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_matches_lstsq_per_sample(self, p, k, seed):
+        # product-form moments m_I = sum_r w_r prod_i y_ir^I_i per sample,
+        # with one sample zeroed (rank 0: condition inf on both sides)
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(1, 4, size=p)
+        max_order = 2 * int(degrees.max()) + 1
+        cols = {idx: j for j, idx in enumerate(np.ndindex(*(max_order + 1,) * p))}
+        exps = np.array(list(cols))
+        moments = np.zeros((k, len(cols)), dtype=complex)
+        for s in range(k):
+            roots = [separated_roots(rng, d) for d in degrees]
+            for pick in np.ndindex(*degrees):
+                w = complex(*rng.standard_normal(2))
+                y = np.array([roots[i][pick[i]] for i in range(p)])
+                moments[s] += w * np.prod(y ** exps, axis=1)
+        moments[rng.integers(k)] = 0
+        scale = float(np.abs(moments).max())
+        for i in range(p):
+            for d in range(1, int(degrees[i]) + 1):
+                rows = _slot_rows(cols, i, d, p, max_order)
+                sol, resid, cond = _fit_slot(moments, rows, scale)
+                for s in range(k):
+                    a, rhs = moments[s][rows[0]], -moments[s][rows[1]]
+                    want, _, _, sv = np.linalg.lstsq(a, rhs, rcond=None)
+                    assert np.max(np.abs(sol[s] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+                    assert abs(resid[s] - np.max(np.abs(a @ want - rhs)) / scale) <= 1e-12
+                    want_cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+                    assert cond[s] == want_cond or abs(cond[s] - want_cond) <= 1e-12 * want_cond
+
+    def test_singular_sample_condition_reaches_diagnostics(self):
+        # y = r(x) with r and the weight w vanishing at x = 0.6: every
+        # moment w r^k is zero there, so that sample's recurrence matrix is
+        # zero and its condition number infinite
+        xs = np.array([0.0, 0.3, 0.6, 0.9, 1.2]) + 0.1j
+        r, w = 0.5 * (xs - xs[2]), (1.0 - 2.0j) * (xs - xs[2])
+        t = synthetic_table(xs, {(j,): w * r**j for j in range(4)})
+        minimal = fit_minimal_polys(t, 1, cond_cap=np.inf)
+        assert minimal.diagnostics["slot0"]["condition"] == np.inf
+        rec = reconstruct_numerator(t, minimal)
+        assert rec.minimal.coefficient_values(0, 1.0)[0] == pytest.approx(-0.5 * (1.0 - xs[2]))
+        text = ser.dumps(ser.encode_reconstruction(rec))
+        assert json.loads(text)["diagnostics"]["slot0"]["condition"] == "inf"

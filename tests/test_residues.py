@@ -9,6 +9,7 @@ from abeltrace import residues
 from abeltrace.errors import (
     ClusterPoint,
     DegreeDrop,
+    NonConvergence,
     PoleDetected,
     TooFewCleanSamples,
 )
@@ -25,6 +26,8 @@ from abeltrace.geometry import (
 )
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import UniPoly
+from abeltrace.radon import radon_coefficients, verify_holomorphy
+from abeltrace.reconstruct import verify_traces_match
 from abeltrace.residues import (
     GridPlan,
     ListPlan,
@@ -356,6 +359,36 @@ class TestTraceTable:
         t = trace_table(ResidueData(v, MultiPoly.constant(1.0, V3)), dom, 1,
                         ListPlan(({"b1": 0.0}, {"b1": -0.5 + 1e-9}, {"b1": 0.3})))
         assert t.flags == ("clean", "degree-drop", "clean")
+
+    def test_unconverged_chart_flagged(self):
+        # the seed-0 system of TestSolveBivariate::test_far_polished_point_raises
+        # unscaled (scaled by 1000, none of the charts tried solves
+        # cleanly): charts near that test's chart are clean, and the same
+        # chart with b1 scaled by 1e7 puts the fiber near |y| ~ 200, where
+        # the polish fails
+        rng = np.random.default_rng(0)
+        defs = []
+        for _ in range(2):
+            t = {(0, i, j): complex(*rng.standard_normal(2))
+                 for i in range(4) for j in range(4 - i)}
+            t[(1, 0, 0)] = 1.0
+            defs.append(MultiPoly(V3, t))
+        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs, degree=9),
+                           MultiPoly.constant(1.0, V3))
+        dom = DomainSpec(PlaneChart([[0.3 + 0.1j, -0.2 + 0.4j]], [0.7 - 0.2j]), {"b1": 0.5})
+        far = {"b1": (0.7 - 0.2j) * (1e7 - 1)}
+        with pytest.raises(NonConvergence):
+            evaluate_chart(data, dom.chart_at(far))
+        plan = ListPlan(({"b1": 0.0}, far, {"b1": 0.3}, {"b1": 0.3j}))
+        t = trace_table(data, dom, 2, plan)
+        assert t.flags == ("clean", "unconverged", "clean", "clean")
+        assert t.clean_mask().tolist() == [True, False, True, True]
+        for vals in t.entries.values():
+            assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2, 3]]))
+        rt = radon_coefficients(data, dom, plan)
+        assert rt.flags == t.flags
+        assert all(not poles for poles in verify_holomorphy(rt, 1e-6).pole_samples.values())
+        assert verify_traces_match(data, data, dom, 2, 1e-8, plan=plan).samples == 3
 
     def test_too_few_clean_samples(self):
         weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
