@@ -177,7 +177,7 @@ def _run_extend(job):
     t = ser.decode_trace_table(_load_artifact(job.inputs["traces"]))
     big = ser.decode_domain(ser.load_json(job.inputs["domain"]))
     ext = propagate_trace_extension(
-        t, lambda chart: trace(t.data, chart, (0,) * t.p, tol=t.tol),
+        t, lambda charts: trace(t.data, charts, (0,) * t.p, tol=t.tol),
         big, job.params["order"],
     )
     _emit(job, {"result": ser.encode_trace_table(ext)}, [

@@ -426,15 +426,6 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
 # trace extension along the closedness relations
 # ---------------------------------------------------------------------------
 
-def _torus_grid(f, pts):
-    """Values of ``f`` at the points of a torus_nodes grid, one array axis
-    per parameter."""
-    grid = np.empty(pts.shape[:-1], dtype=complex)
-    for idx in np.ndindex(*grid.shape):
-        grid[idx] = f(pts[idx])
-    return grid
-
-
 def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
                               order, fft_nodes=32):
     """Extend the trace ladder u_(k,0,..) from a polydisc P to an enlarged
@@ -449,9 +440,14 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     represented as Taylor models fitted on the distinguished boundary of
     P'; base values on P come from the input table.
 
-    ``u0_ext`` takes a PlaneChart and returns the extended order-0 trace.
-    Returns a TraceTable on P' carrying sampled values and the fitted
-    models (use ``model_value`` to evaluate them off-grid).
+    ``u0_ext`` takes a list of PlaneCharts and returns their extended
+    order-0 traces in order, for example ``lambda charts: trace(data,
+    charts, 0)``. It is called twice: once on the whole torus grid and
+    once on the four validation probes. The base slices of every level
+    share one set of charts, solved as one family through
+    ``TraceTable._prefetch``. Returns a TraceTable on P' carrying sampled
+    values and the fitted models (use ``model_value`` to evaluate them
+    off-grid).
 
     Raises PathCrossesPole when the extension evaluator blows up on P'
     (the extension is meromorphic there) and InsufficientMargin when the
@@ -483,33 +479,27 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     radii = [float(big_domain.radii[nm]) for nm in names]
     b_star = center[ib]
 
-    def chart_of(point):
-        off = {nm: complex(point[i]) - center[i] for i, nm in enumerate(names)}
-        return big_domain.chart_at(off)
+    def charts_at(points):
+        # the charts at the rows of ``points``, parameters in ``names`` order
+        return [big_domain.chart_at(off) for off in points.reshape(-1, len(names)) - center]
 
-    pts = torus_nodes(center, radii, fft_nodes)
-    try:
-        grid0 = _torus_grid(lambda point: u0_ext(chart_of(point)), pts)
-    except (PoleDetected, DegreeDrop) as exc:
-        raise PathCrossesPole(
-            f"order-0 extension blows up on the enlarged polydisc: {exc}"
-        ) from exc
-    model0 = polydisc_fit_grid(grid0, center, radii)
-    # a pole strictly inside the polydisc spoils Taylor convergence even
-    # when no sample lands on the divisor; validate off-grid
-    verr = 0.0
-    for tprobe in range(4):
-        w = np.exp(1j * (0.53 + 1.31 * tprobe))
-        point = [
-            center[ax] + 0.62 * radii[ax] * w * np.exp(0.29j * (ax + 1))
-            for ax in range(len(names))
-        ]
+    def u0_values(points):
         try:
-            verr = max(verr, abs(model0(point) - u0_ext(chart_of(point))))
+            return np.asarray(u0_ext(charts_at(points)), dtype=complex)
         except (PoleDetected, DegreeDrop) as exc:
             raise PathCrossesPole(
                 f"order-0 extension blows up on the enlarged polydisc: {exc}"
             ) from exc
+
+    pts = torus_nodes(center, radii, fft_nodes)
+    grid0 = u0_values(pts).reshape(pts.shape[:-1])
+    model0 = polydisc_fit_grid(grid0, center, radii)
+    # a pole strictly inside the polydisc spoils Taylor convergence even
+    # when no sample lands on the divisor; validate off-grid
+    probes = np.array([[center[ax] + 0.62 * radii[ax] * w * np.exp(0.29j * (ax + 1))
+                        for ax in range(len(names))]
+                       for w in [np.exp(1j * (0.53 + 1.31 * tprobe)) for tprobe in range(4)]])
+    verr = max(0.0, *(abs(model0(point) - u0) for point, u0 in zip(probes, u0_values(probes))))
     vscale = max(1.0, float(np.max(np.abs(grid0))))
     if verr > 1e-6 * vscale:
         raise PathCrossesPole(
@@ -526,20 +516,21 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     a_center = [center[i] for i in a_axes]
     a_radii = [radii[i] for i in a_axes]
 
+    # the base slices u_new(a, b*) of every level come from the input
+    # table (inside P) at the same charts
+    a_pts = torus_nodes(a_center, a_radii, fft_nodes)
+    base_pts = np.empty(a_pts.shape[:-1] + (len(names),), dtype=complex)
+    base_pts[..., a_axes] = a_pts
+    base_pts[..., ib] = b_star
+    base_charts = charts_at(base_pts)
+    t._prefetch(base_charts)
+
     prev_idx = (0,) * p
     for k in range(1, order + 1):
         new_idx = (k,) + (0,) * (p - 1)
-
-        # base values u_new(a, b*) from the input table (inside P)
-        def base_eval(a_point):
-            point = [0j] * len(names)
-            for pos, ax in enumerate(a_axes):
-                point[ax] = a_point[pos]
-            point[ib] = b_star
-            return t.value(new_idx, chart_of(point))
-
         try:
-            base_grid = _torus_grid(base_eval, torus_nodes(a_center, a_radii, fft_nodes))
+            base_grid = np.reshape([t.value(new_idx, ch) for ch in base_charts],
+                                   a_pts.shape[:-1])
         except (PoleDetected, DegreeDrop) as exc:
             raise PathCrossesPole(
                 f"base slice for level {k} is contaminated: {exc}"

@@ -239,13 +239,27 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
     return total
 
 
-def trace(data: ResidueData, chart: PlaneChart, index, tol=TOL_ARITH,
+def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
           expected_degree=None):
     """Trace of the data against y^index over one chart: the sum of
-    punctual (or cluster-summed) residues over the fiber."""
+    punctual (or cluster-summed) residues over the fiber.
+
+    ``chart`` may also be a list of charts; the result is then an array of
+    their traces, in order. The list is solved as one family at
+    ``expected_degree`` (``data.variety.degree`` when None), and every
+    chart the family declines goes through ``evaluate_chart``, so it
+    raises or merges its clusters as a single chart does."""
     index = _normalize_index(index, data.variety.p)
-    ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree)
-    return ev.value(index)[0]
+    if isinstance(chart, PlaneChart):
+        return evaluate_chart(data, chart, tol, expected_degree=expected_degree).value(index)[0]
+    charts = list(chart)
+    degree = data.variety.degree if expected_degree is None else expected_degree
+    evs = _family_evaluations(data, charts, degree, tol)
+    return np.array([
+        (evs[s] if s in evs else evaluate_chart(data, ch, tol, expected_degree=expected_degree))
+        .value(index)[0]
+        for s, ch in enumerate(charts)
+    ], dtype=complex)
 
 
 def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
@@ -370,13 +384,10 @@ class TraceTable:
         return np.array([f in (CLEAN, CLUSTER) for f in self.flags])
 
     def scale(self):
-        best = 0.0
-        mask = self.clean_mask()
-        for vals in self.entries.values():
-            v = np.abs(np.asarray(vals)[mask])
-            if v.size:
-                best = max(best, float(np.nanmax(v)))
-        return best
+        """Largest |entry| over the clean samples of every index (0 when
+        there is none); NaN entries are skipped."""
+        vals = np.abs(np.reshape(list(self.entries.values()), (len(self.entries), len(self.flags))))
+        return float(np.max(vals, initial=0.0, where=self.clean_mask() & ~np.isnan(vals)))
 
     def term_scale(self):
         mask = self.clean_mask()
@@ -401,16 +412,9 @@ class TraceTable:
         pole divisor; ``value`` evaluates the others one by one."""
         todo = {ch.to_params().tobytes(): ch for ch in charts}
         todo = {key: ch for key, ch in todo.items() if key not in self._cache}
-        family = solve_family(self.data.variety, list(todo.values()), self.baseline_degree,
-                              self.tol)
-        if family is None:
-            return
-        index, coords, jac = family
-        clear, weights = _family_weights(self.data, coords, jac)
         keys = list(todo)
-        for s, points, ws in zip(index[clear], coords[clear], weights):
-            terms = list(zip(map(tuple, points.tolist()), ws.tolist()))
-            self._cache[keys[s]] = ChartEvaluation(self.data, todo[keys[s]], terms, False)
+        evs = _family_evaluations(self.data, list(todo.values()), self.baseline_degree, self.tol)
+        self._cache.update((keys[s], ev) for s, ev in evs.items())
 
     def model_value(self, index, chart):
         index = _normalize_index(index, self.p)
@@ -440,6 +444,20 @@ def _family_weights(data, coords, jac):
     return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 
+def _family_evaluations(data, charts, degree, tol):
+    """Solve the charts as one family at fiber degree ``degree``: {position:
+    ChartEvaluation} for every chart the family certifies with no point on
+    the weight's pole divisor."""
+    family = solve_family(data.variety, charts, degree, tol)
+    if family is None:
+        return {}
+    index, coords, jac = family
+    clear, weights = _family_weights(data, coords, jac)
+    return {s: ChartEvaluation(data, charts[s], list(zip(map(tuple, points.tolist()), ws.tolist())),
+                               False)
+            for s, points, ws in zip(index[clear].tolist(), coords[clear], weights)}
+
+
 def _family_traces(data, index, coords, jac, indices):
     """Traces at the charts a family solve certified (positions ``index``,
     points ``coords``, Jacobians ``jac``) that have no point on the
@@ -458,8 +476,9 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
     """Evaluate every plan chart once and read off the listed indices.
 
     Each chart is solved against the ``baseline`` fiber degree; samples
-    that drop degree, meet the weight's pole divisor or whose root finding
-    or polish does not converge are flagged and hold NaN. The per-sample
+    that drop degree, meet the weight's pole divisor, whose root finding
+    or polish does not converge or whose cluster stays degenerate under
+    perturbation are flagged and hold NaN. The per-sample
     term scale is the largest residue term any listed index summed there.
     Charts that ``solve_family`` certifies are read off its stacked points;
     every other chart goes through ``evaluate_chart``. Returns a ``cls``
@@ -490,7 +509,7 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
             flags[s] = POLE
         except DegreeDrop:
             flags[s] = DROPPED
-        except NonConvergence:
+        except (NonConvergence, PerturbationFailure):
             flags[s] = UNCONVERGED
         else:
             flags[s] = CLUSTER if ev.clustered else CLEAN

@@ -387,6 +387,25 @@ class TestPropagation:
             for k in range(5):
                 assert abs(ext.model_value((k,), ch) - trace(data, ch, k)) < 1e-6
 
+    def test_u0_ext_called_twice_and_base_slices_use_the_family(self, monkeypatch):
+        # u0_ext once on the whole torus grid, once on the four probes;
+        # the base slices are solved as one family, with no per-chart call
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 3, TorusPlan(6))
+        calls, lists = [], []
+        real = residues.evaluate_chart
+        monkeypatch.setattr(residues, "evaluate_chart",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        ext = propagate_trace_extension(
+            t, lambda charts: lists.append(len(charts)) or trace(data, charts, 0),
+            big, order=3, fft_nodes=16,
+        )
+        assert lists == [16 * 16, 4]
+        assert calls == []
+        ch = big.chart_at({"a1.1": 0.1j, "b1": -1.2})
+        assert abs(ext.model_value((3,), ch) - trace(data, ch, 3)) < 1e-6
+
     def test_restriction_reproduces_input(self):
         data = parabola_data()
         small, big = self._domains()

@@ -10,6 +10,7 @@ from abeltrace.errors import (
     ClusterPoint,
     DegreeDrop,
     NonConvergence,
+    PerturbationFailure,
     PoleDetected,
     TooFewCleanSamples,
 )
@@ -175,6 +176,70 @@ class TestTrace:
             u1 = trace(d1, chart, k)
             u2 = trace(d2, chart, k)
             assert abs(u1 - u2) <= 1e-9 * max(1.0, abs(u1))
+
+
+class TestTraceList:
+    """``trace`` on a list of charts: one family solve, every declined
+    chart through ``evaluate_chart``."""
+
+    @staticmethod
+    def _case(kind):
+        if kind == "parabola":
+            data = parabola_data(MultiPoly(V2, {(0, 0): 1.0, (0, 1): 0.3 - 0.2j}))
+            center, indices = PlaneChart([[0.1 + 0.05j]], [3.0 + 0.2j]), [0, 1, 2, 3]
+        elif kind == "cubic":
+            f = MultiPoly(V2, {(0, 3): 1.0, (0, 1): 0.2j, (1, 0): -1.1, (0, 0): -0.3})
+            data = ResidueData(VarietySpec(("x",), ("y",), [f]),
+                               MultiPoly(V2, {(0, 0): 1.2, (0, 1): -0.25}))
+            center, indices = PlaneChart([[0.05 - 0.1j]], [3.0 - 0.1j]), [0, 1, 2, 4]
+        else:
+            # the triangular family of test_propagation_ladder_p2
+            f1 = MultiPoly(V3, {(0, 2, 0): 1.0, (1, 0, 0): -1.0})
+            f2 = MultiPoly(V3, {(0, 0, 1): 1.0, (0, 1, 0): -1.0, (0, 0, 0): -1.0})
+            data = ResidueData(VarietySpec(("x",), ("y1", "y2"), [f1, f2]),
+                               MultiPoly.constant(1.0, V3))
+            center, indices = PlaneChart([[0.1, 0.05]], [2.0 + 0.2j]), [(0, 0), (1, 0), (2, 1)]
+        domain = DomainSpec(center, {"a1.1": 0.2, "b1": 1.0})
+        return data, [domain.chart_at(off) for off in TorusPlan(8).offsets(domain)], indices
+
+    @pytest.mark.parametrize("kind", ["parabola", "cubic", "p2_triangular"])
+    def test_matches_per_chart_trace(self, kind, monkeypatch):
+        data, charts, indices = self._case(kind)
+        want = np.array([[trace(data, ch, idx) for ch in charts] for idx in indices])
+        calls = []
+        real = residues.evaluate_chart
+        monkeypatch.setattr(residues, "evaluate_chart",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        got = np.array([trace(data, charts, idx) for idx in indices])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # every chart of these families is certified by the family solve
+        assert calls == []
+
+    def test_cluster_chart_gets_its_per_chart_value(self):
+        data = parabola_data()
+        charts = [PlaneChart([[0.0]], [b]) for b in (1.0, 0.0, 2.0 - 0.5j)]
+        for k in range(4):
+            got = trace(data, charts, k)
+            # b = 0 is the parabola's double point: merged, then extrapolated
+            assert got[1] == trace(data, charts[1], k)
+            for s in (0, 2):
+                assert abs(got[s] - trace(data, charts[s], k)) <= 1e-13 * max(1.0, abs(got[s]))
+        assert trace(data, charts, 1)[1] == pytest.approx(-1.0, abs=1e-9)
+
+    def test_pole_chart_raises(self):
+        weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
+        f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(2.0, V2),
+                           weight=weight)
+        # the chart through (2, 3), on the weight's pole divisor x = 2
+        charts = [PlaneChart([[0.2]], [b]) for b in (1.0, 2.0 - 0.6, 1.7)]
+        trace(data, [charts[0], charts[2]], 0)
+        with pytest.raises(PoleDetected):
+            trace(data, charts, 0)
+
+    def test_empty_list(self):
+        assert trace(parabola_data(), [], 1).shape == (0,)
 
 
 class TestJacobiVanishing:
@@ -389,6 +454,44 @@ class TestTraceTable:
         assert rt.flags == t.flags
         assert all(not poles for poles in verify_holomorphy(rt, 1e-6).pole_samples.values())
         assert verify_traces_match(data, data, dom, 2, 1e-8, plan=plan).samples == 3
+
+    def test_degenerate_cluster_chart_flagged(self):
+        # the far-scaled seed-0 system of
+        # TestSolveBivariate::test_far_polished_point_raises: at this
+        # chart a cluster stays degenerate under every perturbation tried
+        # (PerturbationFailure), and the nearby chart fails its polish
+        rng = np.random.default_rng(0)
+        defs = []
+        for _ in range(2):
+            t = {(0, i, j): complex(*rng.standard_normal(2)) / 1e3 ** (i + j)
+                 for i in range(4) for j in range(4 - i)}
+            t[(1, 0, 0)] = 1.0
+            defs.append(MultiPoly(V3, t))
+        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs, degree=9),
+                           MultiPoly.constant(1.0, V3))
+        dom = DomainSpec(PlaneChart([[0.002 - 0.01j, 0.0003 + 0.0004j]], [-2.0]), {"b1": 0.5})
+        with pytest.raises(PerturbationFailure):
+            evaluate_chart(data, dom.chart)
+        t = residues._sample_charts(data, dom, ListPlan(({"b1": 0.0}, {"b1": 0.1})),
+                                    [(0, 0), (1, 0), (0, 1)], 9, residues.TOL_ARITH)
+        assert t.flags == ("unconverged", "unconverged")
+        assert all(np.isnan(vals).all() for vals in t.entries.values())
+        # an all-flagged table has scale 0, with no all-NaN warning
+        assert t.scale() == 0.0
+
+    def test_scale_is_largest_clean_entry(self):
+        # a pole sample (NaN), a clean one with a NaN entry, and clean
+        # samples: the per-index masked nanmax, bit for bit
+        data = parabola_data()
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 1.0})
+        t = trace_table(data, dom, 3, GridPlan({"b1": 5}))
+        t.entries[(3,)][1] = complex(np.nan, np.nan)
+        t.entries[(1,)][4] = 1e3
+        t.flags = ("clean", "clean", "pole", "clean", "clean")
+        t.entries[(2,)][2] = 1e6
+        mask = t.clean_mask()
+        want = max(float(np.nanmax(np.abs(np.asarray(v)[mask]))) for v in t.entries.values())
+        assert t.scale() == want == 1e3
 
     def test_too_few_clean_samples(self):
         weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
