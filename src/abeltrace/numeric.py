@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EvaluationError,
-    NonConvergence,
-    OverdeterminedMismatch,
-    ZeroPolynomial,
-)
+from .errors import EvaluationError, NonConvergence, ZeroPolynomial
 
 TOL_ARITH = 1e-10
 TOL_FIT = 1e-8
@@ -103,14 +98,6 @@ class UniPoly:
             return "UniPoly(0)"
         terms = ", ".join(f"{c:.6g}" for c in self.coeffs)
         return f"UniPoly([{terms}])"
-
-    def snapped(self, tol=TOL_ARITH):
-        """Zero out coefficients below tol * max|coeff|."""
-        if self.is_zero:
-            return self
-        c = np.asarray(self.coeffs, dtype=complex)
-        cutoff = tol * np.max(np.abs(c))
-        return UniPoly(np.where(np.abs(c) <= cutoff, 0.0, c))
 
 
 # ---------------------------------------------------------------------------
@@ -333,55 +320,44 @@ def cauchy_derivative(f, z0, radius, order=1, nodes=64):
 
 @dataclass(frozen=True)
 class PolyFit:
-    poly: UniPoly
-    residual: float
-    condition: float
+    coeffs: np.ndarray     # (columns, deg_bound + 1), lowest degree first
+    residual: np.ndarray   # (columns,): largest |fit - value| per column
 
 
-def poly_interpolate(samples, deg_bound, tol=TOL_FIT):
-    """Least-squares polynomial through (point, value) samples.
+def poly_interpolate(x, values, deg_bound, tol=TOL_FIT):
+    """Least-squares polynomials of degree <= deg_bound through the
+    columns of ``values`` (k points x m columns, or one 1-D column) at the
+    points ``x``, all from one solve.
 
     Fits in a centered/scaled variable for conditioning and converts back
-    to the monomial basis; coefficients below tol * max|coeff| snap to 0.
-
-    Raises OverdeterminedMismatch when the fit residual exceeds
-    tol * max(1, max|value|): the data is not polynomial of this degree
-    (wrong degree bound, or a genuinely meromorphic coefficient).
+    to the monomial basis; in each column, coefficients at or below
+    tol * its max|coeff| snap to 0. The residual of a column is its
+    largest misfit at the points, after the snap; judging it is left to
+    the caller.
     """
-    pts = np.asarray([s[0] for s in samples], dtype=complex)
-    vals = np.asarray([s[1] for s in samples], dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    vals = np.asarray(values, dtype=complex).reshape(len(x), -1)
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
-    if len(set(map(complex, pts))) < deg_bound + 1:
+    if len(set(x.tolist())) < deg_bound + 1:
         raise ValueError(f"need at least {deg_bound + 1} distinct sample points")
 
-    center = complex(np.mean(pts))
-    spread = float(np.max(np.abs(pts - center)))
+    center = complex(np.mean(x))
+    spread = float(np.max(np.abs(x - center)))
     spread = spread if spread > 0 else 1.0
-    s = (pts - center) / spread
+    sol = np.linalg.lstsq(np.vander((x - center) / spread, deg_bound + 1, increasing=True),
+                          vals, rcond=None)[0]
 
-    v = np.vander(s, deg_bound + 1, increasing=True)
-    sol, _, _, sv = np.linalg.lstsq(v, vals, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
+    # ((x - center) / spread)^k = sum_j C(k, j) (-center)^(k-j) x^j / spread^k
+    k = np.arange(deg_bound + 1)
+    binom = np.array([[math.comb(kk, j) for kk in k] for j in k], dtype=float)
+    shift = (-center) ** np.maximum(k - k[:, None], 0)
+    coeffs = ((binom * shift / spread**k) @ sol).T
+    cutoff = tol * np.abs(coeffs).max(axis=1, keepdims=True)
+    coeffs = np.where(np.abs(coeffs) <= cutoff, 0j, coeffs)
 
-    # expand c_k ((x-center)/spread)^k back to monomials in x
-    out = np.zeros(deg_bound + 1, dtype=complex)
-    basis = np.array([1.0 + 0j])
-    shift = np.array([-center, 1.0], dtype=complex)
-    for k in range(deg_bound + 1):
-        out[: len(basis)] += sol[k] / spread**k * basis
-        basis = np.convolve(basis, shift)
-    poly = UniPoly(out).snapped(tol)
-
-    vscale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    residual = float(np.max(np.abs([poly(x) - y for x, y in zip(pts, vals)])))
-    if residual > tol * vscale:
-        raise OverdeterminedMismatch(
-            f"data is not polynomial of degree <= {deg_bound} "
-            f"(residual {residual:.3e} vs tol {tol * vscale:.3e})",
-            residual=residual,
-        )
-    return PolyFit(poly, residual, cond)
+    fitted = np.vander(x, deg_bound + 1, increasing=True) @ coeffs.T
+    return PolyFit(coeffs, np.abs(fitted - vals).max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +422,15 @@ def polydisc_fit_grid(grid, center, radii):
     The multidimensional DFT of the value grid yields Taylor coefficients;
     frequencies above nodes//2 per axis are discarded (aliasing guard), and
     coefficients below TRUNC_TOL * max|coeff| are set to 0.
+
+    Raises ValueError when a sample is not finite: the DFT would spread
+    it over every coefficient.
     """
     grid = np.asarray(grid, dtype=complex)
+    bad = np.argwhere(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"{len(bad)} non-finite torus grid sample(s), "
+                         f"the first at grid index {tuple(map(int, bad[0]))}")
     coeff_grid = np.fft.fftn(grid) / grid.size
     cutoff = TRUNC_TOL * max(float(np.max(np.abs(coeff_grid))), 1e-300)
     coeffs = coeff_grid[(slice(grid.shape[0] // 2 + 1),) * grid.ndim]

@@ -166,37 +166,36 @@ def _fit_slot(moments, rows, scale):
     return sol, resid, cond
 
 
-def _snap_abs(poly: UniPoly, cutoff):
-    """Zero out coefficients below an absolute cutoff."""
-    if poly.is_zero:
-        return poly
-    return UniPoly([0.0 if abs(c) <= cutoff else c for c in poly.coeffs])
-
-
-def _fit_coefficient(samples, values, deg_bound, tol, scale=1.0):
-    """Fit one coefficient function over the base samples; automatic
-    degree sweep when no bound is given. Coefficients below tol * scale
-    (the shared magnitude of the surrounding coefficient family) snap to
-    zero."""
-    pts = list(zip(samples, values))
-    cutoff = tol * max(scale, 1e-300)
-    if len(pts) == 1:
-        return _snap_abs(UniPoly.constant(values[0]), cutoff), 0.0
-    if deg_bound is not None:
-        fit = poly_interpolate(pts, deg_bound, tol)
-        return _snap_abs(fit.poly, cutoff), fit.residual
-    cap = max(0, (len(pts) - 1) // 2)
-    last = None
-    for deg in range(cap + 1):
-        try:
-            fit = poly_interpolate(pts, deg, tol)
-            return _snap_abs(fit.poly, cutoff), fit.residual
-        except OverdeterminedMismatch as exc:
-            last = exc
+def _fit_coefficients(xs, values, deg_bound, tol, scale):
+    """Fit each column of ``values`` (samples x columns), one coefficient
+    function of a family, as a polynomial in the base variable: at
+    ``deg_bound``, or without one at the first degree 0 .. (samples-1)//2
+    whose residual is at most tol * max(1, max|column|), each degree one
+    stacked solve over the columns still unfitted. Coefficients at or
+    below tol * scale (the family's shared magnitude) snap to zero.
+    Returns the coefficient rows (columns, largest degree + 1) and the
+    largest residual; raises OverdeterminedMismatch when a column never
+    fits."""
+    sweep = ([deg_bound] if deg_bound is not None and len(xs) > 1
+             else range((len(xs) - 1) // 2 + 1))
+    coeffs = np.zeros((values.shape[1], sweep[-1] + 1), dtype=complex)
+    resid = np.zeros(values.shape[1])
+    limit = tol * np.maximum(1.0, np.abs(values).max(axis=0))
+    left = np.arange(values.shape[1])
+    for deg in sweep:
+        fit = poly_interpolate(xs, values[:, left], deg, tol)
+        ok = fit.residual <= limit[left]
+        coeffs[left[ok], :deg + 1] = fit.coeffs[ok]
+        resid[left[ok]] = fit.residual[ok]
+        left = left[~ok]
+        if not left.size:
+            coeffs[np.abs(coeffs) <= tol * max(scale, 1e-300)] = 0.0
+            return coeffs, float(resid.max())
+    worst = float(fit.residual[~ok].max())
     raise OverdeterminedMismatch(
-        f"coefficient is not polynomial of degree <= {cap}: likely a "
-        f"meromorphic coefficient ({last})",
-        residual=getattr(last, "residual", None),
+        f"{left.size} coefficient function(s) not polynomial of degree <= {sweep[-1]} "
+        f"(largest residual {worst:.3e}): a wrong bound or a meromorphic coefficient",
+        residual=worst,
     )
 
 
@@ -269,16 +268,9 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
                 f"fit all samples (worst residual {worst_res:.3e})"
             )
         slot_scale = max(1.0, float(np.max(np.abs(per_sample))))
-        fitted = []
-        fit_res = 0.0
-        for j in range(d):
-            poly, res = _fit_coefficient(
-                xs, per_sample[:, j], coeff_deg_bound, tol, scale=slot_scale
-            )
-            fitted.append(poly)
-            fit_res = max(fit_res, res)
+        fitted, fit_res = _fit_coefficients(xs, per_sample, coeff_deg_bound, tol, slot_scale)
         degrees.append(d)
-        coeff_polys.append(tuple(fitted))
+        coeff_polys.append(tuple(map(UniPoly, fitted)))
         diags[f"slot{i}"] = {
             "degree": d, "recurrence_residual": worst_res,
             "condition": worst_cond, "coefficient_fit_residual": fit_res,
@@ -326,29 +318,22 @@ def reconstruct_numerator(t: TraceTable, minimal: MinimalPolySet, tol=TOL_FIT,
             defect=worst,
         )
 
-    coeff_samples = {}
-    for K in iproduct(*[range(d) for d in degrees]):
-        total = 0j
+    # one column per K (K_i < d_i): samples of the coefficient of
+    # prod_i y_i^(d_i-1-K_i)
+    family = list(iproduct(*[range(d) for d in degrees]))
+    samples = np.zeros((len(xs), len(family)), dtype=complex)
+    for col, K in enumerate(family):
         for J in iproduct(*[range(k + 1) for k in K]):
             prod_a = np.prod([acoef[i][:, J[i]] for i in range(p)], axis=0)
             midx = tuple(K[i] - J[i] for i in range(p))
-            total = total + prod_a * (sign * moments[:, cols[midx]])
-        coeff_samples[K] = total
+            samples[:, col] += prod_a * (sign * moments[:, cols[midx]])
 
-    x_var = minimal.base_var
-    y_vars = minimal.y_vars
-    allv = (x_var,) + tuple(y_vars)
-    terms = {}
-    fit_res = 0.0
-    num_scale = float(np.max(np.abs(list(coeff_samples.values()))))
-    for K, vals in coeff_samples.items():
-        poly, res = _fit_coefficient(
-            xs, vals, coeff_deg_bound, tol, scale=max(1.0, num_scale)
-        )
-        fit_res = max(fit_res, res)
-        for e, c in enumerate(poly.coeffs):
-            if c != 0:
-                terms[(e,) + tuple(degrees[i] - 1 - K[i] for i in range(p))] = c
+    fitted, fit_res = _fit_coefficients(
+        xs, samples, coeff_deg_bound, tol, max(1.0, float(np.max(np.abs(samples))))
+    )
+    allv = (minimal.base_var,) + tuple(minimal.y_vars)
+    terms = {(e,) + tuple(degrees[i] - 1 - K[i] for i in range(p)): c
+             for K, row in zip(family, fitted) for e, c in enumerate(row) if c != 0}
     num = MultiPoly(allv, terms)
 
     diags = dict(minimal.diagnostics)
@@ -410,20 +395,15 @@ def reconstruct_global(t: TraceTable, d_max, deg_bounds, tol=TOL_FIT):
     with OverdeterminedMismatch (the honest failure mode). All-zero traces
     return the zero reconstruction.
 
-    ``deg_bounds`` is an int (shared bound) or a dict with keys
-    'minimal' and 'numerator'.
+    ``deg_bounds`` is an int bounding the degree of every coefficient
+    function, or None to take each at the lowest degree that fits.
     """
-    if isinstance(deg_bounds, dict):
-        bound_min = deg_bounds.get("minimal")
-        bound_num = deg_bounds.get("numerator", bound_min)
-    else:
-        bound_min = bound_num = deg_bounds
     try:
-        minimal = fit_minimal_polys(t, d_max, tol, coeff_deg_bound=bound_min)
+        minimal = fit_minimal_polys(t, d_max, tol, coeff_deg_bound=deg_bounds)
     except DegreeUndetectable as exc:
         if exc.zero_moments:
             return ReconstructedData.zero(
                 t.data.variety.x_vars[0], t.data.variety.y_vars
             )
         raise
-    return reconstruct_numerator(t, minimal, tol, coeff_deg_bound=bound_num)
+    return reconstruct_numerator(t, minimal, tol, coeff_deg_bound=deg_bounds)

@@ -337,24 +337,30 @@ class TestHankelFit:
         assert not info.value.zero_moments
 
 
+def _poly_values(coeffs, x):
+    return np.polyval(np.asarray(coeffs)[::-1], x)
+
+
 class TestPolyInterpolate:
     def test_linear(self):
-        fit = poly_interpolate([(x, -x) for x in (0.0, 1.0, 2.0)], 1)
-        assert fit.poly.coeffs == (-1 + 0j,) or fit.poly.coeffs == (0j, -1 + 0j)
-        assert fit.poly(3.0) == pytest.approx(-3.0)
+        fit = poly_interpolate([0.0, 1.0, 2.0], [0.0, -1.0, -2.0], 1)
+        assert fit.coeffs.shape == (1, 2) and fit.residual.shape == (1,)
+        assert fit.coeffs[0, 0] == 0
+        assert fit.coeffs[0, 1] == pytest.approx(-1.0)
+        assert _poly_values(fit.coeffs[0], 3.0) == pytest.approx(-3.0)
 
     def test_cubic(self):
-        pts = [(x, x**3 - 3 * x**2 + 2 * x) for x in np.linspace(0.5, 3.5, 6)]
-        fit = poly_interpolate(pts, 3)
-        assert fit.residual < 1e-10
-        got = np.zeros(4, dtype=complex)
-        got[: len(fit.poly.coeffs)] = fit.poly.coeffs
-        assert np.allclose(got, [0, 2, -3, 1], atol=1e-9)
+        x = np.linspace(0.5, 3.5, 6)
+        fit = poly_interpolate(x, x**3 - 3 * x**2 + 2 * x, 3)
+        assert fit.residual[0] < 1e-10
+        assert np.allclose(fit.coeffs[0], [0, 2, -3, 1], atol=1e-9)
 
     def test_non_polynomial_data(self):
-        pts = [(x, 1.0 / x) for x in np.linspace(0.5, 2.5, 9)]
-        with pytest.raises(OverdeterminedMismatch):
-            poly_interpolate(pts, 4)
+        # no raise: the residual reports the misfit and the caller judges
+        x = np.linspace(0.5, 2.5, 9)
+        tol = 1e-8
+        fit = poly_interpolate(x, 1.0 / x, 4, tol)
+        assert fit.residual[0] > tol * max(1.0, np.max(np.abs(1.0 / x)))
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(3)
@@ -362,14 +368,32 @@ class TestPolyInterpolate:
             deg = int(rng.integers(0, 6))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             p = UniPoly(coeffs)
-            pts = [(z, p(z)) for z in rng.standard_normal(deg + 4) + 0.5]
-            fit = poly_interpolate(pts, deg, tol=1e-8)
+            x = rng.standard_normal(deg + 4) + 0.5
+            fit = poly_interpolate(x, [p(z) for z in x], deg, tol=1e-8)
             for z in (0.1, -0.7, 1.3):
-                assert abs(fit.poly(z) - p(z)) <= 1e-10 * max(1.0, abs(p(z)))
+                assert abs(_poly_values(fit.coeffs[0], z) - p(z)) <= 1e-10 * max(1.0, abs(p(z)))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            poly_interpolate([(0.0, 1.0), (1.0, 2.0)], 3)
+            poly_interpolate([0.0, 1.0], [1.0, 2.0], 3)
+        with pytest.raises(ValueError):
+            poly_interpolate([0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0], 2)
+
+    def test_stacked_columns_match_column_fits(self):
+        rng = np.random.default_rng(11)
+        x = 1.5 + 0.7 * np.exp(2j * np.pi * np.arange(12) / 12)
+        values = np.column_stack(
+            [_poly_values(rng.standard_normal(4) * 10.0 ** rng.integers(-3, 3), x)
+             for _ in range(5)] + [1.0 / (x - 0.2)]
+        )
+        fit = poly_interpolate(x, values, 3)
+        assert fit.coeffs.shape == (6, 4) and fit.residual.shape == (6,)
+        for j in range(values.shape[1]):
+            one = poly_interpolate(x, values[:, j], 3)
+            scale = np.max(np.abs(one.coeffs))
+            assert np.max(np.abs(fit.coeffs[j] - one.coeffs[0])) <= 1e-13 * scale
+            vmax = np.max(np.abs(values[:, j]))
+            assert abs(fit.residual[j] - one.residual[0]) <= 1e-12 * max(1.0, vmax)
 
 
 def fit_on_torus(f, center, radii, nodes):
@@ -398,6 +422,13 @@ class TestPolydiscModel:
         model = fit_on_torus(f, (0.1, -0.2), (1.0, 1.5), 16)
         pt = (0.9, 1.1)
         assert abs(model(pt) - f(pt)) < 1e-12
+
+
+    def test_non_finite_sample_raises(self):
+        grid = np.ones((8, 8), dtype=complex)
+        grid[3, 5] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*\(3, 5\)"):
+            polydisc_fit_grid(grid, (0.0, 0.0), (1.0, 1.0))
 
 
 def _random_model(rng, k, d):

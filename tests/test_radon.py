@@ -465,6 +465,21 @@ class TestPropagation:
                 t, lambda ch: trace(data, ch, 0), big, order=1, fft_nodes=16
             )
 
+    def test_non_finite_order0_sample_raises(self):
+        # numerator 1: u_0 vanishes, so a NaN spread by the grid's DFT
+        # would otherwise leave an all-zero model and a table flagged clean
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 2, TorusPlan(6))
+
+        def u0_ext(charts):
+            out = trace(data, charts, 0)
+            out[0] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
+
     def test_frozen_parameter_rejected(self):
         data = parabola_data()
         center = PlaneChart([[0.1]], [3.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abeltrace import reconstruct
 from abeltrace import serialize as ser
 
 from abeltrace.errors import (
@@ -18,6 +19,7 @@ from abeltrace.numeric import UniPoly
 from abeltrace.reconstruct import (
     MinimalPolySet,
     ReconstructedData,
+    _fit_coefficients,
     _fit_slot,
     _slot_rows,
     fit_minimal_polys,
@@ -114,6 +116,42 @@ class TestFitMinimalPolys:
         t = trace_table(data, dom, 5, TorusPlan(16))
         with pytest.raises(OverdeterminedMismatch):
             fit_minimal_polys(t, 2, coeff_deg_bound=4)
+        with pytest.raises(OverdeterminedMismatch):
+            fit_minimal_polys(t, 2)
+
+
+class TestFitCoefficients:
+    xs = 2.0 + 0.7 * np.exp(2j * np.pi * np.arange(16) / 16)
+
+    def family(self, *columns):
+        return np.column_stack([np.polyval(c[::-1], self.xs) for c in columns])
+
+    def test_unbounded_sweep_keeps_each_columns_degree(self):
+        true = ([0.5 - 0.2j], [1.0, -2.0], [0.3, 0.0, 1.5j, -0.25])
+        coeffs, resid = _fit_coefficients(self.xs, self.family(*true), None, 1e-8, 1.0)
+        # rows run to the sweep's cap, (16 - 1) // 2
+        assert coeffs.shape == (3, 8)
+        for row, c in zip(coeffs, true):
+            assert np.nonzero(row)[0].max() == len(c) - 1
+            assert np.allclose(row[: len(c)], c, atol=1e-9)
+        assert resid < 1e-10
+
+    def test_bounded_fit_is_one_solve(self, monkeypatch):
+        calls = []
+        real = reconstruct.poly_interpolate
+        monkeypatch.setattr(reconstruct, "poly_interpolate",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        values = self.family([1.0], [0.0, 2.0], [1.0, 0.0, 3.0])
+        coeffs, _ = _fit_coefficients(self.xs, values, 2, 1e-8, 3.0)
+        assert calls == [1]
+        assert np.allclose(coeffs, [[1, 0, 0], [0, 2, 0], [1, 0, 3]], atol=1e-9)
+
+    @pytest.mark.parametrize("bound", [None, 4])
+    def test_one_meromorphic_column_raises(self, bound):
+        values = np.column_stack([self.family([1.0, 1.0])[:, 0], 1.0 / (self.xs - 1.0)])
+        with pytest.raises(OverdeterminedMismatch) as info:
+            _fit_coefficients(self.xs, values, bound, 1e-8, 1.0)
+        assert info.value.residual > 1e-8
 
 
 class TestRoundTrip:
