@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedShape,
 )
-from .multipoly import MultiPoly, _monomial_values, _substitute_terms, _term_matrix
+from .multipoly import MultiPoly, _monomials, _substitute_terms, _term_matrix
 from .numeric import TOL_ARITH, UniPoly, _companion_roots, poly_roots
 
 ESCAPE_RADIUS = 1e8
@@ -286,7 +286,7 @@ def full_jacobian(v: VarietySpec, chart: PlaneChart, coords):
 def _jacobian_dets(v, a, coords):
     """full_jacobian at ``coords`` (values or arrays of shape S) of charts
     ``a``, shape T + (n, p) with T broadcasting to S: F_defs over [I, -a]."""
-    f = _monomial_values(v._partials[0], coords) @ v._partials[1]
+    f = _monomials(v._partials[0], coords) @ v._partials[1]
     j = np.zeros(f.shape[:-1] + (len(v.vars),) * 2, dtype=complex)
     j[..., :v.p, :] = f.reshape(j.shape[:-2] + (v.p, len(v.vars)))
     j[..., v.p:, :v.n] = np.eye(v.n)
@@ -297,7 +297,7 @@ def _jacobian_dets(v, a, coords):
 def _newton_polish(exps, coefs, y, active):
     """At most four Newton steps, in place, from each active point y[c, k]
     on chart c's square system: values, then Jacobian rows, at z are
-    _monomial_values(exps, z) @ coefs[c]. A point stops on a step below
+    _monomials(exps, z) @ coefs[c]. A point stops on a step below
     1e-15 relative, a singular Jacobian or |z| > ESCAPE_RADIUS. Returns
     each point's largest |value| over evaluation scale, coordinates at
     least 1 as in solve_bivariate's candidate rule (0 past the radius)."""
@@ -307,7 +307,7 @@ def _newton_polish(exps, coefs, y, active):
         if not ci.size:
             break
         ya = y[ci, pi]
-        vals = (_monomial_values(exps, tuple(ya.T))[:, None] @ coefs[ci])[:, 0]
+        vals = (_monomials(exps, tuple(ya.T))[:, None] @ coefs[ci])[:, 0]
         jm = vals[:, p:].reshape(-1, p, p)
         go = np.linalg.det(jm) != 0
         step = np.zeros_like(ya)
@@ -316,9 +316,9 @@ def _newton_polish(exps, coefs, y, active):
         active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
         active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
     z = tuple(np.where(np.abs(y) <= ESCAPE_RADIUS, y, 0.0).transpose(2, 0, 1))
-    vals = (_monomial_values(exps, z) @ coefs)[..., :p]
+    vals = (_monomials(exps, z) @ coefs)[..., :p]
     floor = [np.maximum(1.0, np.abs(c)) for c in z]
-    scale = (_monomial_values(exps, floor) @ np.abs(coefs))[..., :p]
+    scale = (_monomials(exps, floor) @ np.abs(coefs))[..., :p]
     res = np.max(np.abs(vals) / np.maximum(scale.real, 1e-300), axis=-1, initial=0.0)
     return np.where(np.abs(y).max(axis=-1, initial=0.0) <= ESCAPE_RADIUS, res, 0.0)
 
@@ -780,7 +780,7 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
 
     if v.lift is not None:
         exps, coefs = _term_matrix(v.lift.coordinate_map)
-        coords = _monomial_values(exps, (y[..., 0], y[..., 1])) @ coefs
+        coords = _monomials(exps, (y[..., 0], y[..., 1])) @ coefs
     else:
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
     jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
@@ -800,7 +800,7 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
     exps, coefs = _term_matrix([f.partial(nm) for f in (v.defs[0], h) for nm in v.vars])
     sols = solve_bivariate(v.defs[0], h, tol)
     pts = tuple(np.array([c for c, _ in sols], dtype=complex).reshape(-1, 2).T)
-    jac = np.linalg.det((_monomial_values(exps, pts) @ coefs).reshape(-1, 2, 2))
+    jac = np.linalg.det((_monomials(exps, pts) @ coefs).reshape(-1, 2, 2))
     return [FiberPoint(c, j, m) for (c, m), j in zip(sols, jac.tolist())]
 
 

@@ -73,7 +73,7 @@ def _substitution_layout(poly, images, horner, one):
             [[offset(e) for e in images[i]] for i in horner], t)
 
 
-def _monomial_values(exps, point):
+def _monomials(exps, point):
     """Values of the monomials z^e, e the rows of the integer array
     ``exps``, at m values or arrays of one shape S: shape S + (rows,)."""
     out = 1.0
@@ -83,7 +83,7 @@ def _monomial_values(exps, point):
 
 
 def _term_matrix(polys):
-    """(exps, coefs) with _monomial_values(exps, z) @ coefs the values of
+    """(exps, coefs) with _monomials(exps, z) @ coefs the values of
     ``polys`` at z: the monomials any of them uses, and their coefficients."""
     monos = sorted(set().union(*(f.terms for f in polys)))
     return (np.array(monos, dtype=int).reshape(-1, len(polys[0].vars)),

@@ -390,30 +390,15 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
         chart = PlaneChart.from_params(n, p, theta)
         ev = evaluate_chart(data, chart, TOL_ARITH, expected_degree=None)
 
-        # pullback side: label coefficients at the image chart, chain rule
-        u = {}
-        for j in range(p + 1):
-            idx = _unit(j - 1, p) if j >= 1 else (0,) * p
-            u[j] = ev.value(idx)[0]
-        pull = np.array(
-            [
-                sum(mu.matrix[row, c] * (u[row + 1] if row < p else u[0])
-                    for row in range(k))
-                for c in range(k)
-            ],
-            dtype=complex,
-        )
+        # pullback side: the label coefficients u_(e_1), .., u_(e_p), u_0
+        # at the image chart (one per parameter row), chain rule
+        u = ev.value([_unit(row, p) for row in range(p)] + [(0,) * p])[0]
+        pull = mu.matrix.T @ u
 
-        # direct side: symbolic derivative of the composed incidence form
-        direct = np.zeros(k, dtype=complex)
-        tvals = dict(zip(tvars, tp))
-        for c in range(k):
-            acc = 0j
-            for coords, w in ev.terms:
-                point = dict(zip(data.variety.vars, coords))
-                point.update(tvals)
-                acc += w * (-d_composed[c].evaluate(point))
-            direct[c] = acc
+        # direct side: symbolic derivative of the composed incidence form,
+        # evaluated at every fiber point at once
+        point = {**dict(zip(data.variety.vars, ev.coords.T)), **dict(zip(tvars, tp))}
+        direct = np.array([-np.sum(ev.weights * d.evaluate(point)) for d in d_composed])
 
         resid = float(np.max(np.abs(direct - pull)))
         scale = max(1.0, float(np.max(np.abs(pull))))
@@ -450,8 +435,9 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     off-grid).
 
     Raises PathCrossesPole when the extension evaluator blows up on P'
-    (the extension is meromorphic there) and InsufficientMargin when the
-    required parameters are frozen.
+    (the extension is meromorphic there), InsufficientMargin when the
+    required parameters are frozen, and ValueError when it returns a
+    non-finite value on the grid or at a probe.
     """
     n, p = t.n, t.p
     if n != 1:
@@ -499,7 +485,12 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     probes = np.array([[center[ax] + 0.62 * radii[ax] * w * np.exp(0.29j * (ax + 1))
                         for ax in range(len(names))]
                        for w in [np.exp(1j * (0.53 + 1.31 * tprobe)) for tprobe in range(4)]])
-    verr = max(0.0, *(abs(model0(point) - u0) for point, u0 in zip(probes, u0_values(probes))))
+    u0_probes = u0_values(probes)
+    bad = np.flatnonzero(~np.isfinite(u0_probes))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite order-0 validation probe value(s), "
+                         f"the first at probe {int(bad[0])}")
+    verr = max(0.0, *(abs(model0(point) - u0) for point, u0 in zip(probes, u0_probes)))
     vscale = max(1.0, float(np.max(np.abs(grid0))))
     if verr > 1e-6 * vscale:
         raise PathCrossesPole(

@@ -38,6 +38,7 @@ from .geometry import (
     solve_family,
     solve_fiber,
 )
+from .multipoly import _monomials
 from .numeric import TOL_ARITH, torus_nodes
 
 POLE_REL_TOL = 1e-8
@@ -58,12 +59,15 @@ def moment_sign(n, p):
     return -1.0 if (n * p) % 2 else 1.0
 
 
-def _monomial_value(coords, n, index):
-    val = 1.0 + 0j
-    for j, e in enumerate(index):
-        if e:
-            val *= coords[n + j] ** e
-    return val
+def _read(coords, weights, n, indices):
+    """The weighted power sums sum_P weight(P) * y(P)^I over the points
+    ``coords`` (shape (..., k, n + p), leading axes over charts) with
+    ``weights`` (shape (..., k)), y being the coordinates after the first
+    n: (values of shape (..., len(indices)), largest |term| of shape
+    (...))."""
+    exps = np.array(indices, dtype=int).reshape(len(indices), -1)
+    terms = weights[..., None] * _monomials(exps, np.moveaxis(coords[..., n:], -1, 0))
+    return terms.sum(axis=-2), np.abs(terms).max(axis=(-2, -1), initial=0.0)
 
 
 def _on_pole(weight, coords, wval):
@@ -96,45 +100,46 @@ def _extrapolation_weights(xs):
 
 
 class ChartEvaluation:
-    """All index-independent work for the trace at one chart: a flat list
-    of (coords, weight) terms. Simple points carry their residue weight;
-    a cluster contributes its perturbed points with the extrapolation
-    weights folded in. Evaluating an index is then one weighted monomial
-    sum."""
+    """All index-independent work for the trace at one chart: the points
+    ``coords`` (k, n + p) and their weights (k,). Simple points carry their
+    residue weight; a cluster contributes its perturbed points with the
+    extrapolation weights folded in. ``value`` reads any list of indices
+    off them at once."""
 
-    __slots__ = ("data", "chart", "terms", "clustered", "n")
+    __slots__ = ("coords", "weights", "clustered", "n")
 
-    def __init__(self, data, chart, terms, clustered):
-        self.data = data
-        self.chart = chart
-        self.terms = terms          # list of (coords, weight)
+    def __init__(self, coords, weights, clustered, n):
+        self.coords = coords
+        self.weights = weights
         self.clustered = clustered
-        self.n = data.variety.n
+        self.n = n
 
-    def value(self, index):
-        terms = [w * _monomial_value(coords, self.n, index) for coords, w in self.terms]
-        return sum(terms, 0j), max(map(abs, terms), default=0.0)
+    def value(self, indices):
+        """(traces at ``indices``, largest |residue term| among them)."""
+        return _read(self.coords, self.weights, self.n, indices)
 
 
 def _point_weights(data, points, chart_params=None):
-    """Residue weights at simple fiber points, from one _family_weights
-    call; PoleDetected for a point on the weight's pole divisor, else
-    ClusterPoint for one with a zero Jacobian (taken as 1 until then)."""
-    coords = np.reshape([pt.coords for pt in points], (1, len(points), len(data.variety.vars)))
-    clear, weights = _family_weights(data, coords, np.array([[p.jacobian or 1.0 for p in points]]))
+    """Coordinates (k, n + p) and residue weights (k,) of simple fiber
+    points, from one _family_weights call; PoleDetected for a point on the
+    weight's pole divisor, else ClusterPoint for one with a zero Jacobian
+    (taken as 1 until then)."""
+    coords = np.array([pt.coords for pt in points], dtype=complex).reshape(
+        len(points), len(data.variety.vars))
+    clear, weights = _family_weights(data, coords[None], np.array([[p.jacobian or 1.0 for p in points]]))
     if not clear[0]:
         raise PoleDetected("fiber point lies on the pole divisor of the data weight",
                            chart_params=chart_params)
     if not all(pt.jacobian for pt in points):
         raise ClusterPoint("fiber point has a zero Jacobian: the plane is not transverse there",
                            chart_params=chart_params)
-    return weights[0].tolist()
+    return coords, weights[0]
 
 
 def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
     """Perturb the chart in b_1, match the cluster's simple points at a
-    geometric ladder of perturbation sizes, and return them as
-    (coords, c_l * weight) terms, c_l being the extrapolation weight of
+    geometric ladder of perturbation sizes, and return them as the
+    arrays (coords, c_l * weight), c_l being the extrapolation weight of
     level l. Extrapolating the level sums to zero perturbation is linear
     in those sums, so the terms add up to the cluster's total residue."""
     m = sum(pt.cluster_size for pt in cluster_pts)
@@ -176,14 +181,10 @@ def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
                 ok = False
                 break
             deltas.append(d * direction)
-            levels.append(list(zip([pt.coords for pt in matched],
-                                   _point_weights(data, matched, pchart.to_params()))))
+            levels.append(_point_weights(data, matched, pchart.to_params()))
         if ok:
-            return [
-                (coords, c * w)
-                for c, level in zip(_extrapolation_weights(deltas), levels)
-                for coords, w in level
-            ]
+            return (np.concatenate([coords for coords, _ in levels]),
+                    np.concatenate([c * w for c, (_, w) in zip(_extrapolation_weights(deltas), levels)]))
     raise PerturbationFailure(
         f"cluster of multiplicity {m} stayed degenerate under perturbation"
     )
@@ -193,13 +194,12 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
                    expected_degree=None):
     """Build the ChartEvaluation for one chart (shared by all indices)."""
     fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
-    simple = [pt for pt in fiber.points if pt.cluster_size == 1]
-    clusters = [pt for pt in fiber.points if pt.cluster_size > 1]
-    terms = list(zip([pt.coords for pt in simple],
-                     _point_weights(data, simple, chart.to_params())))
-    for pt in clusters:
-        terms += _cluster_terms(data, chart, [pt], tol, expected=expected_degree)
-    return ChartEvaluation(data, chart, terms, bool(clusters))
+    parts = [_point_weights(data, [pt for pt in fiber.points if pt.cluster_size == 1],
+                            chart.to_params())]
+    parts += [_cluster_terms(data, chart, [pt], tol, expected=expected_degree)
+              for pt in fiber.points if pt.cluster_size > 1]
+    coords, weights = map(np.concatenate, zip(*parts))
+    return ChartEvaluation(coords, weights, len(parts) > 1, data.variety.n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,8 @@ def punctual_residue(data: ResidueData, chart: PlaneChart, point: FiberPoint,
             f"point has multiplicity {point.cluster_size}; sum over the cluster instead"
         )
     index = _normalize_index(index, data.variety.p)
-    w = _point_weights(data, [point], chart.to_params())[0]
-    return w * _monomial_value(point.coords, data.variety.n, index)
+    coords, weights = _point_weights(data, [point], chart.to_params())
+    return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
 def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
@@ -233,10 +233,8 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
     from solve_fiber or nearby simple points from a perturbed chart.
     """
     index = _normalize_index(index, data.variety.p)
-    total = 0j
-    for coords, w in _cluster_terms(data, chart, list(cluster), tol):
-        total += w * _monomial_value(coords, data.variety.n, index)
-    return total
+    coords, weights = _cluster_terms(data, chart, list(cluster), tol)
+    return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
 def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
@@ -251,15 +249,16 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     raises or merges its clusters as a single chart does."""
     index = _normalize_index(index, data.variety.p)
     if isinstance(chart, PlaneChart):
-        return evaluate_chart(data, chart, tol, expected_degree=expected_degree).value(index)[0]
+        ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree)
+        return complex(ev.value([index])[0][0])
     charts = list(chart)
     degree = data.variety.degree if expected_degree is None else expected_degree
-    evs = _family_evaluations(data, charts, degree, tol)
-    return np.array([
-        (evs[s] if s in evs else evaluate_chart(data, ch, tol, expected_degree=expected_degree))
-        .value(index)[0]
-        for s, ch in enumerate(charts)
-    ], dtype=complex)
+    pos, coords, weights = _family(data, charts, degree, tol)
+    out = np.empty(len(charts), dtype=complex)
+    out[pos] = _read(coords, weights, data.variety.n, [index])[0][:, 0]
+    for s in np.setdiff1d(np.arange(len(charts)), pos):
+        out[s] = evaluate_chart(data, charts[s], tol, expected_degree=expected_degree).value([index])[0][0]
+    return out
 
 
 def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
@@ -270,8 +269,8 @@ def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
     pts = hypersurface_section(data.variety, hyper, tol)
     if any(pt.cluster_size != 1 for pt in pts):
         raise ClusterPoint("hypersurface section is degenerate")
-    return sum((w * _monomial_value(pt.coords, 0, index_exps)
-                for pt, w in zip(pts, _point_weights(data, pts))), 0j)
+    coords, weights = _point_weights(data, pts)
+    return complex(_read(coords, weights, 0, [index_exps])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,8 @@ class TraceTable:
     NaN and are flagged.
 
     The table keeps its source data, so values at off-plan charts can be
-    computed on demand (with caching); fitted polydisc models may be
+    computed on demand: each chart's row of traces at the table's indices
+    is cached on its first request; fitted polydisc models may be
     attached by propagation or fitting code, in which case
     ``model_value`` evaluates those instead.
     """
@@ -363,6 +363,7 @@ class TraceTable:
         self.baseline_degree = int(baseline_degree)
         self.models = models or {}
         self.tol = tol
+        self._columns = {idx: k for k, idx in enumerate(self.indices())}
         self._cache = {}
 
     @property
@@ -395,26 +396,30 @@ class TraceTable:
         return float(np.max(vals)) if vals.size else 0.0
 
     def value(self, index, chart):
-        """Direct trace at an arbitrary chart (cached per chart)."""
+        """Direct trace at an arbitrary chart, read off the chart's cached
+        row; an index outside the table evaluates the chart uncached."""
         index = _normalize_index(index, self.p)
+        if index not in self._columns:
+            return complex(self._evaluate(chart, [index])[0])
         key = chart.to_params().tobytes()
-        ev = self._cache.get(key)
-        if ev is None:
-            ev = evaluate_chart(
-                self.data, chart, self.tol, expected_degree=self.baseline_degree
-            )
-            self._cache[key] = ev
-        return ev.value(index)[0]
+        if key not in self._cache:
+            self._cache[key] = self._evaluate(chart, self.indices())
+        return complex(self._cache[key][self._columns[index]])
+
+    def _evaluate(self, chart, indices):
+        ev = evaluate_chart(self.data, chart, self.tol, expected_degree=self.baseline_degree)
+        return ev.value(indices)[0]
 
     def _prefetch(self, charts):
-        """Solve the charts not yet cached as one family and cache the
-        evaluation of each certified chart with no point on the weight's
-        pole divisor; ``value`` evaluates the others one by one."""
+        """Solve the charts not yet cached as one family and cache the row
+        of each certified chart with no point on the weight's pole divisor
+        from one read; ``value`` evaluates the others one by one."""
         todo = {ch.to_params().tobytes(): ch for ch in charts}
         todo = {key: ch for key, ch in todo.items() if key not in self._cache}
         keys = list(todo)
-        evs = _family_evaluations(self.data, list(todo.values()), self.baseline_degree, self.tol)
-        self._cache.update((keys[s], ev) for s, ev in evs.items())
+        pos, coords, weights = _family(self.data, list(todo.values()), self.baseline_degree, self.tol)
+        rows = _read(coords, weights, self.n, self.indices())[0]
+        self._cache.update(zip([keys[s] for s in pos], rows))
 
     def model_value(self, index, chart):
         index = _normalize_index(index, self.p)
@@ -444,31 +449,18 @@ def _family_weights(data, coords, jac):
     return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 
-def _family_evaluations(data, charts, degree, tol):
-    """Solve the charts as one family at fiber degree ``degree``: {position:
-    ChartEvaluation} for every chart the family certifies with no point on
-    the weight's pole divisor."""
+def _family(data, charts, degree, tol):
+    """Solve the charts as one family at fiber degree ``degree``:
+    (positions, points, weights) of the charts the family certifies with
+    no point on the weight's pole divisor, of shapes (k,), (k, degree,
+    n + p) and (k, degree)."""
     family = solve_family(data.variety, charts, degree, tol)
     if family is None:
-        return {}
-    index, coords, jac = family
+        return (np.zeros(0, dtype=int), np.zeros((0, degree, len(data.variety.vars)), complex),
+                np.zeros((0, degree), complex))
+    pos, coords, jac = family
     clear, weights = _family_weights(data, coords, jac)
-    return {s: ChartEvaluation(data, charts[s], list(zip(map(tuple, points.tolist()), ws.tolist())),
-                               False)
-            for s, points, ws in zip(index[clear].tolist(), coords[clear], weights)}
-
-
-def _family_traces(data, index, coords, jac, indices):
-    """Traces at the charts a family solve certified (positions ``index``,
-    points ``coords``, Jacobians ``jac``) that have no point on the
-    weight's pole divisor: (positions, values of shape (charts,
-    len(indices)), term scales)."""
-    clear, weights = _family_weights(data, coords, jac)
-    powers = coords[clear, :, data.variety.n:, None] ** np.arange(max(map(max, indices)) + 1)
-    exps = np.array(indices)
-    monomials = np.prod(powers[:, :, np.arange(exps.shape[1]), exps], axis=-1)
-    terms = weights[..., None] * monomials
-    return index[clear], terms.sum(axis=1), np.abs(terms).max(axis=(1, 2), initial=0.0)
+    return pos[clear], coords[clear], weights
 
 
 def _sample_charts(data, domain, plan, indices, baseline, tol,
@@ -487,19 +479,15 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
     offsets = plan.offsets(domain)
     charts = [domain.chart_at(off) for off in offsets]
     m = len(offsets)
-    entries = {idx: np.full(m, complex(np.nan, np.nan)) for idx in indices}
+    values = np.full((m, len(indices)), complex(np.nan, np.nan))
     term_scales = np.zeros(m)
     flags = [None] * m
     # p = 1 plans stay per chart: the traced benchmark needs a p = 1 table
     # that reaches evaluate_chart (see ROADMAP item 3)
-    family = solve_family(data.variety, charts, baseline, tol) if data.variety.p > 1 else None
-    if family is not None:
-        pos, values, scales = _family_traces(data, *family, indices)
-        for k, idx in enumerate(indices):
-            entries[idx][pos] = values[:, k]
-        term_scales[pos] = scales
-        for s in pos:
-            flags[s] = CLEAN
+    pos, coords, weights = _family(data, charts if data.variety.p > 1 else [], baseline, tol)
+    values[pos], term_scales[pos] = _read(coords, weights, data.variety.n, indices)
+    for s in pos:
+        flags[s] = CLEAN
     for s, chart in enumerate(charts):
         if flags[s] is not None:
             continue
@@ -513,24 +501,21 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
             flags[s] = UNCONVERGED
         else:
             flags[s] = CLUSTER if ev.clustered else CLEAN
-            for idx in indices:
-                val, scale = ev.value(idx)
-                entries[idx][s] = val
-                term_scales[s] = max(term_scales[s], scale)
+            values[s], term_scales[s] = ev.value(indices)
     max_order = max(max(idx) for idx in indices)
     return cls(
-        data, domain, offsets, entries, term_scales, flags,
+        data, domain, offsets, dict(zip(indices, values.T.copy())), term_scales, flags,
         max_order, baseline, tol=tol,
     )
 
 
-def trace_table(data: ResidueData, domain: DomainSpec, max_order=None,
-                plan=None, tol=TOL_ARITH):
+def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan,
+                tol=TOL_ARITH):
     """Sample all traces u_I with per-slot index up to ``max_order`` over
     the plan's charts (total degree up to max_order for p >= 3, where the
     full box would explode).
 
-    ``max_order`` defaults to 2 * fiber degree + 1, exactly what the
+    ``max_order`` None means 2 * fiber degree + 1, exactly what the
     inverse reconstruction consumes. The fiber degree baseline is taken
     at the domain's center chart and enforced across samples
     (domain-local properness); samples that drop degree or meet the
@@ -539,8 +524,6 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order=None,
     Raises TooFewCleanSamples when fewer than MIN_CLEAN_FRACTION of the
     samples are usable.
     """
-    if plan is None:
-        raise ValueError("a sampling plan is required")
     baseline = _baseline_degree(data, domain, tol)
     if max_order is None:
         max_order = 2 * baseline + 1

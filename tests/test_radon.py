@@ -220,13 +220,14 @@ class TestShockRelations:
     def test_report_matches_per_chart_evaluation(self, monkeypatch):
         t = self._cubic_table()
         got = verify_shock_relations(t, 1e-6)
-        # every cached circle evaluation against its own per-chart one
+        # every cached circle row against its chart's own evaluation
         assert len(t._cache) == 3 * 2 * 32
-        for ev in t._cache.values():
-            want = evaluate_chart(t.data, ev.chart, expected_degree=t.baseline_degree)
-            scale = max(want.value(idx)[1] for idx in t.indices())
-            for idx in t.indices():
-                assert abs(ev.value(idx)[0] - want.value(idx)[0]) <= 1e-14 * scale
+        for key, row in t._cache.items():
+            chart = PlaneChart.from_params(t.n, t.p, np.frombuffer(key, dtype=complex))
+            want = evaluate_chart(t.data, chart, expected_degree=t.baseline_degree)
+            values, scale = want.value(t.indices())
+            for cached, value in zip(row, values):
+                assert abs(cached - value) <= 1e-14 * scale
         t = self._cubic_table()
         monkeypatch.setattr(TraceTable, "_prefetch", lambda self, charts: None)
         calls = self._count_evaluate_chart(monkeypatch)
@@ -478,6 +479,22 @@ class TestPropagation:
             return out
 
         with pytest.raises(ValueError, match="non-finite"):
+            propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
+
+    def test_non_finite_validation_probe_raises(self):
+        # the grid is finite; a NaN at the third of the four probes would
+        # be dropped by the validation error's maximum
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 2, TorusPlan(6))
+
+        def u0_ext(charts):
+            out = trace(data, charts, 0)
+            if len(charts) == 4:
+                out[2] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="non-finite.*probe 2"):
             propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
 
     def test_frozen_parameter_rejected(self):

@@ -618,12 +618,38 @@ def test_chart_terms_are_punctual_residues(kind, seed):
     weight = MultiPoly(data.variety.vars, {(0,) * m: 2.0 - 0.5j, (1,) + (0,) * (m - 1): 0.3})
     data = ResidueData(data.variety, data.numerator, weight=weight)
     fiber = solve_fiber(data.variety, domain.chart, expected_degree=None)
-    terms = evaluate_chart(data, domain.chart).terms
-    assert len(terms) == len(fiber.points) and not fiber.clustered
-    for pt, (coords, w) in zip(fiber.points, terms):
-        assert coords == pt.coords
+    ev = evaluate_chart(data, domain.chart)
+    assert len(ev.weights) == len(ev.coords) == len(fiber.points) and not fiber.clustered
+    for pt, coords, w in zip(fiber.points, ev.coords, ev.weights):
+        assert tuple(coords) == pt.coords
         want = punctual_residue(data, domain.chart, pt, (0,) * data.variety.p)
         assert abs(w - want) <= 1e-14 * abs(want)
+
+
+def test_p3_triangular_cascade_is_product_of_slots():
+    # product-form data, one monic minimal polynomial per slot with x
+    # entering linearly: on vertical charts the fiber is the product of
+    # the slot fibers, so each trace is the product of the slots' p = 1
+    # traces, up to the sign (-1)^(n p) against (-1)^n per slot. The
+    # degree-2 slots' u_0 vanish, so the slot degrees keep 10 of the 35
+    # traces nonzero, and the two degree-2 slots differ
+    rng = np.random.default_rng(11)
+    v4 = ("x", "y1", "y2", "y3")
+    slots = [{(e, k): complex(*rng.standard_normal(2)) if k < d else 1.0
+              for k in range(d + 1) for e in range(2 if k < d else 1)} for d in (2, 1, 2)]
+    defs = [MultiPoly(v4, {(e,) + tuple(k * (s == i) for i in range(3)): c
+                           for (e, k), c in slot.items()}) for s, slot in enumerate(slots)]
+    data = ResidueData(VarietySpec(("x",), ("y1", "y2", "y3"), defs), MultiPoly.constant(1.0, v4))
+    t3 = trace_table(data, DomainSpec(PlaneChart.vertical([0.4 + 0.2j], p=3), {"b1": 0.3}),
+                     4, TorusPlan(6))
+    assert len(t3.entries) == 35 and set(t3.flags) == {"clean"}
+    dom1 = DomainSpec(PlaneChart.vertical([0.4 + 0.2j]), {"b1": 0.3})
+    t1 = [trace_table(ResidueData(VarietySpec(("x",), ("y",), [MultiPoly(V2, slot)]),
+                                  MultiPoly.constant(1.0, V2)), dom1, 4, TorusPlan(6))
+          for slot in slots]
+    for idx, col in t3.entries.items():
+        want = np.prod([moment_sign(1, 1) * t.column(k) for t, k in zip(t1, idx)], axis=0)
+        assert np.max(np.abs(moment_sign(1, 3) * col - want)) <= 1e-13 * max(1.0, t3.scale())
 
 
 class TestChartFamily:
