@@ -175,6 +175,7 @@ def _run_reconstruct(job):
 
 def _run_extend(job):
     t = ser.decode_trace_table(_load_artifact(job.inputs["traces"]))
+    t.tol = job.params["tol"]  # a table stores no tol: resample at this one
     big = ser.decode_domain(ser.load_json(job.inputs["domain"]))
     ext = propagate_trace_extension(
         t, lambda charts: trace(t.data, charts, (0,) * t.p, tol=t.tol),

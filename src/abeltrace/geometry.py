@@ -245,17 +245,28 @@ class FiberPoint:
     cluster_size: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fiber:
-    points: tuple
+    """Distinct fiber points as arrays: coordinates (k, n + p) aligned with
+    variety.vars, Jacobian determinants (k,) and multiplicities (k,), a
+    cluster being one point of multiplicity above 1."""
+
+    coords: np.ndarray
+    jacobians: np.ndarray
+    multiplicities: np.ndarray
+
+    @property
+    def points(self):
+        return tuple(FiberPoint(tuple(c), j, m) for c, j, m in zip(
+            self.coords.tolist(), self.jacobians.tolist(), self.multiplicities.tolist()))
 
     @property
     def total_multiplicity(self):
-        return sum(pt.cluster_size for pt in self.points)
+        return int(self.multiplicities.sum())
 
     @property
     def clustered(self):
-        return any(pt.cluster_size > 1 for pt in self.points)
+        return bool(np.any(self.multiplicities > 1))
 
 
 def plane_substitute(v: VarietySpec, chart: PlaneChart):
@@ -390,7 +401,7 @@ def _solve_triangular(subs, y_names, order, tol):
                 new_branches.append(({**assignment, var: r}, mult * m))
         branches = new_branches
     return _polish_solutions(
-        [s.restricted(y_names) for s in subs],
+        subs,
         [(tuple(assignment[v] for v in y_names), mult) for assignment, mult in branches],
     )
 
@@ -514,20 +525,21 @@ def _lifted_plane(cmap, a, b):
     return terms
 
 
+def _lift_points(cmap, points):
+    """Points of the original curve, shape (..., 2), in lifted
+    coordinates, shape (..., len(cmap)): the coordinate map's values."""
+    exps, coefs = _term_matrix(cmap)
+    return _monomials(exps, np.moveaxis(points, -1, 0)) @ coefs
+
+
 def _solve_lifted(v, chart, tol):
     """Fiber of a lifted variety through the graph correspondence: pull the
-    plane back to the original chart, solve there, lift the points.
-    Returns (lifted coordinates, multiplicity) pairs."""
-    info = v.lift
-    orig = info.original
-    cmap = info.coordinate_map
+    plane back to the original chart and solve there. Returns
+    solve_bivariate's (original coordinates, multiplicity) pairs."""
     if chart.n != 1:
         raise UnsupportedShape("lifted fibers support a single plane equation")
-    hyper = MultiPoly(orig.vars, _lifted_plane(cmap, chart.a, chart.b))
-    return [
-        (tuple(mp.evaluate(sol) for mp in cmap), m)
-        for sol, m in solve_bivariate(orig.defs[0], hyper, tol)
-    ]
+    hyper = MultiPoly(v.lift.original.vars, _lifted_plane(v.lift.coordinate_map, chart.a, chart.b))
+    return solve_bivariate(v.lift.original.defs[0], hyper, tol)
 
 
 def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
@@ -538,14 +550,16 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
     cascades for p >= 2; general p = 2 via one resultant step; Veronese
     lifts via the graph correspondence. Every path but the lifted one
     returns (y values, multiplicity) pairs, and the plane gives the x
-    values. Each point carries its coordinates as a tuple of complex
-    aligned with v.vars and the determinant of the full (n+p) x (n+p)
-    Jacobian of (defs, plane equations) in the repo variable order.
+    values; the lifted one returns points of the original curve, which
+    _lift_points maps. The Fiber holds the coordinates aligned with
+    v.vars, the determinant of the full (n+p) x (n+p) Jacobian of (defs,
+    plane equations) in the repo variable order and the multiplicity of
+    each point.
 
     ``expected_degree``: "variety" checks against v.degree, None disables
     the constancy check, an integer checks against that value. A cluster
-    (multiple point) is returned as one point with cluster_size > 1, and
-    the fiber reports it as ``clustered``.
+    (multiple point) is returned as one point of multiplicity above 1,
+    and the fiber reports it as ``clustered``.
 
     Raises DegreeDrop when points are missing against the expectation or
     escape beyond ESCAPE_RADIUS.
@@ -557,7 +571,8 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
 
     if v.lift is not None:
         solutions = _solve_lifted(v, chart, tol)
-        coords = np.array([c for c, _ in solutions], dtype=complex).reshape(-1, len(v.vars))
+        coords = _lift_points(v.lift.coordinate_map,
+                              np.array([c for c, _ in solutions], dtype=complex).reshape(-1, 2))
     else:
         subs = plane_substitute(v, chart)
         if v.p == 1:
@@ -567,20 +582,15 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
             if order is not None:
                 solutions = _solve_triangular(subs, v.y_vars, order, tol)
             elif v.p == 2:
-                g1 = subs[0].restricted(v.y_vars)
-                g2 = subs[1].restricted(v.y_vars)
-                solutions = solve_bivariate(g1, g2, tol)
+                solutions = solve_bivariate(subs[0], subs[1], tol)
             else:
                 raise UnsupportedShape(
                     f"no supported solve path for p={v.p} non-triangular systems"
                 )
         ys = np.array([ys for ys, _ in solutions], dtype=complex).reshape(-1, v.p)
         coords = np.concatenate([ys @ chart.a.T + chart.b, ys], axis=1)
-    jac = full_jacobian(v, chart, tuple(coords.T))
-    fiber = Fiber(tuple(
-        FiberPoint(tuple(c), j, mult)
-        for c, j, (_, mult) in zip(coords.tolist(), jac.tolist(), solutions)
-    ))
+    fiber = Fiber(coords, full_jacobian(v, chart, tuple(coords.T)),
+                  np.array([m for _, m in solutions], dtype=int))
     if not np.all(np.abs(coords) <= ESCAPE_RADIUS):
         raise DegreeDrop(
             f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
@@ -779,8 +789,7 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     a, b = a[idx], b[idx]
 
     if v.lift is not None:
-        exps, coefs = _term_matrix(v.lift.coordinate_map)
-        coords = _monomials(exps, (y[..., 0], y[..., 1])) @ coefs
+        coords = _lift_points(v.lift.coordinate_map, y)
     else:
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
     jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
@@ -818,16 +827,11 @@ def _monomial_name(vars, exps):
     return "".join(bits)
 
 
-def _monomials_up_to(nvars, degree):
-    """Exponent vectors of total degree 1..degree, degree ascending and
-    first-variable-major within each degree (x, y, x^2, xy, y^2, ...)."""
-    out = []
-    for d in range(1, degree + 1):
-        if nvars == 2:
-            out.extend([(d - k, k) for k in range(d + 1)])
-        else:
-            raise UnsupportedDimension("monomial enumeration supports 2 variables")
-    return out
+def _monomials_up_to(degree):
+    """Exponent vectors in two variables of total degree 1..degree, degree
+    ascending and first-variable-major within each degree (x, y, x^2, xy,
+    y^2, ...)."""
+    return [(d - k, k) for d in range(1, degree + 1) for k in range(d + 1)]
 
 
 def veronese_lift(v: VarietySpec, degree: int):
@@ -845,16 +849,11 @@ def veronese_lift(v: VarietySpec, degree: int):
     """
     if degree < 2:
         raise ValueError("lift degree must be >= 2")
-    m = v.n + v.p
-    if m > 3:
-        raise UnsupportedDimension(f"ambient dimension {m} > 3 unsupported")
-    if m != 2 or v.p != 1:
-        raise UnsupportedDimension(
-            "lifted fiber solving currently supports plane curves (n = p = 1)"
-        )
+    if v.n != 1 or v.p != 1:
+        raise UnsupportedDimension("the lift supports plane curves (n = p = 1)")
 
     orig_vars = v.vars
-    exps = _monomials_up_to(2, degree)
+    exps = _monomials_up_to(degree)
     cmap = [MultiPoly(orig_vars, {e: 1.0}) for e in exps]
     names = [_monomial_name(orig_vars, e) for e in exps]
     lifted_vars = tuple(names)

@@ -76,7 +76,7 @@ def _substitution_layout(poly, images, horner, one):
 def _monomials(exps, point):
     """Values of the monomials z^e, e the rows of the integer array
     ``exps``, at m values or arrays of one shape S: shape S + (rows,)."""
-    out = 1.0
+    out = np.ones(len(exps))
     for z, col in zip(point, exps.T):
         out = out * np.asarray(z, dtype=complex)[..., None] ** col
     return out
@@ -86,7 +86,7 @@ def _term_matrix(polys):
     """(exps, coefs) with _monomials(exps, z) @ coefs the values of
     ``polys`` at z: the monomials any of them uses, and their coefficients."""
     monos = sorted(set().union(*(f.terms for f in polys)))
-    return (np.array(monos, dtype=int).reshape(-1, len(polys[0].vars)),
+    return (np.array(monos, dtype=int).reshape(len(monos), len(polys[0].vars)),
             np.array([[f.terms.get(e, 0j) for f in polys] for e in monos],
                      dtype=complex).reshape(-1, len(polys)))
 
@@ -94,7 +94,7 @@ def _term_matrix(polys):
 class MultiPoly:
     """Polynomial in named variables, exponent-vector -> coefficient."""
 
-    __slots__ = ("vars", "terms", "_degrees", "_layouts")
+    __slots__ = ("vars", "terms", "_degrees", "_layouts", "_matrix")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
@@ -112,6 +112,7 @@ class MultiPoly:
                 clean[exps] = clean.get(exps, 0j) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._layouts = {}  # _substitute_terms' tensors, one per image layout
+        self._matrix = None  # _term_matrix([self]), built on first use
         # degree in each variable, 0 throughout for the zero polynomial
         if self.terms:
             self._degrees = tuple(map(max, zip(*self.terms)))
@@ -226,6 +227,13 @@ class MultiPoly:
             terms[ne] = terms.get(ne, 0j) + c * e[idx]
         return MultiPoly(self.vars, terms)
 
+    def matrix(self):
+        """(exps, coefs) of _term_matrix([self]), built on first use and
+        kept: _monomials(exps, z) @ coefs is the value at z."""
+        if self._matrix is None:
+            self._matrix = _term_matrix([self])
+        return self._matrix
+
     def evaluate(self, values):
         """Evaluate at a point given as {name: value} or a sequence
         aligned with ``self.vars``; values may be arrays of one shape,
@@ -238,19 +246,9 @@ class MultiPoly:
                 raise ValueError(
                     f"point has {len(point)} values for variables {self.vars}"
                 )
-        powers = []
-        for z, dmax in zip(point, self._degrees):
-            z = z if isinstance(z, np.ndarray) else complex(z)
-            powers.append([1.0, z])
-            for _ in range(dmax - 1):
-                powers[-1].append(powers[-1][-1] * z)
-        total = 0j
-        for e, c in self.terms.items():
-            for col, k in zip(powers, e):
-                if k:
-                    c = c * col[k]
-            total += c
-        return total
+        exps, coefs = self.matrix()
+        out = (_monomials(exps, point) @ coefs)[..., 0]
+        return out if out.ndim else complex(out)
 
     def substitute(self, mapping):
         """Substitute polynomials for variables.

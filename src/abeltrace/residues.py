@@ -73,17 +73,12 @@ def _read(coords, weights, n, indices):
 def _on_pole(weight, coords, wval):
     """Whether each point of the coordinate arrays ``coords`` lies on the
     pole divisor of the weight, whose value there is ``wval``: |wval| at
-    most POLE_REL_TOL of the weight's evaluation magnitude (at least 1)."""
+    most POLE_REL_TOL of its terms' sum of |c| |z|^e (at least 1)."""
     if weight is None:
         return np.zeros(coords[0].shape, dtype=bool)
-    total = 0.0
-    for exps, c in weight.terms.items():
-        term = abs(c)
-        for z, e in zip(coords, exps):
-            if e:
-                term *= abs(z) ** e
-        total += term
-    return abs(wval) <= POLE_REL_TOL * np.maximum(total, 1.0)
+    exps, coefs = weight.matrix()
+    scale = (_monomials(exps, [np.abs(z) for z in coords]) @ np.abs(coefs))[..., 0].real
+    return abs(wval) <= POLE_REL_TOL * np.maximum(scale, 1.0)
 
 
 def _extrapolation_weights(xs):
@@ -119,71 +114,62 @@ class ChartEvaluation:
         return _read(self.coords, self.weights, self.n, indices)
 
 
-def _point_weights(data, points, chart_params=None):
-    """Coordinates (k, n + p) and residue weights (k,) of simple fiber
-    points, from one _family_weights call; PoleDetected for a point on the
-    weight's pole divisor, else ClusterPoint for one with a zero Jacobian
-    (taken as 1 until then)."""
-    coords = np.array([pt.coords for pt in points], dtype=complex).reshape(
-        len(points), len(data.variety.vars))
-    clear, weights = _family_weights(data, coords[None], np.array([[p.jacobian or 1.0 for p in points]]))
+def _point_weights(data, coords, jacobians, chart_params=None):
+    """Residue weights (k,) of simple fiber points ``coords`` (k, n + p)
+    with Jacobians ``jacobians`` (k,), from one _family_weights call;
+    PoleDetected for a point on the weight's pole divisor, else
+    ClusterPoint for one with a zero Jacobian (taken as 1 until then)."""
+    clear, weights = _family_weights(data, coords[None], np.where(jacobians == 0, 1.0, jacobians)[None])
     if not clear[0]:
         raise PoleDetected("fiber point lies on the pole divisor of the data weight",
                            chart_params=chart_params)
-    if not all(pt.jacobian for pt in points):
+    if not np.all(jacobians):
         raise ClusterPoint("fiber point has a zero Jacobian: the plane is not transverse there",
                            chart_params=chart_params)
-    return coords, weights[0]
+    return weights[0]
 
 
-def _cluster_terms(data, chart, cluster_pts, tol, expected=None):
-    """Perturb the chart in b_1, match the cluster's simple points at a
-    geometric ladder of perturbation sizes, and return them as the
-    arrays (coords, c_l * weight), c_l being the extrapolation weight of
-    level l. Extrapolating the level sums to zero perturbation is linear
-    in those sums, so the terms add up to the cluster's total residue."""
-    m = sum(pt.cluster_size for pt in cluster_pts)
+def _point_arrays(data, points):
+    """Coordinates (k, n + p), Jacobians (k,) and multiplicities (k,) of
+    FiberPoints, as a Fiber holds them."""
+    return (np.array([pt.coords for pt in points], dtype=complex).reshape(
+                len(points), len(data.variety.vars)),
+            np.array([pt.jacobian for pt in points], dtype=complex),
+            np.array([pt.cluster_size for pt in points], dtype=int))
+
+
+def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
+    """Perturb the chart in b_1, match the simple points of the cluster
+    ``coords`` (k, n + p) with ``multiplicities`` (k,) at a geometric
+    ladder of perturbation sizes, and return them as the arrays (coords,
+    c_l * weight), c_l being the extrapolation weight of level l.
+    Extrapolating the level sums to zero perturbation is linear in those
+    sums, so the terms add up to the cluster's total residue."""
+    m = int(multiplicities.sum())
     n = data.variety.n
-    ys = np.array(
-        [pt.coords[n:] for pt in cluster_pts for _ in range(pt.cluster_size)],
-        dtype=complex,
-    )
-    center = ys.mean(axis=0)
+    center = np.repeat(coords[:, n:], multiplicities, axis=0).mean(axis=0)
 
     base = abs(chart.b[0]) + 1.0
     for attempt in range(5):
         direction = np.exp(1j * (0.37 + 2.0 * np.pi * attempt / 5.0))
         deltas, levels = [], []
-        ok = True
         for lev in range(CLUSTER_LEVELS):
             d = CLUSTER_DELTA * base / 2.0**lev
             pchart = chart.replace(b1=chart.b[0] + d * direction)
             try:
                 fiber = solve_fiber(data.variety, pchart, tol, expected_degree=expected)
             except (AbelTraceError, ValueError):
-                ok = False
                 break
-            cands = sorted(
-                fiber.points,
-                key=lambda pt: float(
-                    np.max(np.abs(np.asarray(pt.coords[n:]) - center))
-                ),
-            )
-            matched = []
-            for pt in cands:
-                if sum(q.cluster_size for q in matched) >= m:
-                    break
-                matched.append(pt)
-            if (
-                sum(q.cluster_size for q in matched) != m
-                or any(q.cluster_size > 1 for q in matched)
-            ):
-                ok = False
+            # the m points nearest the centre (ties in fiber order), taken
+            # only when all are simple: then their multiplicities sum to m
+            near = np.argsort(np.abs(fiber.coords[:, n:] - center).max(axis=1), kind="stable")[:m]
+            if len(near) < m or np.any(fiber.multiplicities[near] > 1):
                 break
             deltas.append(d * direction)
-            levels.append(_point_weights(data, matched, pchart.to_params()))
-        if ok:
-            return (np.concatenate([coords for coords, _ in levels]),
+            levels.append((fiber.coords[near], _point_weights(
+                data, fiber.coords[near], fiber.jacobians[near], pchart.to_params())))
+        else:
+            return (np.concatenate([c for c, _ in levels]),
                     np.concatenate([c * w for c, (_, w) in zip(_extrapolation_weights(deltas), levels)]))
     raise PerturbationFailure(
         f"cluster of multiplicity {m} stayed degenerate under perturbation"
@@ -194,10 +180,12 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
                    expected_degree=None):
     """Build the ChartEvaluation for one chart (shared by all indices)."""
     fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
-    parts = [_point_weights(data, [pt for pt in fiber.points if pt.cluster_size == 1],
-                            chart.to_params())]
-    parts += [_cluster_terms(data, chart, [pt], tol, expected=expected_degree)
-              for pt in fiber.points if pt.cluster_size > 1]
+    simple = fiber.multiplicities == 1
+    parts = [(fiber.coords[simple], _point_weights(
+        data, fiber.coords[simple], fiber.jacobians[simple], chart.to_params()))]
+    parts += [_cluster_terms(data, chart, fiber.coords[[i]], fiber.multiplicities[[i]], tol,
+                             expected=expected_degree)
+              for i in np.flatnonzero(~simple)]
     coords, weights = map(np.concatenate, zip(*parts))
     return ChartEvaluation(coords, weights, len(parts) > 1, data.variety.n)
 
@@ -216,7 +204,8 @@ def punctual_residue(data: ResidueData, chart: PlaneChart, point: FiberPoint,
             f"point has multiplicity {point.cluster_size}; sum over the cluster instead"
         )
     index = _normalize_index(index, data.variety.p)
-    coords, weights = _point_weights(data, [point], chart.to_params())
+    coords, jacobians, _ = _point_arrays(data, [point])
+    weights = _point_weights(data, coords, jacobians, chart.to_params())
     return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
@@ -233,7 +222,8 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
     from solve_fiber or nearby simple points from a perturbed chart.
     """
     index = _normalize_index(index, data.variety.p)
-    coords, weights = _cluster_terms(data, chart, list(cluster), tol)
+    coords, _, multiplicities = _point_arrays(data, list(cluster))
+    coords, weights = _cluster_terms(data, chart, coords, multiplicities, tol)
     return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
@@ -269,8 +259,8 @@ def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
     pts = hypersurface_section(data.variety, hyper, tol)
     if any(pt.cluster_size != 1 for pt in pts):
         raise ClusterPoint("hypersurface section is degenerate")
-    coords, weights = _point_weights(data, pts)
-    return complex(_read(coords, weights, 0, [index_exps])[0][0])
+    coords, jacobians, _ = _point_arrays(data, pts)
+    return complex(_read(coords, _point_weights(data, coords, jacobians), 0, [index_exps])[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from abeltrace import residues
 from abeltrace import serialize as ser
 from abeltrace.cli import main
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
@@ -289,6 +290,29 @@ class TestCli:
         assert code == 0
         obj = json.loads((tmp_path / "ext.json").read_text())
         assert obj["result"]["kind"] == "trace_table"
+
+    def test_extend_solves_at_its_tol(self, parabola_files, tmp_path, monkeypatch):
+        # a table stores no tol, so the order-0 grid, the probes and the
+        # base slices are all solved at the command's --tol
+        _, paths = parabola_files
+        out = self.run_trace(paths, tmp_path, "tsmall.json", grid="torus:5")
+        big = DomainSpec(PlaneChart([[0.1]], [3.0]), {"a1.1": 0.4, "b1": 1.6})
+        bpath = tmp_path / "big.json"
+        bpath.write_text(ser.dumps(ser.encode_domain(big)))
+        seen = []
+        solve = residues.solve_family
+
+        def spy(v, charts, degree, tol):
+            seen.append(tol)
+            return solve(v, charts, degree, tol)
+
+        monkeypatch.setattr(residues, "solve_family", spy)
+        code = main([
+            "extend", "--traces", str(out), "--domain", str(bpath),
+            "--order", "2", "--tol", "1e-9", "-o", str(tmp_path / "ext.json"),
+        ])
+        assert code == 0
+        assert seen and set(seen) == {1e-9}
 
     def test_repeated_calls_keep_defaults(self, parabola_files):
         # one parser serves every call; an option given in one call must

@@ -14,6 +14,7 @@ from abeltrace.errors import (
 from abeltrace.geometry import (
     ESCAPE_RADIUS,
     DomainSpec,
+    FiberPoint,
     PlaneChart,
     ResidueData,
     VarietySpec,
@@ -142,6 +143,25 @@ class TestSolveFiber:
         assert len(fiber.points) == 1
         assert fiber.points[0].cluster_size == 2
         assert fiber.total_multiplicity == 2
+
+    def test_fiber_holds_arrays(self):
+        # arrays of the distinct points; ``points`` rebuilds the
+        # FiberPoints with Python complex coordinates and Jacobians
+        for b, count in ((4.0, 2), (0.0, 1)):
+            fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [b]))
+            assert fiber.coords.dtype == complex and fiber.coords.shape == (count, 2)
+            assert fiber.jacobians.dtype == complex and fiber.jacobians.shape == (count,)
+            assert fiber.multiplicities.dtype.kind == "i"
+            assert fiber.multiplicities.shape == (count,)
+            assert fiber.points == tuple(
+                FiberPoint(tuple(map(complex, c)), complex(j), int(m))
+                for c, j, m in zip(fiber.coords, fiber.jacobians, fiber.multiplicities))
+            for pt in fiber.points:
+                assert all(type(z) is complex for z in pt.coords)
+                assert type(pt.jacobian) is complex and type(pt.cluster_size) is int
+            # fibers compare by identity, without comparing arrays
+            again = solve_fiber(parabola(), PlaneChart([[0.0]], [b]))
+            assert fiber == fiber and fiber != again
 
     def test_triangular_system(self):
         fiber = solve_fiber(triangular_pair(), PlaneChart([[0.0, 0.0]], [4.0]))

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeltrace.multipoly import MultiPoly, _substitute_terms
@@ -75,6 +76,39 @@ def test_substitute_affine():
     sub = f.substitute({"x": img})
     assert sub.vars == ("y",)
     assert sub.terms == {(2,): 1.0 + 0j, (1,): -2.0 + 0j, (0,): -5.0 + 0j}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example(seed=0, nvars=2, nterms=0, form="array")
+@example(seed=0, nvars=1, nterms=0, form="scalar")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nvars=st.integers(1, 3),
+    nterms=st.integers(0, 8),
+    form=st.sampled_from(["scalar", "dict", "array"]),
+)
+def test_evaluate_matches_term_sum(seed, nvars, nterms, form):
+    # the term-matrix evaluation against the sum of c z^e term by term,
+    # at a point of values, a dict, or arrays broadcasting to (3, 4)
+    rng = np.random.default_rng(seed)
+    vars = ("x", "y", "z")[:nvars]
+    f = MultiPoly(vars, {tuple(rng.integers(0, 5, nvars).tolist()): complex(*rng.standard_normal(2))
+                         for _ in range(nterms)})
+    if form == "array":
+        shapes = [(3, 1), (4,), (1, 4)][:nvars]
+        point = [rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes]
+    else:
+        point = [complex(*rng.standard_normal(2)) for _ in vars]
+    got = f.evaluate(dict(zip(vars, point)) if form == "dict" else point)
+    want = scale = np.zeros(np.broadcast_shapes(*(np.shape(z) for z in point)))
+    for e, c in f.terms.items():
+        want = want + c * math.prod(z**k for z, k in zip(point, e))
+        scale = scale + abs(c) * math.prod(abs(z)**k for z, k in zip(point, e))
+    if form == "array":
+        assert got.shape == want.shape
+    else:
+        assert type(got) is complex
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 V4 = ("x1", "x2", "y1", "y2")

@@ -300,6 +300,21 @@ class TestClusteredResidue:
         assert val1 == pytest.approx(-1.0, abs=1e-10)
         assert abs(val3) < 1e-10
 
+    def test_two_double_points(self):
+        # f = (y^2 - 1)^2 - x at x = 0: double points at y = 1 and y = -1,
+        # each matched next to the other. The division identity gives
+        # u_3 = -1, u_5 = -2 and u_k = 0 for the other k up to 6
+        f = MultiPoly(V2, {(0, 4): 1.0, (0, 2): -2.0, (0, 0): 1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        chart = PlaneChart.vertical([0.0])
+        fiber = solve_fiber(data.variety, chart)
+        assert fiber.multiplicities.tolist() == [2, 2]
+        ev = evaluate_chart(data, chart)
+        assert ev.clustered
+        got = ev.value([(k,) for k in range(7)])[0]
+        want = [0, 0, 0, -1, 0, -2, 0]
+        assert np.max(np.abs(got - want)) < 1e-9
+
     def test_zero_numerator_cluster(self):
         data = parabola_data(MultiPoly.zero(V2))
         chart = PlaneChart([[0.0]], [0.0])
