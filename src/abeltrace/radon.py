@@ -86,7 +86,7 @@ def radon_coefficients(data: ResidueData, domain: DomainSpec, plan,
     """Sample every coefficient of the transform on the plan's charts."""
     p = data.variety.p
     indices = sorted({label_index(lb, p) for lb in radon_labels(data.variety.n, p)})
-    baseline = _baseline_degree(data, domain, tol)
+    baseline = _baseline_degree(data, domain.chart, tol)
     return _sample_charts(
         data, domain, plan, indices, baseline, tol, cls=RadonTransform
     )

@@ -95,23 +95,33 @@ def _extrapolation_weights(xs):
 
 
 class ChartEvaluation:
-    """All index-independent work for the trace at one chart: the points
-    ``coords`` (k, n + p) and their weights (k,). Simple points carry their
-    residue weight; a cluster contributes its perturbed points with the
-    extrapolation weights folded in. ``value`` reads any list of indices
-    off them at once."""
+    """All index-independent work for the trace at one chart, or at each
+    chart of a list: the points ``coords`` (k, n + p) and their weights
+    (k,), stacked over a list's charts as (m, k, n + p) and (m, k) with
+    short rows padded by zero weights. Simple points carry their residue
+    weight; a cluster contributes its perturbed points with the
+    extrapolation weights folded in. ``flags`` holds each chart's flag
+    (CLEAN, CLUSTER, POLE, DROPPED or UNCONVERGED) and ``errors`` each
+    failed chart's exception (None elsewhere), its row holding zero
+    weights. ``value`` reads any list of indices off every chart at
+    once."""
 
-    __slots__ = ("coords", "weights", "clustered", "n")
+    __slots__ = ("coords", "weights", "n", "flags", "errors")
 
-    def __init__(self, coords, weights, clustered, n):
-        self.coords = coords
-        self.weights = weights
-        self.clustered = clustered
-        self.n = n
+    def __init__(self, coords, weights, n, flags, errors):
+        self.coords, self.weights, self.n, self.flags, self.errors = coords, weights, n, flags, errors
+
+    @property
+    def clustered(self):
+        return CLUSTER in self.flags
 
     def value(self, indices):
-        """(traces at ``indices``, largest |residue term| among them)."""
-        return _read(self.coords, self.weights, self.n, indices)
+        """(traces at ``indices``, largest |residue term| among them), per
+        chart for a list, whose failed charts read NaN traces."""
+        values, scales = _read(self.coords, self.weights, self.n, indices)
+        if values.ndim > 1:
+            values[np.array([err is not None for err in self.errors], dtype=bool)] = np.nan
+        return values, scales
 
 
 def _point_weights(data, coords, jacobians, chart_params=None):
@@ -176,9 +186,9 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
     )
 
 
-def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
-                   expected_degree=None):
-    """Build the ChartEvaluation for one chart (shared by all indices)."""
+def _evaluate_one(data, chart, tol, expected_degree):
+    """The ChartEvaluation of one chart from its own fiber solve, clusters
+    through the perturbation ladder; raises as those do."""
     fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
     simple = fiber.multiplicities == 1
     parts = [(fiber.coords[simple], _point_weights(
@@ -187,7 +197,47 @@ def evaluate_chart(data: ResidueData, chart: PlaneChart, tol=TOL_ARITH,
                              expected=expected_degree)
               for i in np.flatnonzero(~simple)]
     coords, weights = map(np.concatenate, zip(*parts))
-    return ChartEvaluation(coords, weights, len(parts) > 1, data.variety.n)
+    return ChartEvaluation(coords, weights, data.variety.n,
+                           (CLUSTER if len(parts) > 1 else CLEAN,), (None,))
+
+
+def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None):
+    """Build the ChartEvaluation of one chart, or of a list of charts
+    (shared by all indices).
+
+    One PlaneChart is solved on its own and raises as solve_fiber and the
+    cluster ladder do. A list is solved as one family at fiber degree
+    ``expected_degree`` (the first chart's when None); each chart the
+    family declines or finds on the weight's pole divisor is solved on its
+    own at that degree, and one that raises PoleDetected, DegreeDrop,
+    NonConvergence or PerturbationFailure is flagged POLE, DROPPED or
+    UNCONVERGED and keeps its exception instead of raising."""
+    if isinstance(chart, PlaneChart):
+        return _evaluate_one(data, chart, tol, expected_degree)
+    charts, v = list(chart), data.variety
+    degree = (_baseline_degree(data, charts[0], tol) if expected_degree is None and charts
+              else expected_degree)
+    pos, coords, jac = solve_family(v, charts, degree, tol) or (
+        np.zeros(0, int), np.zeros((0, 0, len(v.vars))), np.zeros((0, 0)))
+    clear, weights = _family_weights(data, coords, jac)
+    # (positions, points, weights): the family's rows, then each other chart's
+    rows = [(pos[clear], coords[clear], weights)]
+    flags, errors = [CLEAN] * len(charts), [None] * len(charts)
+    for s in np.setdiff1d(np.arange(len(charts)), rows[0][0]):
+        try:
+            ev = _evaluate_one(data, charts[s], tol, degree)
+        except (PoleDetected, DegreeDrop, NonConvergence, PerturbationFailure) as exc:
+            flags[s] = (POLE if isinstance(exc, PoleDetected) else
+                        DROPPED if isinstance(exc, DegreeDrop) else UNCONVERGED)
+            errors[s] = exc
+        else:
+            flags[s] = ev.flags[0]
+            rows.append((s, ev.coords, ev.weights))
+    k = max(w.shape[-1] for _, _, w in rows)
+    points, stacked = np.zeros((len(charts), k, len(v.vars)), complex), np.zeros((len(charts), k), complex)
+    for s, c, w in rows:
+        points[s, :w.shape[-1]], stacked[s, :w.shape[-1]] = c, w
+    return ChartEvaluation(points, stacked, v.n, tuple(flags), tuple(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +283,17 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     punctual (or cluster-summed) residues over the fiber.
 
     ``chart`` may also be a list of charts; the result is then an array of
-    their traces, in order. The list is solved as one family at
-    ``expected_degree`` (``data.variety.degree`` when None), and every
-    chart the family declines goes through ``evaluate_chart``, so it
-    raises or merges its clusters as a single chart does."""
+    their traces, in order, from one ``evaluate_chart`` call on the list.
+    Every chart of a list is held to one fiber degree (``expected_degree``,
+    the first chart's when None), and the first chart that fails raises
+    its error, so no trace sums fewer points than the others."""
     index = _normalize_index(index, data.variety.p)
-    if isinstance(chart, PlaneChart):
-        ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree)
-        return complex(ev.value([index])[0][0])
-    charts = list(chart)
-    degree = data.variety.degree if expected_degree is None else expected_degree
-    pos, coords, weights = _family(data, charts, degree, tol)
-    out = np.empty(len(charts), dtype=complex)
-    out[pos] = _read(coords, weights, data.variety.n, [index])[0][:, 0]
-    for s in np.setdiff1d(np.arange(len(charts)), pos):
-        out[s] = evaluate_chart(data, charts[s], tol, expected_degree=expected_degree).value([index])[0][0]
-    return out
+    ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree)
+    err = next((err for err in ev.errors if err is not None), None)
+    if err is not None:
+        raise err
+    out = ev.value([index])[0][..., 0]
+    return complex(out) if isinstance(chart, PlaneChart) else out
 
 
 def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
@@ -394,22 +439,25 @@ class TraceTable:
         key = chart.to_params().tobytes()
         if key not in self._cache:
             self._cache[key] = self._evaluate(chart, self.indices())
-        return complex(self._cache[key][self._columns[index]])
+        row = self._cache[key]
+        if isinstance(row, AbelTraceError):
+            raise row
+        return complex(row[self._columns[index]])
 
     def _evaluate(self, chart, indices):
         ev = evaluate_chart(self.data, chart, self.tol, expected_degree=self.baseline_degree)
         return ev.value(indices)[0]
 
     def _prefetch(self, charts):
-        """Solve the charts not yet cached as one family and cache the row
-        of each certified chart with no point on the weight's pole divisor
-        from one read; ``value`` evaluates the others one by one."""
+        """Evaluate the charts not yet cached as one list and cache each
+        chart's row from one read, or its error, which ``value`` then
+        raises without solving the chart again."""
         todo = {ch.to_params().tobytes(): ch for ch in charts}
         todo = {key: ch for key, ch in todo.items() if key not in self._cache}
-        keys = list(todo)
-        pos, coords, weights = _family(self.data, list(todo.values()), self.baseline_degree, self.tol)
-        rows = _read(coords, weights, self.n, self.indices())[0]
-        self._cache.update(zip([keys[s] for s in pos], rows))
+        ev = evaluate_chart(self.data, list(todo.values()), self.tol, self.baseline_degree)
+        rows = ev.value(self.indices())[0]
+        self._cache.update(zip(todo, [row if err is None else err
+                                      for row, err in zip(rows, ev.errors)]))
 
     def model_value(self, index, chart):
         index = _normalize_index(index, self.p)
@@ -439,62 +487,24 @@ def _family_weights(data, coords, jac):
     return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 
-def _family(data, charts, degree, tol):
-    """Solve the charts as one family at fiber degree ``degree``:
-    (positions, points, weights) of the charts the family certifies with
-    no point on the weight's pole divisor, of shapes (k,), (k, degree,
-    n + p) and (k, degree)."""
-    family = solve_family(data.variety, charts, degree, tol)
-    if family is None:
-        return (np.zeros(0, dtype=int), np.zeros((0, degree, len(data.variety.vars)), complex),
-                np.zeros((0, degree), complex))
-    pos, coords, jac = family
-    clear, weights = _family_weights(data, coords, jac)
-    return pos[clear], coords[clear], weights
-
-
 def _sample_charts(data, domain, plan, indices, baseline, tol,
                    cls=TraceTable):
-    """Evaluate every plan chart once and read off the listed indices.
+    """Evaluate the plan's charts as one list (``evaluate_chart``) against
+    the ``baseline`` fiber degree and read off the listed indices.
 
-    Each chart is solved against the ``baseline`` fiber degree; samples
-    that drop degree, meet the weight's pole divisor, whose root finding
-    or polish does not converge or whose cluster stays degenerate under
-    perturbation are flagged and hold NaN. The per-sample
-    term scale is the largest residue term any listed index summed there.
-    Charts that ``solve_family`` certifies are read off its stacked points;
-    every other chart goes through ``evaluate_chart``. Returns a ``cls``
-    table whose max_order is the largest per-slot entry of ``indices``.
+    Samples that drop degree, meet the weight's pole divisor, whose root
+    finding or polish does not converge or whose cluster stays degenerate
+    under perturbation keep the evaluation's flag and NaN row. The
+    per-sample term scale is the largest residue term any listed index
+    summed there. Returns a ``cls`` table whose max_order is the largest
+    per-slot entry of ``indices``.
     """
     offsets = plan.offsets(domain)
-    charts = [domain.chart_at(off) for off in offsets]
-    m = len(offsets)
-    values = np.full((m, len(indices)), complex(np.nan, np.nan))
-    term_scales = np.zeros(m)
-    flags = [None] * m
-    # p = 1 plans stay per chart: the traced benchmark needs a p = 1 table
-    # that reaches evaluate_chart (see ROADMAP item 3)
-    pos, coords, weights = _family(data, charts if data.variety.p > 1 else [], baseline, tol)
-    values[pos], term_scales[pos] = _read(coords, weights, data.variety.n, indices)
-    for s in pos:
-        flags[s] = CLEAN
-    for s, chart in enumerate(charts):
-        if flags[s] is not None:
-            continue
-        try:
-            ev = evaluate_chart(data, chart, tol, expected_degree=baseline)
-        except PoleDetected:
-            flags[s] = POLE
-        except DegreeDrop:
-            flags[s] = DROPPED
-        except (NonConvergence, PerturbationFailure):
-            flags[s] = UNCONVERGED
-        else:
-            flags[s] = CLUSTER if ev.clustered else CLEAN
-            values[s], term_scales[s] = ev.value(indices)
+    ev = evaluate_chart(data, [domain.chart_at(off) for off in offsets], tol, baseline)
+    values, term_scales = ev.value(indices)
     max_order = max(max(idx) for idx in indices)
     return cls(
-        data, domain, offsets, dict(zip(indices, values.T.copy())), term_scales, flags,
+        data, domain, offsets, dict(zip(indices, values.T.copy())), term_scales, ev.flags,
         max_order, baseline, tol=tol,
     )
 
@@ -514,7 +524,7 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan,
     Raises TooFewCleanSamples when fewer than MIN_CLEAN_FRACTION of the
     samples are usable.
     """
-    baseline = _baseline_degree(data, domain, tol)
+    baseline = _baseline_degree(data, domain.chart, tol)
     if max_order is None:
         max_order = 2 * baseline + 1
     t = _sample_charts(
@@ -530,7 +540,7 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan,
     return t
 
 
-def _baseline_degree(data, domain, tol):
-    """Fiber degree at the domain center (the domain's properness baseline)."""
-    fiber = solve_fiber(data.variety, domain.chart, tol, expected_degree=None)
+def _baseline_degree(data, chart, tol):
+    """Fiber degree at one chart (a domain's properness baseline at its centre)."""
+    fiber = solve_fiber(data.variety, chart, tol, expected_degree=None)
     return fiber.total_multiplicity

@@ -56,8 +56,8 @@ def test_shock_circles_p2_need_no_per_chart_solve(monkeypatch):
     # every circle chart of both probes is certified by the family solve
     t = _p2_shock_table()
     calls = []
-    real = residues.evaluate_chart
-    monkeypatch.setattr(residues, "evaluate_chart",
+    real = residues._evaluate_one
+    monkeypatch.setattr(residues, "_evaluate_one",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
     assert verify_shock_relations(t, 1e-7, probes=2).passed
     assert calls == []

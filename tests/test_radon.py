@@ -206,8 +206,8 @@ class TestShockRelations:
 
     def _count_evaluate_chart(self, monkeypatch):
         calls = []
-        real = residues.evaluate_chart
-        monkeypatch.setattr(residues, "evaluate_chart",
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one",
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         return calls
 
@@ -395,8 +395,8 @@ class TestPropagation:
         small, big = self._domains()
         t = trace_table(data, small, 3, TorusPlan(6))
         calls, lists = [], []
-        real = residues.evaluate_chart
-        monkeypatch.setattr(residues, "evaluate_chart",
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one",
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         ext = propagate_trace_extension(
             t, lambda charts: lists.append(len(charts)) or trace(data, charts, 0),

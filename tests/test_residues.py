@@ -207,8 +207,8 @@ class TestTraceList:
         data, charts, indices = self._case(kind)
         want = np.array([[trace(data, ch, idx) for ch in charts] for idx in indices])
         calls = []
-        real = residues.evaluate_chart
-        monkeypatch.setattr(residues, "evaluate_chart",
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one",
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         got = np.array([trace(data, charts, idx) for idx in indices])
         assert got.shape == want.shape
@@ -240,6 +240,25 @@ class TestTraceList:
 
     def test_empty_list(self):
         assert trace(parabola_data(), [], 1).shape == (0,)
+
+    def test_chart_losing_a_point_raises(self):
+        # (1 + x) y^2 - y - x: two points on the vertical chart x = b, but
+        # one at b = -1, where the leading coefficient vanishes; a list
+        # must not sum that chart's one point as its trace
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        assert data.variety.degree == 2
+        charts = [PlaneChart.vertical([b]) for b in (0.5, -1.0, 0.3j)]
+        with pytest.raises(DegreeDrop):
+            trace(data, charts[1], 1, expected_degree=2)
+        with pytest.raises(DegreeDrop):
+            trace(data, charts, 1)
+        # the first chart sets the list's degree, whichever it is
+        with pytest.raises(DegreeDrop):
+            trace(data, [charts[1], charts[0]], 1)
+        got = trace(data, [charts[0], charts[2]], 1)
+        for s, ch in enumerate((charts[0], charts[2])):
+            assert abs(got[s] - trace(data, ch, 1)) <= 1e-13 * max(1.0, abs(got[s]))
 
 
 class TestJacobiVanishing:
@@ -577,10 +596,18 @@ def _dense(rng, vars, d):
 
 
 def _family_case(kind, rng):
-    """(residue data, domain, max_order) of a p = 2 resultant family with
-    n = 1 or 2, of a degree-2 Veronese lift of a random cubic, or of
-    product-form data on vertical charts (a triangular family), the def in
-    y1 listed first or, for p2_triangular_y2, the def in y2."""
+    """(residue data, domain, max_order) of a random plane curve of degree
+    2-7 (p1, with a linear weight for p1_weight), of a p = 2 resultant
+    family with n = 1 or 2, of a degree-2 Veronese lift of a random cubic,
+    or of product-form data on vertical charts (a triangular family), the
+    def in y1 listed first or, for p2_triangular_y2, the def in y2."""
+    if kind.startswith("p1"):
+        curve = VarietySpec(("x",), ("y",), [_dense(rng, V2, int(rng.integers(2, 8)))])
+        weight = _dense(rng, V2, 1) if kind == "p1_weight" else None
+        chart = PlaneChart([[0.3 * complex(*rng.standard_normal(2))]],
+                           [0.5 * complex(*rng.standard_normal(2))])
+        return (ResidueData(curve, _dense(rng, V2, 2), weight=weight),
+                DomainSpec(chart, {"a1.1": 0.2, "b1": 0.3}), 3)
     if kind.startswith("p2_triangular"):
         # def s: monic of degree d_s in y_s, coefficients quadratic in x
         d = rng.integers(1, 4, size=2)
@@ -668,8 +695,8 @@ def test_p3_triangular_cascade_is_product_of_slots():
 
 
 class TestChartFamily:
-    @pytest.mark.parametrize("kind", ["p2_n1", "p2_n2", "lifted", "p2_triangular",
-                                      "p2_triangular_y2"])
+    @pytest.mark.parametrize("kind", ["p1", "p1_weight", "p2_n1", "p2_n2", "lifted",
+                                      "p2_triangular", "p2_triangular_y2"])
     @pytest.mark.parametrize("plan", [TorusPlan(3), GridPlan({"a1.1": 3, "b1": 3})])
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -709,13 +736,32 @@ class TestChartFamily:
         data, _ = self._tangent_family(MultiPoly(V3, {(0, 1, 0): 1.0, (0, 0, 0): -root}))
         want = _per_chart_table(data, domain, 3, plan)
         calls = []
-        real = residues.evaluate_chart
-        monkeypatch.setattr(residues, "evaluate_chart",
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one",
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         got = trace_table(data, domain, 3, plan)
         assert want.flags == ("clean", "clean", "cluster", "pole", "clean")
         _assert_same_table(got, want)
         assert len(calls) == 2
+
+    def test_p1_fallback_on_cluster_and_pole_charts(self, monkeypatch):
+        # the parabola y^2 = x on vertical charts: a double point at b = 0,
+        # the grid's centre, and a weight x - 0.05 vanishing on the whole
+        # fiber of the chart b = 0.05
+        plan = GridPlan({"b1": 5})
+        domain = DomainSpec(PlaneChart.vertical([0.0]), {"b1": 0.1})
+        data = ResidueData(parabola_data().variety, MultiPoly(V2, {(0, 0): 1.0, (0, 1): 0.7}),
+                           weight=MultiPoly(V2, {(1, 0): 1.0, (0, 0): -0.05}))
+        want = _per_chart_table(data, domain, 3, plan)
+        calls = []
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one",
+                            lambda data, chart, *args, **kw: calls.append(chart.b[0])
+                            or real(data, chart, *args, **kw))
+        got = trace_table(data, domain, 3, plan)
+        assert want.flags == ("clean", "clean", "cluster", "pole", "clean")
+        _assert_same_table(got, want)
+        assert calls == [0.0, 0.05]
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_triangular_double_root_chart_falls_back(self, swap, monkeypatch):
@@ -736,8 +782,8 @@ class TestChartFamily:
         plan = GridPlan({"b1": 5})
         want = _per_chart_table(data, domain, 3, plan)
         calls = []
-        real = residues.evaluate_chart
-        monkeypatch.setattr(residues, "evaluate_chart",
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one",
                             lambda data, chart, *args, **kw: calls.append(chart.b[0])
                             or real(data, chart, *args, **kw))
         got = trace_table(data, domain, 3, plan)
@@ -775,7 +821,7 @@ class TestChartFamily:
         else:
             chart = PlaneChart([[0.2, -0.1j]], [0.4 - 0.2j])
             domain = DomainSpec(chart, {"a1.1": 0.2, "b1": 0.3})
-        monkeypatch.setattr(residues, "evaluate_chart", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(residues, "_evaluate_one", mock.Mock(side_effect=AssertionError))
         t = trace_table(data, domain, 3, TorusPlan(4))
         assert set(t.flags) == {"clean"}
         assert t.baseline_degree == (4 if vertical else 6)
