@@ -297,7 +297,9 @@ def cauchy_derivative(f, z0, radius, order=1, nodes=64):
     Trapezoid rule on the circle |z - z0| = radius applied to the Cauchy
     integral order!/(2 pi i) * contour integral of f(z)/(z-z0)^(order+1);
     the relative error decays exponentially in ``nodes`` for f holomorphic
-    on the closed disc.
+    on the closed disc. ``f`` is called once, on the array of nodes, and
+    returns values with the node axis first: a complex for scalar values,
+    else an array of derivatives over the trailing axes.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -307,11 +309,14 @@ def cauchy_derivative(f, z0, radius, order=1, nodes=64):
         raise ValueError("radius must be positive")
     theta, points = cauchy_nodes(z0, radius, nodes)
     try:
-        vals = np.array([f(z) for z in points], dtype=complex)
+        vals = np.asarray(f(points), dtype=complex)
     except Exception as exc:  # noqa: BLE001 - evaluator contract
         raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
+    if vals.shape[:1] != (nodes,):
+        raise EvaluationError(f"evaluator returned shape {vals.shape} on {nodes} nodes")
     fact = float(np.prod(np.arange(1, order + 1)))
-    return complex(fact * np.mean(vals * np.exp(-1j * order * theta)) / radius**order)
+    out = fact * (np.exp(-1j * order * theta) @ vals) / (nodes * radius**order)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,10 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     u_I. Derivatives are taken by Cauchy integrals on circles of radius
     SHOCK_MARGIN * (domain radius), so the table's domain must leave that
     much margin in both parameters. All circle charts are solved as one
-    chart family first (``TraceTable._prefetch``). Raises ValueError for
-    probes < 1 and InsufficientMargin when no (index, slot) pair exists.
+    chart family first (``TraceTable._prefetch``); each circle is then
+    read once for every index (``TraceTable.value``) and differentiated
+    in one ``cauchy_derivative`` call. Raises ValueError for probes < 1
+    and InsufficientMargin when no (index, slot) pair exists.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -161,20 +163,22 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     if not indices:
         raise InsufficientMargin(f"the order-{t.max_order} table has no index to check")
 
-    # the circle of each (probe, parameter): its centre and {node: chart}
-    circles = {}
+    # the circle of each (probe, parameter): its centre and its node charts
+    circles, names = {}, t.domain.chart.param_names()
     for k, off in enumerate(_probe_offsets(t.domain, probes)):
-        chart0 = t.domain.chart_at(off)
-        here = dict(zip(chart0.param_names(), map(complex, chart0.to_params())))
+        here = t.domain.chart_at(off).to_params()
         for nm in dict.fromkeys(nm for (i, _, a_name) in pairs for nm in (f"b{i}", a_name)):
-            zs = cauchy_nodes(here[nm], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
-            circles[k, nm] = here[nm], {z: chart0.replace(**{nm: z}) for z in zs}
-    t._prefetch([ch for _, charts in circles.values() for ch in charts.values()])
+            col, rows = names.index(nm), np.repeat(here[None], nodes, axis=0)
+            rows[:, col] = cauchy_nodes(here[col], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
+            circles[k, nm] = here[col], [PlaneChart.from_params(n, p, row) for row in rows]
+    t._prefetch([ch for _, charts in circles.values() for ch in charts])
+    # every index's derivative on each circle, from one read of its charts
+    derivatives = {key: cauchy_derivative(lambda _: t.value(t.indices(), charts), z0,
+                                          SHOCK_MARGIN * t.domain.radii[key[1]], 1, nodes)
+                   for key, (z0, charts) in circles.items()}
 
     def derivative(k, name, index):
-        z0, charts = circles[k, name]
-        return cauchy_derivative(lambda z: t.value(index, charts[z]), z0,
-                                 SHOCK_MARGIN * t.domain.radii[name], 1, nodes)
+        return derivatives[k, name][t._columns[index]]
 
     max_abs, max_rel, details = 0.0, 0.0, []
     checked = 0
@@ -221,12 +225,10 @@ class HolomorphyReport:
         }
 
 
-def _poly_features(offsets, names, radii, deg):
-    """Monomials of total degree <= deg in the scaled offsets, one row
-    per offset."""
-    exps = [e for e in np.ndindex(*([deg + 1] * len(names))) if sum(e) <= deg]
-    s = np.array([[complex(off.get(nm, 0.0)) / radii[nm] for nm in names]
-                  for off in offsets], dtype=complex).reshape(len(offsets), len(names))
+def _poly_features(s, deg):
+    """Monomials of total degree <= deg in the scaled offsets ``s`` (m,
+    k), one row per offset."""
+    exps = [e for e in np.ndindex(*([deg + 1] * s.shape[1])) if sum(e) <= deg]
     return np.prod(s[:, None, :] ** np.array(exps), axis=-1)
 
 
@@ -245,15 +247,17 @@ def verify_holomorphy(rt: RadonTransform, tol):
     """
     names = rt.domain.varying
     mask = rt.clean_mask()
-    nclean = int(np.sum(mask))
-    clean_offsets = [off for off, keep in zip(rt.offsets, mask) if keep]
+    # the clean samples' offsets over the radii, one row per sample
+    scaled = np.array([[complex(off.get(nm, 0.0)) / rt.domain.radii[nm] for nm in names]
+                       for off, keep in zip(rt.offsets, mask) if keep],
+                      dtype=complex).reshape(int(np.sum(mask)), len(names))
     tscale = max(rt.term_scale(), 1e-300)
 
-    def sweep(values, offsets):
+    def sweep(values, s):
         best = np.inf
         best_deg = 0
         for deg in range(1, HOLO_MAX_FIT_DEGREE + 1):
-            feats = _poly_features(offsets, names, rt.domain.radii, deg)
+            feats = _poly_features(s, deg)
             if feats.shape[0] <= feats.shape[1]:
                 break
             sol, _, _, _ = np.linalg.lstsq(feats, values, rcond=None)
@@ -267,14 +271,13 @@ def verify_holomorphy(rt: RadonTransform, tol):
     for label, vals in rt.coeffs.items():
         clean_vals = np.asarray(vals)[mask]
         vmax = float(np.max(np.abs(clean_vals))) if clean_vals.size else 0.0
-        resid, deg = sweep(clean_vals, clean_offsets)
+        resid, deg = sweep(clean_vals, scaled)
         fit_ok = resid <= tol * max(vmax, tscale)
 
         inv_resid, inv_deg = np.inf, 0
         big = np.abs(clean_vals) > 1e-9 * tscale
         if int(np.sum(big)) >= 6:
-            inv_offsets = [o for o, keep in zip(clean_offsets, big) if keep]
-            inv_resid, inv_deg = sweep(1.0 / clean_vals[big], inv_offsets)
+            inv_resid, inv_deg = sweep(1.0 / clean_vals[big], scaled[big])
             inv_resid /= max(1e-300, float(np.max(np.abs(1.0 / clean_vals[big]))))
 
         if flagged:
@@ -350,7 +353,9 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
     l(x, y; t') symbolically in the new parameters and sums residues
     against those derivative polynomials; the pullback side evaluates the
     standard coefficient labels at mu(t') and applies the chain rule
-    matrix. ``domain`` is the probe domain in the new parameters.
+    matrix. ``domain`` is the probe domain in the new parameters. Every
+    probe's image chart is held to the fiber degree at the image of the
+    domain centre, so a probe that loses a point raises DegreeDrop.
 
     For an affine ``mu`` the direct side's integrand -d(composed)/dt'_c
     is sum_row M[row, c] * (y_row, or 1 on the b row), so the direct sum
@@ -383,27 +388,30 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
             composed = composed - theta
     d_composed = [composed.partial(tv) for tv in tvars]
 
-    max_abs, max_rel = 0.0, 0.0
-    for off in _probe_offsets(domain, probes):
-        tp = domain.chart_at(off).to_params()
-        theta = mu(tp)
-        chart = PlaneChart.from_params(n, p, theta)
-        ev = evaluate_chart(data, chart, TOL_ARITH, expected_degree=None)
+    # the probes' image charts as one list after the image of the domain
+    # centre, whose fiber degree sets the list's (as trace_table holds
+    # its samples to the centre's); the first failed chart raises
+    tps = np.array([domain.chart_at(off).to_params() for off in _probe_offsets(domain, probes)])
+    images = [PlaneChart.from_params(n, p, mu(tp)) for tp in [domain.chart.to_params(), *tps]]
+    ev = evaluate_chart(data, images, TOL_ARITH)
+    err = next((err for err in ev.errors if err is not None), None)
+    if err is not None:
+        raise err
 
-        # pullback side: the label coefficients u_(e_1), .., u_(e_p), u_0
-        # at the image chart (one per parameter row), chain rule
-        u = ev.value([_unit(row, p) for row in range(p)] + [(0,) * p])[0]
-        pull = mu.matrix.T @ u
+    # pullback side: the label coefficients u_(e_1), .., u_(e_p), u_0 at
+    # each image chart (one per parameter row), chain rule
+    pull = ev.value([_unit(row, p) for row in range(p)] + [(0,) * p])[0][1:] @ mu.matrix
 
-        # direct side: symbolic derivative of the composed incidence form,
-        # evaluated at every fiber point at once
-        point = {**dict(zip(data.variety.vars, ev.coords.T)), **dict(zip(tvars, tp))}
-        direct = np.array([-np.sum(ev.weights * d.evaluate(point)) for d in d_composed])
+    # direct side: symbolic derivative of the composed incidence form,
+    # evaluated at every fiber point of every probe at once
+    point = {**dict(zip(data.variety.vars, np.moveaxis(ev.coords[1:], -1, 0))),
+             **dict(zip(tvars, tps.T[..., None]))}
+    direct = np.stack([-np.sum(ev.weights[1:] * d.evaluate(point), axis=-1)
+                       for d in d_composed], axis=-1)
 
-        resid = float(np.max(np.abs(direct - pull)))
-        scale = max(1.0, float(np.max(np.abs(pull))))
-        max_abs = max(max_abs, resid)
-        max_rel = max(max_rel, resid / scale)
+    resid = np.max(np.abs(direct - pull), axis=-1)
+    max_abs = float(np.max(resid))
+    max_rel = float(np.max(resid / np.maximum(1.0, np.max(np.abs(pull), axis=-1))))
     return EquivarianceReport(max_abs <= tol, max_abs, max_rel, tol, probes)
 
 
@@ -429,10 +437,10 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     order-0 traces in order, for example ``lambda charts: trace(data,
     charts, 0)``. It is called twice: once on the whole torus grid and
     once on the four validation probes. The base slices of every level
-    share one set of charts, solved as one family through
-    ``TraceTable._prefetch``. Returns a TraceTable on P' carrying sampled
-    values and the fitted models (use ``model_value`` to evaluate them
-    off-grid).
+    share one set of charts, read by one ``TraceTable.value`` call per
+    level; the first solves them as one family. Returns a TraceTable on
+    P' carrying sampled values and the fitted models (use
+    ``model_value`` to evaluate them off-grid).
 
     Raises PathCrossesPole when the extension evaluator blows up on P'
     (the extension is meromorphic there), InsufficientMargin when the
@@ -514,14 +522,12 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     base_pts[..., a_axes] = a_pts
     base_pts[..., ib] = b_star
     base_charts = charts_at(base_pts)
-    t._prefetch(base_charts)
 
     prev_idx = (0,) * p
     for k in range(1, order + 1):
         new_idx = (k,) + (0,) * (p - 1)
         try:
-            base_grid = np.reshape([t.value(new_idx, ch) for ch in base_charts],
-                                   a_pts.shape[:-1])
+            base_grid = t.value(new_idx, base_charts).reshape(a_pts.shape[:-1])
         except (PoleDetected, DegreeDrop) as exc:
             raise PathCrossesPole(
                 f"base slice for level {k} is contaminated: {exc}"

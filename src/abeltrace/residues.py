@@ -432,17 +432,31 @@ class TraceTable:
 
     def value(self, index, chart):
         """Direct trace at an arbitrary chart, read off the chart's cached
-        row; an index outside the table evaluates the chart uncached."""
-        index = _normalize_index(index, self.p)
-        if index not in self._columns:
-            return complex(self._evaluate(chart, [index])[0])
-        key = chart.to_params().tobytes()
-        if key not in self._cache:
-            self._cache[key] = self._evaluate(chart, self.indices())
-        row = self._cache[key]
-        if isinstance(row, AbelTraceError):
-            raise row
-        return complex(row[self._columns[index]])
+        row; an index outside the table evaluates the chart uncached.
+        ``index`` may be a list of indices and ``chart`` a list of charts:
+        the result is then an array, charts first, and the charts not yet
+        cached are solved as one family (``_prefetch``) first."""
+        one_index, one_chart = not isinstance(index, list), isinstance(chart, PlaneChart)
+        indices = [_normalize_index(i, self.p) for i in ([index] if one_index else index)]
+        charts = [chart] if one_chart else list(chart)
+        if not all(i in self._columns for i in indices):
+            values = np.reshape([self._evaluate(ch, indices) for ch in charts],
+                                (len(charts), len(indices)))
+        else:
+            keys = [_key(ch) for ch in charts]
+            missing = [ch for key, ch in zip(keys, charts) if key not in self._cache]
+            if missing and not one_chart:
+                self._prefetch(missing)
+            for key, ch in zip(keys, charts):
+                if key not in self._cache:
+                    self._cache[key] = self._evaluate(ch, self.indices())
+                if isinstance(self._cache[key], AbelTraceError):
+                    raise self._cache[key]
+            rows = np.reshape([self._cache[key] for key in keys], (len(keys), len(self._columns)))
+            values = rows[:, [self._columns[i] for i in indices]]
+        out = values[0] if one_chart else values
+        out = out[..., 0] if one_index else out
+        return complex(out) if out.ndim == 0 else out
 
     def _evaluate(self, chart, indices):
         ev = evaluate_chart(self.data, chart, self.tol, expected_degree=self.baseline_degree)
@@ -452,7 +466,7 @@ class TraceTable:
         """Evaluate the charts not yet cached as one list and cache each
         chart's row from one read, or its error, which ``value`` then
         raises without solving the chart again."""
-        todo = {ch.to_params().tobytes(): ch for ch in charts}
+        todo = {_key(ch): ch for ch in charts}
         todo = {key: ch for key, ch in todo.items() if key not in self._cache}
         ev = evaluate_chart(self.data, list(todo.values()), self.tol, self.baseline_degree)
         rows = ev.value(self.indices())[0]
@@ -467,6 +481,11 @@ class TraceTable:
 
     def column(self, index):
         return np.asarray(self.entries[_normalize_index(index, self.p)])
+
+
+def _key(chart):
+    """A chart's cache key: the bytes of its parameter vector."""
+    return chart.a.tobytes() + chart.b.tobytes()
 
 
 def _box_indices(p, max_order):

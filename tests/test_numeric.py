@@ -241,6 +241,32 @@ class TestCauchyDerivative:
         with pytest.raises(EvaluationError):
             cauchy_derivative(bad, 0.0, 1.0)
 
+    def test_array_values_match_columns(self):
+        # one call on the node array; each trailing column differentiated
+        # as its own scalar evaluator is
+        rng = np.random.default_rng(4)
+        funcs = [np.exp] + [UniPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+                            for _ in range(3)]
+        calls = []
+
+        def columns(z):
+            calls.append(np.shape(z))
+            return np.stack([f(z) for f in funcs], axis=-1)
+
+        z0, radius = 0.2 + 0.1j, 0.6
+        got = cauchy_derivative(columns, z0, radius, 1, nodes=32)
+        assert calls == [(32,)] and got.shape == (len(funcs),)
+        for col, f in enumerate(funcs):
+            want = cauchy_derivative(f, z0, radius, 1, nodes=32)
+            assert isinstance(want, complex)
+            assert abs(got[col] - want) <= 1e-14 * abs(want)
+
+    def test_evaluator_without_node_axis_raises(self):
+        with pytest.raises(EvaluationError):
+            cauchy_derivative(lambda z: 1.0, 0.0, 1.0)
+        with pytest.raises(EvaluationError):
+            cauchy_derivative(lambda z: np.ones((4, 2)), 0.0, 1.0, nodes=16)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             cauchy_derivative(np.exp, 0.0, 1.0, order=0)

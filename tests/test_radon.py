@@ -3,6 +3,7 @@ import pytest
 
 from abeltrace import residues
 from abeltrace.errors import (
+    DegreeDrop,
     EvaluationError,
     InsufficientMargin,
     PathCrossesPole,
@@ -217,6 +218,19 @@ class TestShockRelations:
         assert verify_shock_relations(t, 1e-6).passed
         assert calls == []
 
+    def test_one_value_call_per_circle(self, monkeypatch):
+        # each circle's charts are read once, for every index, and built
+        # from one parameter array with no per-node replace
+        t = self._cubic_table()
+        reads, replaced = [], []
+        real = TraceTable.value
+        monkeypatch.setattr(TraceTable, "value", lambda self, index, chart:
+                            reads.append((index, len(chart))) or real(self, index, chart))
+        monkeypatch.setattr(PlaneChart, "replace", lambda *args, **kw: replaced.append(1))
+        assert verify_shock_relations(t, 1e-6).passed
+        assert reads == [(t.indices(), 32)] * (3 * 2)
+        assert replaced == []
+
     def test_report_matches_per_chart_evaluation(self, monkeypatch):
         t = self._cubic_table()
         got = verify_shock_relations(t, 1e-6)
@@ -352,6 +366,20 @@ class TestEquivariance:
         assert evaluate_chart(data, PlaneChart([[0.0]], [2.0])).clustered
         rep = reparametrize_check(data, dom, mu, tol=1e-9)
         assert rep.passed
+
+    def test_probe_losing_a_point_raises(self):
+        # (1 + x) y^2 - y - x has two points on the vertical chart x = b
+        # but one at b = -1, where the first probe's image lies; the
+        # centre's image keeps both, so that probe must not be summed
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        radii = {"b1": 0.4}
+        off = _probe_offsets(DomainSpec(PlaneChart([[0.0]], [0.0]), radii), 4)[0]["b1"]
+        dom = DomainSpec(PlaneChart([[0.0]], [-off]), radii)
+        mu = AffineMap(np.eye(2), np.array([0.0, -1.0]))
+        assert np.array_equal(mu(dom.chart_at({"b1": off}).to_params()), [0.0, -1.0])
+        with pytest.raises(DegreeDrop):
+            reparametrize_check(data, dom, mu)
 
     def test_higher_base_dimension_rejected(self):
         f1 = MultiPoly(("x1", "x2", "y"), {(0, 0, 1): 1.0, (1, 0, 0): -1.0})

@@ -428,6 +428,42 @@ class TestTraceTable:
         t = trace_table(data, dom, 3, GridPlan({"b1": 3}))
         assert t.value(3, PlaneChart([[0.0]], [3.7])) == pytest.approx(-3.7)
 
+    def test_value_on_a_list_of_charts(self, monkeypatch):
+        # the pole design of test_pole_flagging_and_exclusion: the chart
+        # b = 2 - 3a meets the weight's divisor x = 2 at (2, 3)
+        weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
+        f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(2.0, V2),
+                           weight=weight)
+        dom = DomainSpec(PlaneChart([[0.2]], [1.7]), {"b1": 0.5})
+        t = trace_table(data, dom, 2, ListPlan(({"b1": 0.0}, {"b1": 0.2})))
+        charts = [dom.chart_at({"b1": db}) for db in (0.05, -0.1, 0.12j, 0.2 - 0.1j)]
+        pole = PlaneChart([[0.2]], [1.4])
+        want = [evaluate_chart(data, ch, expected_degree=t.baseline_degree).value([(0,), (2,)])
+                for ch in charts]
+        assert isinstance(t.value(1, charts[0]), complex)
+        solved, family = [], []
+        real_one, real_family = residues._evaluate_one, residues.solve_family
+        monkeypatch.setattr(residues, "_evaluate_one", lambda data, chart, *args: solved.append(
+            chart.to_params().tobytes()) or real_one(data, chart, *args))
+        monkeypatch.setattr(residues, "solve_family", lambda v, charts, *args: family.extend(
+            ch.to_params().tobytes() for ch in charts) or real_family(v, charts, *args))
+        got = t.value([(0,), (2,)], charts)
+        assert got.shape == (4, 2) and t.value(1, charts).shape == (4,)
+        assert solved == [] and family == [ch.to_params().tobytes() for ch in charts[1:]]
+        for row, (values, scale) in zip(got, want):
+            assert np.all(np.abs(row - values) <= 1e-13 * scale)
+        assert np.array_equal(t.value([(0,), (2,)], charts[2]), got[2])
+        # a failed chart keeps its error, solved once for every later read
+        with pytest.raises(PoleDetected):
+            t.value(1, [charts[0], pole])
+        with pytest.raises(PoleDetected):
+            t.value([(0,), (1,)], [pole, charts[1]])
+        with pytest.raises(PoleDetected):
+            t.value(1, pole)
+        assert solved == [pole.to_params().tobytes()]
+        assert len(set(family)) == len(family) == 4
+
     def test_pole_flagging_and_exclusion(self):
         weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})  # x - 2
         f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})
