@@ -107,6 +107,15 @@ def _emit(job, payload, report_lines):
             print(line, file=sys.stderr)
 
 
+def _emit_verdict(job, rep, name, extra=""):
+    """Write a pass/fail check report and return its exit code."""
+    _emit(job, {"report": ser.encode_report(rep)}, [
+        f"{name}: {'PASS' if rep.passed else 'FAIL'} "
+        f"(max residual {rep.max_residual:.3e}, tol {rep.tol:g}{extra})",
+    ])
+    return EXIT_OK if rep.passed else EXIT_FAILED
+
+
 def run(job: JobSpec):
     """Execute one job; returns the process exit code."""
     handler = {
@@ -191,19 +200,14 @@ def _run_extend(job):
 def _run_verify_shock(job):
     t = ser.decode_trace_table(_load_artifact(job.inputs["traces"]))
     rep = verify_shock_relations(t, job.params["tol"])
-    _emit(job, {"report": rep.to_dict()}, [
-        f"shock relations: {'PASS' if rep.passed else 'FAIL'} "
-        f"(max residual {rep.max_residual:.3e}, tol {rep.tol:g}, "
-        f"{rep.checked} checks)",
-    ])
-    return EXIT_OK if rep.passed else EXIT_FAILED
+    return _emit_verdict(job, rep, "shock relations", f", {rep.checked} checks")
 
 
 def _run_verify_holomorphy(job):
     rt = ser.decode_radon(_load_artifact(job.inputs["radon"]))
     rep = verify_holomorphy(rt, job.params["tol"])
     statuses = sorted(set(rep.status.values()))
-    _emit(job, {"report": rep.to_dict()}, [
+    _emit(job, {"report": ser.encode_report(rep)}, [
         f"holomorphy: {', '.join(statuses)}",
     ])
     return EXIT_OK if "inconclusive" not in statuses else EXIT_FAILED
@@ -216,11 +220,7 @@ def _run_verify_match(job):
     rep = verify_traces_match(
         d1, d2, domain, job.params["order"], job.params["tol"]
     )
-    _emit(job, {"report": rep.to_dict()}, [
-        f"trace match: {'PASS' if rep.passed else 'FAIL'} "
-        f"(max residual {rep.max_residual:.3e}, tol {rep.tol:g})",
-    ])
-    return EXIT_OK if rep.passed else EXIT_FAILED
+    return _emit_verdict(job, rep, "trace match")
 
 
 def _run_verify_equivariance(job):
@@ -228,11 +228,7 @@ def _run_verify_equivariance(job):
     domain = ser.decode_domain(ser.load_json(job.inputs["domain"]))
     mu = ser.decode_affine_map(ser.load_json(job.inputs["map"]))
     rep = reparametrize_check(data, domain, mu, tol=job.params["tol"])
-    _emit(job, {"report": rep.to_dict()}, [
-        f"equivariance: {'PASS' if rep.passed else 'FAIL'} "
-        f"(max residual {rep.max_residual:.3e}, tol {rep.tol:g})",
-    ])
-    return EXIT_OK if rep.passed else EXIT_FAILED
+    return _emit_verdict(job, rep, "equivariance")
 
 
 # ---------------------------------------------------------------------------

@@ -285,21 +285,6 @@ class MultiPoly:
             terms[tuple(ne)] = c
         return MultiPoly(new_vars, terms)
 
-    def restricted(self, names):
-        """Drop unused variables down to ``names`` (must cover all used)."""
-        names = tuple(names)
-        keep = [self.vars.index(v) for v in names]
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        if not used.issubset(keep):
-            missing = [self.vars[i] for i in sorted(used - set(keep))]
-            raise ValueError(f"polynomial still uses {missing}")
-        terms = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return MultiPoly(names, terms)
-
     def as_univariate(self, name):
         """View as UniPoly in ``name``; all other variables must be unused."""
         idx = self.vars.index(name)

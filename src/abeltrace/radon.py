@@ -105,15 +105,6 @@ class ShockReport:
     checked: int
     details: tuple
 
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "max_residual": self.max_residual,
-            "max_relative": self.max_relative,
-            "tol": self.tol,
-            "checked": self.checked,
-        }
-
 
 def _probe_offsets(domain, probes):
     """Deterministic interior probe offsets for a domain, at 0.45 of
@@ -214,15 +205,6 @@ class HolomorphyReport:
     @property
     def holomorphic(self):
         return all(s == "holomorphic" for s in self.status.values())
-
-    def to_dict(self):
-        return {
-            "status": {str(k): v for k, v in self.status.items()},
-            "pole_samples": {
-                str(k): [int(i) for i in v] for k, v in self.pole_samples.items()
-            },
-            "tol": self.tol,
-        }
 
 
 def _poly_features(s, deg):
@@ -334,15 +316,6 @@ class EquivarianceReport:
     tol: float
     probes: int
 
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "max_residual": self.max_residual,
-            "max_relative": self.max_relative,
-            "tol": self.tol,
-            "probes": self.probes,
-        }
-
 
 def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
                         tol=1e-8, probes=4):
@@ -393,10 +366,7 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
     # its samples to the centre's); the first failed chart raises
     tps = np.array([domain.chart_at(off).to_params() for off in _probe_offsets(domain, probes)])
     images = [PlaneChart.from_params(n, p, mu(tp)) for tp in [domain.chart.to_params(), *tps]]
-    ev = evaluate_chart(data, images, TOL_ARITH)
-    err = next((err for err in ev.errors if err is not None), None)
-    if err is not None:
-        raise err
+    ev = evaluate_chart(data, images, TOL_ARITH).checked()
 
     # pullback side: the label coefficients u_(e_1), .., u_(e_p), u_0 at
     # each image chart (one per parameter row), chain rule

@@ -351,16 +351,6 @@ class MatchReport:
     samples: int
     indices: int
 
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "max_residual": self.max_residual,
-            "max_relative": self.max_relative,
-            "tol": self.tol,
-            "samples": self.samples,
-            "indices": self.indices,
-        }
-
 
 def verify_traces_match(d1, d2, domain: DomainSpec, max_order, tol,
                         plan=None):

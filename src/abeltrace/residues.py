@@ -115,6 +115,14 @@ class ChartEvaluation:
     def clustered(self):
         return CLUSTER in self.flags
 
+    def checked(self):
+        """This evaluation when no chart failed; else raises the first
+        failed chart's exception, in list order."""
+        err = next((err for err in self.errors if err is not None), None)
+        if err is not None:
+            raise err
+        return self
+
     def value(self, indices):
         """(traces at ``indices``, largest |residue term| among them), per
         chart for a list, whose failed charts read NaN traces."""
@@ -131,12 +139,17 @@ def _point_weights(data, coords, jacobians, chart_params=None):
     ClusterPoint for one with a zero Jacobian (taken as 1 until then)."""
     clear, weights = _family_weights(data, coords[None], np.where(jacobians == 0, 1.0, jacobians)[None])
     if not clear[0]:
-        raise PoleDetected("fiber point lies on the pole divisor of the data weight",
-                           chart_params=chart_params)
+        raise _pole(chart_params)
     if not np.all(jacobians):
         raise ClusterPoint("fiber point has a zero Jacobian: the plane is not transverse there",
                            chart_params=chart_params)
     return weights[0]
+
+
+def _pole(chart_params):
+    """The PoleDetected of a chart with a fiber point on the weight's pole divisor."""
+    return PoleDetected("fiber point lies on the pole divisor of the data weight",
+                        chart_params=chart_params)
 
 
 def _point_arrays(data, points):
@@ -207,9 +220,10 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
 
     One PlaneChart is solved on its own and raises as solve_fiber and the
     cluster ladder do. A list is solved as one family at fiber degree
-    ``expected_degree`` (the first chart's when None); each chart the
-    family declines or finds on the weight's pole divisor is solved on its
-    own at that degree, and one that raises PoleDetected, DegreeDrop,
+    ``expected_degree`` (the first chart's when None). A chart the family
+    certifies but finds on the weight's pole divisor is flagged POLE with
+    its PoleDetected at once; each chart the family declines is solved on
+    its own at that degree, and one that raises PoleDetected, DegreeDrop,
     NonConvergence or PerturbationFailure is flagged POLE, DROPPED or
     UNCONVERGED and keeps its exception instead of raising."""
     if isinstance(chart, PlaneChart):
@@ -223,7 +237,9 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     # (positions, points, weights): the family's rows, then each other chart's
     rows = [(pos[clear], coords[clear], weights)]
     flags, errors = [CLEAN] * len(charts), [None] * len(charts)
-    for s in np.setdiff1d(np.arange(len(charts)), rows[0][0]):
+    for s in pos[~clear]:
+        flags[s], errors[s] = POLE, _pole(charts[s].to_params())
+    for s in np.setdiff1d(np.arange(len(charts)), pos):
         try:
             ev = _evaluate_one(data, charts[s], tol, degree)
         except (PoleDetected, DegreeDrop, NonConvergence, PerturbationFailure) as exc:
@@ -288,10 +304,7 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     the first chart's when None), and the first chart that fails raises
     its error, so no trace sums fewer points than the others."""
     index = _normalize_index(index, data.variety.p)
-    ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree)
-    err = next((err for err in ev.errors if err is not None), None)
-    if err is not None:
-        raise err
+    ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree).checked()
     out = ev.value([index])[0][..., 0]
     return complex(out) if isinstance(chart, PlaneChart) else out
 
@@ -432,16 +445,18 @@ class TraceTable:
 
     def value(self, index, chart):
         """Direct trace at an arbitrary chart, read off the chart's cached
-        row; an index outside the table evaluates the chart uncached.
-        ``index`` may be a list of indices and ``chart`` a list of charts:
-        the result is then an array, charts first, and the charts not yet
-        cached are solved as one family (``_prefetch``) first."""
+        row; an index outside the table is one uncached ``evaluate_chart``
+        call on the chart or list of charts. ``index`` may be a list of
+        indices and ``chart`` a list of charts: the result is then an
+        array, charts first, and the charts not yet cached are solved as
+        one family (``_prefetch``) first."""
         one_index, one_chart = not isinstance(index, list), isinstance(chart, PlaneChart)
         indices = [_normalize_index(i, self.p) for i in ([index] if one_index else index)]
         charts = [chart] if one_chart else list(chart)
         if not all(i in self._columns for i in indices):
-            values = np.reshape([self._evaluate(ch, indices) for ch in charts],
-                                (len(charts), len(indices)))
+            ev = evaluate_chart(self.data, chart if one_chart else charts, self.tol,
+                                self.baseline_degree).checked()
+            values = ev.value(indices)[0].reshape(len(charts), len(indices))
         else:
             keys = [_key(ch) for ch in charts]
             missing = [ch for key, ch in zip(keys, charts) if key not in self._cache]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -259,6 +260,14 @@ def decode_affine_map(obj):
     m = np.array([[_uc(z) for z in row] for row in obj["matrix"]])
     v = np.array([_uc(z) for z in obj["offset"]])
     return AffineMap(m, v)
+
+
+def encode_report(rep):
+    """A check report (ShockReport, HolomorphyReport, EquivarianceReport,
+    MatchReport) as its dataclass fields, less the in-memory ``details``
+    and ``diagnostics``."""
+    return plain({f.name: getattr(rep, f.name) for f in fields(rep)
+                  if f.name not in ("details", "diagnostics")})
 
 
 def plain(obj):

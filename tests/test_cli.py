@@ -345,6 +345,37 @@ class TestCli:
         assert params("rec2.json") == {"d_max": 2, "deg_bound": None, "tol": 1e-8}
         assert len(json.loads(second.read_text())["result"]["offsets"]) == 8
 
+    def test_verify_report_keys(self, parabola_files):
+        # each report is written as its dataclass fields, less the
+        # in-memory shock details and holomorphy diagnostics
+        tmp_path, paths = parabola_files
+        data = ["--variety", str(paths["variety"]), "--numerator", str(paths["numerator"])]
+        (tmp_path / "mu.json").write_text(
+            ser.dumps(ser.encode_affine_map(AffineMap(np.diag([2.0, 1.0]), np.zeros(2)))))
+        d1 = tmp_path / "d1.json"
+        d1.write_text(ser.dumps(ser.encode_residue_data(ResidueData(
+            VarietySpec(("x",), ("y",), [MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})]),
+            MultiPoly.constant(1.0, V2)))))
+        traces = self.run_trace(paths, tmp_path)
+        assert main(["radon", *data, "--domain", str(paths["domain"]), "--grid", "4x4",
+                     "-o", str(tmp_path / "rt.json")]) == 0
+        verdict = {"passed", "max_residual", "max_relative", "tol"}
+        cases = {
+            "shock": (["--traces", str(traces)], verdict | {"checked"}),
+            "equivariance": ([*data, "--domain", str(paths["domain"]),
+                              "--map", str(tmp_path / "mu.json")], verdict | {"probes"}),
+            "match": (["--data1", str(d1), "--data2", str(d1), "--domain",
+                       str(paths["vdomain"]), "--order", "3"], verdict | {"samples", "indices"}),
+            "holomorphy": (["--radon", str(tmp_path / "rt.json")],
+                           {"status", "pole_samples", "tol"}),
+        }
+        for check, (args, keys) in cases.items():
+            out = tmp_path / f"{check}.json"
+            assert main(["verify", check, *args, "-o", str(out)]) == 0
+            report = json.loads(out.read_text())["report"]
+            assert set(report) == keys
+            assert report.get("passed", True) is True
+
     def test_input_error_exit_code(self, tmp_path):
         code = main([
             "reconstruct", "--traces", str(tmp_path / "missing.json"),

@@ -228,7 +228,7 @@ class TestSolveFiber:
                 jsub = np.array(
                     [
                         [g.partial(yv).evaluate(yvals) for yv in v.y_vars]
-                        for g in [s.restricted(v.y_vars) for s in subs]
+                        for g in subs
                     ]
                 )
                 expect = sign * np.linalg.det(jsub)

@@ -182,13 +182,10 @@ def test_substitute_terms_matches_evaluation(seed, degree, charts, kinds):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1e-300))
 
 
-def test_with_vars_and_restricted():
+def test_with_vars():
     f = MultiPoly(("y",), {(2,): 1.0})
     g = f.with_vars(V)
     assert g.terms == {(0, 2): 1.0 + 0j}
-    assert g.restricted(("y",)) == f
-    with pytest.raises(ValueError):
-        MultiPoly(V, {(1, 1): 1.0}).restricted(("y",))
 
 
 def test_as_univariate_and_coeffs():

@@ -461,8 +461,33 @@ class TestTraceTable:
             t.value([(0,), (1,)], [pole, charts[1]])
         with pytest.raises(PoleDetected):
             t.value(1, pole)
-        assert solved == [pole.to_params().tobytes()]
+        assert solved == []
         assert len(set(family)) == len(family) == 4
+
+    def _pole_table(self):
+        # the pole design of test_value_on_a_list_of_charts, tabled to order 2
+        weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
+        f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(2.0, V2),
+                           weight=weight)
+        dom = DomainSpec(PlaneChart([[0.2]], [1.7]), {"b1": 0.5})
+        return trace_table(data, dom, 2, ListPlan(({"b1": 0.0}, {"b1": 0.2}))), dom
+
+    def test_value_above_max_order_equals_trace(self):
+        t, dom = self._pole_table()
+        charts = [dom.chart_at({"b1": db}) for db in (0.05, -0.1, 0.12j)]
+        want = trace(t.data, charts, 4, expected_degree=t.baseline_degree)
+        scale = np.max(np.abs(want))
+        assert np.all(np.abs(t.value(4, charts) - want) <= 1e-13 * scale)
+        assert abs(t.value(4, charts[1]) - trace(t.data, charts[1], 4)) <= 1e-13 * scale
+        both = t.value([4, (5,)], charts)
+        assert both.shape == (3, 2) and np.array_equal(both[:, 0], t.value(4, charts))
+        assert t._cache == {}
+
+    def test_value_above_max_order_on_a_pole_list_raises(self):
+        t, dom = self._pole_table()
+        with pytest.raises(PoleDetected):
+            t.value(4, [dom.chart_at({"b1": 0.05}), PlaneChart([[0.2]], [1.4])])
 
     def test_pole_flagging_and_exclusion(self):
         weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})  # x - 2
@@ -778,7 +803,7 @@ class TestChartFamily:
         got = trace_table(data, domain, 3, plan)
         assert want.flags == ("clean", "clean", "cluster", "pole", "clean")
         _assert_same_table(got, want)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_p1_fallback_on_cluster_and_pole_charts(self, monkeypatch):
         # the parabola y^2 = x on vertical charts: a double point at b = 0,
@@ -797,7 +822,25 @@ class TestChartFamily:
         got = trace_table(data, domain, 3, plan)
         assert want.flags == ("clean", "clean", "cluster", "pole", "clean")
         _assert_same_table(got, want)
-        assert calls == [0.0, 0.05]
+        assert calls == [0.0]
+
+    def test_family_pole_chart_is_flagged_without_a_solve(self, monkeypatch):
+        # the parabola y^2 = x with the weight x - 0.05, which vanishes on
+        # the whole fiber of the vertical chart b = 0.05
+        data = ResidueData(parabola_data().variety, MultiPoly(V2, {(0, 0): 1.0}),
+                           weight=MultiPoly(V2, {(1, 0): 1.0, (0, 0): -0.05}))
+        charts = [PlaneChart.vertical([b]) for b in (0.3, 0.05, -0.2 + 0.1j)]
+        solved = []
+        real = residues._evaluate_one
+        monkeypatch.setattr(residues, "_evaluate_one", lambda data, chart, *args: solved.append(
+            chart.to_params().tobytes()) or real(data, chart, *args))
+        ev = evaluate_chart(data, charts, expected_degree=2)
+        assert ev.flags == ("clean", "pole", "clean") and solved == []
+        assert isinstance(ev.errors[1], PoleDetected)
+        assert np.array_equal(ev.errors[1].chart_params, charts[1].to_params())
+        with pytest.raises(PoleDetected):
+            ev.checked()
+        assert np.isnan(ev.value([(1,)])[0][1, 0])
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_triangular_double_root_chart_falls_back(self, swap, monkeypatch):
