@@ -95,8 +95,8 @@ class DomainSpec:
         for key, r in self.radii.items():
             if key not in positions:
                 raise DimensionMismatch(f"unknown parameter {key!r}")
-            if not r > 0:
-                raise ValueError(f"radius for {key!r} must be positive")
+            if not (r > 0 and np.isfinite(r)):
+                raise ValueError(f"radius for {key!r} must be positive and finite")
         object.__setattr__(self, "_positions", positions)
 
     @property

@@ -65,10 +65,6 @@ class UniPoly:
         return cls(())
 
     @classmethod
-    def constant(cls, value):
-        return cls((value,))
-
-    @classmethod
     def from_roots(cls, roots):
         """Monic polynomial with the given roots."""
         c = np.array([1.0], dtype=complex)

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AbelTraceError,
     DegreeDrop,
+    EvaluationError,
     InsufficientMargin,
     PathCrossesPole,
     PoleDetected,
@@ -128,11 +130,11 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     the b_i-derivative of u_{I+e_j} must equal the a_i^j-derivative of
     u_I. Derivatives are taken by Cauchy integrals on circles of radius
     SHOCK_MARGIN * (domain radius), so the table's domain must leave that
-    much margin in both parameters. All circle charts are solved as one
-    chart family first (``TraceTable._prefetch``); each circle is then
-    read once for every index (``TraceTable.value``) and differentiated
-    in one ``cauchy_derivative`` call. Raises ValueError for probes < 1
-    and InsufficientMargin when no (index, slot) pair exists.
+    much margin in both parameters. Every circle chart is read for every
+    index in one ``TraceTable.value`` call (one chart family), and each
+    circle's rows are differentiated in one ``cauchy_derivative`` call.
+    Raises ValueError for probes < 1, InsufficientMargin when no (index,
+    slot) pair exists and EvaluationError when a circle chart fails.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -162,14 +164,20 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
             col, rows = names.index(nm), np.repeat(here[None], nodes, axis=0)
             rows[:, col] = cauchy_nodes(here[col], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
             circles[k, nm] = here[col], [PlaneChart.from_params(n, p, row) for row in rows]
-    t._prefetch([ch for _, charts in circles.values() for ch in charts])
-    # every index's derivative on each circle, from one read of its charts
-    derivatives = {key: cauchy_derivative(lambda _: t.value(t.indices(), charts), z0,
+    # every circle chart, every index, from one read (one chart family);
+    # then each circle's rows differentiated in one cauchy_derivative call
+    try:
+        values = t.value(t.indices(), [ch for _, charts in circles.values() for ch in charts])
+    except AbelTraceError as exc:
+        raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
+    values = values.reshape(len(circles), nodes, -1)
+    columns = {idx: c for c, idx in enumerate(t.indices())}
+    derivatives = {key: cauchy_derivative(lambda _, rows=rows: rows, z0,
                                           SHOCK_MARGIN * t.domain.radii[key[1]], 1, nodes)
-                   for key, (z0, charts) in circles.items()}
+                   for (key, (z0, _)), rows in zip(circles.items(), values)}
 
     def derivative(k, name, index):
-        return derivatives[k, name][t._columns[index]]
+        return derivatives[k, name][columns[index]]
 
     max_abs, max_rel, details = 0.0, 0.0, []
     checked = 0
@@ -407,8 +415,9 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     order-0 traces in order, for example ``lambda charts: trace(data,
     charts, 0)``. It is called twice: once on the whole torus grid and
     once on the four validation probes. The base slices of every level
-    share one set of charts, read by one ``TraceTable.value`` call per
-    level; the first solves them as one family. Returns a TraceTable on
+    share one set of charts, read for every level in one
+    ``TraceTable.value`` call (one chart family) before the first level
+    is built; with ``order`` 0 there is none. Returns a TraceTable on
     P' carrying sampled values and the fitted models (use
     ``model_value`` to evaluate them off-grid).
 
@@ -486,22 +495,20 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     a_radii = [radii[i] for i in a_axes]
 
     # the base slices u_new(a, b*) of every level come from the input
-    # table (inside P) at the same charts
+    # table (inside P) at the same charts, all read at once
     a_pts = torus_nodes(a_center, a_radii, fft_nodes)
     base_pts = np.empty(a_pts.shape[:-1] + (len(names),), dtype=complex)
     base_pts[..., a_axes] = a_pts
     base_pts[..., ib] = b_star
-    base_charts = charts_at(base_pts)
+    levels = [(k,) + (0,) * (p - 1) for k in range(1, order + 1)]
+    try:
+        base_grids = (t.value(levels, charts_at(base_pts)).T.reshape((order,) + a_pts.shape[:-1])
+                      if levels else [])
+    except (PoleDetected, DegreeDrop) as exc:
+        raise PathCrossesPole(f"base slices are contaminated: {exc}") from exc
 
     prev_idx = (0,) * p
-    for k in range(1, order + 1):
-        new_idx = (k,) + (0,) * (p - 1)
-        try:
-            base_grid = t.value(new_idx, base_charts).reshape(a_pts.shape[:-1])
-        except (PoleDetected, DegreeDrop) as exc:
-            raise PathCrossesPole(
-                f"base slice for level {k} is contaminated: {exc}"
-            ) from exc
+    for new_idx, base_grid in zip(levels, base_grids):
         base_model = polydisc_fit_grid(base_grid, a_center, a_radii)
 
         deriv = models[prev_idx].derivative(ia)

@@ -298,15 +298,19 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     """Trace of the data against y^index over one chart: the sum of
     punctual (or cluster-summed) residues over the fiber.
 
-    ``chart`` may also be a list of charts; the result is then an array of
-    their traces, in order, from one ``evaluate_chart`` call on the list.
-    Every chart of a list is held to one fiber degree (``expected_degree``,
-    the first chart's when None), and the first chart that fails raises
-    its error, so no trace sums fewer points than the others."""
-    index = _normalize_index(index, data.variety.p)
+    ``index`` may also be a list of indices and ``chart`` a list of
+    charts; the result is then an array, charts first with the index axis
+    last, from one ``evaluate_chart`` call and one read. One index at one
+    chart is a complex. Every chart of a list is held to one fiber degree
+    (``expected_degree``, the first chart's when None), and the first
+    chart that fails raises its error, so no trace sums fewer points than
+    the others."""
+    one_index = not isinstance(index, list)
+    indices = [_normalize_index(i, data.variety.p) for i in ([index] if one_index else index)]
     ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree).checked()
-    out = ev.value([index])[0][..., 0]
-    return complex(out) if isinstance(chart, PlaneChart) else out
+    out = ev.value(indices)[0]
+    out = out[..., 0] if one_index else out
+    return complex(out) if out.ndim == 0 else out
 
 
 def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
@@ -392,11 +396,10 @@ class TraceTable:
     contaminated samples (poles, degree drops, unconverged solves) hold
     NaN and are flagged.
 
-    The table keeps its source data, so values at off-plan charts can be
-    computed on demand: each chart's row of traces at the table's indices
-    is cached on its first request; fitted polydisc models may be
-    attached by propagation or fitting code, in which case
-    ``model_value`` evaluates those instead.
+    The table keeps its source data, so ``value`` computes traces at
+    off-plan charts on demand, solving them on every call; fitted
+    polydisc models may be attached by propagation or fitting code, in
+    which case ``model_value`` evaluates those instead.
     """
 
     def __init__(self, data, domain, offsets, entries, term_scales, flags,
@@ -411,8 +414,6 @@ class TraceTable:
         self.baseline_degree = int(baseline_degree)
         self.models = models or {}
         self.tol = tol
-        self._columns = {idx: k for k, idx in enumerate(self.indices())}
-        self._cache = {}
 
     @property
     def n(self):
@@ -424,10 +425,6 @@ class TraceTable:
 
     def indices(self):
         return sorted(self.entries)
-
-    @property
-    def charts(self):
-        return [self.domain.chart_at(off) for off in self.offsets]
 
     def clean_mask(self):
         return np.array([f in (CLEAN, CLUSTER) for f in self.flags])
@@ -444,49 +441,12 @@ class TraceTable:
         return float(np.max(vals)) if vals.size else 0.0
 
     def value(self, index, chart):
-        """Direct trace at an arbitrary chart, read off the chart's cached
-        row; an index outside the table is one uncached ``evaluate_chart``
-        call on the chart or list of charts. ``index`` may be a list of
-        indices and ``chart`` a list of charts: the result is then an
-        array, charts first, and the charts not yet cached are solved as
-        one family (``_prefetch``) first."""
-        one_index, one_chart = not isinstance(index, list), isinstance(chart, PlaneChart)
-        indices = [_normalize_index(i, self.p) for i in ([index] if one_index else index)]
-        charts = [chart] if one_chart else list(chart)
-        if not all(i in self._columns for i in indices):
-            ev = evaluate_chart(self.data, chart if one_chart else charts, self.tol,
-                                self.baseline_degree).checked()
-            values = ev.value(indices)[0].reshape(len(charts), len(indices))
-        else:
-            keys = [_key(ch) for ch in charts]
-            missing = [ch for key, ch in zip(keys, charts) if key not in self._cache]
-            if missing and not one_chart:
-                self._prefetch(missing)
-            for key, ch in zip(keys, charts):
-                if key not in self._cache:
-                    self._cache[key] = self._evaluate(ch, self.indices())
-                if isinstance(self._cache[key], AbelTraceError):
-                    raise self._cache[key]
-            rows = np.reshape([self._cache[key] for key in keys], (len(keys), len(self._columns)))
-            values = rows[:, [self._columns[i] for i in indices]]
-        out = values[0] if one_chart else values
-        out = out[..., 0] if one_index else out
-        return complex(out) if out.ndim == 0 else out
-
-    def _evaluate(self, chart, indices):
-        ev = evaluate_chart(self.data, chart, self.tol, expected_degree=self.baseline_degree)
-        return ev.value(indices)[0]
-
-    def _prefetch(self, charts):
-        """Evaluate the charts not yet cached as one list and cache each
-        chart's row from one read, or its error, which ``value`` then
-        raises without solving the chart again."""
-        todo = {_key(ch): ch for ch in charts}
-        todo = {key: ch for key, ch in todo.items() if key not in self._cache}
-        ev = evaluate_chart(self.data, list(todo.values()), self.tol, self.baseline_degree)
-        rows = ev.value(self.indices())[0]
-        self._cache.update(zip(todo, [row if err is None else err
-                                      for row, err in zip(rows, ev.errors)]))
+        """Direct trace at an arbitrary chart, on or off the plan: one
+        ``trace`` call at the table's tolerance and fiber degree, which
+        takes one index or a list of indices and one chart or a list of
+        charts (solved as one family). Nothing is kept between calls, so
+        reading a chart again solves it again."""
+        return trace(self.data, chart, index, self.tol, self.baseline_degree)
 
     def model_value(self, index, chart):
         index = _normalize_index(index, self.p)
@@ -496,11 +456,6 @@ class TraceTable:
 
     def column(self, index):
         return np.asarray(self.entries[_normalize_index(index, self.p)])
-
-
-def _key(chart):
-    """A chart's cache key: the bytes of its parameter vector."""
-    return chart.a.tobytes() + chart.b.tobytes()
 
 
 def _box_indices(p, max_order):

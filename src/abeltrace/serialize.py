@@ -17,6 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from .multipoly import MultiPoly
 from .radon import AffineMap, RadonTransform, label_index
@@ -104,13 +105,16 @@ def encode_domain(dom: DomainSpec):
 
 
 def decode_domain(obj):
+    """The DomainSpec of ``obj``, whose radii list has one entry per
+    parameter, 0 for a frozen one: DimensionMismatch for a list of another
+    length, ValueError (from DomainSpec) for a negative or non-finite
+    radius."""
     n, p = int(obj["n"]), int(obj["p"])
     chart = PlaneChart.from_params(n, p, [_uc(z) for z in obj["center"]])
-    names = chart.param_names()
-    radii = {
-        nm: float(r) for nm, r in zip(names, obj["radii"]) if float(r) > 0
-    }
-    return DomainSpec(chart, radii)
+    names, radii = chart.param_names(), [float(r) for r in obj["radii"]]
+    if len(radii) != len(names):
+        raise DimensionMismatch(f"{len(radii)} radii for {len(names)} parameters")
+    return DomainSpec(chart, {nm: r for nm, r in zip(names, radii) if r != 0})
 
 
 def _index_key(idx):

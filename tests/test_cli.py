@@ -6,6 +6,7 @@ import pytest
 from abeltrace import residues
 from abeltrace import serialize as ser
 from abeltrace.cli import main
+from abeltrace.errors import DimensionMismatch
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
 from abeltrace.radon import AffineMap, radon_coefficients
@@ -71,6 +72,18 @@ class TestSerialization:
         back = ser.decode_domain(ser.encode_domain(dom))
         assert back.radii == {"b1": 0.25}
         assert np.allclose(back.chart.to_params(), dom.chart.to_params())
+
+    @pytest.mark.parametrize("radii", [[0.2], [0.2, 0.4, 0.1]])
+    def test_domain_radii_of_wrong_length_rejected(self, radii):
+        obj = {"n": 1, "p": 1, "center": [[0.1, 0.0], [3.0, 0.0]], "radii": radii}
+        with pytest.raises(DimensionMismatch):
+            ser.decode_domain(obj)
+
+    @pytest.mark.parametrize("radii", [[0.2, -0.5], [float("nan"), 0.4], [0.2, float("inf")]])
+    def test_domain_negative_or_non_finite_radius_rejected(self, radii):
+        obj = {"n": 1, "p": 1, "center": [[0.1, 0.0], [3.0, 0.0]], "radii": radii}
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ser.decode_domain(obj)
 
     def test_trace_table_round_trip(self):
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
@@ -178,6 +191,22 @@ class TestCli:
         assert "provenance" in obj
         col0 = obj["result"]["entries"]["0"]
         assert max(abs(complex(c[0], c[1])) for c in col0) < 1e-12
+
+    def test_trace_rejects_short_radii(self, parabola_files, capsys):
+        # one radius for the two parameters a1.1, b1: b1 is not frozen
+        # silently, the job fails as bad input
+        tmp_path, paths = parabola_files
+        short = tmp_path / "short.json"
+        short.write_text(ser.dumps({"n": 1, "p": 1, "center": [[0.1, 0.0], [3.0, 0.0]],
+                                    "radii": [0.4]}))
+        code = main([
+            "trace", "--variety", str(paths["variety"]),
+            "--numerator", str(paths["numerator"]), "--domain", str(short),
+            "--order", "2", "--grid", "3x3", "-o", str(tmp_path / "t.json"),
+        ])
+        assert code == 1
+        assert "1 radii for 2 parameters" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_determinism(self, parabola_files):
         tmp_path, paths = parabola_files

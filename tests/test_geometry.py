@@ -74,6 +74,11 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec(ch, {"b1": 0.0})
 
+    @pytest.mark.parametrize("radius", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DomainSpec(PlaneChart([[0.0]], [0.0]), {"b1": radius})
+
     def test_chart_at(self):
         dom = DomainSpec(PlaneChart([[0.0]], [1.0]), {"b1": 2.0})
         ch = dom.chart_at({"b1": 1.5})

@@ -218,32 +218,29 @@ class TestShockRelations:
         assert verify_shock_relations(t, 1e-6).passed
         assert calls == []
 
-    def test_one_value_call_per_circle(self, monkeypatch):
-        # each circle's charts are read once, for every index, and built
-        # from one parameter array with no per-node replace
+    def test_one_value_call_for_all_circles(self, monkeypatch):
+        # every circle chart is read once, for every index, in one
+        # TraceTable.value call solved as one family, and built from one
+        # parameter array per circle with no per-node replace
         t = self._cubic_table()
-        reads, replaced = [], []
-        real = TraceTable.value
+        reads, families, replaced = [], [], []
+        real_value, real_family = TraceTable.value, residues.solve_family
         monkeypatch.setattr(TraceTable, "value", lambda self, index, chart:
-                            reads.append((index, len(chart))) or real(self, index, chart))
+                            reads.append((index, len(chart))) or real_value(self, index, chart))
+        monkeypatch.setattr(residues, "solve_family", lambda v, charts, *args:
+                            families.append(len(charts)) or real_family(v, charts, *args))
         monkeypatch.setattr(PlaneChart, "replace", lambda *args, **kw: replaced.append(1))
         assert verify_shock_relations(t, 1e-6).passed
-        assert reads == [(t.indices(), 32)] * (3 * 2)
+        assert reads == [(t.indices(), 3 * 2 * 32)]
+        assert families == [3 * 2 * 32]
         assert replaced == []
 
     def test_report_matches_per_chart_evaluation(self, monkeypatch):
+        # the family read against a run that solves every circle chart on
+        # its own (a family that declines every chart)
         t = self._cubic_table()
         got = verify_shock_relations(t, 1e-6)
-        # every cached circle row against its chart's own evaluation
-        assert len(t._cache) == 3 * 2 * 32
-        for key, row in t._cache.items():
-            chart = PlaneChart.from_params(t.n, t.p, np.frombuffer(key, dtype=complex))
-            want = evaluate_chart(t.data, chart, expected_degree=t.baseline_degree)
-            values, scale = want.value(t.indices())
-            for cached, value in zip(row, values):
-                assert abs(cached - value) <= 1e-14 * scale
-        t = self._cubic_table()
-        monkeypatch.setattr(TraceTable, "_prefetch", lambda self, charts: None)
+        monkeypatch.setattr(residues, "solve_family", lambda *args: None)
         calls = self._count_evaluate_chart(monkeypatch)
         want = verify_shock_relations(t, 1e-6)
         assert len(calls) == 3 * 2 * 32
@@ -442,10 +439,43 @@ class TestPropagation:
         ext = propagate_trace_extension(
             t, lambda ch: trace(data, ch, 0), big, order=3, fft_nodes=16
         )
-        for off, ch in zip(t.offsets, t.charts):
+        charts = [small.chart_at(off) for off in t.offsets]
+        direct = t.value([(k,) for k in range(4)], charts)
+        for ch, row in zip(charts, direct):
             for k in range(4):
-                diff = abs(ext.model_value((k,), ch) - t.value((k,), ch))
-                assert diff < 1e-10
+                assert abs(ext.model_value((k,), ch) - row[k]) < 1e-10
+
+    def test_base_slices_of_every_level_are_one_read(self, monkeypatch):
+        # one TraceTable.value call on the shared base charts for every
+        # level, each level's grid a column of that read
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 3, TorusPlan(6))
+        reads = []
+        real = TraceTable.value
+        monkeypatch.setattr(TraceTable, "value", lambda self, index, chart:
+                            reads.append((index, len(chart))) or real(self, index, chart))
+        ext = propagate_trace_extension(
+            t, lambda ch: trace(data, ch, 0), big, order=3, fft_nodes=16
+        )
+        assert reads == [([(1,), (2,), (3,)], 16)]
+        assert sorted(ext.models) == [(0,), (1,), (2,), (3,)]
+
+    def test_order_zero_extension(self, monkeypatch):
+        # no level: the order-0 model alone, and no base-slice read
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 2, TorusPlan(6))
+        reads = []
+        monkeypatch.setattr(TraceTable, "value", lambda *args: reads.append(1))
+        ext = propagate_trace_extension(
+            t, lambda ch: trace(data, ch, 0), big, order=0, fft_nodes=16
+        )
+        assert reads == []
+        assert sorted(ext.entries) == sorted(ext.models) == [(0,)]
+        assert ext.max_order == t.max_order
+        ch = big.chart_at({"a1.1": 0.1j, "b1": -1.2})
+        assert abs(ext.model_value(0, ch) - trace(data, ch, 0)) < 1e-6
 
     def test_zero_data_extends_to_zero(self):
         data = ResidueData(parabola_data().variety, MultiPoly.zero(V2))

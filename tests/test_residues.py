@@ -240,6 +240,21 @@ class TestTraceList:
 
     def test_empty_list(self):
         assert trace(parabola_data(), [], 1).shape == (0,)
+        assert trace(parabola_data(), [], [0, 1]).shape == (0, 2)
+
+    def test_list_of_indices(self):
+        # charts first, the index axis last; each column is that index's
+        # trace, the cluster chart b = 0 included
+        data = parabola_data()
+        charts = [PlaneChart([[0.0]], [b]) for b in (1.0, 0.0, 2.0 - 0.5j)]
+        got = trace(data, charts, [0, (1,), 3])
+        assert got.shape == (3, 3)
+        for k, col in zip((0, 1, 3), got.T):
+            want = trace(data, charts, k)
+            assert np.all(np.abs(col - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        one = trace(data, charts[2], [3, 0])
+        assert one.shape == (2,)
+        assert abs(one[0] - trace(data, charts[2], 3)) <= 1e-14 * abs(one[0])
 
     def test_chart_losing_a_point_raises(self):
         # (1 + x) y^2 - y - x: two points on the vertical chart x = b, but
@@ -428,7 +443,7 @@ class TestTraceTable:
         t = trace_table(data, dom, 3, GridPlan({"b1": 3}))
         assert t.value(3, PlaneChart([[0.0]], [3.7])) == pytest.approx(-3.7)
 
-    def test_value_on_a_list_of_charts(self, monkeypatch):
+    def test_value_on_a_list_of_charts(self):
         # the pole design of test_pole_flagging_and_exclusion: the chart
         # b = 2 - 3a meets the weight's divisor x = 2 at (2, 3)
         weight = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})
@@ -442,27 +457,19 @@ class TestTraceTable:
         want = [evaluate_chart(data, ch, expected_degree=t.baseline_degree).value([(0,), (2,)])
                 for ch in charts]
         assert isinstance(t.value(1, charts[0]), complex)
-        solved, family = [], []
-        real_one, real_family = residues._evaluate_one, residues.solve_family
-        monkeypatch.setattr(residues, "_evaluate_one", lambda data, chart, *args: solved.append(
-            chart.to_params().tobytes()) or real_one(data, chart, *args))
-        monkeypatch.setattr(residues, "solve_family", lambda v, charts, *args: family.extend(
-            ch.to_params().tobytes() for ch in charts) or real_family(v, charts, *args))
         got = t.value([(0,), (2,)], charts)
         assert got.shape == (4, 2) and t.value(1, charts).shape == (4,)
-        assert solved == [] and family == [ch.to_params().tobytes() for ch in charts[1:]]
         for row, (values, scale) in zip(got, want):
             assert np.all(np.abs(row - values) <= 1e-13 * scale)
-        assert np.array_equal(t.value([(0,), (2,)], charts[2]), got[2])
-        # a failed chart keeps its error, solved once for every later read
+        # one chart is read by the per-chart path
+        assert np.array_equal(t.value([(0,), (2,)], charts[2]), want[2][0])
+        # the first failed chart in list order raises
         with pytest.raises(PoleDetected):
             t.value(1, [charts[0], pole])
         with pytest.raises(PoleDetected):
             t.value([(0,), (1,)], [pole, charts[1]])
         with pytest.raises(PoleDetected):
             t.value(1, pole)
-        assert solved == []
-        assert len(set(family)) == len(family) == 4
 
     def _pole_table(self):
         # the pole design of test_value_on_a_list_of_charts, tabled to order 2
@@ -482,7 +489,6 @@ class TestTraceTable:
         assert abs(t.value(4, charts[1]) - trace(t.data, charts[1], 4)) <= 1e-13 * scale
         both = t.value([4, (5,)], charts)
         assert both.shape == (3, 2) and np.array_equal(both[:, 0], t.value(4, charts))
-        assert t._cache == {}
 
     def test_value_above_max_order_on_a_pole_list_raises(self):
         t, dom = self._pole_table()
