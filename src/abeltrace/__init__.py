@@ -23,6 +23,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .geometry import (
+    Charts,
     DomainSpec,
     Fiber,
     FiberPoint,

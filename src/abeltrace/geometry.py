@@ -10,6 +10,7 @@ equals (-1)^(n p) times the y-Jacobian of the substituted system.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,7 @@ class PlaneChart:
         a = np.atleast_2d(np.asarray(a, dtype=complex))
         b = np.atleast_1d(np.asarray(b, dtype=complex))
         if a.shape[0] != b.shape[0]:
-            raise DimensionMismatch(
-                f"a has {a.shape[0]} rows but b has {b.shape[0]} entries"
-            )
+            raise DimensionMismatch(f"a has {a.shape[0]} rows but b has {b.shape[0]} entries")
         self.n, self.p = int(a.shape[0]), int(a.shape[1])
         self.a, self.b = a, b
 
@@ -62,12 +61,9 @@ class PlaneChart:
     def to_params(self):
         return np.concatenate([self.a.ravel(), self.b])
 
-    @classmethod
-    def from_params(cls, n, p, vec):
-        vec = np.asarray(vec, dtype=complex)
-        if vec.size != n * (p + 1):
-            raise DimensionMismatch(f"parameter vector length {vec.size} != {n * (p + 1)}")
-        return cls(vec[: n * p].reshape(n, p), vec[n * p:])
+    @staticmethod
+    def from_params(n, p, vec):
+        return Charts.from_params(n, p, np.reshape(vec, (1, -1)))[0]
 
     def replace(self, **updates):
         """New chart with named parameters replaced (e.g. replace(**{'b1': z}))."""
@@ -79,6 +75,42 @@ class PlaneChart:
 
     def __repr__(self):
         return f"PlaneChart(a={self.a.tolist()}, b={self.b.tolist()})"
+
+
+class Charts:
+    """m charts of one shape as arrays, ``a`` (m, n, p) and ``b`` (m, n):
+    the batch a chart family is solved on, and a sequence of PlaneCharts,
+    each built when indexed."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+
+    @classmethod
+    def stack(cls, charts):
+        """The batch of a sequence of PlaneCharts of one shape."""
+        shape = (len(charts), charts[0].n, charts[0].p) if len(charts) else (0, 0, 0)
+        return cls(np.reshape([ch.a for ch in charts], shape),
+                   np.reshape([ch.b for ch in charts], shape[:2]))
+
+    @classmethod
+    def from_params(cls, n, p, params):
+        """The batch of parameter rows (m, n (p + 1)), each in to_params order."""
+        params = np.asarray(params, dtype=complex)
+        if params.ndim != 2 or params.shape[1] != n * (p + 1):
+            raise DimensionMismatch(f"parameter rows of shape {params.shape} for n={n}, p={p}")
+        return cls(params[:, : n * p].reshape(-1, n, p), params[:, n * p:])
+
+    def params(self):
+        return np.concatenate([self.a.reshape(len(self.b), -1), self.b], axis=1)
+
+    def __len__(self):
+        return len(self.b)
+
+    def __getitem__(self, s):
+        # an int only; past the end, IndexError ends iteration
+        return PlaneChart(self.a[operator.index(s)], self.b[s])
 
 
 @dataclass(frozen=True)
@@ -103,15 +135,33 @@ class DomainSpec:
     def varying(self):
         return tuple(k for k in self._positions if k in self.radii)
 
+    def offset_array(self, offsets):
+        """Offset dicts keyed by parameter name (a missing key is 0) as an
+        (m, len(varying)) array; DimensionMismatch for a key not varied."""
+        cols = {k: i for i, k in enumerate(self.varying)}
+        out = np.zeros((len(offsets), len(cols)), dtype=complex)
+        for s, off in enumerate(offsets):
+            for key, dz in off.items():
+                if key not in cols:
+                    raise DimensionMismatch(f"parameter {key!r} is not varied by the domain")
+                out[s, cols[key]] = dz
+        return out
+
+    def charts_at(self, offsets):
+        """Charts at center + each row of ``offsets``, an (m, len(varying))
+        array aligned with ``self.varying``; DimensionMismatch otherwise."""
+        offsets = np.asarray(offsets, dtype=complex)
+        if offsets.ndim != 2 or offsets.shape[1] != len(self.varying):
+            raise DimensionMismatch(f"offsets of shape {offsets.shape} for {self.varying}")
+        params = np.repeat(self.chart.to_params()[None], len(offsets), axis=0)
+        params[:, [self._positions[k] for k in self.varying]] += offsets
+        return Charts.from_params(self.chart.n, self.chart.p, params)
+
     def chart_at(self, offsets):
-        """Chart at center + offsets, offsets keyed by parameter name or a
-        sequence aligned with ``self.varying``."""
-        if not isinstance(offsets, dict):
-            offsets = dict(zip(self.varying, offsets))
-        vec = self.chart.to_params()
-        for key, dz in offsets.items():
-            vec[self._positions[key]] += complex(dz)
-        return PlaneChart.from_params(self.chart.n, self.chart.p, vec)
+        """Chart at center + offsets, keyed by parameter name or a sequence
+        aligned with ``self.varying``, as charts_at checks them."""
+        return self.charts_at(self.offset_array([offsets]) if isinstance(offsets, dict)
+                              else [offsets])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +232,7 @@ class VarietySpec:
     def _probe_degree(self):
         # deterministic pseudo-random projection fiber; also the empirical
         # zero-dimensionality check
-        b = np.array(
-            [0.8123 + 0.3456j + 0.077j * i + 0.041 * i for i in range(self.n)]
-        )
+        b = np.array([0.8123 + 0.3456j + 0.077j * i + 0.041 * i for i in range(self.n)])
         chart = PlaneChart.vertical(b, p=self.p)
         try:
             fiber = solve_fiber(self, chart, expected_degree=None)
@@ -199,10 +247,8 @@ class VarietySpec:
         return fiber.total_multiplicity
 
     def __repr__(self):
-        return (
-            f"VarietySpec(x={list(self.x_vars)}, y={list(self.y_vars)}, "
-            f"p={self.p}, degree={self.degree})"
-        )
+        return (f"VarietySpec(x={list(self.x_vars)}, y={list(self.y_vars)}, "
+                f"p={self.p}, degree={self.degree})")
 
 
 @dataclass(frozen=True)
@@ -273,9 +319,7 @@ def plane_substitute(v: VarietySpec, chart: PlaneChart):
     """Eliminate the base variables: substitute x_i = sum_j a_ij y_j + b_i
     into each defining polynomial, returning p polynomials in y only."""
     if chart.n != v.n or chart.p != v.p:
-        raise DimensionMismatch(
-            f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})"
-        )
+        raise DimensionMismatch(f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})")
     # x_i -> b_i + sum_j a_ij y_j; the term order 1, y_1..y_p fixes the
     # order of every sum in substitute, which leaves each y alone
     exps = [(0,) * v.p] + [tuple(int(k == j) for k in range(v.p)) for j in range(v.p)]
@@ -565,9 +609,7 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
     escape beyond ESCAPE_RADIUS.
     """
     if chart.n != v.n or chart.p != v.p:
-        raise DimensionMismatch(
-            f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})"
-        )
+        raise DimensionMismatch(f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})")
 
     if v.lift is not None:
         solutions = _solve_lifted(v, chart, tol)
@@ -730,8 +772,8 @@ def _triangular_points(t1, t2, degrees, degree, tol):
     return idx[ok], y[..., ::-1] if swap else y
 
 
-def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
-    """Fibers of a family of charts in one stacked pass, for the charts it
+def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
+    """Fibers of a batch of charts in one stacked pass, for the charts it
     certifies; the rest are left to solve_fiber. Covers p = 1 families,
     p = 2 families and Veronese lifts in which both polynomials involve
     both variables (_resultant_points), and p = 2 families in which, on
@@ -741,10 +783,13 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
     each passes the polish's 1e-6 residual rule and every coordinate is
     within ESCAPE_RADIUS with a nonzero Jacobian, so solve_fiber finds
     the same simple points. Returns (positions, coords, jacobians) of
-    shapes (k,), (k, degree, n + p) and (k, degree); None otherwise."""
-    a = np.array([ch.a for ch in charts])
-    b = np.array([ch.b for ch in charts])
-    if a.shape[1:] != (v.n, v.p):
+    shapes (k,), (k, degree, n + p) and (k, degree); None otherwise.
+
+    ``degree`` None takes a p = 1 family's from chart 0, its top exactly
+    nonzero coefficient (UniPoly's rule), and returns None unless chart 0
+    is certified at it; any other family returns None."""
+    a, b, own = charts.a, charts.b, degree is None
+    if a.shape[1:] != (v.n, v.p) or not len(b) or (own and v.p > 1):
         return None
     if v.lift is not None:
         # the original curve and the pulled-back plane in (x, y)
@@ -758,11 +803,12 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
         systems = [_substitute_terms(f, images, one) for f in v.defs]
     else:
         return None
-    tensors, degrees = _coefficient_tensors(systems, len(charts))
+    tensors, degrees = _coefficient_tensors(systems, len(b))
     if v.p == 1:
         # a chart counts when its coefficients above ``degree`` are exactly
         # 0 and its roots are certified
         c = tensors[0][:, 0]
+        degree = int(np.flatnonzero(c[0]).max(initial=0)) if own else degree
         if not 1 <= degree < c.shape[1]:
             return None
         z, ok = _certified_roots(c[:, :degree + 1], tol)
@@ -794,6 +840,8 @@ def solve_family(v: VarietySpec, charts, degree, tol=TOL_ARITH):
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
     jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
     ok = np.all(np.all(np.abs(coords) <= ESCAPE_RADIUS, axis=-1) & (jac != 0), axis=1)
+    if own and not (len(idx) and idx[0] == 0 and ok[0]):
+        return None  # chart 0 declined: solve_fiber sets the degree
     return idx[ok], coords[ok], jac[ok]
 
 

@@ -26,7 +26,7 @@ from .errors import (
     PoleDetected,
     UnsupportedDimension,
 )
-from .geometry import DomainSpec, PlaneChart, ResidueData
+from .geometry import Charts, DomainSpec, ResidueData
 from .multipoly import MultiPoly
 from .numeric import (
     TOL_ARITH,
@@ -83,15 +83,12 @@ class RadonTransform(TraceTable):
     max_coefficient = TraceTable.scale
 
 
-def radon_coefficients(data: ResidueData, domain: DomainSpec, plan,
-                       tol=TOL_ARITH):
+def radon_coefficients(data: ResidueData, domain: DomainSpec, plan, tol=TOL_ARITH):
     """Sample every coefficient of the transform on the plan's charts."""
     p = data.variety.p
     indices = sorted({label_index(lb, p) for lb in radon_labels(data.variety.n, p)})
     baseline = _baseline_degree(data, domain.chart, tol)
-    return _sample_charts(
-        data, domain, plan, indices, baseline, tol, cls=RadonTransform
-    )
+    return _sample_charts(data, domain, plan, indices, baseline, tol, cls=RadonTransform)
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +107,10 @@ class ShockReport:
 
 def _probe_offsets(domain, probes):
     """Deterministic interior probe offsets for a domain, at 0.45 of
-    each radius."""
-    out = []
-    names = domain.varying
-    for k in range(probes):
-        phase = 2.0 * np.pi * k / probes + 0.9
-        out.append(
-            {
-                nm: 0.45 * domain.radii[nm] * np.exp(1j * (phase + 0.61 * i))
-                for i, nm in enumerate(names)
-            }
-        )
-    return out
+    each radius: one row per probe, aligned with ``domain.varying``."""
+    rows = [[0.45 * domain.radii[nm] * np.exp(1j * (2.0 * np.pi * k / probes + 0.9 + 0.61 * i))
+             for i, nm in enumerate(domain.varying)] for k in range(probes)]
+    return np.array(rows, dtype=complex).reshape(probes, len(domain.varying))
 
 
 def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
@@ -156,43 +145,38 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     if not indices:
         raise InsufficientMargin(f"the order-{t.max_order} table has no index to check")
 
-    # the circle of each (probe, parameter): its centre and its node charts
-    circles, names = {}, t.domain.chart.param_names()
-    for k, off in enumerate(_probe_offsets(t.domain, probes)):
-        here = t.domain.chart_at(off).to_params()
+    # the centre of each (probe, parameter) circle, and the parameter rows
+    # of its node charts, every circle's in one array
+    centres, rows, names = {}, [], t.domain.chart.param_names()
+    for k, here in enumerate(t.domain.charts_at(_probe_offsets(t.domain, probes)).params()):
         for nm in dict.fromkeys(nm for (i, _, a_name) in pairs for nm in (f"b{i}", a_name)):
-            col, rows = names.index(nm), np.repeat(here[None], nodes, axis=0)
-            rows[:, col] = cauchy_nodes(here[col], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
-            circles[k, nm] = here[col], [PlaneChart.from_params(n, p, row) for row in rows]
+            col, block = names.index(nm), np.repeat(here[None], nodes, axis=0)
+            block[:, col] = cauchy_nodes(here[col], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
+            centres[k, nm] = here[col]
+            rows.append(block)
     # every circle chart, every index, from one read (one chart family);
     # then each circle's rows differentiated in one cauchy_derivative call
     try:
-        values = t.value(t.indices(), [ch for _, charts in circles.values() for ch in charts])
+        values = t.value(t.indices(), Charts.from_params(n, p, np.concatenate(rows)))
     except AbelTraceError as exc:
         raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
-    values = values.reshape(len(circles), nodes, -1)
+    values = values.reshape(len(centres), nodes, -1)
     columns = {idx: c for c, idx in enumerate(t.indices())}
     derivatives = {key: cauchy_derivative(lambda _, rows=rows: rows, z0,
                                           SHOCK_MARGIN * t.domain.radii[key[1]], 1, nodes)
-                   for (key, (z0, _)), rows in zip(circles.items(), values)}
-
-    def derivative(k, name, index):
-        return derivatives[k, name][columns[index]]
+                   for (key, z0), rows in zip(centres.items(), values)}
 
     max_abs, max_rel, details = 0.0, 0.0, []
-    checked = 0
     for k in range(probes):
         for idx in indices:
             for (i, j, a_name) in pairs:
-                db = derivative(k, f"b{i}", tuple(np.add(idx, _unit(j - 1, p))))
-                da = derivative(k, a_name, idx)
+                db = derivatives[k, f"b{i}"][columns[tuple(np.add(idx, _unit(j - 1, p)))]]
+                da = derivatives[k, a_name][columns[idx]]
                 resid = abs(db - da)
-                scale = max(1.0, abs(db), abs(da))
                 max_abs = max(max_abs, resid)
-                max_rel = max(max_rel, resid / scale)
-                checked += 1
+                max_rel = max(max_rel, resid / max(1.0, abs(db), abs(da)))
                 details.append((idx, i, j, resid))
-    return ShockReport(max_abs <= tol, max_abs, max_rel, tol, checked, tuple(details))
+    return ShockReport(max_abs <= tol, max_abs, max_rel, tol, len(details), tuple(details))
 
 
 def _unit(j, p):
@@ -235,17 +219,17 @@ def verify_holomorphy(rt: RadonTransform, tol):
     inconclusive (reported, never silently passed). A numerical
     classification, not a proof.
     """
-    names = rt.domain.varying
     mask = rt.clean_mask()
-    # the clean samples' offsets over the radii, one row per sample
-    scaled = np.array([[complex(off.get(nm, 0.0)) / rt.domain.radii[nm] for nm in names]
-                       for off, keep in zip(rt.offsets, mask) if keep],
-                      dtype=complex).reshape(int(np.sum(mask)), len(names))
+    # the clean samples' offsets over the radii, one row per sample; real
+    # and imaginary parts divided apart, as complex / float divides them
+    scaled = rt.domain.offset_array(rt.offsets)[mask]
+    radii = np.array([rt.domain.radii[nm] for nm in rt.domain.varying], dtype=float)
+    scaled.real /= radii
+    scaled.imag /= radii
     tscale = max(rt.term_scale(), 1e-300)
 
     def sweep(values, s):
-        best = np.inf
-        best_deg = 0
+        best, best_deg = np.inf, 0
         for deg in range(1, HOLO_MAX_FIT_DEGREE + 1):
             feats = _poly_features(s, deg)
             if feats.shape[0] <= feats.shape[1]:
@@ -325,8 +309,7 @@ class EquivarianceReport:
     probes: int
 
 
-def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
-                        tol=1e-8, probes=4):
+def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap, tol=1e-8, probes=4):
     """Compare the transform of the reparametrized family against the
     pullback of the original transform through ``mu``.
 
@@ -372,8 +355,8 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
     # the probes' image charts as one list after the image of the domain
     # centre, whose fiber degree sets the list's (as trace_table holds
     # its samples to the centre's); the first failed chart raises
-    tps = np.array([domain.chart_at(off).to_params() for off in _probe_offsets(domain, probes)])
-    images = [PlaneChart.from_params(n, p, mu(tp)) for tp in [domain.chart.to_params(), *tps]]
+    tps = domain.charts_at(_probe_offsets(domain, probes)).params()
+    images = Charts.from_params(n, p, [mu(tp) for tp in [domain.chart.to_params(), *tps]])
     ev = evaluate_chart(data, images, TOL_ARITH).checked()
 
     # pullback side: the label coefficients u_(e_1), .., u_(e_p), u_0 at
@@ -397,8 +380,7 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap,
 # trace extension along the closedness relations
 # ---------------------------------------------------------------------------
 
-def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
-                              order, fft_nodes=32):
+def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec, order, fft_nodes=32):
     """Extend the trace ladder u_(k,0,..) from a polydisc P to an enlarged
     polydisc P' = P_a x P_b' given an extension evaluator for the order-0
     trace on P'.
@@ -411,9 +393,10 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     represented as Taylor models fitted on the distinguished boundary of
     P'; base values on P come from the input table.
 
-    ``u0_ext`` takes a list of PlaneCharts and returns their extended
-    order-0 traces in order, for example ``lambda charts: trace(data,
-    charts, 0)``. It is called twice: once on the whole torus grid and
+    ``u0_ext`` takes a Charts batch and returns the extended order-0 traces
+    of its charts in order, for example ``lambda charts: trace(data,
+    charts, 0)``; indexed or iterated, the batch is a sequence of
+    PlaneCharts. It is called twice: once on the whole torus grid and
     once on the four validation probes. The base slices of every level
     share one set of charts, read for every level in one
     ``TraceTable.value`` call (one chart family) before the first level
@@ -434,37 +417,33 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
         raise InsufficientMargin("propagation needs b1 and a1.1 to vary")
     if set(names) != set(t.domain.varying):
         raise ValueError("enlarged domain must vary the same parameters")
-    small_params = dict(zip(t.domain.chart.param_names(), t.domain.chart.to_params()))
-    big_params = dict(zip(big_domain.chart.param_names(), big_domain.chart.to_params()))
-    for nm in names:
-        if small_params[nm] != big_params[nm]:
-            raise ValueError("domains must share their center")
-        if nm != "b1" and not np.isclose(
-            t.domain.radii[nm], big_domain.radii[nm]
-        ):
-            raise ValueError("only the b_1 radius may grow")
+    # the centres' and radii's entries in ``names`` order
+    at = [big_domain.chart.param_names().index(nm) for nm in names]
+    if np.any(t.domain.chart.to_params()[at] != big_domain.chart.to_params()[at]):
+        raise ValueError("domains must share their center")
+    if not all(np.isclose(t.domain.radii[nm], big_domain.radii[nm]) for nm in names if nm != "b1"):
+        raise ValueError("only the b_1 radius may grow")
     if big_domain.radii["b1"] < t.domain.radii["b1"]:
         raise ValueError("enlarged domain must contain the original")
 
-    ib = names.index("b1")
-    ia = names.index("a1.1")
-    center = [complex(big_params[nm]) for nm in names]
+    ib, ia = names.index("b1"), names.index("a1.1")
+    center = big_domain.chart.to_params()[at].tolist()
     radii = [float(big_domain.radii[nm]) for nm in names]
-    b_star = center[ib]
 
     def charts_at(points):
         # the charts at the rows of ``points``, parameters in ``names`` order
-        return [big_domain.chart_at(off) for off in points.reshape(-1, len(names)) - center]
+        return big_domain.charts_at(points.reshape(-1, len(names)) - center)
 
     def u0_values(points):
         try:
             return np.asarray(u0_ext(charts_at(points)), dtype=complex)
         except (PoleDetected, DegreeDrop) as exc:
             raise PathCrossesPole(
-                f"order-0 extension blows up on the enlarged polydisc: {exc}"
-            ) from exc
+                f"order-0 extension blows up on the enlarged polydisc: {exc}") from exc
 
-    pts = torus_nodes(center, radii, fft_nodes)
+    # the torus grid on P', which is also the output table's plan
+    offsets = TorusPlan(fft_nodes).offset_array(big_domain)
+    pts = (center + offsets).reshape((fft_nodes,) * len(names) + (len(names),))
     grid0 = u0_values(pts).reshape(pts.shape[:-1])
     model0 = polydisc_fit_grid(grid0, center, radii)
     # a pole strictly inside the polydisc spoils Taylor convergence even
@@ -480,13 +459,10 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     verr = max(0.0, *(abs(model0(point) - u0) for point, u0 in zip(probes, u0_probes)))
     vscale = max(1.0, float(np.max(np.abs(grid0))))
     if verr > 1e-6 * vscale:
-        raise PathCrossesPole(
-            f"order-0 extension is not holomorphic on the enlarged polydisc "
-            f"(Taylor model validation error {verr:.3e})"
-        )
+        raise PathCrossesPole(f"order-0 extension is not holomorphic on the enlarged polydisc "
+                              f"(Taylor model validation error {verr:.3e})")
     model0.build_error = verr
-    models = {(0,) * p: model0}
-    grids = {(0,) * p: grid0}
+    models, grids = {(0,) * p: model0}, {(0,) * p: grid0}
 
     a_axes = [i for i in range(len(names)) if i != ib]
     # the torus points with a trailing axis for the quadrature nodes
@@ -497,9 +473,7 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     # the base slices u_new(a, b*) of every level come from the input
     # table (inside P) at the same charts, all read at once
     a_pts = torus_nodes(a_center, a_radii, fft_nodes)
-    base_pts = np.empty(a_pts.shape[:-1] + (len(names),), dtype=complex)
-    base_pts[..., a_axes] = a_pts
-    base_pts[..., ib] = b_star
+    base_pts = np.insert(a_pts, ib, center[ib], axis=-1)
     levels = [(k,) + (0,) * (p - 1) for k in range(1, order + 1)]
     try:
         base_grids = (t.value(levels, charts_at(base_pts)).T.reshape((order,) + a_pts.shape[:-1])
@@ -507,27 +481,17 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec,
     except (PoleDetected, DegreeDrop) as exc:
         raise PathCrossesPole(f"base slices are contaminated: {exc}") from exc
 
-    prev_idx = (0,) * p
-    for new_idx, base_grid in zip(levels, base_grids):
+    for prev_idx, new_idx, base_grid in zip([(0,) * p] + levels, levels, base_grids):
         base_model = polydisc_fit_grid(base_grid, a_center, a_radii)
-
         deriv = models[prev_idx].derivative(ia)
         grid_k = base_model([pts[..., ax] for ax in a_axes]) + gauss_legendre_segment(
-            lambda beta: deriv(q[:ib] + [beta] + q[ib + 1:]), b_star, pts[..., ib]
+            lambda beta: deriv(q[:ib] + [beta] + q[ib + 1:]), center[ib], pts[..., ib]
         )
         models[new_idx] = polydisc_fit_grid(grid_k, center, radii)
         grids[new_idx] = grid_k
-        prev_idx = new_idx
 
-    offsets = TorusPlan(fft_nodes).offsets(big_domain)
-    m = len(offsets)
-    entries = {idx: grids[idx].ravel() for idx in grids}
-    term_scales = np.zeros(m)
-    for g in grids.values():
-        term_scales = np.maximum(term_scales, np.abs(g.ravel()))
-    out = TraceTable(
-        t.data, big_domain, offsets, entries, term_scales,
-        (CLEAN,) * m, max(order, t.max_order), t.baseline_degree,
-        models=models, tol=t.tol,
-    )
-    return out
+    entries = {idx: g.ravel() for idx, g in grids.items()}
+    return TraceTable(t.data, big_domain, [dict(zip(names, row)) for row in offsets.tolist()],
+                      entries, np.max(np.abs(list(entries.values())), axis=0),
+                      (CLEAN,) * len(offsets), max(order, t.max_order), t.baseline_degree,
+                      models=models, tol=t.tol)

@@ -128,8 +128,8 @@ def _reconstruction_samples(t: TraceTable):
     keep = [s for s, f in enumerate(t.flags) if f == CLEAN]
     if not keep:
         raise ValueError("no clean samples available")
-    b0 = complex(t.domain.chart.b[0])
-    xs = np.array([b0 + complex(t.offsets[s].get("b1", 0.0)) for s in keep])
+    # b1, when it varies, is the offsets' one column
+    xs = complex(t.domain.chart.b[0]) + t.domain.offset_array(t.offsets)[keep].sum(axis=1)
     cols = {idx: j for j, idx in enumerate(t.entries)}
     moments = np.stack([np.asarray(t.entries[idx], dtype=complex)[keep] for idx in cols], axis=1)
     return xs, moments, cols

@@ -16,6 +16,7 @@ trace as its perturbed points with the extrapolation weights folded in.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     TooFewCleanSamples,
 )
 from .geometry import (
+    Charts,
     DomainSpec,
     FiberPoint,
     PlaneChart,
@@ -194,9 +196,7 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
         else:
             return (np.concatenate([c for c, _ in levels]),
                     np.concatenate([c * w for c, (_, w) in zip(_extrapolation_weights(deltas), levels)]))
-    raise PerturbationFailure(
-        f"cluster of multiplicity {m} stayed degenerate under perturbation"
-    )
+    raise PerturbationFailure(f"cluster of multiplicity {m} stayed degenerate under perturbation")
 
 
 def _evaluate_one(data, chart, tol, expected_degree):
@@ -219,8 +219,10 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     (shared by all indices).
 
     One PlaneChart is solved on its own and raises as solve_fiber and the
-    cluster ladder do. A list is solved as one family at fiber degree
-    ``expected_degree`` (the first chart's when None). A chart the family
+    cluster ladder do. A Charts batch, or a list stacked into one, is
+    solved as one family at fiber degree ``expected_degree``; None takes
+    the first chart's, the family's own for p = 1 when it certifies that
+    chart at it, else solve_fiber's count. A chart the family
     certifies but finds on the weight's pole divisor is flagged POLE with
     its PoleDetected at once; each chart the family declines is solved on
     its own at that degree, and one that raises PoleDetected, DegreeDrop,
@@ -228,17 +230,19 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     UNCONVERGED and keeps its exception instead of raising."""
     if isinstance(chart, PlaneChart):
         return _evaluate_one(data, chart, tol, expected_degree)
-    charts, v = list(chart), data.variety
-    degree = (_baseline_degree(data, charts[0], tol) if expected_degree is None and charts
-              else expected_degree)
-    pos, coords, jac = solve_family(v, charts, degree, tol) or (
-        np.zeros(0, int), np.zeros((0, 0, len(v.vars))), np.zeros((0, 0)))
+    charts, v = chart if isinstance(chart, Charts) else Charts.stack(list(chart)), data.variety
+    found = solve_family(v, charts, expected_degree, tol)
+    degree = found[1].shape[1] if expected_degree is None and found else expected_degree
+    if degree is None and len(charts):
+        degree = _baseline_degree(data, charts[0], tol)
+        found = solve_family(v, charts, degree, tol)
+    pos, coords, jac = found or (np.zeros(0, int), np.zeros((0, 0, len(v.vars))), np.zeros((0, 0)))
     clear, weights = _family_weights(data, coords, jac)
     # (positions, points, weights): the family's rows, then each other chart's
     rows = [(pos[clear], coords[clear], weights)]
     flags, errors = [CLEAN] * len(charts), [None] * len(charts)
     for s in pos[~clear]:
-        flags[s], errors[s] = POLE, _pole(charts[s].to_params())
+        flags[s], errors[s] = POLE, _pole(charts.params()[s])
     for s in np.setdiff1d(np.arange(len(charts)), pos):
         try:
             ev = _evaluate_one(data, charts[s], tol, degree)
@@ -299,12 +303,12 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     punctual (or cluster-summed) residues over the fiber.
 
     ``index`` may also be a list of indices and ``chart`` a list of
-    charts; the result is then an array, charts first with the index axis
-    last, from one ``evaluate_chart`` call and one read. One index at one
-    chart is a complex. Every chart of a list is held to one fiber degree
-    (``expected_degree``, the first chart's when None), and the first
-    chart that fails raises its error, so no trace sums fewer points than
-    the others."""
+    charts or a Charts batch; the result is then an array, charts first
+    with the index axis last, from one ``evaluate_chart`` call and one
+    read. One index at one chart is a complex. Every chart of a list is
+    held to one fiber degree (``expected_degree``, else evaluate_chart's
+    rule for the first chart's), and the first chart that fails raises
+    its error, so no trace sums fewer points than the others."""
     one_index = not isinstance(index, list)
     indices = [_normalize_index(i, data.variety.p) for i in ([index] if one_index else index)]
     ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree).checked()
@@ -338,52 +342,69 @@ def _normalize_index(index, p):
     return index
 
 
+def _check_counts(counts):
+    for name, c in counts.items():
+        if not isinstance(c, numbers.Integral) or c < 1:
+            raise ValueError(f"{name} count must be an integer of at least 1, got {c!r}")
+
+
+class _Plan:
+    """Offsets as an (m, len(domain.varying)) array, the rows charts_at
+    takes, or as dicts keyed by varying parameter, which a table keeps."""
+
+    def offsets(self, domain: DomainSpec):
+        return [dict(zip(domain.varying, r)) for r in self.offset_array(domain).tolist()]
+
+
 @dataclass(frozen=True)
-class GridPlan:
-    """Real equispaced tensor grid over the varying parameters:
-    offsets radius * linspace(-1, 1, count) per parameter."""
+class GridPlan(_Plan):
+    """Real equispaced tensor grid over the varying parameters: offsets
+    radius * linspace(-1, 1, count) per parameter (0 for a count of 1 or
+    a parameter not listed). ValueError for a count below 1 or not an
+    integer, DimensionMismatch for a parameter the domain does not vary."""
 
     counts: dict
 
-    def offsets(self, domain: DomainSpec):
-        names = [k for k in domain.varying if k in self.counts]
-        if not names:
+    def __post_init__(self):
+        _check_counts(self.counts)
+
+    def offset_array(self, domain: DomainSpec):
+        domain.offset_array([self.counts])  # every listed parameter varies
+        if not self.counts:
             raise ValueError("grid plan covers no varying parameter")
-        axes = []
-        for k in names:
-            c = self.counts[k]
-            ticks = np.linspace(-1.0, 1.0, c) if c > 1 else np.array([0.0])
-            axes.append(domain.radii[k] * ticks)
-        out = []
-        for combo in np.ndindex(*[len(a) for a in axes]):
-            out.append({k: complex(axes[i][combo[i]]) for i, k in enumerate(names)})
-        return out
+        axes = [domain.radii[k] * (np.linspace(-1.0, 1.0, c) if c > 1 else np.zeros(1))
+                for k, c in ((k, self.counts.get(k, 1)) for k in domain.varying)]
+        return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")]).astype(complex)
 
 
 @dataclass(frozen=True)
-class TorusPlan:
+class TorusPlan(_Plan):
     """Samples on the distinguished boundary (product of circles), the
     natural plan for Taylor-model fitting; offsets follow the
-    ``torus_nodes`` grid order."""
+    ``torus_nodes`` grid order. ValueError for a node number below 1 or
+    not an integer."""
 
     nodes: int = 16
 
-    def offsets(self, domain: DomainSpec):
-        names = list(domain.varying)
-        pts = torus_nodes(
-            [0j] * len(names), [domain.radii[k] for k in names], self.nodes
-        ).reshape(self.nodes ** len(names), len(names))
-        return [{k: complex(pt[i]) for i, k in enumerate(names)} for pt in pts]
+    def __post_init__(self):
+        _check_counts({"node": self.nodes})
+
+    def offset_array(self, domain: DomainSpec):
+        radii = [domain.radii[k] for k in domain.varying]
+        return torus_nodes([0j] * len(radii), radii, self.nodes).reshape(
+            self.nodes ** len(radii), len(radii))
 
 
 @dataclass(frozen=True)
-class ListPlan:
-    """Explicit list of parameter offsets (dicts keyed by parameter)."""
+class ListPlan(_Plan):
+    """Explicit list of parameter offsets (dicts keyed by parameter, 0
+    for one not listed); DimensionMismatch for a parameter the domain does
+    not vary."""
 
     points: tuple
 
-    def offsets(self, domain: DomainSpec):
-        return [dict(pt) for pt in self.points]
+    def offset_array(self, domain: DomainSpec):
+        return domain.offset_array(self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -436,34 +457,27 @@ class TraceTable:
         return float(np.max(vals, initial=0.0, where=self.clean_mask() & ~np.isnan(vals)))
 
     def term_scale(self):
-        mask = self.clean_mask()
-        vals = self.term_scales[mask]
-        return float(np.max(vals)) if vals.size else 0.0
+        return float(np.max(self.term_scales[self.clean_mask()], initial=0.0))
 
     def value(self, index, chart):
         """Direct trace at an arbitrary chart, on or off the plan: one
         ``trace`` call at the table's tolerance and fiber degree, which
-        takes one index or a list of indices and one chart or a list of
-        charts (solved as one family). Nothing is kept between calls, so
+        takes one index or a list of indices and one chart, a list of
+        charts or a batch (solved as one family). Nothing is kept, so
         reading a chart again solves it again."""
         return trace(self.data, chart, index, self.tol, self.baseline_degree)
 
     def model_value(self, index, chart):
-        index = _normalize_index(index, self.p)
-        model = self.models[index]
         cur = dict(zip(chart.param_names(), chart.to_params()))
-        return model([cur[k] for k in self.domain.varying])
+        return self.models[_normalize_index(index, self.p)]([cur[k] for k in self.domain.varying])
 
     def column(self, index):
         return np.asarray(self.entries[_normalize_index(index, self.p)])
 
 
 def _box_indices(p, max_order):
-    if p <= 2:
-        return [idx for idx in np.ndindex(*([max_order + 1] * p))]
-    return [
-        idx for idx in np.ndindex(*([max_order + 1] * p)) if sum(idx) <= max_order
-    ]
+    # the full box for p <= 2, else total degree up to max_order
+    return [idx for idx in np.ndindex(*([max_order + 1] * p)) if p <= 2 or sum(idx) <= max_order]
 
 
 def _family_weights(data, coords, jac):
@@ -476,8 +490,7 @@ def _family_weights(data, coords, jac):
     return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 
-def _sample_charts(data, domain, plan, indices, baseline, tol,
-                   cls=TraceTable):
+def _sample_charts(data, domain, plan, indices, baseline, tol, cls=TraceTable):
     """Evaluate the plan's charts as one list (``evaluate_chart``) against
     the ``baseline`` fiber degree and read off the listed indices.
 
@@ -488,18 +501,13 @@ def _sample_charts(data, domain, plan, indices, baseline, tol,
     summed there. Returns a ``cls`` table whose max_order is the largest
     per-slot entry of ``indices``.
     """
-    offsets = plan.offsets(domain)
-    ev = evaluate_chart(data, [domain.chart_at(off) for off in offsets], tol, baseline)
+    ev = evaluate_chart(data, domain.charts_at(plan.offset_array(domain)), tol, baseline)
     values, term_scales = ev.value(indices)
-    max_order = max(max(idx) for idx in indices)
-    return cls(
-        data, domain, offsets, dict(zip(indices, values.T.copy())), term_scales, ev.flags,
-        max_order, baseline, tol=tol,
-    )
+    return cls(data, domain, plan.offsets(domain), dict(zip(indices, values.T.copy())),
+               term_scales, ev.flags, max(max(idx) for idx in indices), baseline, tol=tol)
 
 
-def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan,
-                tol=TOL_ARITH):
+def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan, tol=TOL_ARITH):
     """Sample all traces u_I with per-slot index up to ``max_order`` over
     the plan's charts (total degree up to max_order for p >= 3, where the
     full box would explode).
@@ -516,16 +524,11 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan,
     baseline = _baseline_degree(data, domain.chart, tol)
     if max_order is None:
         max_order = 2 * baseline + 1
-    t = _sample_charts(
-        data, domain, plan, _box_indices(data.variety.p, max_order),
-        baseline, tol,
-    )
-    m = len(t.offsets)
-    clean = int(np.sum(t.clean_mask()))
+    t = _sample_charts(data, domain, plan, _box_indices(data.variety.p, max_order), baseline, tol)
+    m, clean = len(t.offsets), int(np.sum(t.clean_mask()))
     if clean < max(1, int(np.ceil(MIN_CLEAN_FRACTION * m))):
         raise TooFewCleanSamples(
-            f"only {clean} of {m} samples usable (poles/degree drops elsewhere)"
-        )
+            f"only {clean} of {m} samples usable (poles/degree drops elsewhere)")
     return t
 
 

@@ -208,6 +208,20 @@ class TestCli:
         assert "1 radii for 2 parameters" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("grid", ["0x5", "3x-2", "torus:-3", "torus:0"])
+    def test_trace_rejects_empty_grid(self, parabola_files, capsys, grid):
+        # a count or node number below 1 used to sample the centre alone
+        # (or fail inside numpy); it is bad input now
+        tmp_path, paths = parabola_files
+        code = main([
+            "trace", "--variety", str(paths["variety"]),
+            "--numerator", str(paths["numerator"]), "--domain", str(paths["domain"]),
+            "--order", "2", "--grid", grid, "-o", str(tmp_path / "t.json"),
+        ])
+        assert code == 1
+        assert "must be an integer of at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_determinism(self, parabola_files):
         tmp_path, paths = parabola_files
         a = self.run_trace(paths, tmp_path, "t1.json").read_text()

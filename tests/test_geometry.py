@@ -13,6 +13,7 @@ from abeltrace.errors import (
 )
 from abeltrace.geometry import (
     ESCAPE_RADIUS,
+    Charts,
     DomainSpec,
     FiberPoint,
     PlaneChart,
@@ -102,6 +103,49 @@ class TestDomainSpec:
             got = dom.chart_at(off).to_params()
             assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(chart.to_params(), center)
+        # the batch form: one row per chart, each chart_at's chart exactly
+        batch = dom.charts_at(np.stack([dz, 2 * dz]))
+        assert len(batch) == 2 and isinstance(batch[1], PlaneChart)
+        for row, ch in zip((dz, 2 * dz), batch):
+            assert np.array_equal(ch.to_params(), dom.chart_at(row).to_params())
+        assert np.array_equal(batch.params()[1], dom.chart_at(2 * dz).to_params())
+
+    def test_chart_at_rejects_offsets_it_would_drop(self):
+        dom = DomainSpec(PlaneChart([[0.0]], [1.0]), {"a1.1": 0.5, "b1": 2.0})
+        for off in ([0.5], [0.5, 0.25, 9.0], {"a2.1": 1.0}, 0.5):
+            with pytest.raises(DimensionMismatch):
+                dom.chart_at(off)
+        # a frozen parameter: the chart would leave the domain
+        with pytest.raises(DimensionMismatch, match="not varied"):
+            DomainSpec(PlaneChart([[0.0]], [1.0]), {"b1": 2.0}).chart_at({"a1.1": 0.05})
+        for rows in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2)):
+            with pytest.raises(DimensionMismatch):
+                dom.charts_at(rows)
+        with pytest.raises(DimensionMismatch, match="not varied"):
+            dom.offset_array([{"b1": 0.1}, {"b2": 0.1}])
+        assert np.array_equal(dom.offset_array([{"b1": 0.1}, {}]), [[0.0, 0.1], [0.0, 0.0]])
+
+
+class TestCharts:
+    def test_sequence_of_plane_charts(self):
+        charts = [PlaneChart([[0.1, 2j], [0.3, 0.0]], [1.0, -1j]),
+                  PlaneChart([[0.5, 0.0], [1j, 2.0]], [0.0, 3.0])]
+        batch = Charts.stack(charts)
+        assert batch.a.shape == (2, 2, 2) and batch.b.shape == (2, 2) and len(batch) == 2
+        for got, want in zip(batch, charts):
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+        assert [ch.b[0] for ch in batch] == [1.0, 0.0]
+        back = Charts.from_params(2, 2, batch.params())
+        assert np.array_equal(back.a, batch.a) and np.array_equal(back.b, batch.b)
+        assert np.array_equal(batch.params()[1], charts[1].to_params())
+        assert np.array_equal(batch[-1].to_params(), charts[1].to_params())
+        with pytest.raises(IndexError):
+            batch[2]
+        with pytest.raises(TypeError):
+            batch[0:1]
+        with pytest.raises(DimensionMismatch):
+            Charts.from_params(2, 2, np.zeros((3, 5)))
+        assert len(Charts.stack([])) == 0 and list(Charts.stack([])) == []
 
 
 class TestPlaneSubstitute:
@@ -317,7 +361,7 @@ class TestSolveBivariate:
         with pytest.raises(NonConvergence) as exc:
             solve_fiber(v, chart, expected_degree=None)
         assert exc.value.worst_residual > 1e-6
-        family = solve_family(v, [chart], 9)
+        family = solve_family(v, Charts.stack([chart]), 9)
         assert family is None or len(family[0]) == 0
 
 
@@ -455,7 +499,7 @@ class TestUnivariateFamily:
             with pytest.raises(DegreeDrop):
                 solve_fiber(v, chart, expected_degree=d)
 
-        index, coords, jac = solve_family(v, charts + declined, d)
+        index, coords, jac = solve_family(v, Charts.stack(charts + declined), d)
         assert set(index.tolist()) <= set(range(len(charts)))
         assert len(index) >= len(charts) - 1
         assert np.all(np.abs(coords) <= ESCAPE_RADIUS)
@@ -470,7 +514,7 @@ class TestUnivariateFamily:
         if d > 1:
             # against degree d - 1 only the vertical chart counts: its
             # y^d coefficient is exactly 0, the others' are not
-            assert solve_family(v, charts + declined, d - 1)[0].tolist() == [len(charts)]
+            assert solve_family(v, Charts.stack(charts + declined), d - 1)[0].tolist() == [len(charts)]
             # add alpha + beta y to f so that f(a y + b, y) has a double
             # root at y = ys on the first chart
             f, chart, ys = v.defs[0], charts[0], s * _cn(rng, 1.0)
@@ -480,7 +524,7 @@ class TestUnivariateFamily:
             alpha = -f.evaluate((xs, ys)) - beta * ys
             g = f + MultiPoly(V2, {(0, 0): alpha, (0, 1): beta})
             v2 = VarietySpec(("x",), ("y",), [g], degree=d)
-            assert 0 not in solve_family(v2, charts, d)[0].tolist()
+            assert 0 not in solve_family(v2, Charts.stack(charts), d)[0].tolist()
             assert solve_fiber(v2, chart, expected_degree=d).clustered
 
 

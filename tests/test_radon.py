@@ -9,7 +9,7 @@ from abeltrace.errors import (
     PathCrossesPole,
     UnsupportedDimension,
 )
-from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
+from abeltrace.geometry import Charts, DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import cauchy_nodes
 from abeltrace.radon import (
@@ -212,6 +212,21 @@ class TestShockRelations:
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         return calls
 
+    def test_circles_and_probes_build_no_plane_chart(self, monkeypatch):
+        # the Cauchy circles and the equivariance probes' images are chart
+        # batches; the equivariance list takes its degree from its family
+        t = self._cubic_table()
+        mu = AffineMap(np.eye(2), np.array([0.0, 0.1 - 0.05j]))
+        built, solved = [], []
+        real_init, real_solve = PlaneChart.__init__, residues.solve_fiber
+        monkeypatch.setattr(PlaneChart, "__init__", lambda self, *args: built.append(1)
+                            or real_init(self, *args))
+        monkeypatch.setattr(residues, "solve_fiber", lambda *args, **kw: solved.append(1)
+                            or real_solve(*args, **kw))
+        assert verify_shock_relations(t, 1e-6).passed
+        assert reparametrize_check(t.data, t.domain, mu, tol=1e-9).passed
+        assert built == [] and solved == []
+
     def test_circles_are_solved_as_one_family(self, monkeypatch):
         t = self._cubic_table()
         calls = self._count_evaluate_chart(monkeypatch)
@@ -371,7 +386,7 @@ class TestEquivariance:
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
         radii = {"b1": 0.4}
-        off = _probe_offsets(DomainSpec(PlaneChart([[0.0]], [0.0]), radii), 4)[0]["b1"]
+        off = _probe_offsets(DomainSpec(PlaneChart([[0.0]], [0.0]), radii), 4)[0, 0]
         dom = DomainSpec(PlaneChart([[0.0]], [-off]), radii)
         mu = AffineMap(np.eye(2), np.array([0.0, -1.0]))
         assert np.array_equal(mu(dom.chart_at({"b1": off}).to_params()), [0.0, -1.0])
@@ -431,6 +446,26 @@ class TestPropagation:
         assert calls == []
         ch = big.chart_at({"a1.1": 0.1j, "b1": -1.2})
         assert abs(ext.model_value((3,), ch) - trace(data, ch, 3)) < 1e-6
+
+    def test_no_per_chart_object_on_a_certified_family(self, monkeypatch):
+        # the torus grid, the probes and the base slices are chart batches
+        # (u0_ext receives one) solved by the family: no PlaneChart is
+        # built, and the list degree costs no per-chart solve
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 3, TorusPlan(6))
+        built, solved, batches = [], [], []
+        real_init, real_solve = PlaneChart.__init__, residues.solve_fiber
+        monkeypatch.setattr(PlaneChart, "__init__", lambda self, *args: built.append(1)
+                            or real_init(self, *args))
+        monkeypatch.setattr(residues, "solve_fiber", lambda *args, **kw: solved.append(1)
+                            or real_solve(*args, **kw))
+        propagate_trace_extension(
+            t, lambda charts: batches.append(type(charts)) or trace(data, charts, 0),
+            big, order=3, fft_nodes=16,
+        )
+        assert built == [] and solved == []
+        assert batches == [Charts, Charts]
 
     def test_restriction_reproduces_input(self):
         data = parabola_data()

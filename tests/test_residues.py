@@ -9,12 +9,14 @@ from abeltrace import residues
 from abeltrace.errors import (
     ClusterPoint,
     DegreeDrop,
+    DimensionMismatch,
     NonConvergence,
     PerturbationFailure,
     PoleDetected,
     TooFewCleanSamples,
 )
 from abeltrace.geometry import (
+    Charts,
     DomainSpec,
     PlaneChart,
     ResidueData,
@@ -241,6 +243,81 @@ class TestTraceList:
     def test_empty_list(self):
         assert trace(parabola_data(), [], 1).shape == (0,)
         assert trace(parabola_data(), [], [0, 1]).shape == (0, 2)
+
+    @staticmethod
+    def _parent_flow(monkeypatch):
+        # a family that never takes its own degree: every list with
+        # expected_degree None is held to _baseline_degree(charts[0])
+        real = residues.solve_family
+        monkeypatch.setattr(residues, "solve_family", lambda v, charts, degree, *args: None
+                            if degree is None else real(v, charts, degree, *args))
+
+    @staticmethod
+    def _outcome(data, charts, index):
+        try:
+            return trace(data, charts, index)
+        except DegreeDrop as exc:
+            return type(exc), str(exc)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+    def test_own_degree_is_the_first_charts_baseline(self, seed, weighted):
+        data, domain, _ = _family_case("p1_weight" if weighted else "p1",
+                                       np.random.default_rng(seed))
+        charts = domain.charts_at(TorusPlan(3).offset_array(domain))
+        baseline = residues._baseline_degree(data, charts[0], 1e-10)
+        found = solve_family(data.variety, charts, None)
+        if not solve_fiber(data.variety, charts[0], expected_degree=None).clustered:
+            assert found is not None and 0 in found[0]
+        if found is not None:
+            assert found[1].shape[1] == baseline
+            for got, want in zip(found, solve_family(data.variety, charts, baseline)):
+                assert np.array_equal(got, want)
+        _assert_same_evaluation(evaluate_chart(data, charts),
+                                evaluate_chart(data, charts, expected_degree=baseline))
+
+    def test_own_degree_solves_no_chart_on_its_own(self, monkeypatch):
+        data, charts, _ = self._case("cubic")
+        calls = []
+        real = residues.solve_fiber
+        monkeypatch.setattr(residues, "solve_fiber",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        trace(data, charts, [0, 1])
+        assert calls == []
+        self._parent_flow(monkeypatch)
+        trace(data, charts, [0, 1])
+        assert calls == [1]
+
+    def test_declined_first_chart_keeps_the_parent_degree(self, monkeypatch):
+        # the parabola's double point b = 0 first: the family declines it,
+        # so its solve_fiber count (one point of multiplicity 2) sets the
+        # degree, as it did before
+        data = parabola_data()
+        charts = [PlaneChart([[0.0]], [b]) for b in (0.0, 1.0, 2.0 - 0.5j)]
+        assert solve_family(data.variety, Charts.stack(charts), None) is None
+        got = trace(data, charts, [0, 1, 3])
+        self._parent_flow(monkeypatch)
+        assert np.array_equal(got, trace(data, charts, [0, 1, 3]))
+
+    @pytest.mark.parametrize("b0", [-1.0, -1.0 + 1e-12])
+    def test_vanishing_top_coefficient_keeps_the_parent_error(self, b0, monkeypatch):
+        # (1 + x) y^2 - y - x: at b = -1 the y^2 coefficient is exactly 0,
+        # one point (the family's degree 1, as solve_fiber's); just off it
+        # a root escapes, the family declines the chart and solve_fiber
+        # raises for it
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        charts = [PlaneChart.vertical([b]) for b in (b0, 0.5, 0.3j)]
+        found = solve_family(data.variety, Charts.stack(charts), None)
+        if b0 == -1.0:
+            assert found[0].tolist() == [0] and found[1].shape[1] == 1
+            assert residues._baseline_degree(data, charts[0], 1e-10) == 1
+        else:
+            assert found is None
+        got = self._outcome(data, charts, 1)
+        assert got[0] is DegreeDrop
+        self._parent_flow(monkeypatch)
+        assert got == self._outcome(data, charts, 1)
 
     def test_list_of_indices(self):
         # charts first, the index axis last; each column is that index's
@@ -520,7 +597,7 @@ class TestTraceTable:
         escaped = PlaneChart([[0.0, 0.0]], [1.5 + 1e-9])
         with pytest.raises(DegreeDrop):
             solve_fiber(v, escaped)
-        assert len(solve_family(v, [escaped], 2)[0]) == 0
+        assert len(solve_family(v, Charts.stack([escaped]), 2)[0]) == 0
         dom = DomainSpec(PlaneChart([[0.0, 0.0]], [2.0]), {"b1": 1.0})
         t = trace_table(ResidueData(v, MultiPoly.constant(1.0, V3)), dom, 1,
                         ListPlan(({"b1": 0.0}, {"b1": -0.5 + 1e-9}, {"b1": 0.3})))
@@ -630,6 +707,59 @@ def test_torus_plan_offset_order(radii):
             assert off == {nm: 0j + radii[nm] * ring[i] for nm, i in zip(names, idx)}
 
 
+class TestPlans:
+    """Each plan's array and dict forms, and the inputs a plan refuses
+    because it would sample something other than what it says."""
+
+    dom = DomainSpec(PlaneChart([[0.3]], [1.1]), {"a1.1": 0.5, "b1": 2.0})
+    bdom = DomainSpec(PlaneChart([[0.3]], [1.1]), {"b1": 2.0})
+
+    @pytest.mark.parametrize("plan", [
+        GridPlan({"a1.1": 3, "b1": 4}), GridPlan({"b1": 3}), GridPlan({"a1.1": 1, "b1": 2}),
+        TorusPlan(5), ListPlan(({"a1.1": 0.1j, "b1": -0.2}, {"b1": 0.3}, {})),
+    ])
+    def test_array_and_dicts_agree(self, plan):
+        rows, dicts = plan.offset_array(self.dom), plan.offsets(self.dom)
+        assert rows.shape == (len(dicts), 2) and rows.dtype == complex
+        assert np.array_equal(rows, self.dom.offset_array(dicts))
+        assert all(set(off) == {"a1.1", "b1"} for off in dicts)
+        charts = self.dom.charts_at(rows)
+        for s, off in enumerate(dicts):
+            assert np.array_equal(charts[s].to_params(), self.dom.chart_at(off).to_params())
+
+    def test_grid_order_and_uncovered_parameter(self):
+        rows = GridPlan({"a1.1": 2, "b1": 3}).offset_array(self.dom)
+        assert np.array_equal(rows, [[-0.5, -2.0], [-0.5, 0.0], [-0.5, 2.0],
+                                     [0.5, -2.0], [0.5, 0.0], [0.5, 2.0]])
+        # a parameter the grid does not list stays at the centre
+        assert np.array_equal(GridPlan({"b1": 2}).offset_array(self.dom), [[0, -2.0], [0, 2.0]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: GridPlan({"a1.1": -2}), lambda: GridPlan({"a1.1": 0, "b1": 5}),
+        lambda: GridPlan({"b1": 2.5}), lambda: TorusPlan(-3), lambda: TorusPlan(0),
+        lambda: TorusPlan(4.0),
+    ])
+    def test_count_below_one_or_not_an_integer(self, make):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            make()
+
+    @pytest.mark.parametrize("plan", [
+        GridPlan({"b2": 3}),                   # a typo: no such parameter
+        GridPlan({"a1.1": 3, "b1": 3}),        # a1.1 is frozen on bdom
+        ListPlan(({"a1.1": 0.05},)),
+        ListPlan(({"b1": 0.1}, {"b1": 0.2, "a1.1": 0.05})),
+    ])
+    def test_parameter_the_domain_does_not_vary(self, plan):
+        with pytest.raises(DimensionMismatch, match="not varied"):
+            plan.offsets(self.bdom)
+        with pytest.raises(DimensionMismatch, match="not varied"):
+            trace_table(parabola_data(), self.bdom, 1, plan)
+
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match="covers no varying parameter"):
+            trace_table(parabola_data(), self.bdom, 1, GridPlan({}))
+
+
 class TestHypersurfaceTrace:
     def test_parabola_against_horizontal_line(self):
         # f = y - x^2 meets y = 4 at x = +-2; det[[df],[dC]] = -2x,
@@ -701,6 +831,14 @@ def _family_case(kind, rng):
     return ResidueData(v, _dense(rng, vars, 1)), domain, 3
 
 
+def _assert_same_evaluation(got, want):
+    """Two ChartEvaluations with bitwise-equal points, weights and flags,
+    and errors of the same types."""
+    assert got.coords.shape == want.coords.shape and got.flags == want.flags
+    assert np.array_equal(got.coords, want.coords) and np.array_equal(got.weights, want.weights)
+    assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
+
+
 def _per_chart_table(data, domain, order, plan):
     with mock.patch.object(residues, "solve_family", return_value=None):
         return trace_table(data, domain, order, plan)
@@ -769,12 +907,16 @@ class TestChartFamily:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_family_matches_per_chart_path(self, kind, plan, seed):
         data, domain, order = _family_case(kind, np.random.default_rng(seed))
+        if isinstance(plan, GridPlan):
+            # a grid covers only parameters the domain varies (b1 alone on
+            # the triangular families' vertical charts)
+            plan = GridPlan({k: c for k, c in plan.counts.items() if k in domain.radii})
         _assert_same_table(
             trace_table(data, domain, order, plan), _per_chart_table(data, domain, order, plan)
         )
         # the stacked Jacobians are full_jacobian's, point by point
         v = data.variety
-        charts = [domain.chart_at(off) for off in plan.offsets(domain)]
+        charts = domain.charts_at(plan.offset_array(domain))
         baseline = solve_fiber(v, domain.chart, expected_degree=None).total_multiplicity
         family = solve_family(v, charts, baseline)
         for s, points, jacs in zip(*family):
@@ -886,7 +1028,7 @@ class TestChartFamily:
         data = ResidueData(v, MultiPoly(V3, {(0, 0, 0): 1.0, (0, 1, 0): 0.5}))
         domain = DomainSpec(PlaneChart([[0.3, 0.1]], [0.2]), {"a1.1": 0.1, "b1": 0.2})
         plan = GridPlan({"a1.1": 3, "b1": 3})
-        positions, _, _ = solve_family(v, [domain.chart_at(off) for off in plan.offsets(domain)], 3)
+        positions, _, _ = solve_family(v, domain.charts_at(plan.offset_array(domain)), 3)
         assert positions.size == 0
         _assert_same_table(
             trace_table(data, domain, 2, plan), _per_chart_table(data, domain, 2, plan)
@@ -910,3 +1052,38 @@ class TestChartFamily:
         t = trace_table(data, domain, 3, TorusPlan(4))
         assert set(t.flags) == {"clean"}
         assert t.baseline_degree == (4 if vertical else 6)
+
+    @pytest.mark.parametrize("kind", ["p1", "p1_weight", "p2_n1", "lifted", "p2_triangular"])
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batch_and_list_give_one_evaluation(self, kind, seed):
+        # a Charts batch against the same charts as a list of PlaneCharts
+        data, domain, _ = _family_case(kind, np.random.default_rng(seed))
+        batch = domain.charts_at(TorusPlan(3).offset_array(domain))
+        charts = [PlaneChart(a.copy(), b.copy()) for a, b in zip(batch.a, batch.b)]
+        baseline = solve_fiber(data.variety, domain.chart, expected_degree=None).total_multiplicity
+        for degree in (None, baseline):
+            _assert_same_evaluation(evaluate_chart(data, batch, expected_degree=degree),
+                                    evaluate_chart(data, charts, expected_degree=degree))
+
+    def test_batch_and_list_agree_on_flagged_charts(self):
+        # p = 1: clean, pole (certified by the family), cluster and a
+        # degree drop; p = 2: the tangent family's cluster and pole charts
+        p1 = ResidueData(parabola_data().variety, MultiPoly(V2, {(0, 0): 1.0, (0, 1): 0.7}),
+                         weight=MultiPoly(V2, {(1, 0): 1.0, (0, 0): -0.05}))
+        drop = ResidueData(VarietySpec(("x",), ("y",), [MultiPoly(V2, {
+            (0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})]), MultiPoly.constant(1.0, V2))
+        root = np.roots([1.0, -0.5, 0.0625 - 0.05])[0]
+        p2, domain = self._tangent_family(MultiPoly(V3, {(0, 1, 0): 1.0, (0, 0, 0): -root}))
+        cases = [(p1, [PlaneChart.vertical([b]) for b in (0.3, 0.05, 0.0, -0.2 + 0.1j)], 2),
+                 (drop, [PlaneChart.vertical([b]) for b in (0.5, -1.0, 0.3j)], 2),
+                 (p2, list(domain.charts_at(GridPlan({"b1": 5}).offset_array(domain))), None)]
+        flags = []
+        for data, charts, degree in cases:
+            batch = Charts.stack(charts)
+            got = evaluate_chart(data, batch, expected_degree=degree)
+            _assert_same_evaluation(got, evaluate_chart(data, charts, expected_degree=degree))
+            flags.append(got.flags)
+        assert flags == [("clean", "pole", "cluster", "clean"),
+                         ("clean", "degree-drop", "clean"),
+                         ("clean", "clean", "cluster", "pole", "clean")]
