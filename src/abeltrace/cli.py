@@ -160,7 +160,7 @@ def _run_radon(job):
     poles = [i for i, f in enumerate(rt.flags) if f == "pole"]
     _emit(job, {"result": ser.encode_radon(rt)}, [
         f"transform: {len(rt.coeffs)} coefficient labels x {len(rt.offsets)} "
-        f"samples, max |coeff| {rt.max_coefficient():.6g}, "
+        f"samples, max |coeff| {rt.scale():.6g}, "
         f"{len(poles)} pole-flagged samples",
     ])
     return EXIT_OK

@@ -89,7 +89,11 @@ class Charts:
 
     @classmethod
     def stack(cls, charts):
-        """The batch of a sequence of PlaneCharts of one shape."""
+        """The batch of a sequence of PlaneCharts of one shape;
+        DimensionMismatch for charts of different (n, p)."""
+        shapes = {(ch.n, ch.p) for ch in charts}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"charts of shapes {sorted(shapes)} in one list")
         shape = (len(charts), charts[0].n, charts[0].p) if len(charts) else (0, 0, 0)
         return cls(np.reshape([ch.a for ch in charts], shape),
                    np.reshape([ch.b for ch in charts], shape[:2]))
@@ -149,10 +153,13 @@ class DomainSpec:
 
     def charts_at(self, offsets):
         """Charts at center + each row of ``offsets``, an (m, len(varying))
-        array aligned with ``self.varying``; DimensionMismatch otherwise."""
+        array aligned with ``self.varying``; DimensionMismatch otherwise,
+        ValueError for a non-finite offset."""
         offsets = np.asarray(offsets, dtype=complex)
         if offsets.ndim != 2 or offsets.shape[1] != len(self.varying):
             raise DimensionMismatch(f"offsets of shape {offsets.shape} for {self.varying}")
+        if not np.all(np.isfinite(offsets)):
+            raise ValueError("chart offsets must be finite")
         params = np.repeat(self.chart.to_params()[None], len(offsets), axis=0)
         params[:, [self._positions[k] for k in self.varying]] += offsets
         return Charts.from_params(self.chart.n, self.chart.p, params)
@@ -273,9 +280,6 @@ class ResidueData:
             w = self.weight if self.weight.vars == allv else self.weight.with_vars(allv)
             object.__setattr__(self, "weight", w)
 
-    def numerator_at(self, coords):
-        return self.numerator.evaluate(coords)
-
     def weight_at(self, coords):
         return self.weight.evaluate(coords) if self.weight is not None else 1.0 + 0j
 
@@ -302,17 +306,8 @@ class Fiber:
     multiplicities: np.ndarray
 
     @property
-    def points(self):
-        return tuple(FiberPoint(tuple(c), j, m) for c, j, m in zip(
-            self.coords.tolist(), self.jacobians.tolist(), self.multiplicities.tolist()))
-
-    @property
     def total_multiplicity(self):
         return int(self.multiplicities.sum())
-
-    @property
-    def clustered(self):
-        return bool(np.any(self.multiplicities > 1))
 
 
 def plane_substitute(v: VarietySpec, chart: PlaneChart):
@@ -602,8 +597,7 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
 
     ``expected_degree``: "variety" checks against v.degree, None disables
     the constancy check, an integer checks against that value. A cluster
-    (multiple point) is returned as one point of multiplicity above 1,
-    and the fiber reports it as ``clustered``.
+    (multiple point) is returned as one point of multiplicity above 1.
 
     Raises DegreeDrop when points are missing against the expectation or
     escape beyond ESCAPE_RADIUS.

@@ -137,17 +137,6 @@ class MultiPoly:
         exps = tuple(1 if i == idx else 0 for i in range(len(vars)))
         return cls(vars, {exps: 1.0})
 
-    @classmethod
-    def from_univariate(cls, p: UniPoly, name, vars):
-        vars = tuple(vars)
-        idx = vars.index(name)
-        terms = {}
-        for k, c in enumerate(p.coeffs):
-            if c != 0:
-                exps = tuple(k if i == idx else 0 for i in range(len(vars)))
-                terms[exps] = c
-        return cls(vars, terms)
-
     # -- predicates / views -------------------------------------------
 
     @property

@@ -64,24 +64,8 @@ class UniPoly:
     def zero(cls):
         return cls(())
 
-    @classmethod
-    def from_roots(cls, roots):
-        """Monic polynomial with the given roots."""
-        c = np.array([1.0], dtype=complex)
-        for r in roots:
-            c = np.convolve(c, np.array([-r, 1.0], dtype=complex))
-        return cls(c)
-
     def __call__(self, z):
         return _horner(self.coeffs, z)
-
-    def derivative(self, order=1):
-        c = np.asarray(self.coeffs, dtype=complex)
-        for _ in range(order):
-            if len(c) <= 1:
-                return UniPoly.zero()
-            c = c[1:] * np.arange(1, len(c))
-        return UniPoly(c)
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs

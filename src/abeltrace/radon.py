@@ -42,6 +42,7 @@ from .residues import (
     TorusPlan,
     TraceTable,
     _baseline_degree,
+    _offset_dicts,
     _sample_charts,
     evaluate_chart,
 )
@@ -76,11 +77,6 @@ class RadonTransform(TraceTable):
             lb: self.entries[label_index(lb, self.p)]
             for lb in radon_labels(self.n, self.p)
         }
-
-    def labels(self):
-        return radon_labels(self.n, self.p)
-
-    max_coefficient = TraceTable.scale
 
 
 def radon_coefficients(data: ResidueData, domain: DomainSpec, plan, tol=TOL_ARITH):
@@ -194,10 +190,6 @@ class HolomorphyReport:
     diagnostics: dict
     tol: float
 
-    @property
-    def holomorphic(self):
-        return all(s == "holomorphic" for s in self.status.values())
-
 
 def _poly_features(s, deg):
     """Monomials of total degree <= deg in the scaled offsets ``s`` (m,
@@ -291,10 +283,6 @@ class AffineMap:
             raise ValueError("affine map is not invertible")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", v)
-
-    @classmethod
-    def identity(cls, k):
-        return cls(np.eye(k, dtype=complex), np.zeros(k, dtype=complex))
 
     def __call__(self, params):
         return self.matrix @ np.asarray(params, dtype=complex) + self.offset
@@ -491,7 +479,7 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec, ord
         grids[new_idx] = grid_k
 
     entries = {idx: g.ravel() for idx, g in grids.items()}
-    return TraceTable(t.data, big_domain, [dict(zip(names, row)) for row in offsets.tolist()],
+    return TraceTable(t.data, big_domain, _offset_dicts(big_domain, offsets),
                       entries, np.max(np.abs(list(entries.values())), axis=0),
                       (CLEAN,) * len(offsets), max(order, t.max_order), t.baseline_degree,
                       models=models, tol=t.tol)

@@ -53,12 +53,6 @@ class MinimalPolySet:
     coeffs: tuple          # per variable: tuple of UniPoly, length d_i
     diagnostics: dict = field(default_factory=dict)
 
-    def poly_at(self, i, x):
-        """P_i at a base value, as a monic UniPoly in y_i."""
-        d = self.degrees[i]
-        low_first = [self.coeffs[i][d - 1 - k](x) for k in range(d)] + [1.0]
-        return UniPoly(low_first)
-
     def coefficient_values(self, i, x):
         """(a_1, ..., a_d) for variable i at a base value, or as arrays
         over an array of base values."""

@@ -113,10 +113,6 @@ class ChartEvaluation:
     def __init__(self, coords, weights, n, flags, errors):
         self.coords, self.weights, self.n, self.flags, self.errors = coords, weights, n, flags, errors
 
-    @property
-    def clustered(self):
-        return CLUSTER in self.flags
-
     def checked(self):
         """This evaluation when no chart failed; else raises the first
         failed chart's exception, in list order."""
@@ -348,16 +344,14 @@ def _check_counts(counts):
             raise ValueError(f"{name} count must be an integer of at least 1, got {c!r}")
 
 
-class _Plan:
-    """Offsets as an (m, len(domain.varying)) array, the rows charts_at
-    takes, or as dicts keyed by varying parameter, which a table keeps."""
-
-    def offsets(self, domain: DomainSpec):
-        return [dict(zip(domain.varying, r)) for r in self.offset_array(domain).tolist()]
+def _offset_dicts(domain: DomainSpec, rows):
+    """Offset rows (m, len(domain.varying)), the array charts_at takes, as
+    the dicts keyed by varying parameter that a table keeps."""
+    return [dict(zip(domain.varying, r)) for r in rows.tolist()]
 
 
 @dataclass(frozen=True)
-class GridPlan(_Plan):
+class GridPlan:
     """Real equispaced tensor grid over the varying parameters: offsets
     radius * linspace(-1, 1, count) per parameter (0 for a count of 1 or
     a parameter not listed). ValueError for a count below 1 or not an
@@ -378,7 +372,7 @@ class GridPlan(_Plan):
 
 
 @dataclass(frozen=True)
-class TorusPlan(_Plan):
+class TorusPlan:
     """Samples on the distinguished boundary (product of circles), the
     natural plan for Taylor-model fitting; offsets follow the
     ``torus_nodes`` grid order. ValueError for a node number below 1 or
@@ -396,7 +390,7 @@ class TorusPlan(_Plan):
 
 
 @dataclass(frozen=True)
-class ListPlan(_Plan):
+class ListPlan:
     """Explicit list of parameter offsets (dicts keyed by parameter, 0
     for one not listed); DimensionMismatch for a parameter the domain does
     not vary."""
@@ -471,9 +465,6 @@ class TraceTable:
         cur = dict(zip(chart.param_names(), chart.to_params()))
         return self.models[_normalize_index(index, self.p)]([cur[k] for k in self.domain.varying])
 
-    def column(self, index):
-        return np.asarray(self.entries[_normalize_index(index, self.p)])
-
 
 def _box_indices(p, max_order):
     # the full box for p <= 2, else total degree up to max_order
@@ -487,7 +478,7 @@ def _family_weights(data, coords, jac):
     cols = tuple(coords.transpose(2, 0, 1))
     wval = data.weight_at(cols)
     clear = ~_on_pole(data.weight, cols, wval).any(axis=1)
-    return clear, (data.numerator_at(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
+    return clear, (data.numerator.evaluate(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 
 def _sample_charts(data, domain, plan, indices, baseline, tol, cls=TraceTable):
@@ -501,9 +492,10 @@ def _sample_charts(data, domain, plan, indices, baseline, tol, cls=TraceTable):
     summed there. Returns a ``cls`` table whose max_order is the largest
     per-slot entry of ``indices``.
     """
-    ev = evaluate_chart(data, domain.charts_at(plan.offset_array(domain)), tol, baseline)
+    offsets = plan.offset_array(domain)
+    ev = evaluate_chart(data, domain.charts_at(offsets), tol, baseline)
     values, term_scales = ev.value(indices)
-    return cls(data, domain, plan.offsets(domain), dict(zip(indices, values.T.copy())),
+    return cls(data, domain, _offset_dicts(domain, offsets), dict(zip(indices, values.T.copy())),
                term_scales, ev.flags, max(max(idx) for idx in indices), baseline, tol=tol)
 
 

@@ -252,14 +252,6 @@ def decode_reconstruction(obj):
     )
 
 
-def encode_affine_map(mu: AffineMap):
-    k = mu.matrix.shape[0]
-    return {
-        "matrix": [[_c(mu.matrix[i, j]) for j in range(k)] for i in range(k)],
-        "offset": [_c(z) for z in mu.offset],
-    }
-
-
 def decode_affine_map(obj):
     m = np.array([[_uc(z) for z in row] for row in obj["matrix"]])
     v = np.array([_uc(z) for z in obj["offset"]])

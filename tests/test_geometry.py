@@ -15,7 +15,6 @@ from abeltrace.geometry import (
     ESCAPE_RADIUS,
     Charts,
     DomainSpec,
-    FiberPoint,
     PlaneChart,
     ResidueData,
     VarietySpec,
@@ -176,38 +175,30 @@ class TestSolveFiber:
         # fiber of y^2 = x over x = 4: points (4, +-2); the Jacobian of
         # (f, l) in (x, y) is det[[-1, 2y], [1, 0]] = -2y
         fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [4.0]))
-        got = {complex(np.round(pt.coords[1], 9)): pt for pt in fiber.points}
+        got = {complex(np.round(c[1], 9)): j for c, j in zip(fiber.coords, fiber.jacobians)}
         assert set(got) == {2.0 + 0j, -2.0 + 0j}
-        assert got[2.0 + 0j].jacobian == pytest.approx(-4.0)
-        assert got[-2.0 + 0j].jacobian == pytest.approx(4.0)
-        for pt in fiber.points:
-            assert abs(pt.jacobian) == pytest.approx(4.0)
+        assert got[2.0 + 0j] == pytest.approx(-4.0)
+        assert got[-2.0 + 0j] == pytest.approx(4.0)
+        for j in fiber.jacobians:
+            assert abs(j) == pytest.approx(4.0)
 
     def test_double_point_cluster(self):
         # the cluster is reported by the fiber itself, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [0.0]))
-        assert fiber.clustered
-        assert len(fiber.points) == 1
-        assert fiber.points[0].cluster_size == 2
+        assert fiber.multiplicities.tolist() == [2]
+        assert len(fiber.coords) == 1
         assert fiber.total_multiplicity == 2
 
     def test_fiber_holds_arrays(self):
-        # arrays of the distinct points; ``points`` rebuilds the
-        # FiberPoints with Python complex coordinates and Jacobians
+        # arrays of the distinct points
         for b, count in ((4.0, 2), (0.0, 1)):
             fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [b]))
             assert fiber.coords.dtype == complex and fiber.coords.shape == (count, 2)
             assert fiber.jacobians.dtype == complex and fiber.jacobians.shape == (count,)
             assert fiber.multiplicities.dtype.kind == "i"
             assert fiber.multiplicities.shape == (count,)
-            assert fiber.points == tuple(
-                FiberPoint(tuple(map(complex, c)), complex(j), int(m))
-                for c, j, m in zip(fiber.coords, fiber.jacobians, fiber.multiplicities))
-            for pt in fiber.points:
-                assert all(type(z) is complex for z in pt.coords)
-                assert type(pt.jacobian) is complex and type(pt.cluster_size) is int
             # fibers compare by identity, without comparing arrays
             again = solve_fiber(parabola(), PlaneChart([[0.0]], [b]))
             assert fiber == fiber and fiber != again
@@ -215,8 +206,8 @@ class TestSolveFiber:
     def test_triangular_system(self):
         fiber = solve_fiber(triangular_pair(), PlaneChart([[0.0, 0.0]], [4.0]))
         pts = {
-            (complex(np.round(pt.coords[1], 9)), complex(np.round(pt.coords[2], 9)))
-            for pt in fiber.points
+            (complex(np.round(c[1], 9)), complex(np.round(c[2], 9)))
+            for c in fiber.coords
         }
         assert pts == {(2 + 0j, 3 + 0j), (-2 + 0j, -1 + 0j)}
 
@@ -233,10 +224,10 @@ class TestSolveFiber:
         v = elliptic()
         chart = PlaneChart([[0.4 + 0.2j]], [0.9 - 0.1j])
         fiber = solve_fiber(v, chart, expected_degree=None)
-        for pt in fiber.points:
-            point = dict(zip(v.vars, pt.coords))
+        for coords in fiber.coords.tolist():
+            point = dict(zip(v.vars, coords))
             assert abs(v.defs[0].evaluate(point)) < 1e-9
-            xs, ys = np.array(pt.coords[: v.n]), np.array(pt.coords[v.n:])
+            xs, ys = np.array(coords[: v.n]), np.array(coords[v.n:])
             assert np.max(np.abs(xs - (chart.a @ ys + chart.b))) < 1e-12
 
     def test_fiber_degree_constant_over_domain(self):
@@ -255,9 +246,8 @@ class TestSolveFiber:
             counts.add(fiber.total_multiplicity)
             # away from the discriminant, simple-point Jacobians stay
             # bounded away from zero
-            for pt in fiber.points:
-                assert pt.cluster_size == 1
-                assert abs(pt.jacobian) > 1e-6
+            assert np.all(fiber.multiplicities == 1)
+            assert np.all(np.abs(fiber.jacobians) > 1e-6)
         assert counts == {3}
 
     def test_jacobian_sign_identity(self):
@@ -272,8 +262,8 @@ class TestSolveFiber:
             subs = plane_substitute(v, chart)
             fiber = solve_fiber(v, chart, expected_degree=None)
             sign = (-1.0) ** (v.n * v.p)
-            for pt in fiber.points:
-                yvals = dict(zip(v.y_vars, pt.coords[v.n:]))
+            for coords, jac in zip(fiber.coords.tolist(), fiber.jacobians.tolist()):
+                yvals = dict(zip(v.y_vars, coords[v.n:]))
                 jsub = np.array(
                     [
                         [g.partial(yv).evaluate(yvals) for yv in v.y_vars]
@@ -281,7 +271,7 @@ class TestSolveFiber:
                     ]
                 )
                 expect = sign * np.linalg.det(jsub)
-                assert pt.jacobian == pytest.approx(expect, rel=1e-9)
+                assert jac == pytest.approx(expect, rel=1e-9)
 
 
 class TestSolveBivariate:
@@ -435,16 +425,14 @@ class TestFiberContract:
             assert (order is not None) == (path != "resultant")
         fiber = solve_fiber(v, chart, expected_degree=None)
         assert fiber.total_multiplicity == count
-        assert fiber.clustered == any(pt.cluster_size > 1 for pt in fiber.points)
-        for pt in fiber.points:
-            assert type(pt.coords) is tuple and len(pt.coords) == v.n + v.p
-            assert all(type(z) is complex for z in pt.coords)
-            if pt.cluster_size > 1:
+        assert fiber.coords.shape == (len(fiber.multiplicities), v.n + v.p)
+        for coords, mult in zip(fiber.coords.tolist(), fiber.multiplicities.tolist()):
+            if mult > 1:
                 continue
             for f in v.defs:
-                scale = _evaluation_scale(f, pt.coords)
-                assert abs(f.evaluate(pt.coords)) <= 1e-10 * scale
-            xs, ys = np.array(pt.coords[: v.n]), np.array(pt.coords[v.n:])
+                scale = _evaluation_scale(f, coords)
+                assert abs(f.evaluate(coords)) <= 1e-10 * scale
+            xs, ys = np.array(coords[: v.n]), np.array(coords[v.n:])
             plane = xs - chart.a @ ys - chart.b
             scale = np.abs(xs) + np.abs(chart.a) @ np.abs(ys) + np.abs(chart.b)
             assert np.all(np.abs(plane) <= 1e-10 * scale)
@@ -459,7 +447,7 @@ class TestFullJacobian:
         # point's value, and each value is the determinant of the full
         # (n+p) x (n+p) matrix of (defs, plane equations)
         v, chart, _ = _fiber_case(path, np.random.default_rng(seed))
-        coords = np.array([pt.coords for pt in solve_fiber(v, chart, expected_degree=None).points])
+        coords = solve_fiber(v, chart, expected_degree=None).coords
         many = full_jacobian(v, chart, tuple(coords.T[:, :, None]))
         assert many.shape == (len(coords), 1)
         m = v.n + v.p
@@ -505,11 +493,11 @@ class TestUnivariateFamily:
         assert np.all(np.abs(coords) <= ESCAPE_RADIUS)
         for k, points, jacs in zip(index, coords, jac):
             fiber = solve_fiber(v, charts[k], expected_degree=d)
-            assert not fiber.clustered
+            assert np.all(fiber.multiplicities == 1)
             for pt, jv in zip(points, jacs):
-                want = min(fiber.points, key=lambda q: abs(q.coords[1] - pt[1]))
-                assert np.max(np.abs(np.array(want.coords) - pt)) <= 1e-12 * np.max(np.abs(pt))
-                assert abs(jv - want.jacobian) <= 1e-12 * abs(want.jacobian)
+                want = np.argmin(np.abs(fiber.coords[:, 1] - pt[1]))
+                assert np.max(np.abs(fiber.coords[want] - pt)) <= 1e-12 * np.max(np.abs(pt))
+                assert abs(jv - fiber.jacobians[want]) <= 1e-12 * abs(fiber.jacobians[want])
 
         if d > 1:
             # against degree d - 1 only the vertical chart counts: its
@@ -525,7 +513,7 @@ class TestUnivariateFamily:
             g = f + MultiPoly(V2, {(0, 0): alpha, (0, 1): beta})
             v2 = VarietySpec(("x",), ("y",), [g], degree=d)
             assert 0 not in solve_family(v2, Charts.stack(charts), d)[0].tolist()
-            assert solve_fiber(v2, chart, expected_degree=d).clustered
+            assert np.any(solve_fiber(v2, chart, expected_degree=d).multiplicities > 1)
 
 
 class TestVeroneseLift:
@@ -559,22 +547,20 @@ class TestVeroneseLift:
 
         pts = hypersurface_section(v, conic)
 
-        def key(q):
-            return (q.coords[0].real, q.coords[0].imag, q.coords[1].real)
+        def key(c):
+            return (c[0].real, c[0].imag, c[1].real)
 
-        orig = [(q.coords[0], q.coords[1]) for q in sorted(pts, key=key)]
-        lifted = [
-            (q.coords[0], q.coords[1]) for q in sorted(fiber.points, key=key)
-        ]
+        orig = [(c[0], c[1]) for c in sorted((q.coords for q in pts), key=key)]
+        lifted = [(c[0], c[1]) for c in sorted(fiber.coords.tolist(), key=key)]
         assert len(orig) == len(lifted) == 6
         for o, l in zip(orig, lifted):
             assert abs(o[0] - l[0]) < 1e-10 and abs(o[1] - l[1]) < 1e-10
         # lifted coordinates satisfy the graph relations
-        for q in fiber.points:
-            x, y = q.coords[0], q.coords[1]
-            assert abs(q.coords[2] - x * x) < 1e-9
-            assert abs(q.coords[3] - x * y) < 1e-9
-            assert abs(q.coords[4] - y * y) < 1e-9
+        for c in fiber.coords:
+            x, y = c[0], c[1]
+            assert abs(c[2] - x * x) < 1e-9
+            assert abs(c[3] - x * y) < 1e-9
+            assert abs(c[4] - y * y) < 1e-9
 
     def test_degree_precondition(self):
         with pytest.raises(ValueError):
@@ -599,4 +585,4 @@ def test_full_jacobian_single_sheet():
     f = MultiPoly(V2, {(0, 1): 1.0, (0, 0): -0.3})
     v = VarietySpec(("x",), ("y",), [f])
     fiber = solve_fiber(v, PlaneChart([[0.0]], [2.0]))
-    assert fiber.points[0].jacobian == pytest.approx(-1.0)
+    assert fiber.jacobians[0] == pytest.approx(-1.0)

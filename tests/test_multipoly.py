@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from abeltrace.multipoly import MultiPoly, _substitute_terms
 from abeltrace.numeric import UniPoly
+from builders import from_univariate
 
 V = ("x", "y")
 
@@ -202,5 +203,5 @@ def test_as_univariate_and_coeffs():
 
 def test_from_univariate_round_trip():
     p = UniPoly([1.0, 0.0, -2.0])
-    f = MultiPoly.from_univariate(p, "y", V)
+    f = from_univariate(p, "y", V)
     assert f.as_univariate("y") == p

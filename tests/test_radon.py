@@ -104,18 +104,18 @@ class TestRadonCoefficients:
             PlaneChart([[0.6 + 0.1j]], [0.45 + 0.3j]), {"a1.1": 0.15, "b1": 0.2}
         )
         rt = radon_coefficients(data, dom, GridPlan({"a1.1": 5, "b1": 5}))
-        assert rt.max_coefficient() <= 1e-9 * rt.term_scale()
+        assert rt.scale() <= 1e-9 * rt.term_scale()
 
         data2 = elliptic_data({(1, 0): 2.0})
         rt2 = radon_coefficients(data2, dom, GridPlan({"a1.1": 3, "b1": 3}))
-        assert rt2.max_coefficient() > 1e-3 * rt2.term_scale()
+        assert rt2.scale() > 1e-3 * rt2.term_scale()
 
     def test_zero_numerator(self):
         data = make_data({(0, 2): 1.0, (1, 0): -1.0}, psi_terms=None)
         data = ResidueData(data.variety, MultiPoly.zero(V2))
         dom = DomainSpec(PlaneChart([[0.1]], [2.0]), {"a1.1": 0.2, "b1": 0.3})
         rt = radon_coefficients(data, dom, GridPlan({"a1.1": 3, "b1": 3}))
-        assert rt.max_coefficient() == 0.0
+        assert rt.scale() == 0.0
 
     def test_two_base_variables_closed_form(self):
         # y^2 = x1 + 2 x2 over a two-parameter base: substituting the
@@ -133,7 +133,7 @@ class TestRadonCoefficients:
         rt = radon_coefficients(
             data, dom, GridPlan({"a1.1": 2, "a2.1": 2, "b1": 2})
         )
-        assert set(rt.labels()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert set(rt.coeffs) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         center = dict(zip(dom.chart.param_names(), dom.chart.to_params()))
         for s, off in enumerate(rt.offsets):
             a_eff = (
@@ -300,7 +300,7 @@ class TestHolomorphy:
         )
         rt = radon_coefficients(data, dom, GridPlan({"a1.1": 5, "b1": 5}))
         rep = verify_holomorphy(rt, 1e-9)
-        assert rep.holomorphic
+        assert set(rep.status.values()) == {"holomorphic"}
 
     def test_designed_pole_grid(self):
         # weight (x - 2) puts poles of the trace exactly on charts through
@@ -317,7 +317,7 @@ class TestHolomorphy:
         rt = radon_coefficients(data, dom, ListPlan(offs))
         rep = verify_holomorphy(rt, 1e-6)
         diagonal = {i * 5 + i for i in range(5)}
-        for label in rt.labels():
+        for label in rt.coeffs:
             assert rep.status[label] == "meromorphic"
             assert set(rep.pole_samples[label]) == diagonal
 
@@ -326,7 +326,7 @@ class TestHolomorphy:
         dom = DomainSpec(PlaneChart([[0.1]], [2.0]), {"a1.1": 0.2, "b1": 0.3})
         rt = radon_coefficients(data, dom, GridPlan({"a1.1": 4, "b1": 4}))
         rep = verify_holomorphy(rt, 1e-9)
-        assert rep.holomorphic
+        assert set(rep.status.values()) == {"holomorphic"}
 
 
 class TestEquivariance:
@@ -337,7 +337,7 @@ class TestEquivariance:
 
     def test_identity(self):
         rep = reparametrize_check(
-            parabola_data(), self._domain(), AffineMap.identity(2), tol=1e-12
+            parabola_data(), self._domain(), AffineMap(np.eye(2), np.zeros(2)), tol=1e-12
         )
         assert rep.passed
 
@@ -375,7 +375,7 @@ class TestEquivariance:
         dom = DomainSpec(
             PlaneChart([[t0[0]]], [t0[1]]), {"a1.1": 1e-12, "b1": 1e-12}
         )
-        assert evaluate_chart(data, PlaneChart([[0.0]], [2.0])).clustered
+        assert evaluate_chart(data, PlaneChart([[0.0]], [2.0])).flags == ("cluster",)
         rep = reparametrize_check(data, dom, mu, tol=1e-9)
         assert rep.passed
 
@@ -401,7 +401,7 @@ class TestEquivariance:
             PlaneChart([[0.0], [0.0]], [1.0, 1.0]), {"b1": 0.2, "b2": 0.2}
         )
         with pytest.raises(UnsupportedDimension):
-            reparametrize_check(data, dom, AffineMap.identity(4))
+            reparametrize_check(data, dom, AffineMap(np.eye(4), np.zeros(4)))
 
 
 class TestPropagation:
@@ -520,7 +520,7 @@ class TestPropagation:
             t, lambda ch: trace(data, ch, 0), big, order=2, fft_nodes=16
         )
         for k in range(3):
-            assert np.max(np.abs(ext.column((k,)))) < 1e-14
+            assert np.max(np.abs(ext.entries[(k,)])) < 1e-14
 
     def test_single_sheet_closed_form(self):
         data = sheet_data()

@@ -28,15 +28,16 @@ from abeltrace.reconstruct import (
     verify_traces_match,
 )
 from abeltrace.residues import ListPlan, TorusPlan, TraceTable, trace_table
+from builders import from_roots, from_univariate
 
 V2 = ("x", "y")
 V3 = ("x", "y1", "y2")
 
 
 def residue_from_unipolys(p, q):
-    f = MultiPoly.from_univariate(p, "y", V2)
+    f = from_univariate(p, "y", V2)
     v = VarietySpec(("x",), ("y",), [f])
-    return ResidueData(v, MultiPoly.from_univariate(q, "y", V2))
+    return ResidueData(v, from_univariate(q, "y", V2))
 
 
 def separated_roots(rng, d, rmin=0.4, rmax=1.3, sep=0.25):
@@ -55,7 +56,7 @@ def random_pair(rng, d):
     bounded away from zero at the roots."""
     while True:
         roots = separated_roots(rng, d)
-        p = UniPoly.from_roots(roots)
+        p = from_roots(roots)
         q = UniPoly(rng.standard_normal(d) + 1j * rng.standard_normal(d))
         if q.is_zero:
             continue
@@ -166,7 +167,8 @@ class TestRoundTrip:
             assert m.degrees == (d,)
             rec = reconstruct_numerator(t, m)
 
-            got_p = np.asarray(m.poly_at(0, 0.4).coeffs)
+            # (a_1..a_d) against lowest-first (c_0..c_{d-1}, 1)
+            got_p = np.asarray([*m.coefficient_values(0, 0.4)[::-1], 1.0])
             exp_p = np.asarray(p.coeffs)
             assert np.max(np.abs(got_p - exp_p)) <= 1e-8 * max(
                 1.0, np.max(np.abs(exp_p))
@@ -192,10 +194,8 @@ class TestRoundTrip:
         t = trace_table(data, dom, 5, ListPlan(({},)))
         m = fit_minimal_polys(t, 2)
         assert m.degrees == (2, 2)
-        assert np.allclose(m.poly_at(0, x0).coeffs, [-x0, 0.0, 1.0], atol=1e-6)
-        assert np.allclose(
-            m.poly_at(1, x0).coeffs, [1.0 - x0, -2.0, 1.0], atol=1e-6
-        )
+        assert np.allclose(m.coefficient_values(0, x0), [0.0, -x0], atol=1e-6)
+        assert np.allclose(m.coefficient_values(1, x0), [-2.0, 1.0 - x0], atol=1e-6)
         rec = reconstruct_numerator(t, m)
         got = {exps[1:]: c for exps, c in rec.numerator.terms.items()}
         assert set(got) == {(1, 0), (0, 1), (0, 0)}
@@ -376,7 +376,7 @@ class TestInjectivityAndStructure:
             rec = reconstruct_global(t, 5, 0)
             # monic normalization is structural
             for i, di in enumerate(rec.minimal.degrees):
-                assert rec.minimal.poly_at(i, 0.4).coeffs[-1] == 1.0 + 0j
+                assert len(rec.minimal.coeffs[i]) == di
             # numerator degree bound deg_y Q <= d - 1
             for exps in rec.numerator.terms:
                 assert exps[1] <= rec.minimal.degrees[0] - 1
