@@ -91,12 +91,12 @@ class Charts:
     def stack(cls, charts):
         """The batch of a sequence of PlaneCharts of one shape;
         DimensionMismatch for charts of different (n, p)."""
-        shapes = {(ch.n, ch.p) for ch in charts}
-        if len(shapes) > 1:
-            raise DimensionMismatch(f"charts of shapes {sorted(shapes)} in one list")
         shape = (len(charts), charts[0].n, charts[0].p) if len(charts) else (0, 0, 0)
-        return cls(np.reshape([ch.a for ch in charts], shape),
-                   np.reshape([ch.b for ch in charts], shape[:2]))
+        try:
+            return cls(np.reshape([ch.a for ch in charts], shape),
+                       np.reshape([ch.b for ch in charts], shape[:2]))
+        except ValueError:
+            raise DimensionMismatch("charts of different shapes (n, p) in one list") from None
 
     @classmethod
     def from_params(cls, n, p, params):

@@ -12,7 +12,7 @@ SCRIPT = Path("tools") / "check_callers.py"
 
 
 def run(root):
-    return subprocess.run([sys.executable, str(root / SCRIPT), str(root)],
+    return subprocess.run([sys.executable, str(root / SCRIPT)],
                           capture_output=True, text=True, timeout=60)
 
 

@@ -11,10 +11,9 @@ it appears as a loaded name, an attribute or an imported alias.
   defines but no workflow calls goes on ``ALLOWED``, with its reason.
 - An ``ALLOWED`` entry that names nothing defined fails too.
 
-Usage: ``python3 tools/check_callers.py [ROOT]``, with ROOT the directory
-that holds ``src/abeltrace`` and ``bench`` (the repository root by
-default). Exits 0 when every name has a caller and 1 otherwise, with one
-line per offending name that gives its file.
+Usage: ``python3 tools/check_callers.py``; it checks the repository that
+holds the script. Exits 0 when every name has a caller and 1 otherwise,
+with one line per offending name that gives its file.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ def _parse(path):
 def check(root):
     """Return one message per name without a caller, and per stale
     ``ALLOWED`` entry."""
-    root = Path(root)
     defined = {}                              # name -> first file defining it
     src_reads, bench_reads = set(), set()
     for path in sorted((root / PACKAGE).glob("*.py")):
@@ -90,8 +88,7 @@ def check(root):
 
 
 def main():
-    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
-    problems, count = check(root)
+    problems, count = check(Path(__file__).resolve().parent.parent)
     for line in problems:
         print(line)
     print(f"{count} names checked, {len(problems)} without a caller")
