@@ -134,10 +134,8 @@ class DomainSpec:
             if not (r > 0 and np.isfinite(r)):
                 raise ValueError(f"radius for {key!r} must be positive and finite")
         object.__setattr__(self, "_positions", positions)
-
-    @property
-    def varying(self):
-        return tuple(k for k in self._positions if k in self.radii)
+        # the varied parameter names, in parameter order
+        object.__setattr__(self, "varying", tuple(k for k in positions if k in self.radii))
 
     def offset_array(self, offsets):
         """Offset dicts keyed by parameter name (a missing key is 0) as an
@@ -448,18 +446,20 @@ def _solve_triangular(subs, y_names, order, tol):
 def _coefficient_tensors(systems, m):
     """Dense coefficients of two polynomials in (u, w), term maps whose
     coefficients may be arrays over m charts: [c, j, i] holds u^i w^j on
-    chart c. Top rows and columns zero on every chart are dropped, then
-    both are padded to one u-degree. Returns them and their (w, u) degrees."""
-    out = []
+    chart c, both written to arrays of one u-width. Top rows and columns
+    zero on every chart are dropped, down to the larger u-degree. Returns
+    them and their (w, u) degrees."""
+    width = 1 + max(e[0] for terms in systems for e in terms)
+    out, degrees = [], []
     for terms in systems:
-        t = np.zeros((m,) + tuple(1 + max(e[k] for e in terms) for k in (1, 0)), dtype=complex)
+        t = np.zeros((m, 1 + max(e[1] for e in terms), width), dtype=complex)
         for (i, j), c in terms.items():
             t[:, j, i] = c
         rows, cols = np.nonzero(t.any(axis=0))
-        out.append(t[:, :max(rows, default=0) + 1, :max(cols, default=0) + 1])
-    degrees = [(t.shape[1] - 1, t.shape[2] - 1) for t in out]
+        out.append(t)
+        degrees.append((max(rows, default=0), max(cols, default=0)))
     du = max(d for _, d in degrees)
-    return [np.pad(t, ((0, 0), (0, 0), (0, du + 1 - t.shape[2]))) for t in out], degrees
+    return [t[:, :dw + 1, :du + 1] for t, (dw, _) in zip(out, degrees)], degrees
 
 
 def _resultants(t1, t2, bound):
@@ -673,9 +673,11 @@ def _certified_roots(c, tol):
         out = np.abs(z) > 1.0
         r = np.where(out, 1.0 / np.where(out, z, 1.0), z)
         cc = np.where(out[..., None], c[..., None, ::-1], c[..., None, :])
-        val = der = np.zeros_like(z)
-        for k in range(d, -1, -1):
-            der = der * r + val
+        # Horner from the top two coefficients; the last sweep needs no der
+        der, val = cc[..., d], cc[..., d] * r + cc[..., d - 1]
+        for k in range(d - 2, -1, -1):
+            if step < 2:
+                der = der * r + val
             val = val * r + cc[..., k]
         if step == 2:
             break
@@ -780,8 +782,8 @@ def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
     shapes (k,), (k, degree, n + p) and (k, degree); None otherwise.
 
     ``degree`` None takes a p = 1 family's from chart 0, its top exactly
-    nonzero coefficient (UniPoly's rule), and returns None unless chart 0
-    is certified at it; any other family returns None."""
+    nonzero coefficient (UniPoly's rule), whether or not chart 0 is
+    certified at it; any other family returns None."""
     a, b, own = charts.a, charts.b, degree is None
     if a.shape[1:] != (v.n, v.p) or not len(b) or (own and v.p > 1):
         return None
@@ -816,12 +818,14 @@ def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
         return None
     idx, y = found
     if v.p > 1:
-        # both systems and their partials over one (u, w) exponent grid
+        # both systems, then their u- and w-partials, over one (u, w) exponent grid
         grid = np.indices((max(t.shape[1] for t in tensors), tensors[0].shape[2]))
-        ts = [np.pad(t[idx], ((0, 0), (0, len(grid[0]) - t.shape[1]), (0, 0))) for t in tensors]
-        ts += [np.roll(t * e, -1, ax) for t in ts[:2] for ax, e in ((2, grid[1]), (1, grid[0]))]
-        res = _newton_polish(grid[::-1].reshape(2, -1).T,
-                             np.stack(ts, -1).reshape(len(idx), grid[0].size, 6), y,
+        ts = np.zeros((len(idx),) + grid.shape[1:] + (6,), dtype=complex)
+        for s, t in enumerate(t[idx] for t in tensors):
+            dw = t.shape[1]
+            ts[:, :dw, :, s], ts[:, :dw, :-1, 2 + 2 * s] = t, t[..., 1:] * grid[1, :dw, 1:]
+            ts[:, :dw - 1, :, 3 + 2 * s] = t[:, 1:] * grid[0, 1:dw]
+        res = _newton_polish(grid[::-1].reshape(2, -1).T, ts.reshape(len(idx), grid[0].size, 6), y,
                              np.ones(y.shape[:2], dtype=bool))
         ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
               & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)) & np.all(res <= 1e-6, axis=1))
@@ -834,8 +838,6 @@ def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
     jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
     ok = np.all(np.all(np.abs(coords) <= ESCAPE_RADIUS, axis=-1) & (jac != 0), axis=1)
-    if own and not (len(idx) and idx[0] == 0 and ok[0]):
-        return None  # chart 0 declined: solve_fiber sets the degree
     return idx[ok], coords[ok], jac[ok]
 
 

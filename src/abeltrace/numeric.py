@@ -368,14 +368,19 @@ class PolydiscModel:
         """Value at ``point``, one coordinate per variable. Coordinates may
         be arrays that broadcast against each other; the value then has
         their broadcast shape. The tensor is contracted one axis at a time
-        against that variable's powers."""
+        against that variable's powers, built as running products (1, s,
+        s^2, ...)."""
         out = self.coeffs
         k, d = out.ndim, out.shape[0]
         for ax in range(k):
             s = (np.asarray(point[ax], dtype=complex) - self.center[ax]) / self.radii[ax]
+            powers = np.empty(s.shape + (1, d), dtype=complex)
+            powers[..., 0] = 1.0
+            for e in range(1, d):
+                np.multiply(powers[..., e - 1], s[..., None], out=powers[..., e])
             # leading axes of ``out``: the coordinates' broadcast shape so far
             out = out.reshape(out.shape[: out.ndim + ax - k] + (d, -1))
-            out = (s[..., None, None] ** np.arange(d)) @ out
+            out = powers @ out
             out = out.reshape(out.shape[:-2] + (d,) * (k - ax - 1))
         return out[()]
 

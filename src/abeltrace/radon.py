@@ -384,13 +384,13 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec, ord
     ``u0_ext`` takes a Charts batch and returns the extended order-0 traces
     of its charts in order, for example ``lambda charts: trace(data,
     charts, 0)``; indexed or iterated, the batch is a sequence of
-    PlaneCharts. It is called twice: once on the whole torus grid and
-    once on the four validation probes. The base slices of every level
-    share one set of charts, read for every level in one
-    ``TraceTable.value`` call (one chart family) before the first level
-    is built; with ``order`` 0 there is none. Returns a TraceTable on
-    P' carrying sampled values and the fitted models (use
-    ``model_value`` to evaluate them off-grid).
+    PlaneCharts. It is called once, on the whole torus grid followed by
+    four off-grid validation probes; ``trace`` holds the probes to the
+    grid's fiber degree. The base slices of every level share one set of
+    charts, read for every level in one ``TraceTable.value`` call (one
+    chart family) before the first level is built; with ``order`` 0
+    there is none. Returns a TraceTable on P' carrying sampled values and
+    the fitted models (use ``model_value`` to evaluate them off-grid).
 
     Raises PathCrossesPole when the extension evaluator blows up on P'
     (the extension is meromorphic there), InsufficientMargin when the
@@ -429,22 +429,22 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec, ord
             raise PathCrossesPole(
                 f"order-0 extension blows up on the enlarged polydisc: {exc}") from exc
 
-    # the torus grid on P', which is also the output table's plan
+    # the torus grid on P', which is also the output table's plan, then the
+    # off-grid validation probes: a pole strictly inside the polydisc spoils
+    # Taylor convergence even when no sample lands on the divisor
     offsets = TorusPlan(fft_nodes).offset_array(big_domain)
     pts = (center + offsets).reshape((fft_nodes,) * len(names) + (len(names),))
-    grid0 = u0_values(pts).reshape(pts.shape[:-1])
-    model0 = polydisc_fit_grid(grid0, center, radii)
-    # a pole strictly inside the polydisc spoils Taylor convergence even
-    # when no sample lands on the divisor; validate off-grid
     probes = np.array([[center[ax] + 0.62 * radii[ax] * w * np.exp(0.29j * (ax + 1))
                         for ax in range(len(names))]
                        for w in [np.exp(1j * (0.53 + 1.31 * tprobe)) for tprobe in range(4)]])
-    u0_probes = u0_values(probes)
+    u0 = u0_values(np.concatenate([pts.reshape(-1, len(names)), probes]))
+    grid0, u0_probes = u0[:len(offsets)].reshape(pts.shape[:-1]), u0[len(offsets):]
+    model0 = polydisc_fit_grid(grid0, center, radii)
     bad = np.flatnonzero(~np.isfinite(u0_probes))
     if bad.size:
         raise ValueError(f"{bad.size} non-finite order-0 validation probe value(s), "
                          f"the first at probe {int(bad[0])}")
-    verr = max(0.0, *(abs(model0(point) - u0) for point, u0 in zip(probes, u0_probes)))
+    verr = float(np.max(np.abs(model0(probes.T) - u0_probes)))
     vscale = max(1.0, float(np.max(np.abs(grid0))))
     if verr > 1e-6 * vscale:
         raise PathCrossesPole(f"order-0 extension is not holomorphic on the enlarged polydisc "

@@ -218,7 +218,8 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     cluster ladder do. A Charts batch, or a list stacked into one, is
     solved as one family at fiber degree ``expected_degree``; None takes
     the first chart's, the family's own for p = 1 when it certifies that
-    chart at it, else solve_fiber's count. A chart the family
+    chart at it, else solve_fiber's count, and solves the family again
+    only when that count differs from the family's own. A chart the family
     certifies but finds on the weight's pole divisor is flagged POLE with
     its PoleDetected at once; each chart the family declines is solved on
     its own at that degree, and one that raises PoleDetected, DegreeDrop,
@@ -228,10 +229,12 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
         return _evaluate_one(data, chart, tol, expected_degree)
     charts, v = chart if isinstance(chart, Charts) else Charts.stack(list(chart)), data.variety
     found = solve_family(v, charts, expected_degree, tol)
-    degree = found[1].shape[1] if expected_degree is None and found else expected_degree
+    degree = expected_degree
     if degree is None and len(charts):
-        degree = _baseline_degree(data, charts[0], tol)
-        found = solve_family(v, charts, degree, tol)
+        degree = (found[1].shape[1] if found and found[0][:1].tolist() == [0]
+                  else _baseline_degree(data, charts[0], tol))
+        if not found or found[1].shape[1] != degree:
+            found = solve_family(v, charts, degree, tol)
     pos, coords, jac = found or (np.zeros(0, int), np.zeros((0, 0, len(v.vars))), np.zeros((0, 0)))
     clear, weights = _family_weights(data, coords, jac)
     # (positions, points, weights): the family's rows, then each other chart's
@@ -239,7 +242,7 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     flags, errors = [CLEAN] * len(charts), [None] * len(charts)
     for s in pos[~clear]:
         flags[s], errors[s] = POLE, _pole(charts.params()[s])
-    for s in np.setdiff1d(np.arange(len(charts)), pos):
+    for s in np.flatnonzero(np.bincount(pos, minlength=len(charts)) == 0):
         try:
             ev = _evaluate_one(data, charts[s], tol, degree)
         except (PoleDetected, DegreeDrop, NonConvergence, PerturbationFailure) as exc:

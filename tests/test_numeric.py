@@ -498,6 +498,20 @@ class TestPolydiscArrays:
             assert abs(got[idx] - _term_sum(model, pt)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_call_on_point_array_matches_point_calls(self, k, d):
+        # points as a (k, m) array, as the extension's probe check passes
+        # them; d = 1 leaves each axis one coefficient and the powers (1,)
+        rng = np.random.default_rng(30 + 3 * k + d)
+        model = _random_model(rng, k, d)
+        pts = np.array([[c + r * 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                         for _ in range(7)] for c, r in zip(model.center, model.radii)])
+        want = np.array([model(pt) for pt in pts.T])
+        assert np.all(np.abs(model(pts) - want) <= 1e-15 * np.abs(want))
+        scale = np.sum(np.abs(model.coeffs))
+        assert all(abs(w - _term_sum(model, pt)) <= 1e-14 * scale for w, pt in zip(want, pts.T))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_derivative_of_dense_tensor(self, k):
         rng = np.random.default_rng(20 + k)
         model = _random_model(rng, k, 4)

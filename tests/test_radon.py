@@ -428,8 +428,8 @@ class TestPropagation:
             for k in range(5):
                 assert abs(ext.model_value((k,), ch) - trace(data, ch, k)) < 1e-6
 
-    def test_u0_ext_called_twice_and_base_slices_use_the_family(self, monkeypatch):
-        # u0_ext once on the whole torus grid, once on the four probes;
+    def test_u0_ext_called_once_and_base_slices_use_the_family(self, monkeypatch):
+        # u0_ext once, on the whole torus grid followed by the four probes;
         # the base slices are solved as one family, with no per-chart call
         data = parabola_data()
         small, big = self._domains()
@@ -442,10 +442,26 @@ class TestPropagation:
             t, lambda charts: lists.append(len(charts)) or trace(data, charts, 0),
             big, order=3, fft_nodes=16,
         )
-        assert lists == [16 * 16, 4]
+        assert lists == [16 * 16 + 4]
         assert calls == []
         ch = big.chart_at({"a1.1": 0.1j, "b1": -1.2})
         assert abs(ext.model_value((3,), ch) - trace(data, ch, 3)) < 1e-6
+
+    def test_merged_read_matches_separate_reads(self):
+        # the grid's and the probes' values from the one merged read are
+        # bitwise those of a grid-only and a probes-only call
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 2, TorusPlan(6))
+        reads = []
+        propagate_trace_extension(
+            t, lambda charts: reads.append((charts, trace(data, charts, 0))) or reads[-1][1],
+            big, order=2, fft_nodes=16,
+        )
+        [(charts, got)] = reads
+        for part in (slice(None, 16 * 16), slice(16 * 16, None)):
+            alone = trace(data, Charts(charts.a[part], charts.b[part]), 0)
+            assert np.array_equal(got[part], alone)
 
     def test_no_per_chart_object_on_a_certified_family(self, monkeypatch):
         # the torus grid, the probes and the base slices are chart batches
@@ -465,7 +481,7 @@ class TestPropagation:
             big, order=3, fft_nodes=16,
         )
         assert built == [] and solved == []
-        assert batches == [Charts, Charts]
+        assert batches == [Charts]
 
     def test_restriction_reproduces_input(self):
         data = parabola_data()
@@ -575,16 +591,15 @@ class TestPropagation:
             propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
 
     def test_non_finite_validation_probe_raises(self):
-        # the grid is finite; a NaN at the third of the four probes would
-        # be dropped by the validation error's maximum
+        # the grid is finite; a NaN at the third of the four probes (the
+        # merged read's second-from-last entry) must not pass unnoticed
         data = parabola_data()
         small, big = self._domains()
         t = trace_table(data, small, 2, TorusPlan(6))
 
         def u0_ext(charts):
             out = trace(data, charts, 0)
-            if len(charts) == 4:
-                out[2] = np.nan
+            out[-2] = np.nan
             return out
 
         with pytest.raises(ValueError, match="non-finite.*probe 2"):

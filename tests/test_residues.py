@@ -298,11 +298,18 @@ class TestTraceList:
     def test_declined_first_chart_keeps_the_parent_degree(self, monkeypatch):
         # the parabola's double point b = 0 first: the family declines it,
         # so its solve_fiber count (one point of multiplicity 2) sets the
-        # degree, as it did before
+        # degree, as it did before; that count is the family's own degree,
+        # so the family is solved once
         data = parabola_data()
         charts = [PlaneChart([[0.0]], [b]) for b in (0.0, 1.0, 2.0 - 0.5j)]
-        assert solve_family(data.variety, Charts.stack(charts), None) is None
+        found = solve_family(data.variety, Charts.stack(charts), None)
+        assert 0 not in found[0] and found[1].shape[1] == 2
+        degrees, real = [], residues.solve_family
+        monkeypatch.setattr(residues, "solve_family", lambda v, charts, degree, *args:
+                            degrees.append(degree) or real(v, charts, degree, *args))
         got = trace(data, charts, [0, 1, 3])
+        assert degrees == [None]
+        monkeypatch.undo()
         self._parent_flow(monkeypatch)
         assert np.array_equal(got, trace(data, charts, [0, 1, 3]))
 
@@ -320,7 +327,7 @@ class TestTraceList:
             assert found[0].tolist() == [0] and found[1].shape[1] == 1
             assert residues._baseline_degree(data, charts[0], 1e-10) == 1
         else:
-            assert found is None
+            assert 0 not in found[0]
         got = self._outcome(data, charts, 1)
         assert got[0] is DegreeDrop
         self._parent_flow(monkeypatch)
