@@ -656,9 +656,39 @@ def _with_lead(c):
     return np.where((np.arange(d + 1) < d) | top[..., None], c, 1.0), top
 
 
+def _family_roots(c):
+    """Roots of polynomials stacked on leading axes (coefficients lowest
+    first, leading one nonzero): companion eigenvalues above degree 3,
+    closed forms up to it. A quadratic z^2 + b z + c has the roots q and
+    c/q, q = -(b +- sqrt(b^2 - 4c))/2 with the sign of the larger |q|. A
+    cubic keeps Cardano's root of largest modulus, with the square root's
+    sign of the larger-modulus branch, and its quotient is a quadratic."""
+    d = c.shape[-1] - 1
+    if d > 3:
+        return _companion_roots(c)
+    c = c[..., :-1] / c[..., -1:]
+    if d == 1:
+        return -c
+    if d == 3:
+        # the depressed cubic t^3 + p t + q in t = z + e/3
+        e, f, g = c[..., 2], c[..., 1], c[..., 0]
+        p, q = f - e * e / 3.0, (2.0 * e * e / 27.0 - f / 3.0) * e + g
+        s = np.sqrt(q * q / 4.0 + p * p * p / 27.0)
+        u = (np.where((q.conj() * s).real > 0, -s, s) - q / 2.0) ** (1.0 / 3.0)
+        u = u[..., None] * np.exp(2j * np.pi / 3.0 * np.arange(3))
+        z = u - np.divide(p[..., None] / 3.0, u, out=np.zeros_like(u), where=u != 0) - e[..., None] / 3.0
+        z1 = np.take_along_axis(z, np.argmax(np.abs(z), axis=-1)[..., None], axis=-1)[..., 0]
+        c = np.stack([np.divide(-g, z1, out=np.zeros_like(g), where=z1 != 0), e + z1], axis=-1)
+    b, c0 = c[..., 1], c[..., 0]
+    s = np.sqrt(b * b - 4.0 * c0)
+    q = -(b + np.where((b.conj() * s).real < 0, -s, s)) / 2.0
+    z = np.stack([q, np.divide(c0, q, out=np.zeros_like(q), where=q != 0)], axis=-1)
+    return z if d == 2 else np.concatenate([z1[..., None], z], axis=-1)
+
+
 def _certified_roots(c, tol):
     """Roots of polynomials stacked on leading axes (coefficients lowest
-    first): companion eigenvalues, then two Newton steps. Also returns,
+    first): _family_roots, then two Newton steps. Also returns,
     per polynomial, whether its roots are certified: the leading
     coefficient passes _with_lead, every root passes poly_roots' residual
     rule and lies within ESCAPE_RADIUS, and none lies within another's
@@ -666,7 +696,7 @@ def _certified_roots(c, tol):
     simple roots."""
     d = c.shape[-1] - 1
     c, top = _with_lead(c)
-    z = _companion_roots(c)
+    z = _family_roots(c)
     for step in range(3):
         # poly_roots' residual orientation: the reversed polynomial at
         # 1/z outside the unit disc, where p/p' = z q / (d q - r q')
@@ -732,7 +762,7 @@ def _resultant_points(t1, t2, degrees, degree, tol):
     # tie), kept where the other polynomial vanishes (solve_bivariate's test)
     (lead, dl), (other, do) = sorted([(t1, dw1), (t2, dw2)], key=lambda td: -td[1])
     h, top = _with_lead(np.einsum("cji,cdi->cdj", lead, z[..., None] ** np.arange(lead.shape[2])))
-    w = _companion_roots(h)
+    w = _family_roots(h)
     ok = np.all(top & np.all(np.abs(w) <= ESCAPE_RADIUS, axis=-1), axis=1)
     idx, z, w, other = (arr[ok] for arr in (idx, z, w, other))
     oscale = np.maximum(np.max(np.abs(other), axis=(1, 2)), 1e-300)[:, None, None]

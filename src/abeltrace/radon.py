@@ -13,6 +13,7 @@ the trace table over exactly those count vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .residues import (
     TorusPlan,
     TraceTable,
     _baseline_degree,
+    _check_counts,
     _offset_dicts,
     _sample_charts,
     evaluate_chart,
@@ -118,11 +120,13 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     much margin in both parameters. Every circle chart is read for every
     index in one ``TraceTable.value`` call (one chart family), and each
     circle's rows are differentiated in one ``cauchy_derivative`` call.
-    Raises ValueError for probes < 1, InsufficientMargin when no (index,
-    slot) pair exists and EvaluationError when a circle chart fails.
+    Raises ValueError, before any chart is solved, unless ``probes`` is an
+    integer of at least 1 and ``nodes`` one of at least 16;
+    InsufficientMargin when no (index, slot) pair exists and
+    EvaluationError when a circle chart fails.
     """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
+    _check_counts({"probe": probes})
+    _check_counts({"node": nodes}, least=16)
     n, p = t.n, t.p
     pairs = []
     for i in range(1, n + 1):
@@ -191,25 +195,20 @@ class HolomorphyReport:
     tol: float
 
 
-def _poly_features(s, deg):
-    """Monomials of total degree <= deg in the scaled offsets ``s`` (m,
-    k), one row per offset."""
-    exps = [e for e in np.ndindex(*([deg + 1] * s.shape[1])) if sum(e) <= deg]
-    return np.prod(s[:, None, :] ** np.array(exps), axis=-1)
-
-
 def verify_holomorphy(rt: RadonTransform, tol):
     """Classify each coefficient as pole-free on the domain or flag its
     pole samples.
 
     A sample is a pole candidate when evaluation already blew up there
     (the support met the plane on the weight's divisor). Pole-free
-    coefficients must additionally admit a converging local polynomial
-    model on the clean samples (degree swept upward until the residual
-    falls below tol relative to the coefficient/term scale); when neither
-    a model of the values nor one of the reciprocals fits, the verdict is
-    inconclusive (reported, never silently passed). A numerical
-    classification, not a proof.
+    coefficients must additionally admit a local polynomial model on the
+    clean samples: of the fits of every total degree up to
+    HOLO_MAX_FIT_DEGREE that the samples determine (more samples than
+    monomials), the smallest residual must lie below tol relative to the
+    coefficient/term scale. When neither a model of the values nor one of
+    the reciprocals fits, the verdict is inconclusive (reported, never
+    silently passed). Each degree is one least-squares solve per set of
+    samples fitted. A numerical classification, not a proof.
     """
     mask = rt.clean_mask()
     # the clean samples' offsets over the radii, one row per sample; real
@@ -219,45 +218,64 @@ def verify_holomorphy(rt: RadonTransform, tol):
     scaled.real /= radii
     scaled.imag /= radii
     tscale = max(rt.term_scale(), 1e-300)
+    # their monomials in graded order, up to the highest degree they
+    # determine: a fit of degree deg takes the first comb(deg + k, k)
+    k = scaled.shape[1]
+    top = sum(math.comb(deg + k, k) < len(scaled) for deg in range(1, HOLO_MAX_FIT_DEGREE + 1))
+    exps = np.array(sorted((e for e in np.ndindex(*[top + 1] * k) if sum(e) <= top), key=sum))
+    feats = np.prod(scaled[:, None, :] ** exps, axis=-1)
 
-    def sweep(values, s):
-        best, best_deg = np.inf, 0
+    def sweep(rows, values):
+        best, best_deg = np.full(values.shape[1], np.inf), np.zeros(values.shape[1], dtype=int)
         for deg in range(1, HOLO_MAX_FIT_DEGREE + 1):
-            feats = _poly_features(s, deg)
-            if feats.shape[0] <= feats.shape[1]:
+            width = math.comb(deg + k, k)
+            if len(values) <= width:
                 break
-            sol, _, _, _ = np.linalg.lstsq(feats, values, rcond=None)
-            resid = float(np.max(np.abs(feats @ sol - values)))
-            if resid < best:
-                best, best_deg = resid, deg
+            f = feats[rows, :width]
+            sol, _, _, _ = np.linalg.lstsq(f, values, rcond=None)
+            resid = np.max(np.abs(f @ sol - values), axis=0)
+            better = resid < best
+            best[better], best_deg[better] = resid[better], deg
         return best, best_deg
+
+    # a column per distinct count vector (labels sharing one share it) of
+    # values on every clean sample, then one of reciprocals on the samples
+    # where the value is not tiny, fitted when there are at least 6; the
+    # columns on the same samples are fitted together
+    labels = {lb: label_index(lb, rt.p) for lb in radon_labels(rt.n, rt.p)}
+    keys = list(dict.fromkeys(labels.values()))
+    c = len(keys)
+    vals = np.stack([np.asarray(rt.entries[key])[mask] for key in keys], axis=1)
+    vmax = np.max(np.abs(vals), axis=0, initial=0.0)
+    big = np.abs(vals) > 1e-9 * tscale
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=big)
+    cols, rows = np.concatenate([vals, inv], axis=1), np.concatenate([np.ones_like(big), big], axis=1)
+    resid, deg = np.full(2 * c, np.inf), np.zeros(2 * c, dtype=int)
+    groups = {}
+    for j in np.flatnonzero(np.r_[np.ones(c, dtype=bool), np.sum(big, axis=0) >= 6]):
+        groups.setdefault(rows[:, j].tobytes(), []).append(j)
+    for js in groups.values():
+        here = rows[:, js[0]]
+        resid[js], deg[js] = sweep(here, cols[here][:, js])
+    resid[c:] /= np.maximum(1e-300, np.max(np.abs(inv), axis=0))
 
     status, poles, diags = {}, {}, {}
     flagged = tuple(int(i) for i, f in enumerate(rt.flags) if f == POLE)
-    for label, vals in rt.coeffs.items():
-        clean_vals = np.asarray(vals)[mask]
-        vmax = float(np.max(np.abs(clean_vals))) if clean_vals.size else 0.0
-        resid, deg = sweep(clean_vals, scaled)
-        fit_ok = resid <= tol * max(vmax, tscale)
-
-        inv_resid, inv_deg = np.inf, 0
-        big = np.abs(clean_vals) > 1e-9 * tscale
-        if int(np.sum(big)) >= 6:
-            inv_resid, inv_deg = sweep(1.0 / clean_vals[big], scaled[big])
-            inv_resid /= max(1e-300, float(np.max(np.abs(1.0 / clean_vals[big]))))
-
+    for label, key in labels.items():
+        j = keys.index(key)
         if flagged:
             status[label] = "meromorphic"
-        elif fit_ok:
+        elif resid[j] <= tol * max(vmax[j], tscale):
             status[label] = "holomorphic"
-        elif inv_resid <= tol:
+        elif resid[c + j] <= tol:
             status[label] = "meromorphic"
         else:
             status[label] = "inconclusive"
         poles[label] = flagged
         diags[label] = {
-            "fit_residual": resid, "fit_degree": deg, "value_scale": vmax,
-            "reciprocal_residual": inv_resid, "reciprocal_degree": inv_deg,
+            "fit_residual": float(resid[j]), "fit_degree": int(deg[j]),
+            "value_scale": float(vmax[j]), "reciprocal_residual": float(resid[c + j]),
+            "reciprocal_degree": int(deg[c + j]),
         }
     return HolomorphyReport(status, poles, diags, tol)
 
@@ -313,8 +331,10 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap, to
     is sum_row M[row, c] * (y_row, or 1 on the b row), so the direct sum
     equals the pullback term by term for any residue weights: the check
     tests the chain rule through the transform's labels, not the
-    residues themselves.
+    residues themselves. ValueError unless ``probes`` is an integer of at
+    least 1.
     """
+    _check_counts({"probe": probes})
     n, p = data.variety.n, data.variety.p
     if n != 1:
         raise UnsupportedDimension("reparametrize_check supports n = 1")

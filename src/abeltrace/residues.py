@@ -341,10 +341,10 @@ def _normalize_index(index, p):
     return index
 
 
-def _check_counts(counts):
+def _check_counts(counts, least=1):
     for name, c in counts.items():
-        if not isinstance(c, numbers.Integral) or c < 1:
-            raise ValueError(f"{name} count must be an integer of at least 1, got {c!r}")
+        if not isinstance(c, numbers.Integral) or c < least:
+            raise ValueError(f"{name} count must be an integer of at least {least}, got {c!r}")
 
 
 def _offset_dicts(domain: DomainSpec, rows):

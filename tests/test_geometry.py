@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abeltrace import geometry
 from abeltrace.errors import (
     DegreeDrop,
     DimensionMismatch,
@@ -18,6 +19,7 @@ from abeltrace.geometry import (
     PlaneChart,
     ResidueData,
     VarietySpec,
+    _certified_roots,
     _triangular_order,
     full_jacobian,
     plane_substitute,
@@ -27,6 +29,7 @@ from abeltrace.geometry import (
     veronese_lift,
 )
 from abeltrace.multipoly import MultiPoly
+from abeltrace.numeric import TOL_ARITH, _companion_roots
 
 V2 = ("x", "y")
 V3 = ("x", "y1", "y2")
@@ -514,6 +517,50 @@ class TestUnivariateFamily:
             v2 = VarietySpec(("x",), ("y",), [g], degree=d)
             assert 0 not in solve_family(v2, Charts.stack(charts), d)[0].tolist()
             assert np.any(solve_fiber(v2, chart, expected_degree=d).multiplicities > 1)
+
+
+class TestFamilyRoots:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+    def test_closed_forms_certify_like_companion_roots(self, seed, d):
+        # rows of d roots at scales 10^[-3, 3], pairwise at least a tenth
+        # of the larger one apart; for d = 3, rows 8-11 put them on an
+        # equilateral triangle (a depressed cubic t^3 + q, where only one
+        # square-root sign of Cardano's formula is free of cancellation);
+        # rows 16-23 have one root at 0 (a zero constant term) and, for
+        # d >= 2, rows 24-31 two roots closer than tol^(1/2)
+        rng = np.random.default_rng(seed)
+
+        def separated_roots():
+            while True:
+                r = 10.0 ** rng.uniform(-3, 3, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+                gap = np.where(np.eye(d, dtype=bool), np.inf, np.abs(r[:, None] - r[None, :]))
+                if np.all(gap > 0.1 * np.maximum(np.abs(r)[:, None], np.abs(r)[None, :])):
+                    return r
+
+        roots = np.array([separated_roots() for _ in range(24)])
+        if d == 3:
+            roots[8:12] = roots[8:12, :1] * (0.5 + np.exp(2j * np.pi * np.arange(3) / 3))
+        roots[16:, 0] = 0.0
+        leads = 10.0 ** rng.uniform(-2, 2, (24, 1)) * np.exp(2j * np.pi * rng.uniform(size=(24, 1)))
+        rows = [leads * np.array([np.poly(r)[::-1] for r in roots])]
+        if d >= 2:
+            close = roots[:8].copy()
+            close[:, 1] = close[:, 0] + 0.5 * TOL_ARITH**0.5 * np.exp(2j * np.pi * rng.uniform(size=8))
+            rows.append(np.array([np.poly(r)[::-1] for r in close]))
+        c = np.concatenate(rows)
+        assert np.all(c[16:24, 0] == 0)
+
+        z, ok = _certified_roots(c, TOL_ARITH)
+        assert np.all(ok[:24]) and not np.any(ok[24:])
+        for got, want in zip(z[:24], roots):
+            nearest = np.min(np.abs(got[:, None] - want[None, :]), axis=0)
+            assert np.all(nearest <= 1e-12 * np.abs(want))
+        assert np.all(np.any(z[16:24] == 0, axis=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_family_roots", _companion_roots)
+            _, want_ok = _certified_roots(c, TOL_ARITH)
+        assert np.array_equal(ok, want_ok)
 
 
 class TestVeroneseLift:

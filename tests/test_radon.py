@@ -13,6 +13,7 @@ from abeltrace.geometry import Charts, DomainSpec, PlaneChart, ResidueData, Vari
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import cauchy_nodes
 from abeltrace.radon import (
+    HOLO_MAX_FIT_DEGREE,
     SHOCK_MARGIN,
     AffineMap,
     _probe_offsets,
@@ -57,6 +58,62 @@ def elliptic_data(psi_terms=None, weight_terms=None):
 
 def sheet_data():
     return make_data({(0, 1): 1.0, (1, 0): -1.0})
+
+
+def _spy_solves(monkeypatch):
+    """Record every chart family and every single chart that residues
+    solves."""
+    solved = []
+    real_family, real_fiber = residues.solve_family, residues.solve_fiber
+    monkeypatch.setattr(residues, "solve_family", lambda *args, **kw: solved.append("family")
+                        or real_family(*args, **kw))
+    monkeypatch.setattr(residues, "solve_fiber", lambda *args, **kw: solved.append("fiber")
+                        or real_fiber(*args, **kw))
+    return solved
+
+
+def _reference_holomorphy(rt, tol):
+    """verify_holomorphy's sweep one least-squares solve at a time: per
+    label, per degree and per side (values, then reciprocals), on features
+    rebuilt for each fit. Returns label -> (status, fit residual, fit
+    degree, reciprocal residual, reciprocal degree, the scale the fit
+    residual is judged against)."""
+    mask = rt.clean_mask()
+    scaled = rt.domain.offset_array(rt.offsets)[mask]
+    radii = np.array([rt.domain.radii[nm] for nm in rt.domain.varying])
+    scaled.real /= radii
+    scaled.imag /= radii
+    tscale = max(rt.term_scale(), 1e-300)
+
+    def sweep(values, s):
+        best, best_deg = np.inf, 0
+        for deg in range(1, HOLO_MAX_FIT_DEGREE + 1):
+            exps = [e for e in np.ndindex(*([deg + 1] * s.shape[1])) if sum(e) <= deg]
+            feats = np.prod(s[:, None, :] ** np.array(exps), axis=-1)
+            if feats.shape[0] <= feats.shape[1]:
+                break
+            sol = np.linalg.lstsq(feats, values, rcond=None)[0]
+            resid = float(np.max(np.abs(feats @ sol - values)))
+            if resid < best:
+                best, best_deg = resid, deg
+        return best, best_deg
+
+    flagged = "pole" in rt.flags
+    out = {}
+    for label, vals in rt.coeffs.items():
+        v = np.asarray(vals)[mask]
+        vmax = float(np.max(np.abs(v))) if v.size else 0.0
+        resid, deg = sweep(v, scaled)
+        inv_resid, inv_deg = np.inf, 0
+        big = np.abs(v) > 1e-9 * tscale
+        if np.sum(big) >= 6:
+            inv_resid, inv_deg = sweep(1.0 / v[big], scaled[big])
+            inv_resid /= max(1e-300, float(np.max(np.abs(1.0 / v[big]))))
+        status = ("meromorphic" if flagged
+                  else "holomorphic" if resid <= tol * max(vmax, tscale)
+                  else "meromorphic" if inv_resid <= tol else "inconclusive")
+        out[label] = (status, resid, deg, inv_resid, inv_deg, max(vmax, tscale))
+    return out
 
 
 class TestLabels:
@@ -199,6 +256,18 @@ class TestShockRelations:
         with pytest.raises(ValueError):
             verify_shock_relations(t, 1e-6, probes=0)
 
+    @pytest.mark.parametrize("counts", [
+        {"probes": 0}, {"probes": -1}, {"probes": 1.5},
+        {"nodes": 0}, {"nodes": 8}, {"nodes": 16.5},
+    ])
+    def test_bad_counts_raise_before_any_solve(self, counts, monkeypatch):
+        dom = DomainSpec(PlaneChart([[0.1]], [2.5]), {"a1.1": 0.4, "b1": 0.6})
+        t = trace_table(parabola_data(), dom, 2, GridPlan({"a1.1": 3, "b1": 3}))
+        solved = _spy_solves(monkeypatch)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            verify_shock_relations(t, 1e-6, **counts)
+        assert solved == []
+
     def _cubic_table(self, weight_terms=None):
         data = make_data({(0, 3): 1.0, (0, 1): 0.4 + 0.3j, (1, 0): -1.0},
                          {(0, 0): 0.7, (1, 1): -0.2 + 0.5j}, weight_terms)
@@ -302,7 +371,8 @@ class TestHolomorphy:
         rep = verify_holomorphy(rt, 1e-9)
         assert set(rep.status.values()) == {"holomorphic"}
 
-    def test_designed_pole_grid(self):
+    @staticmethod
+    def _pole_grid_transform():
         # weight (x - 2) puts poles of the trace exactly on charts through
         # (2, 3) and (2, -3) on the cubic; the grid is designed so the
         # line b = 2 - 3a crosses its nodes exactly on the diagonal
@@ -314,7 +384,10 @@ class TestHolomorphy:
             {"a1.1": a - ca, "b1": b - cb} for a in avals for b in bvals
         )
         dom = DomainSpec(PlaneChart([[ca]], [cb]), {"a1.1": 0.2, "b1": 0.6})
-        rt = radon_coefficients(data, dom, ListPlan(offs))
+        return radon_coefficients(data, dom, ListPlan(offs))
+
+    def test_designed_pole_grid(self):
+        rt = self._pole_grid_transform()
         rep = verify_holomorphy(rt, 1e-6)
         diagonal = {i * 5 + i for i in range(5)}
         for label in rt.coeffs:
@@ -327,6 +400,48 @@ class TestHolomorphy:
         rt = radon_coefficients(data, dom, GridPlan({"a1.1": 4, "b1": 4}))
         rep = verify_holomorphy(rt, 1e-9)
         assert set(rep.status.values()) == {"holomorphic"}
+
+
+    def _assert_matches_reference(self, rt, tol):
+        got = verify_holomorphy(rt, tol)
+        want = _reference_holomorphy(rt, tol)
+        assert list(got.status) == list(want)
+        for label, (status, resid, deg, inv_resid, inv_deg, scale) in want.items():
+            diag = got.diagnostics[label]
+            assert got.status[label] == status
+            assert (diag["fit_degree"], diag["reciprocal_degree"]) == (deg, inv_deg)
+            assert abs(diag["fit_residual"] - resid) <= 1e-10 * max(resid, scale)
+            assert (diag["reciprocal_residual"] == inv_resid
+                    or abs(diag["reciprocal_residual"] - inv_resid) <= 1e-10 * max(inv_resid, 1.0))
+        return got
+
+    def test_batched_sweep_matches_reference_on_pole_grid(self):
+        self._assert_matches_reference(self._pole_grid_transform(), 1e-6)
+
+    def test_batched_sweep_matches_reference_on_distinct_reciprocal_rows(self):
+        # weight x + 3 on the parabola: on a vertical chart (a = 0) the
+        # numerator and weight are constant on the fiber, so u_0 is a
+        # multiple of sum 1/g'(y) = 0 there and u_1 is not; the two
+        # labels' reciprocals are fitted on different rows
+        data = make_data({(0, 2): 1.0, (1, 0): -1.0}, weight_terms={(1, 0): 1.0, (0, 0): 3.0})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.5]), {"a1.1": 0.3, "b1": 0.5})
+        rt = radon_coefficients(data, dom, GridPlan({"a1.1": 5, "b1": 5}))
+        tiny = [np.abs(rt.coeffs[lb]) <= 1e-9 * rt.term_scale() for lb in ((0,), (1,))]
+        assert tiny[0].sum() == 5 and not tiny[1].any()
+        self._assert_matches_reference(rt, 1e-9)
+
+    def test_batched_sweep_matches_reference_with_shared_count_vectors(self):
+        # n = 2: labels (0, 1) and (1, 0) share the count vector (1,)
+        V = ("x1", "x2", "y")
+        f = MultiPoly(V, {(0, 0, 2): 1.0, (1, 0, 0): -1.0, (0, 1, 0): -2.0})
+        w = MultiPoly(V, {(1, 0, 0): 1.0, (0, 1, 0): 2.0, (0, 0, 0): 3.0})
+        data = ResidueData(VarietySpec(("x1", "x2"), ("y",), [f]), MultiPoly.constant(1.0, V), weight=w)
+        dom = DomainSpec(PlaneChart([[0.2], [0.1]], [1.5, 0.8]),
+                         {"a1.1": 0.1, "a2.1": 0.1, "b1": 0.2})
+        rt = radon_coefficients(data, dom, GridPlan({"a1.1": 3, "a2.1": 3, "b1": 3}))
+        assert rt.coeffs[(0, 1)] is rt.coeffs[(1, 0)]
+        got = self._assert_matches_reference(rt, 1e-9)
+        assert got.diagnostics[(0, 1)] == got.diagnostics[(1, 0)]
 
 
 class TestEquivariance:
@@ -392,6 +507,14 @@ class TestEquivariance:
         assert np.array_equal(mu(dom.chart_at({"b1": off}).to_params()), [0.0, -1.0])
         with pytest.raises(DegreeDrop):
             reparametrize_check(data, dom, mu)
+
+    @pytest.mark.parametrize("probes", [0, -1, 2.5])
+    def test_bad_probe_count_raises_before_any_solve(self, probes, monkeypatch):
+        solved = _spy_solves(monkeypatch)
+        with pytest.raises(ValueError, match="probe count must be an integer"):
+            reparametrize_check(parabola_data(), self._domain(),
+                                AffineMap(np.eye(2), np.zeros(2)), probes=probes)
+        assert solved == []
 
     def test_higher_base_dimension_rejected(self):
         f1 = MultiPoly(("x1", "x2", "y"), {(0, 0, 1): 1.0, (1, 0, 0): -1.0})
