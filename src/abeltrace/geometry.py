@@ -65,14 +65,6 @@ class PlaneChart:
     def from_params(n, p, vec):
         return Charts.from_params(n, p, np.reshape(vec, (1, -1)))[0]
 
-    def replace(self, **updates):
-        """New chart with named parameters replaced (e.g. replace(**{'b1': z}))."""
-        names = self.param_names()
-        vec = self.to_params()
-        for key, val in updates.items():
-            vec[names.index(key)] = val
-        return PlaneChart.from_params(self.n, self.p, vec)
-
     def __repr__(self):
         return f"PlaneChart(a={self.a.tolist()}, b={self.b.tolist()})"
 
@@ -871,7 +863,7 @@ def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
     return idx[ok], coords[ok], jac[ok]
 
 
-def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
+def hypersurface_section(v: VarietySpec, hyper: MultiPoly):
     """Intersection of a plane curve (n = p = 1 variety in two ambient
     variables) with one polynomial hypersurface, with the Jacobian of
     (def, hypersurface) at each point. The nonlinear analogue of a chart
@@ -881,7 +873,7 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly, tol=TOL_ARITH):
     h = hyper if hyper.vars == v.vars else hyper.with_vars(v.vars)
     # Jacobian rows: the def's partials, then the hypersurface's
     exps, coefs = _term_matrix([f.partial(nm) for f in (v.defs[0], h) for nm in v.vars])
-    sols = solve_bivariate(v.defs[0], h, tol)
+    sols = solve_bivariate(v.defs[0], h)
     pts = tuple(np.array([c for c, _ in sols], dtype=complex).reshape(-1, 2).T)
     jac = np.linalg.det((_monomials(exps, pts) @ coefs).reshape(-1, 2, 2))
     return [FiberPoint(c, j, m) for (c, m), j in zip(sols, jac.tolist())]

@@ -143,12 +143,10 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self, name=None):
-        """Total degree, or degree in one variable; -1 for the zero poly."""
+    def degree(self, name):
+        """Degree in one variable; -1 for the zero poly."""
         if not self.terms:
             return -1
-        if name is None:
-            return max(sum(e) for e in self.terms)
         return self._degrees[self.vars.index(name)]
 
     def uses(self, name):

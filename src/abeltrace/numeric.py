@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,20 +272,20 @@ def cauchy_nodes(z0, radius, nodes):
     return theta, z0 + radius * np.exp(1j * theta)
 
 
-def cauchy_derivative(f, z0, radius, order=1, nodes=64):
-    """order-th derivative of a holomorphic ``f`` at ``z0``.
+def cauchy_derivative(f, z0, radius, nodes=64):
+    """First derivative of a holomorphic ``f`` at ``z0``.
 
     Trapezoid rule on the circle |z - z0| = radius applied to the Cauchy
-    integral order!/(2 pi i) * contour integral of f(z)/(z-z0)^(order+1);
-    the relative error decays exponentially in ``nodes`` for f holomorphic
-    on the closed disc. ``f`` is called once, on the array of nodes, and
-    returns values with the node axis first: a complex for scalar values,
-    else an array of derivatives over the trailing axes.
+    integral 1/(2 pi i) * contour integral of f(z)/(z-z0)^2; the relative
+    error decays exponentially in ``nodes`` for f holomorphic on the
+    closed disc. ``f`` is called once, on the array of nodes, and returns
+    values with the node axis first: a complex for scalar values, else an
+    array of derivatives over the trailing axes. ValueError, before ``f``
+    is called, unless ``nodes`` is an integer of at least 16 and
+    ``radius`` is positive.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if nodes < 16:
-        raise ValueError("nodes must be >= 16")
+    if not isinstance(nodes, numbers.Integral) or nodes < 16:
+        raise ValueError(f"node count must be an integer of at least 16, got {nodes!r}")
     if radius <= 0:
         raise ValueError("radius must be positive")
     theta, points = cauchy_nodes(z0, radius, nodes)
@@ -294,8 +295,7 @@ def cauchy_derivative(f, z0, radius, order=1, nodes=64):
         raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
     if vals.shape[:1] != (nodes,):
         raise EvaluationError(f"evaluator returned shape {vals.shape} on {nodes} nodes")
-    fact = float(np.prod(np.arange(1, order + 1)))
-    out = fact * (np.exp(-1j * order * theta) @ vals) / (nodes * radius**order)
+    out = (np.exp(-1j * theta) @ vals) / (nodes * radius)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -163,7 +163,7 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     values = values.reshape(len(centres), nodes, -1)
     columns = {idx: c for c, idx in enumerate(t.indices())}
     derivatives = {key: cauchy_derivative(lambda _, rows=rows: rows, z0,
-                                          SHOCK_MARGIN * t.domain.radii[key[1]], 1, nodes)
+                                          SHOCK_MARGIN * t.domain.radii[key[1]], nodes)
                    for (key, z0), rows in zip(centres.items(), values)}
 
     max_abs, max_rel, details = 0.0, 0.0, []
@@ -297,7 +297,7 @@ class AffineMap:
         v = np.asarray(self.offset, dtype=complex)
         if m.shape[0] != m.shape[1] or m.shape[0] != v.size:
             raise ValueError("affine map shape mismatch")
-        if abs(np.linalg.det(m)) < 1e-12:
+        if np.linalg.matrix_rank(m) < len(m):
             raise ValueError("affine map is not invertible")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", v)

@@ -79,7 +79,8 @@ class ReconstructedData:
     diagnostics: dict = field(default_factory=dict)
     is_zero: bool = False
 
-    def to_residue_data(self, label="reconstructed"):
+    def to_residue_data(self):
+        """The reconstruction as ResidueData labelled "reconstructed"."""
         x = self.minimal.base_var
         y_vars = self.minimal.y_vars
         allv = (x,) + tuple(y_vars)
@@ -91,7 +92,7 @@ class ReconstructedData:
         for d in self.minimal.degrees:
             degree *= d
         variety = VarietySpec((x,), y_vars, defs, degree=degree)
-        return ResidueData(variety, self.numerator.with_vars(allv), label=label)
+        return ResidueData(variety, self.numerator.with_vars(allv), label="reconstructed")
 
     @classmethod
     def zero(cls, base_var, y_vars):
@@ -197,8 +198,7 @@ def _fit_coefficients(xs, values, deg_bound, tol, scale):
 # operations
 # ---------------------------------------------------------------------------
 
-def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
-                      cond_cap=COND_CAP):
+def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None):
     """Recover the monic minimal-polynomial coefficients from a trace
     table: per fiber variable, the smallest recurrence length d <= d_max
     whose residual falls below tol (rows taken across the other slots'
@@ -206,8 +206,10 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
     in the base variable.
 
     Raises DegreeUndetectable (zero_moments=True when all traces vanish),
-    IllConditioned near the discriminant, OverdeterminedMismatch when a
-    coefficient is not polynomial within the degree bound.
+    IllConditioned near the discriminant (a sample's recurrence condition
+    number above COND_CAP), OverdeterminedMismatch when a coefficient is
+    not polynomial within the degree bound. The reported condition is the
+    worst over all samples.
     """
     xs, moments, cols = _reconstruction_samples(t)
     p = t.p
@@ -225,33 +227,25 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None,
     degrees, coeff_polys, diags = [], [], {}
     for i in range(p):
         # degree detection at the first clean sample
-        detected = None
         best = None
         for d in range(1, d_max + 1):
             rows = _slot_rows(cols, i, d, p, t.max_order)
             if len(rows[1]) < d:
                 raise ValueError(f"too few recurrence rows for degree {d} in slot {i}")
-            _, resid, cond = _fit_slot(moments[:1], rows, scale)
-            if best is None or resid[0] < best[1]:
-                best = (d, float(resid[0]))
-            if resid[0] <= tol:
-                detected = (d, float(cond[0]))
+            resid = _fit_slot(moments[:1], rows, scale)[1][0]
+            if best is None or resid < best[1]:
+                best = (d, float(resid))
+            if resid <= tol:
                 break
-        if detected is None:
+        else:
             raise DegreeUndetectable(
                 f"no degree <= {d_max} fits slot {i} "
                 f"(best residual {best[1]:.3e} at degree {best[0]})"
             )
-        d, cond0 = detected
-        if cond0 > cond_cap:
-            raise IllConditioned(
-                f"slot {i} recurrence condition {cond0:.3e} beyond cap",
-                condition=cond0,
-            )
         per_sample, resid, cond = _fit_slot(moments, rows, scale)
         worst_res = float(resid.max())
-        worst_cond = max(cond0, float(cond.max()))
-        if worst_cond > cond_cap:
+        worst_cond = float(cond.max())
+        if worst_cond > COND_CAP:
             raise IllConditioned(
                 f"slot {i} recurrence condition {worst_cond:.3e} beyond cap",
                 condition=worst_cond,
@@ -346,16 +340,15 @@ class MatchReport:
     indices: int
 
 
-def verify_traces_match(d1, d2, domain: DomainSpec, max_order, tol,
-                        plan=None):
-    """Max trace discrepancy between two datasets over a shared sampling
-    plan; the computational form of trace injectivity (matching traces on
-    enough indices pin the data)."""
-    data1 = d1.to_residue_data() if isinstance(d1, ReconstructedData) else d1
-    data2 = d2.to_residue_data() if isinstance(d2, ReconstructedData) else d2
+def verify_traces_match(data1: ResidueData, data2: ResidueData, domain: DomainSpec,
+                        max_order, tol):
+    """Max trace discrepancy between two datasets over the shared plan
+    TorusPlan(6), at the samples clean in both tables; the computational
+    form of trace injectivity (matching traces on enough indices pin the
+    data)."""
     if data1.variety.p != data2.variety.p:
         raise ValueError("datasets have different fiber dimension")
-    plan = plan or TorusPlan(6)
+    plan = TorusPlan(6)
     t1 = trace_table(data1, domain, max_order, plan)
     t2 = trace_table(data2, domain, max_order, plan)
     mask = t1.clean_mask() & t2.clean_mask()

@@ -176,7 +176,7 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
         deltas, levels = [], []
         for lev in range(CLUSTER_LEVELS):
             d = CLUSTER_DELTA * base / 2.0**lev
-            pchart = chart.replace(b1=chart.b[0] + d * direction)
+            pchart = PlaneChart(chart.a, np.r_[chart.b[0] + d * direction, chart.b[1:]])
             try:
                 fiber = solve_fiber(data.variety, pchart, tol, expected_degree=expected)
             except (AbelTraceError, ValueError):
@@ -278,8 +278,7 @@ def punctual_residue(data: ResidueData, chart: PlaneChart, point: FiberPoint,
     return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
-def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
-                      tol=TOL_ARITH):
+def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index):
     """Total residue of a cluster at a (near-)degenerate chart.
 
     The chart is perturbed in b_1 along a fixed complex direction, the
@@ -292,7 +291,7 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index,
     """
     index = _normalize_index(index, data.variety.p)
     coords, _, multiplicities = _point_arrays(data, list(cluster))
-    coords, weights = _cluster_terms(data, chart, coords, multiplicities, tol)
+    coords, weights = _cluster_terms(data, chart, coords, multiplicities, TOL_ARITH)
     return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
@@ -316,12 +315,12 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     return complex(out) if out.ndim == 0 else out
 
 
-def hypersurface_trace(data: ResidueData, hyper, index_exps, tol=TOL_ARITH):
+def hypersurface_trace(data: ResidueData, hyper, index_exps):
     """Trace over one polynomial hypersurface section of a plane curve
     (nonlinear chart analogue; the cross-check side of the Veronese
     reduction). ``index_exps`` is an exponent vector over the variety's
     full variable tuple."""
-    pts = hypersurface_section(data.variety, hyper, tol)
+    pts = hypersurface_section(data.variety, hyper)
     if any(pt.cluster_size != 1 for pt in pts):
         raise ClusterPoint("hypersurface section is degenerate")
     coords, jacobians, _ = _point_arrays(data, pts)

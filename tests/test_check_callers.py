@@ -1,4 +1,5 @@
-"""tools/check_callers.py: every name in src/abeltrace has a caller."""
+"""tools/check_callers.py: every name in src/abeltrace has a caller, and
+every default is set by one."""
 
 import shutil
 import subprocess
@@ -73,3 +74,33 @@ def test_a_read_in_bench_tests_is_no_caller(copy):
     assert run(copy).returncode == 1
     (copy / "bench" / "extra.py").write_text("from abeltrace.numeric import bench_only\n")
     assert run(copy).returncode == 0
+
+
+@pytest.mark.parametrize("definition, shown, unset, sets", [
+    ("def with_default(x, flag=False):\n    return x\n", "with_default(flag)",
+     "with_default(1)", ["with_default(1, True)", "with_default(1, flag=True)",
+                         "with_default(*args)", "with_default(1, **options)"]),
+    ("def with_default(x, *, flag=False):\n    return x\n", "with_default(flag)",
+     "with_default(1, 2)", ["with_default(1, flag=True)"]),
+    # self is not counted, and a call through the class name is __init__'s
+    ("class WithDefault:\n    def __init__(self, x, flag=False):\n        self.x = x\n",
+     "WithDefault.__init__(flag)", "WithDefault(1)", ["WithDefault(1, True)"]),
+    ("class WithDefault:\n    def with_default(self, x, flag=False):\n        return x\n",
+     "WithDefault.with_default(flag)", "WithDefault().with_default(1)",
+     ["WithDefault().with_default(1, True)"]),
+])
+def test_an_unset_default_fails(copy, definition, shown, unset, sets):
+    # every name has a caller in bench/*.py; only the default is unset
+    append(copy / "src" / "abeltrace" / "numeric.py", "\n\n" + definition)
+    caller = copy / "bench" / "extra.py"
+    head = "from abeltrace.numeric import WithDefault, with_default\n"
+    caller.write_text(f"{head}{unset}\n")
+    out = run(copy)
+    assert out.returncode == 1
+    assert [line for line in out.stdout.splitlines() if "numeric.py" in line] == [
+        f"src/abeltrace/numeric.py: default of {shown} is set by no caller "
+        "in src/abeltrace or bench"], out.stdout
+    for call in sets:
+        caller.write_text(f"{head}{unset}\n{call}\n")
+        out = run(copy)
+        assert out.returncode == 0, (call, out.stdout)

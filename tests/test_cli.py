@@ -223,6 +223,43 @@ class TestCli:
         assert "must be an integer of at least 1" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    def test_trace_rejects_grid_of_wrong_rank(self, parabola_files, capsys):
+        # one grid axis for a domain that varies a1.1 and b1
+        tmp_path, paths = parabola_files
+        code = main([
+            "trace", "--variety", str(paths["variety"]),
+            "--numerator", str(paths["numerator"]), "--domain", str(paths["domain"]),
+            "--order", "2", "--grid", "5", "-o", str(tmp_path / "t.json"),
+        ])
+        assert code == 1
+        assert "has 1 axes but domain varies ['a1.1', 'b1']" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_trace_with_weight(self, parabola_files):
+        # the --weight file divides every residue: the table is the
+        # library's for the weighted data, not the weightless one
+        tmp_path, paths = parabola_files
+        weight = MultiPoly(V2, {(0, 0): 2.0, (1, 0): 0.1, (0, 1): 0.3j})
+        (tmp_path / "w.json").write_text(ser.dumps(ser.encode_multipoly(weight)))
+        code = main([
+            "trace", "--variety", str(paths["variety"]),
+            "--numerator", str(paths["numerator"]), "--weight", str(tmp_path / "w.json"),
+            "--domain", str(paths["domain"]), "--order", "3", "--grid", "3x3",
+            "-o", str(tmp_path / "t.json"),
+        ])
+        assert code == 0
+        got = ser.decode_trace_table(json.loads((tmp_path / "t.json").read_text())["result"])
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2),
+                           weight=weight)
+        dom = ser.decode_domain(json.loads(paths["domain"].read_text()))
+        want = trace_table(data, dom, 3, GridPlan({"a1.1": 3, "b1": 3}))
+        plain = trace_table(ResidueData(data.variety, data.numerator), dom, 3,
+                            GridPlan({"a1.1": 3, "b1": 3}))
+        for idx, vals in want.entries.items():
+            assert got.entries[idx].tobytes() == vals.tobytes()
+        assert not np.allclose(want.entries[(1,)], plain.entries[(1,)])
+
     def test_determinism(self, parabola_files):
         tmp_path, paths = parabola_files
         a = self.run_trace(paths, tmp_path, "t1.json").read_text()

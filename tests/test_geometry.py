@@ -11,6 +11,7 @@ from abeltrace.errors import (
     DimensionMismatch,
     NonConvergence,
     UnsupportedDimension,
+    UnsupportedShape,
 )
 from abeltrace.geometry import (
     ESCAPE_RADIUS,
@@ -59,10 +60,6 @@ class TestPlaneChart:
         assert names == ("a1.1", "a1.2", "b1")
         back = PlaneChart.from_params(1, 2, ch.to_params())
         assert np.allclose(back.a, ch.a) and np.allclose(back.b, ch.b)
-
-    def test_replace(self):
-        ch = PlaneChart([[0.0]], [1.0]).replace(b1=5.0, **{"a1.1": 2.0})
-        assert ch.a[0, 0] == 2.0 and ch.b[0] == 5.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -288,6 +285,32 @@ class TestSolveBivariate:
             for s, _ in sols
         }
         assert got == {(1 + 0j, 1 + 0j), (-2 + 0j, 4 + 0j)}
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("other variables", UnsupportedShape, "same two variables"),
+        ("three variables", UnsupportedShape, "same two variables"),
+        ("zero polynomial", ValueError, "vanishes identically"),
+        ("no y", UnsupportedShape, "neither polynomial"),
+        ("common component", ValueError, "common component"),
+    ])
+    def test_refusals(self, case, error, message):
+        line = MultiPoly(V2, {(0, 1): 1.0, (1, 0): -1.0})          # y - x
+        g1, g2 = {
+            "other variables": (line, MultiPoly(("x", "z"), {(0, 1): 1.0})),
+            "three variables": (MultiPoly(V3, {(0, 1, 0): 1.0}), MultiPoly(V3, {(0, 0, 1): 1.0})),
+            "zero polynomial": (MultiPoly.zero(V2), line),
+            "no y": (MultiPoly(V2, {(1, 0): 1.0, (0, 0): -1.0}), MultiPoly(V2, {(2, 0): 1.0})),
+            # y (y + x) and y (y - 2) share the line y = 0
+            "common component": (MultiPoly(V2, {(0, 2): 1.0, (1, 1): 1.0}),
+                                 MultiPoly(V2, {(0, 2): 1.0, (0, 1): -2.0})),
+        }[case]
+        with pytest.raises(error, match=message):
+            solve_bivariate(g1, g2)
+
+    def test_parallel_lines_meet_nowhere(self):
+        # y and y - 1: the resultant in x is the constant -1
+        assert solve_bivariate(MultiPoly(V2, {(0, 1): 1.0}),
+                               MultiPoly(V2, {(0, 1): 1.0, (0, 0): -1.0})) == []
 
     def test_conic_meets_cubic_count(self):
         f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})

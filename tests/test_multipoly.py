@@ -56,8 +56,8 @@ def test_product_and_degree():
     x = MultiPoly.variable("x", V)
     y = MultiPoly.variable("y", V)
     f = (x + y) * (x + y) * (x + y)
-    assert f.degree() == 3
-    assert f.degree("x") == 3
+    assert f.degree("x") == f.degree("y") == 3
+    assert MultiPoly.zero(V).degree("x") == -1
     assert f.terms[(2, 1)] == pytest.approx(3.0)
 
 

@@ -11,6 +11,7 @@ from abeltrace.errors import (
     DegreeUndetectable,
     EvaluationError,
     IllConditioned,
+    NonConvergence,
     OverdeterminedMismatch,
     ZeroPolynomial,
 )
@@ -74,6 +75,23 @@ class TestPolyRoots:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             poly_roots(UniPoly([1, 1]), -1.0)
+
+    def test_tolerance_below_rounding_raises(self):
+        # a random quintic's refined roots leave residuals near 1e-16 of
+        # the evaluation scale, which no tolerance of 1e-30 admits
+        rng = np.random.default_rng(3)
+        p = UniPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        with pytest.raises(NonConvergence) as info:
+            poly_roots(p, 1e-30)
+        assert 1e-30 < info.value.worst_residual < 1e-12
+
+    def test_stalled_refinement_raises(self, monkeypatch):
+        # refinement that leaves every estimate where the companion
+        # eigenvalues put it, each moved off by 1e-3
+        monkeypatch.setattr(numeric, "_aberth_refine", lambda coeffs, z: np.asarray(z) + 1e-3)
+        with pytest.raises(NonConvergence, match="stalled") as info:
+            poly_roots(UniPoly([-1, 0, 1]), 1e-10)
+        assert info.value.worst_residual == pytest.approx(1e-3, rel=1e-2)
 
     def test_root_sum_identity(self):
         # sum of roots of a monic polynomial is minus the subleading coeff
@@ -211,7 +229,7 @@ class TestCauchyDerivative:
 
     def test_simple_pole_outside(self):
         # d/dz (z-2)^-1 = -(z-2)^-2, so the value at 0 is -1/4
-        val = cauchy_derivative(lambda z: 1.0 / (z - 2.0), 0.0, 1.0, 1)
+        val = cauchy_derivative(lambda z: 1.0 / (z - 2.0), 0.0, 1.0)
         assert val == pytest.approx(-0.25)
 
     def test_polynomial_exact_across_radii(self):
@@ -221,13 +239,8 @@ class TestCauchyDerivative:
         dp = derivative(p)
         z0 = 0.3 - 0.2j
         for radius in (0.1, 0.5, 1.0, 2.0):
-            val = cauchy_derivative(p, z0, radius, 1, nodes=32)
+            val = cauchy_derivative(p, z0, radius, nodes=32)
             assert abs(val - dp(z0)) <= 1e-12 * max(1.0, abs(dp(z0)))
-
-    def test_higher_order(self):
-        # third derivative of z^4 at 1 is 24
-        val = cauchy_derivative(lambda z: z**4, 1.0, 0.7, order=3, nodes=48)
-        assert val == pytest.approx(24.0)
 
     def test_evaluator_error_wrapped(self):
         def bad(z):
@@ -249,10 +262,10 @@ class TestCauchyDerivative:
             return np.stack([f(z) for f in funcs], axis=-1)
 
         z0, radius = 0.2 + 0.1j, 0.6
-        got = cauchy_derivative(columns, z0, radius, 1, nodes=32)
+        got = cauchy_derivative(columns, z0, radius, nodes=32)
         assert calls == [(32,)] and got.shape == (len(funcs),)
         for col, f in enumerate(funcs):
-            want = cauchy_derivative(f, z0, radius, 1, nodes=32)
+            want = cauchy_derivative(f, z0, radius, nodes=32)
             assert isinstance(want, complex)
             assert abs(got[col] - want) <= 1e-14 * abs(want)
 
@@ -264,11 +277,20 @@ class TestCauchyDerivative:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            cauchy_derivative(np.exp, 0.0, 1.0, order=0)
-        with pytest.raises(ValueError):
             cauchy_derivative(np.exp, 0.0, 1.0, nodes=8)
         with pytest.raises(ValueError):
             cauchy_derivative(np.exp, 0.0, -1.0)
+
+    @pytest.mark.parametrize("nodes", [16.5, 32.0, "32", None])
+    def test_node_count_not_an_integer_raises_before_evaluating(self, nodes):
+        # the count is refused as such, not blamed on the evaluator
+        calls = []
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            cauchy_derivative(lambda z: calls.append(z) or np.exp(z), 0.0, 1.0, nodes=nodes)
+        assert calls == []
+
+    def test_numpy_integer_node_count(self):
+        assert cauchy_derivative(np.exp, 0.0, 1.0, nodes=np.int64(32)) == pytest.approx(1.0)
 
 
 def single_chart_table(roots, numerator, max_order=None):
@@ -340,16 +362,22 @@ class TestHankelFit:
 
     def test_ill_conditioned_near_discriminant(self):
         # numerator P' weights both sheets alike (u_k = -(r1^k + r2^k));
-        # sheets 2e-5 apart stay two simple points yet make the degree-2
-        # recurrence condition about 2e10
-        roots = [1.0, 1.0 + 2e-5]
-        t = single_chart_table(
-            roots, derivative(from_roots(roots)).coeffs, max_order=5
-        )
-        assert t.flags == ("clean",)
-        assert fit_minimal_polys(t, 2, tol=1e-12).degrees == (2,)
-        with pytest.raises(IllConditioned):
-            fit_minimal_polys(t, 2, tol=1e-12, cond_cap=1e10)
+        # sheets 1.5e-5 |r| apart stay two simple points yet make the
+        # degree-2 recurrence condition about 3.2e10 at r = 1, which
+        # passes COND_CAP (1e12), and 7.1e12 at r = 20, which does not
+        tables = {}
+        for root in (1.0, 20.0):
+            roots = [root, root * (1.0 + 1.5e-5)]
+            tables[root] = single_chart_table(
+                roots, derivative(from_roots(roots)).coeffs, max_order=5
+            )
+            assert tables[root].flags == ("clean",)
+        minimal = fit_minimal_polys(tables[1.0], 2, tol=1e-12)
+        assert minimal.degrees == (2,)
+        assert minimal.diagnostics["slot0"]["condition"] == pytest.approx(3.2e10, rel=0.1)
+        with pytest.raises(IllConditioned) as info:
+            fit_minimal_polys(tables[20.0], 2, tol=1e-12)
+        assert info.value.condition == pytest.approx(7.1e12, rel=0.1)
 
     def test_degree_undetectable(self):
         t = single_chart_table([0.5, -0.7, 0.9j, -1.1j], [1.0, 0.3])

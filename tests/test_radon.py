@@ -7,6 +7,7 @@ from abeltrace.errors import (
     EvaluationError,
     InsufficientMargin,
     PathCrossesPole,
+    PoleDetected,
     UnsupportedDimension,
 )
 from abeltrace.geometry import Charts, DomainSpec, PlaneChart, ResidueData, VarietySpec
@@ -304,20 +305,17 @@ class TestShockRelations:
 
     def test_one_value_call_for_all_circles(self, monkeypatch):
         # every circle chart is read once, for every index, in one
-        # TraceTable.value call solved as one family, and built from one
-        # parameter array per circle with no per-node replace
+        # TraceTable.value call solved as one family
         t = self._cubic_table()
-        reads, families, replaced = [], [], []
+        reads, families = [], []
         real_value, real_family = TraceTable.value, residues.solve_family
         monkeypatch.setattr(TraceTable, "value", lambda self, index, chart:
                             reads.append((index, len(chart))) or real_value(self, index, chart))
         monkeypatch.setattr(residues, "solve_family", lambda v, charts, *args:
                             families.append(len(charts)) or real_family(v, charts, *args))
-        monkeypatch.setattr(PlaneChart, "replace", lambda *args, **kw: replaced.append(1))
         assert verify_shock_relations(t, 1e-6).passed
         assert reads == [(t.indices(), 3 * 2 * 32)]
         assert families == [3 * 2 * 32]
-        assert replaced == []
 
     def test_report_matches_per_chart_evaluation(self, monkeypatch):
         # the family read against a run that solves every circle chart on
@@ -515,6 +513,16 @@ class TestEquivariance:
             reparametrize_check(parabola_data(), self._domain(),
                                 AffineMap(np.eye(2), np.zeros(2)), probes=probes)
         assert solved == []
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+    def test_invertibility_is_scale_free(self, scale):
+        # a scaled identity is invertible at any scale (|det| = scale^2
+        # reads 1e-14 at scale 1e-7), and a scaled near-singular matrix,
+        # condition number 3.9e15, is refused at any scale (|det| reads
+        # about 1e3 at scale 1e9)
+        assert np.array_equal(AffineMap(scale * np.eye(2), np.zeros(2)).matrix, scale * np.eye(2))
+        with pytest.raises(ValueError, match="not invertible"):
+            AffineMap(1e2 * scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.zeros(2))
 
     def test_higher_base_dimension_rejected(self):
         f1 = MultiPoly(("x1", "x2", "y"), {(0, 0, 1): 1.0, (1, 0, 0): -1.0})
@@ -727,6 +735,58 @@ class TestPropagation:
 
         with pytest.raises(ValueError, match="non-finite.*probe 2"):
             propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
+
+    @pytest.mark.parametrize("error", [PoleDetected, DegreeDrop])
+    def test_evaluator_failure_crosses_pole(self, error):
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 2, TorusPlan(6))
+
+        def u0_ext(charts):
+            raise error("no order-0 value")
+
+        with pytest.raises(PathCrossesPole, match="blows up"):
+            propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
+
+    def test_contaminated_base_slice_crosses_pole(self):
+        # numerator and weight both y - 1, so every trace is the weightless
+        # one, but a point with y = 1 sits on the weight's pole divisor:
+        # on x = a y + b with y^2 = x that is the line a + b = 1. The base
+        # slices' first chart is (a, b) = (0.25 + 0.25, 0.5) exactly, while
+        # the input plan's and the grid's charts miss the line
+        data = make_data({(0, 2): 1.0, (1, 0): -1.0}, {(0, 1): 1.0, (0, 0): -1.0},
+                         {(0, 1): 1.0, (0, 0): -1.0})
+        center = PlaneChart([[0.25]], [0.5])
+        small = DomainSpec(center, {"a1.1": 0.25, "b1": 0.3})
+        big = DomainSpec(center, {"a1.1": 0.25, "b1": 0.6})
+        t = trace_table(data, small, 2, TorusPlan(6))
+        assert set(t.flags) == {"clean"}
+        with pytest.raises(PathCrossesPole, match="base slices"):
+            propagate_trace_extension(t, lambda ch: trace(data, ch, 0), big, order=2, fft_nodes=8)
+
+    @pytest.mark.parametrize("small_radii, big_b, big_radii, message", [
+        ({"b1": 1.0}, 3.0, {"a1.1": 0.4, "b1": 2.0}, "same parameters"),
+        ({"a1.1": 0.4, "b1": 1.0}, 3.1, {"a1.1": 0.4, "b1": 2.0}, "share their center"),
+        ({"a1.1": 0.4, "b1": 1.0}, 3.0, {"a1.1": 0.5, "b1": 2.0}, "only the b_1 radius"),
+        ({"a1.1": 0.4, "b1": 1.0}, 3.0, {"a1.1": 0.4, "b1": 0.5}, "contain the original"),
+    ])
+    def test_domain_refusals(self, small_radii, big_b, big_radii, message):
+        small = DomainSpec(PlaneChart([[0.15]], [3.0]), small_radii)
+        big = DomainSpec(PlaneChart([[0.15]], [big_b]), big_radii)
+        t = trace_table(parabola_data(), small, 2, TorusPlan(6))
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            propagate_trace_extension(t, lambda ch: calls.append(1), big, order=2, fft_nodes=8)
+        assert calls == []
+
+    def test_higher_base_dimension_rejected(self):
+        V = ("x1", "x2", "y")
+        f = MultiPoly(V, {(0, 0, 2): 1.0, (1, 0, 0): -1.0, (0, 1, 0): 0.5})
+        data = ResidueData(VarietySpec(("x1", "x2"), ("y",), [f]), MultiPoly.constant(1.0, V))
+        dom = DomainSpec(PlaneChart([[0.1], [0.2]], [3.0, 1.0]), {"a1.1": 0.2, "b1": 0.5})
+        t = trace_table(data, dom, 2, TorusPlan(4))
+        with pytest.raises(UnsupportedDimension):
+            propagate_trace_extension(t, lambda ch: trace(data, ch, 0), dom, order=1)
 
     def test_frozen_parameter_rejected(self):
         data = parabola_data()

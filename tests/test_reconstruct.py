@@ -10,8 +10,10 @@ from abeltrace import serialize as ser
 
 from abeltrace.errors import (
     DegreeUndetectable,
+    IllConditioned,
     InconsistentTraces,
     OverdeterminedMismatch,
+    UnsupportedDimension,
 )
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
@@ -106,6 +108,35 @@ class TestFitMinimalPolys:
         with pytest.raises(DegreeUndetectable) as info:
             fit_minimal_polys(t, 2)
         assert info.value.zero_moments
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("two base variables", UnsupportedDimension, "one base variable"),
+        ("slanted charts", ValueError, "vertical charts"),
+        ("a1.1 varies", ValueError, "only b1"),
+        ("no clean sample", ValueError, "no clean samples"),
+    ])
+    def test_table_refusals(self, case, error, message):
+        # both reconstruction steps read the table's samples the same way
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        chart, radii = PlaneChart.vertical([3.0]), {"b1": 0.5}
+        if case == "two base variables":
+            V = ("x1", "x2", "y")
+            f = MultiPoly(V, {(0, 0, 2): 1.0, (1, 0, 0): -1.0, (0, 1, 0): 0.5})
+            data = ResidueData(VarietySpec(("x1", "x2"), ("y",), [f]), MultiPoly.constant(1.0, V))
+            chart = PlaneChart.vertical([3.0, 1.0])
+        elif case == "slanted charts":
+            chart = PlaneChart([[0.1]], [3.0])
+        elif case == "a1.1 varies":
+            radii = {"a1.1": 0.1, "b1": 0.5}
+        t = trace_table(data, DomainSpec(chart, radii), 3, TorusPlan(4))
+        if case == "no clean sample":
+            t = TraceTable(t.data, t.domain, t.offsets, t.entries, t.term_scales,
+                           ("pole",) * len(t.flags), t.max_order, t.baseline_degree)
+        minimal = MinimalPolySet("x", ("y",), (2,), ((UniPoly.zero(), UniPoly([0.0, -1.0])),))
+        for step in (lambda: fit_minimal_polys(t, 2), lambda: reconstruct_numerator(t, minimal)):
+            with pytest.raises(error, match=message):
+                step()
 
     def test_meromorphic_coefficient_detected(self):
         # x y^2 - 1: the monic minimal polynomial is y^2 - 1/x, whose
@@ -202,7 +233,7 @@ class TestRoundTrip:
         assert got[(1, 0)] == pytest.approx(1.0, abs=1e-6)
         assert got[(0, 1)] == pytest.approx(1.0, abs=1e-6)
         assert got[(0, 0)] == pytest.approx(-1.0, abs=1e-6)
-        rep = verify_traces_match(data, rec, dom, 4, 1e-6, plan=ListPlan(({},)))
+        rep = verify_traces_match(data, rec.to_residue_data(), dom, 4, 1e-6)
         assert rep.passed
 
     def test_zero_traces_forced_degree_one(self):
@@ -240,6 +271,22 @@ class TestVerifyTracesMatch:
         t = tt(data, dom, 4, TorusPlan(6))
         assert rep.max_residual == pytest.approx(t.scale(), rel=1e-12)
 
+    def test_samples_unclean_in_either_table_are_skipped(self):
+        # the same rational data, once with the factor x - 3 in both the
+        # numerator and the weight: TorusPlan(6)'s first node is b1 = 3,
+        # where that factor puts every fiber point on the weight's pole
+        # divisor, so only d1's table flags it
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
+        psi = MultiPoly(V2, {(0, 1): 1.0, (0, 0): 0.3})
+        factor = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -3.0})
+        v = VarietySpec(("x",), ("y",), [f])
+        d1 = ResidueData(v, psi * factor, weight=factor)
+        d2 = ResidueData(v, psi)
+        dom = DomainSpec(PlaneChart.vertical([2.5]), {"b1": 0.5})
+        assert trace_table(d1, dom, 4, TorusPlan(6)).flags == ("pole",) + ("clean",) * 5
+        rep = verify_traces_match(d1, d2, dom, 4, 1e-10)
+        assert rep.passed and rep.samples == 5
+
     def test_unit_rescaled_representations(self):
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
         unit = MultiPoly(V2, {(0, 0): 2.0, (1, 0): 0.1})
@@ -255,7 +302,7 @@ class TestVerifyTracesMatch:
         dom = DomainSpec(PlaneChart.vertical([3.0 + 0.5j]), {"b1": 0.6})
         t = trace_table(data, dom, 5, TorusPlan(9))
         rec = reconstruct_global(t, 2, 3)
-        rep = verify_traces_match(data, rec, dom, 5, 1e-9)
+        rep = verify_traces_match(data, rec.to_residue_data(), dom, 5, 1e-9)
         assert rep.passed
 
 
@@ -390,9 +437,9 @@ def test_reconstructed_data_to_residue_data():
     m = fit_minimal_polys(t, 4)
     rec = reconstruct_numerator(t, m)
     back = rec.to_residue_data()
-    assert back.variety.degree == 3
+    assert back.variety.degree == 3 and back.label == "reconstructed"
     dom = DomainSpec(PlaneChart.vertical([0.4]), {})
-    rep = verify_traces_match(data, back, dom, 6, 1e-8, plan=ListPlan(({},)))
+    rep = verify_traces_match(data, back, dom, 6, 1e-8)
     assert rep.passed
 
 
@@ -440,16 +487,25 @@ class TestStackedSlotFit:
                     want_cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
                     assert cond[s] == want_cond or abs(cond[s] - want_cond) <= 1e-12 * want_cond
 
-    def test_singular_sample_condition_reaches_diagnostics(self):
+    def test_singular_sample_condition_is_reported(self):
         # y = r(x) with r and the weight w vanishing at x = 0.6: every
         # moment w r^k is zero there, so that sample's recurrence matrix is
-        # zero and its condition number infinite
+        # zero and its condition number infinite. The first sample is
+        # well conditioned; the fit reports the worst sample's condition
         xs = np.array([0.0, 0.3, 0.6, 0.9, 1.2]) + 0.1j
         r, w = 0.5 * (xs - xs[2]), (1.0 - 2.0j) * (xs - xs[2])
         t = synthetic_table(xs, {(j,): w * r**j for j in range(4)})
-        minimal = fit_minimal_polys(t, 1, cond_cap=np.inf)
-        assert minimal.diagnostics["slot0"]["condition"] == np.inf
+        with pytest.raises(IllConditioned) as info:
+            fit_minimal_polys(t, 1)
+        assert info.value.condition == np.inf
+        # the numerator from the true minimal polynomial y - r(x) still
+        # reads through the singular sample, and an infinite diagnostic
+        # serializes as "inf"
+        minimal = MinimalPolySet("x", ("y",), (1,), ((UniPoly([0.5 * xs[2], -0.5]),),),
+                                 {"slot0": {"condition": info.value.condition}})
         rec = reconstruct_numerator(t, minimal)
-        assert rec.minimal.coefficient_values(0, 1.0)[0] == pytest.approx(-0.5 * (1.0 - xs[2]))
+        # (the moments carry the sign (-1)^(n p) = -1 of the residue convention)
+        assert rec.numerator.terms[(1, 0)] == pytest.approx(-(1.0 - 2.0j))
+        assert rec.numerator.terms[(0, 0)] == pytest.approx((1.0 - 2.0j) * xs[2])
         text = ser.dumps(ser.encode_reconstruction(rec))
         assert json.loads(text)["diagnostics"]["slot0"]["condition"] == "inf"

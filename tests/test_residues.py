@@ -31,7 +31,6 @@ from abeltrace.geometry import (
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import UniPoly
 from abeltrace.radon import radon_coefficients, verify_holomorphy
-from abeltrace.reconstruct import verify_traces_match
 from abeltrace.residues import (
     GridPlan,
     ListPlan,
@@ -446,6 +445,30 @@ class TestClusteredResidue:
         fiber = solve_fiber(data.variety, chart)
         assert clustered_residue(data, chart, fiber_points(fiber), (2,)) == 0
 
+    def test_ladder_moves_only_b1(self, monkeypatch):
+        # n = 2: y^2 = x_1 with x_2 free has a double point at b_1 = 0.
+        # Each perturbed chart keeps a and b_2 and moves b_1 by
+        # CLUSTER_DELTA * (|b_1| + 1) / 2^level along one direction
+        V = ("x1", "x2", "y")
+        f = MultiPoly(V, {(0, 0, 2): 1.0, (1, 0, 0): -1.0})
+        data = ResidueData(VarietySpec(("x1", "x2"), ("y",), [f]), MultiPoly.constant(1.0, V))
+        chart = PlaneChart([[0.0], [0.3]], [0.0, 0.7])
+        charts, real_solve = [], residues.solve_fiber
+
+        def solve(variety, ch, *args, **kwargs):
+            charts.append(ch)
+            return real_solve(variety, ch, *args, **kwargs)
+
+        monkeypatch.setattr(residues, "solve_fiber", solve)
+        assert evaluate_chart(data, chart).flags == ("cluster",)
+        ladder = charts[1:]
+        assert len(ladder) == residues.CLUSTER_LEVELS
+        steps = np.array([ch.b[0] - chart.b[0] for ch in ladder])
+        for ch in ladder:
+            assert np.array_equal(ch.a, chart.a) and ch.b[1] == chart.b[1]
+        assert np.allclose(np.abs(steps), residues.CLUSTER_DELTA / 2.0 ** np.arange(len(steps)))
+        assert np.allclose(steps / np.abs(steps), steps[0] / abs(steps[0]))
+
     def test_solver_bug_on_perturbed_chart_propagates(self, monkeypatch):
         # only the solver's own failures mean "this perturbation did not
         # separate the cluster"; any other exception is a bug and must
@@ -645,7 +668,6 @@ class TestTraceTable:
         rt = radon_coefficients(data, dom, plan)
         assert rt.flags == t.flags
         assert all(not poles for poles in verify_holomorphy(rt, 1e-6).pole_samples.values())
-        assert verify_traces_match(data, data, dom, 2, 1e-8, plan=plan).samples == 3
 
     def test_degenerate_cluster_chart_flagged(self):
         # the far-scaled seed-0 system of
@@ -954,6 +976,21 @@ class TestChartFamily:
         if kind.startswith("p2_triangular"):
             # product-form fibers are well separated: every chart certified
             assert len(family[0]) == len(charts)
+
+    @pytest.mark.parametrize("kind", ["p1", "p2_n1", "p2_n2", "p2_triangular"])
+    def test_impossible_degree_flags_every_chart(self, kind):
+        # a degree the family cannot have (0, or above any chart's count)
+        # is declined by the family, and each chart's own solve then
+        # drops, so the list holds no chart
+        data, domain, _ = _family_case(kind, np.random.default_rng(5))
+        charts = domain.charts_at(TorusPlan(3).offset_array(domain))
+        count = solve_fiber(data.variety, domain.chart).total_multiplicity
+        for degree in (0, count - 1, count + 1, 50):
+            if degree in (0, 50):
+                assert solve_family(data.variety, charts, degree) is None
+            ev = evaluate_chart(data, charts, expected_degree=degree)
+            assert ev.flags == ("degree-drop",) * len(charts)
+            assert all(isinstance(err, DegreeDrop) for err in ev.errors)
 
     def _tangent_family(self, weight=None):
         # the parabola y2 = y1^2 against the planes x = a y1 + b with

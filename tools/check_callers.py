@@ -1,4 +1,5 @@
-"""Fail when a name defined in src/abeltrace has no caller.
+"""Fail when a name defined in src/abeltrace has no caller, or a default
+that no caller sets.
 
 Every function, class, method and module-level assignment in
 ``src/abeltrace`` is checked; dunders are not. A name counts as read where
@@ -10,10 +11,18 @@ it appears as a loaded name, an attribute or an imported alias.
   neither is anything under ``bench/tests``. A public name the paper
   defines but no workflow calls goes on ``ALLOWED``, with its reason.
 - An ``ALLOWED`` entry that names nothing defined fails too.
+- Every parameter with a default, of a module-level function or a
+  method (a class's ``__init__`` included), must be set by some call in
+  ``src/abeltrace`` or ``bench/*.py``: passed by keyword, or reached by
+  the call's positional arguments (``self`` and ``cls`` not counted). A
+  call through a class name is a call of its ``__init__``. Calls match
+  by name, as reads do; a call that unpacks ``*args`` or ``**kwargs``
+  sets every parameter of its name.
 
 Usage: ``python3 tools/check_callers.py``; it checks the repository that
-holds the script. Exits 0 when every name has a caller and 1 otherwise,
-with one line per offending name that gives its file.
+holds the script. Exits 0 when every name has a caller and every default
+is set by one, and 1 otherwise, with one line per offending name or
+parameter that gives its file.
 """
 
 from __future__ import annotations
@@ -59,22 +68,70 @@ def _reads(tree, imports=True):
     return used
 
 
+def _defaults(tree):
+    """(called name, qualified name, parameter, positional slot or None)
+    of every parameter with a default, in the module's functions and its
+    classes' methods: a class's ``__init__`` is called by the class name,
+    and other dunders are skipped. A slot counts positional arguments
+    after ``self`` or ``cls``; a keyword-only parameter has none."""
+    out = []
+    for owner in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        method = owner is not tree
+        for fn in owner.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = owner.name if method and fn.name == "__init__" else fn.name
+            if called.startswith("__") and called.endswith("__"):
+                continue
+            bound = method and not any(getattr(d, "id", None) == "staticmethod"
+                                       for d in fn.decorator_list)
+            qualified = f"{owner.name}.{fn.name}" if method else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            out += [(called, qualified, arg.arg, i - bound)
+                    for i, arg in enumerate(positional) if i >= first]
+            out += [(called, qualified, arg.arg, None)
+                    for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(tree, into):
+    """Record in ``into``, by called name, what the calls in a tree set:
+    the largest positional reach (inf for a call that unpacks ``*args``)
+    and every keyword passed (None for ``**kwargs``)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name:
+            entry = into.setdefault(name, [0, set()])
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], float("inf") if unpacks else len(node.args))
+            entry[1] |= {kw.arg for kw in node.keywords}
+
+
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def check(root):
-    """Return one message per name without a caller, and per stale
-    ``ALLOWED`` entry."""
+    """Return one message per name without a caller, per default no
+    caller sets and per stale ``ALLOWED`` entry, then the counts of names
+    and of defaults checked."""
     defined = {}                              # name -> first file defining it
-    src_reads, bench_reads = set(), set()
+    defaults = []                             # (file, called, qualified, parameter, slot)
+    src_reads, bench_reads, calls = set(), set(), {}
     for path in sorted((root / PACKAGE).glob("*.py")):
         tree = _parse(path)
         for nm in _definitions(tree):
             defined.setdefault(nm, path.relative_to(root))
+        defaults += [(path.relative_to(root), *d) for d in _defaults(tree)]
         src_reads |= _reads(tree, imports=path.name != "__init__.py")
+        _calls(tree, calls)
     for path in sorted((root / "bench").glob("*.py")):
-        bench_reads |= _reads(_parse(path))
+        tree = _parse(path)
+        bench_reads |= _reads(tree)
+        _calls(tree, calls)
     problems = []
     for nm, path in sorted(defined.items(), key=lambda item: (str(item[1]), item[0])):
         if nm.startswith("_"):
@@ -82,16 +139,21 @@ def check(root):
                 problems.append(f"{path}: private name {nm} is read nowhere in {PACKAGE}")
         elif nm not in src_reads and nm not in bench_reads and nm not in ALLOWED:
             problems.append(f"{path}: public name {nm} has no caller in {PACKAGE} or bench")
+    for path, called, qualified, param, slot in defaults:
+        reach, keywords = calls.get(called, (0, set()))
+        if not (param in keywords or None in keywords or (slot is not None and reach > slot)):
+            problems.append(f"{path}: default of {qualified}({param}) is set by no caller "
+                            f"in {PACKAGE} or bench")
     for nm in sorted(set(ALLOWED) - set(defined)):
         problems.append(f"{Path(__file__).name}: allowed name {nm} is defined nowhere in {PACKAGE}")
-    return problems, len(defined)
+    return problems, len(defined), len(defaults)
 
 
 def main():
-    problems, count = check(Path(__file__).resolve().parent.parent)
+    problems, names, defaults = check(Path(__file__).resolve().parent.parent)
     for line in problems:
         print(line)
-    print(f"{count} names checked, {len(problems)} without a caller")
+    print(f"{names} names and {defaults} defaults checked, {len(problems)} problem(s)")
     return 1 if problems else 0
 
 
