@@ -14,7 +14,7 @@ class ZeroPolynomial(AbelTraceError):
 class NonConvergence(AbelTraceError):
     """Iteration cap reached; carries the worst relative residual."""
 
-    def __init__(self, message, worst_residual=None):
+    def __init__(self, message, worst_residual):
         super().__init__(message)
         self.worst_residual = worst_residual
 
@@ -38,7 +38,7 @@ class DegreeUndetectable(AbelTraceError):
 class IllConditioned(AbelTraceError):
     """Linear system condition number beyond the configured cap."""
 
-    def __init__(self, message, condition=None):
+    def __init__(self, message, condition):
         super().__init__(message)
         self.condition = condition
 
@@ -46,7 +46,7 @@ class IllConditioned(AbelTraceError):
 class OverdeterminedMismatch(AbelTraceError):
     """Samples are not polynomial within the degree bound and tolerance."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
 
@@ -60,7 +60,7 @@ class DimensionMismatch(AbelTraceError):
 class DegreeDrop(AbelTraceError):
     """A fiber lost points to infinity (properness violated)."""
 
-    def __init__(self, message, found=None, expected=None):
+    def __init__(self, message, found, expected):
         super().__init__(message)
         self.found = found
         self.expected = expected
@@ -92,7 +92,7 @@ class PerturbationFailure(AbelTraceError):
 class PoleDetected(AbelTraceError):
     """A fiber point sits on the pole divisor of the data weight."""
 
-    def __init__(self, message, chart_params=None):
+    def __init__(self, message, chart_params):
         super().__init__(message)
         self.chart_params = chart_params
 
@@ -114,6 +114,6 @@ class PathCrossesPole(AbelTraceError):
 class InconsistentTraces(AbelTraceError):
     """Trace moments are not generated by rational data of this shape."""
 
-    def __init__(self, message, defect=None):
+    def __init__(self, message, defect):
         super().__init__(message)
         self.defect = defect

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AbelTraceError,
     DegreeDrop,
     DimensionMismatch,
     NonConvergence,
@@ -46,12 +45,6 @@ class PlaneChart:
             raise DimensionMismatch(f"a has {a.shape[0]} rows but b has {b.shape[0]} entries")
         self.n, self.p = int(a.shape[0]), int(a.shape[1])
         self.a, self.b = a, b
-
-    @classmethod
-    def vertical(cls, b, p=1):
-        """Chart with a = 0: the fiber of the plain base projection."""
-        b = np.atleast_1d(np.asarray(b, dtype=complex))
-        return cls(np.zeros((b.size, p), dtype=complex), b)
 
     # flattened parameter order: a1.1..a1.p, a2.1.., ..., b1..bn
     def param_names(self):
@@ -179,16 +172,15 @@ class VarietySpec:
     """Complete intersection of codimension p over an n-dimensional base.
 
     ``defs`` lists p polynomials in the variables x_vars + y_vars whose
-    common zero locus is proper over the base: fibers of the projection
-    (x, y) -> x are finite. ``degree`` is the generic fiber degree of that
-    projection, probed at construction when not supplied. Working domains
-    with a != 0 may meet the support in a different (constant) number of
-    points; trace sampling establishes its own per-domain baseline.
+    common zero locus is proper over the working domains: fibers of the
+    projection to the chart parameters are finite. The fiber degree belongs
+    to a domain, not to the variety: trace sampling takes it at the
+    domain's centre chart and refuses an empty fiber there.
     """
 
-    __slots__ = ("x_vars", "y_vars", "defs", "degree", "lift", "_partials", "_degrees")
+    __slots__ = ("x_vars", "y_vars", "defs", "lift", "_partials", "_degrees")
 
-    def __init__(self, x_vars, y_vars, defs, degree=None, lift=None):
+    def __init__(self, x_vars, y_vars, defs, lift=None):
         self.x_vars = tuple(x_vars)
         self.y_vars = tuple(y_vars)
         if not self.x_vars or not self.y_vars:
@@ -210,9 +202,6 @@ class VarietySpec:
         self._degrees = tuple(map(max, zip(*(f._degrees for f in self.defs))))
         # every partial, def by def
         self._partials = _term_matrix([f.partial(var) for f in self.defs for var in allv])
-        if degree is None:
-            degree = self._probe_degree()
-        self.degree = int(degree)
 
     @property
     def vars(self):
@@ -226,26 +215,9 @@ class VarietySpec:
     def p(self):
         return len(self.y_vars)
 
-    def _probe_degree(self):
-        # deterministic pseudo-random projection fiber; also the empirical
-        # zero-dimensionality check
-        b = np.array([0.8123 + 0.3456j + 0.077j * i + 0.041 * i for i in range(self.n)])
-        chart = PlaneChart.vertical(b, p=self.p)
-        try:
-            fiber = solve_fiber(self, chart, expected_degree=None)
-        except (UnsupportedShape, UnsupportedDimension):
-            raise
-        except (AbelTraceError, ValueError) as exc:
-            raise ValueError(
-                f"probe fiber failed; system is not zero-dimensional in y ({exc})"
-            ) from exc
-        if fiber.total_multiplicity == 0:
-            raise ValueError("probe fiber is empty; projection is not proper")
-        return fiber.total_multiplicity
-
     def __repr__(self):
         return (f"VarietySpec(x={list(self.x_vars)}, y={list(self.y_vars)}, "
-                f"p={self.p}, degree={self.degree})")
+                f"p={self.p})")
 
 
 @dataclass(frozen=True)
@@ -573,8 +545,7 @@ def _solve_lifted(v, chart, tol):
     return solve_bivariate(v.lift.original.defs[0], hyper, tol)
 
 
-def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
-                expected_degree="variety"):
+def solve_fiber(v: VarietySpec, chart: PlaneChart, expected_degree, tol=TOL_ARITH):
     """All intersection points of the variety with the chart's plane.
 
     Supported shapes: p = 1 (univariate after substitution); triangular
@@ -587,9 +558,9 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
     plane equations) in the repo variable order and the multiplicity of
     each point.
 
-    ``expected_degree``: "variety" checks against v.degree, None disables
-    the constancy check, an integer checks against that value. A cluster
-    (multiple point) is returned as one point of multiplicity above 1.
+    ``expected_degree``: None disables the constancy check, an integer
+    checks against that value. A cluster (multiple point) is returned as
+    one point of multiplicity above 1.
 
     Raises DegreeDrop when points are missing against the expectation or
     escape beyond ESCAPE_RADIUS.
@@ -624,8 +595,6 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, tol=TOL_ARITH,
             f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
             found=None, expected=None,
         )
-    if expected_degree == "variety":
-        expected_degree = v.degree
     if expected_degree is not None and fiber.total_multiplicity != expected_degree:
         raise DegreeDrop(
             f"fiber has total multiplicity {fiber.total_multiplicity}, "

@@ -96,10 +96,10 @@ class MultiPoly:
 
     __slots__ = ("vars", "terms", "_degrees", "_layouts", "_matrix")
 
-    def __init__(self, vars, terms=None):
+    def __init__(self, vars, terms):
         self.vars = tuple(vars)
         clean = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in terms.items():
             exps = tuple(map(int, exps))
             if len(exps) != len(self.vars):
                 raise ValueError(

@@ -48,7 +48,7 @@ class UniPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
+    def __init__(self, coeffs):
         c = np.asarray(list(coeffs), dtype=complex)
         nz = np.nonzero(c)[0]
         self.coeffs = tuple(map(complex, c[: nz[-1] + 1])) if nz.size else ()
@@ -148,12 +148,12 @@ def _cluster_centre(coeffs, group, radius, tol):
     return z if ok else None
 
 
-def _merge_clusters(roots, tol, coeffs=None):
+def _merge_clusters(roots, tol, coeffs):
     """Multiplicity-aware merge (Z. Zeng, Math. Comp. 74, 2005): m roots,
     a root's m nearest, become one of multiplicity m when their diameter is
     at most max(1, |z|) tol^(1/m) and ``_cluster_centre`` finds an m-fold
     root of the polynomial near them, the largest such group first.
-    ``coeffs`` (lowest first) default to those of prod (z - root)."""
+    ``coeffs`` are the polynomial's, lowest first."""
     z, out = np.asarray(roots, dtype=complex), []
     while True:
         n, left = z.size, z.tolist()
@@ -162,8 +162,6 @@ def _merge_clusters(roots, tol, coeffs=None):
         if all(abs(r - q) > max(1.0, abs(r), abs(q)) * tol ** (1.0 / n)
                for r, q in itertools.combinations(left, 2)):
             return out + [(r, 1) for r in left]
-        if coeffs is None:
-            coeffs = np.poly(z)[::-1]
         dist = np.abs(z[:, None] - z)
         order = np.argsort(dist, axis=1, kind="stable")
         # diameter and scale of each root's k nearest, k = 1..n
@@ -272,7 +270,7 @@ def cauchy_nodes(z0, radius, nodes):
     return theta, z0 + radius * np.exp(1j * theta)
 
 
-def cauchy_derivative(f, z0, radius, nodes=64):
+def cauchy_derivative(f, z0, radius, nodes):
     """First derivative of a holomorphic ``f`` at ``z0``.
 
     Trapezoid rule on the circle |z - z0| = radius applied to the Cauchy

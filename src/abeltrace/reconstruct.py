@@ -17,6 +17,7 @@ source numerator with its original sign.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -88,10 +89,7 @@ class ReconstructedData:
             self.minimal.as_multipoly(i, x).with_vars(allv)
             for i in range(len(y_vars))
         ]
-        degree = 1
-        for d in self.minimal.degrees:
-            degree *= d
-        variety = VarietySpec((x,), y_vars, defs, degree=degree)
+        variety = VarietySpec((x,), y_vars, defs)
         return ResidueData(variety, self.numerator.with_vars(allv), label="reconstructed")
 
     @classmethod
@@ -209,8 +207,11 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None):
     IllConditioned near the discriminant (a sample's recurrence condition
     number above COND_CAP), OverdeterminedMismatch when a coefficient is
     not polynomial within the degree bound. The reported condition is the
-    worst over all samples.
+    worst over all samples. ValueError, before any work, unless ``d_max``
+    is an integer of at least 1.
     """
+    if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral) or d_max < 1:
+        raise ValueError(f"d_max must be an integer of at least 1, got {d_max!r}")
     xs, moments, cols = _reconstruction_samples(t)
     p = t.p
     scale = t.scale()

@@ -178,7 +178,7 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
             d = CLUSTER_DELTA * base / 2.0**lev
             pchart = PlaneChart(chart.a, np.r_[chart.b[0] + d * direction, chart.b[1:]])
             try:
-                fiber = solve_fiber(data.variety, pchart, tol, expected_degree=expected)
+                fiber = solve_fiber(data.variety, pchart, expected, tol)
             except (AbelTraceError, ValueError):
                 break
             # the m points nearest the centre (ties in fiber order), taken
@@ -198,7 +198,7 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
 def _evaluate_one(data, chart, tol, expected_degree):
     """The ChartEvaluation of one chart from its own fiber solve, clusters
     through the perturbation ladder; raises as those do."""
-    fiber = solve_fiber(data.variety, chart, tol, expected_degree=expected_degree)
+    fiber = solve_fiber(data.variety, chart, expected_degree, tol)
     simple = fiber.multiplicities == 1
     parts = [(fiber.coords[simple], _point_weights(
         data, fiber.coords[simple], fiber.jacobians[simple], chart.to_params()))]
@@ -527,6 +527,10 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan, tol=TOL_
 
 
 def _baseline_degree(data, chart, tol):
-    """Fiber degree at one chart (a domain's properness baseline at its centre)."""
-    fiber = solve_fiber(data.variety, chart, tol, expected_degree=None)
-    return fiber.total_multiplicity
+    """Fiber degree at one chart (a domain's properness baseline at its
+    centre). Raises ValueError when that fiber is empty: the projection is
+    not proper there."""
+    degree = solve_fiber(data.variety, chart, None, tol).total_multiplicity
+    if degree == 0:
+        raise ValueError(f"the fiber at {chart} is empty; the projection is not proper there")
+    return degree

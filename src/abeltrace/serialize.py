@@ -61,16 +61,17 @@ def encode_variety(v: VarietySpec):
         "x_vars": list(v.x_vars),
         "y_vars": list(v.y_vars),
         "defs": [encode_multipoly(f) for f in v.defs],
-        "degree": int(v.degree),
     }
 
 
 def decode_variety(obj):
+    if "degree" in obj:
+        raise ValueError('variety: a "degree" key is not accepted; the fiber degree '
+                         "is taken at each domain's centre chart")
     return VarietySpec(
         tuple(obj["x_vars"]),
         tuple(obj["y_vars"]),
         [decode_multipoly(f) for f in obj["defs"]],
-        degree=obj.get("degree"),
     )
 
 

@@ -85,7 +85,7 @@ def test_criterion_1_jacobi_vanishing():
             f = from_univariate(p, "y", V2)
             v = VarietySpec(("x",), ("y",), [f])
             data = ResidueData(v, MultiPoly.constant(1.0, V2))
-            chart = PlaneChart.vertical([0.6 + 0.3j])
+            chart = PlaneChart([[0.0]], [0.6 + 0.3j])
             us = [trace(data, chart, k) for k in range(d)]
             scale = max(abs(u) for u in us)
             for k in range(d - 1):
@@ -117,7 +117,7 @@ def test_criterion_2_trace_round_trip():
                 VarietySpec(("x",), ("y",), [from_univariate(p, "y", V2)]),
                 from_univariate(q, "y", V2),
             )
-            dom = DomainSpec(PlaneChart.vertical([0.4]), {})
+            dom = DomainSpec(PlaneChart([[0.0]], [0.4]), {})
             t = trace_table(data, dom, 11, ListPlan(({},)))
             minimal = fit_minimal_polys(t, 5)
             assert minimal.degrees == (d,)
@@ -143,7 +143,7 @@ def test_criterion_2_trace_round_trip():
         v = VarietySpec(("x",), ("y1", "y2"), [f1, f2])
         data = ResidueData(v, MultiPoly.constant(1.0, V3))
         x0 = 0.7 + 0.2j
-        dom = DomainSpec(PlaneChart.vertical([x0], p=2), {})
+        dom = DomainSpec(PlaneChart([[0.0, 0.0]], [x0]), {})
         t = trace_table(data, dom, 5, ListPlan(({},)))
         minimal = fit_minimal_polys(t, 2)
         rec = reconstruct_numerator(t, minimal)
@@ -278,7 +278,7 @@ def test_criterion_7_inverse_abel_desk_demo():
         data = ResidueData(
             VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2)
         )
-        dom = DomainSpec(PlaneChart.vertical([10.0]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [10.0]), {"b1": 0.5})
         t = trace_table(data, dom, 5, TorusPlan(16))
         rec = reconstruct_global(t, 2, 3)
         assert rec.minimal.degrees == (2,)
@@ -305,7 +305,7 @@ def test_criterion_7_inverse_abel_desk_demo():
                     term = term * factors[j]
             psi = psi + term
         web = ResidueData(VarietySpec(("x",), ("y",), [curve]), psi)
-        wdom = DomainSpec(PlaneChart.vertical([0.8]), {"b1": 0.5})
+        wdom = DomainSpec(PlaneChart([[0.0]], [0.8]), {"b1": 0.5})
         wt = trace_table(web, wdom, 7, TorusPlan(16))
         wrec = reconstruct_global(wt, 3, 3)
         recon_curve = wrec.minimal.as_multipoly(0, "x").with_vars(V2)

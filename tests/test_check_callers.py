@@ -104,3 +104,41 @@ def test_an_unset_default_fails(copy, definition, shown, unset, sets):
         caller.write_text(f"{head}{unset}\n{call}\n")
         out = run(copy)
         assert out.returncode == 0, (call, out.stdout)
+
+
+@pytest.mark.parametrize("always", ["with_default(1, True)", "with_default(1, flag=True)",
+                                    "with_default(*args)", "with_default(1, **options)"])
+def test_an_always_set_default_fails(copy, always):
+    # a default every call sets, by position, keyword or unpacking, is a
+    # value only tests use; one call that leaves it alone clears it
+    append(copy / "src" / "abeltrace" / "numeric.py",
+           "\n\ndef with_default(x, flag=False):\n    return x\n")
+    caller = copy / "bench" / "extra.py"
+    head = "from abeltrace.numeric import with_default\n"
+    caller.write_text(f"{head}{always}\nwith_default(1, False)\n")
+    out = run(copy)
+    assert out.returncode == 1
+    assert [line for line in out.stdout.splitlines() if "numeric.py" in line] == [
+        "src/abeltrace/numeric.py: default of with_default(flag) is set by every caller "
+        "in src/abeltrace or bench"], out.stdout
+    caller.write_text(f"{head}{always}\nwith_default(1)\n")
+    assert run(copy).returncode == 0
+
+
+def test_always_set_entries_are_kept_and_checked(copy):
+    # an ALWAYS_SET entry keeps an always-set default; one that names no
+    # default fails
+    append(copy / "src" / "abeltrace" / "numeric.py",
+           "\n\ndef with_default(x, flag=False):\n    return x\n")
+    (copy / "bench" / "extra.py").write_text(
+        "from abeltrace.numeric import with_default\nwith_default(1, True)\n")
+    script = copy / SCRIPT
+    text = script.read_text(encoding="utf-8")
+    script.write_text(text.replace("ALWAYS_SET = {", "ALWAYS_SET = {\n    'with_default(flag)': 'kept',", 1),
+                      encoding="utf-8")
+    assert run(copy).returncode == 0
+    script.write_text(text.replace("ALWAYS_SET = {", "ALWAYS_SET = {\n    'with_default(nothing)': 'stale',", 1),
+                      encoding="utf-8")
+    out = run(copy)
+    assert out.returncode == 1
+    assert "always-set default with_default(nothing) is defined nowhere" in out.stdout

@@ -46,7 +46,7 @@ def parabola_files(tmp_path):
     dom = DomainSpec(PlaneChart([[0.1]], [3.0]), {"a1.1": 0.4, "b1": 0.8})
     paths["domain"] = tmp_path / "dom.json"
     paths["domain"].write_text(ser.dumps(ser.encode_domain(dom)))
-    vdom = DomainSpec(PlaneChart.vertical([3.0]), {"b1": 0.6})
+    vdom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 0.6})
     paths["vdomain"] = tmp_path / "vdom.json"
     paths["vdomain"].write_text(ser.dumps(ser.encode_domain(vdom)))
     return tmp_path, paths
@@ -67,7 +67,8 @@ class TestSerialization:
         assert back.numerator == d.numerator
         assert back.weight == d.weight
         assert back.variety.defs == d.variety.defs
-        assert back.variety.degree == d.variety.degree
+        assert (back.variety.x_vars, back.variety.y_vars) == (d.variety.x_vars, d.variety.y_vars)
+        assert "degree" not in ser.encode_variety(d.variety)
 
     def test_domain_round_trip_preserves_frozen(self):
         dom = DomainSpec(PlaneChart([[0.5j, 1.0]], [2.0]), {"b1": 0.25})
@@ -92,7 +93,7 @@ class TestSerialization:
         data = ResidueData(
             VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2)
         )
-        dom = DomainSpec(PlaneChart.vertical([3.0]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 0.5})
         t = trace_table(data, dom, 3, TorusPlan(5))
         back = ser.decode_trace_table(ser.encode_trace_table(t))
         assert back.max_order == t.max_order
@@ -100,7 +101,7 @@ class TestSerialization:
         for idx in t.entries:
             assert np.allclose(back.entries[idx], t.entries[idx])
         # the decoded table can still evaluate off-plan
-        assert back.value(3, PlaneChart.vertical([3.3])) == pytest.approx(-3.3)
+        assert back.value(3, PlaneChart([[0.0]], [3.3])) == pytest.approx(-3.3)
 
     def test_radon_round_trip(self):
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
@@ -144,7 +145,7 @@ class TestSerialization:
         # subnormal, huge and infinite values
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
-        dom = DomainSpec(PlaneChart.vertical([3.0]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 0.5})
         flags = ("clean", "cluster", "pole", "degree-drop", "unconverged", "clean")
         rng = np.random.default_rng(3)
         entries = {}
@@ -454,6 +455,36 @@ class TestCli:
             report = json.loads(out.read_text())["report"]
             assert set(report) == keys
             assert report.get("passed", True) is True
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 2.5, True])
+    def test_variety_degree_key_rejected(self, parabola_files, capsys, degree):
+        # the fiber degree belongs to each domain; a variety that declares
+        # one, right (2) or wrong, is bad input
+        tmp_path, paths = parabola_files
+        obj = json.loads(paths["variety"].read_text())
+        obj["degree"] = degree
+        paths["variety"].write_text(json.dumps(obj))
+        code = main([
+            "trace", "--variety", str(paths["variety"]),
+            "--numerator", str(paths["numerator"]), "--domain", str(paths["domain"]),
+            "--order", "2", "--grid", "3x3", "-o", str(tmp_path / "t.json"),
+        ])
+        assert code == 1
+        assert '"degree" key' in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("d_max", ["0", "-1"])
+    def test_reconstruct_rejects_d_max_below_one(self, parabola_files, capsys, d_max):
+        tmp_path, paths = parabola_files
+        out = self.run_trace(paths, tmp_path, "tv.json", domain="vdomain", grid="torus:9",
+                             order=5)
+        code = main([
+            "reconstruct", "--traces", str(out), "--d-max", d_max,
+            "-o", str(tmp_path / "rec.json"),
+        ])
+        assert code == 1
+        assert "d_max must be an integer of at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "rec.json").exists()
 
     def test_input_error_exit_code(self, tmp_path):
         code = main([

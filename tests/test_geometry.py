@@ -174,7 +174,7 @@ class TestSolveFiber:
     def test_parabola_points_and_jacobians(self):
         # fiber of y^2 = x over x = 4: points (4, +-2); the Jacobian of
         # (f, l) in (x, y) is det[[-1, 2y], [1, 0]] = -2y
-        fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [4.0]))
+        fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [4.0]), expected_degree=2)
         got = {complex(np.round(c[1], 9)): j for c, j in zip(fiber.coords, fiber.jacobians)}
         assert set(got) == {2.0 + 0j, -2.0 + 0j}
         assert got[2.0 + 0j] == pytest.approx(-4.0)
@@ -186,7 +186,7 @@ class TestSolveFiber:
         # the cluster is reported by the fiber itself, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [0.0]))
+            fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [0.0]), expected_degree=2)
         assert fiber.multiplicities.tolist() == [2]
         assert len(fiber.coords) == 1
         assert fiber.total_multiplicity == 2
@@ -194,17 +194,17 @@ class TestSolveFiber:
     def test_fiber_holds_arrays(self):
         # arrays of the distinct points
         for b, count in ((4.0, 2), (0.0, 1)):
-            fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [b]))
+            fiber = solve_fiber(parabola(), PlaneChart([[0.0]], [b]), expected_degree=2)
             assert fiber.coords.dtype == complex and fiber.coords.shape == (count, 2)
             assert fiber.jacobians.dtype == complex and fiber.jacobians.shape == (count,)
             assert fiber.multiplicities.dtype.kind == "i"
             assert fiber.multiplicities.shape == (count,)
             # fibers compare by identity, without comparing arrays
-            again = solve_fiber(parabola(), PlaneChart([[0.0]], [b]))
+            again = solve_fiber(parabola(), PlaneChart([[0.0]], [b]), expected_degree=2)
             assert fiber == fiber and fiber != again
 
     def test_triangular_system(self):
-        fiber = solve_fiber(triangular_pair(), PlaneChart([[0.0, 0.0]], [4.0]))
+        fiber = solve_fiber(triangular_pair(), PlaneChart([[0.0, 0.0]], [4.0]), expected_degree=2)
         pts = {
             (complex(np.round(c[1], 9)), complex(np.round(c[2], 9)))
             for c in fiber.coords
@@ -214,7 +214,7 @@ class TestSolveFiber:
     def test_degree_drop_vertical_line_on_cubic(self):
         # a generic line meets the cubic in 3 points, a vertical one in 2
         v = elliptic()
-        assert v.degree == 2  # projection probe
+        solve_fiber(v, PlaneChart([[0.0]], [0.4]), expected_degree=2)
         fiber3 = solve_fiber(v, PlaneChart([[0.7]], [0.4]), expected_degree=None)
         assert fiber3.total_multiplicity == 3
         with pytest.raises(DegreeDrop):
@@ -372,7 +372,7 @@ class TestSolveBivariate:
                  for i in range(4) for j in range(4 - i)}
             t[(1, 0, 0)] = 1.0
             defs.append(MultiPoly(V3, t))
-        v = VarietySpec(("x",), ("y1", "y2"), defs, degree=9)
+        v = VarietySpec(("x",), ("y1", "y2"), defs)
         chart = PlaneChart([[0.3 + 0.1j, -0.2 + 0.4j]], [0.7 - 0.2j])
         with pytest.raises(NonConvergence) as exc:
             solve_fiber(v, chart, expected_degree=None)
@@ -500,7 +500,7 @@ class TestUnivariateFamily:
         s = 10.0**log_scale
         terms = {(i, k): _cn(rng, 1.0) / s ** (i + k) for i in range(3) for k in range(d + 1)
                  if i + k <= d and (i, k) != (0, d)}
-        v = VarietySpec(("x",), ("y",), [MultiPoly(V2, terms)], degree=d)
+        v = VarietySpec(("x",), ("y",), [MultiPoly(V2, terms)])
         charts = [PlaneChart([[0.5 + 0.3 * _cn(rng, 1.0)]], [s * _cn(rng, 1.0)])
                   for _ in range(5)]
         # degree drop: a = 0; escape: lead(a) = 1e-14 of its largest
@@ -537,7 +537,7 @@ class TestUnivariateFamily:
                      + chart.a[0, 0] * f.partial("x").evaluate((xs, ys)))
             alpha = -f.evaluate((xs, ys)) - beta * ys
             g = f + MultiPoly(V2, {(0, 0): alpha, (0, 1): beta})
-            v2 = VarietySpec(("x",), ("y",), [g], degree=d)
+            v2 = VarietySpec(("x",), ("y",), [g])
             assert 0 not in solve_family(v2, Charts.stack(charts), d)[0].tolist()
             assert np.any(solve_fiber(v2, chart, expected_degree=d).multiplicities > 1)
 
@@ -650,9 +650,21 @@ def test_variety_validation():
         VarietySpec(("x",), ("y",), [MultiPoly(V2, {})])
 
 
+def test_variety_builds_without_solving(monkeypatch):
+    # x - 2 has no fiber over x != 2, but the fiber degree belongs to a
+    # domain: building the variety solves nothing, sampling refuses it
+    def no_solve(*args):
+        raise AssertionError("VarietySpec solved a fiber")
+
+    monkeypatch.setattr(geometry, "solve_fiber", no_solve)
+    monkeypatch.setattr(geometry, "plane_substitute", no_solve)
+    v = VarietySpec(("x",), ("y",), [MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})])
+    assert repr(v) == "VarietySpec(x=['x'], y=['y'], p=1)"
+
+
 def test_full_jacobian_single_sheet():
     # f = y - c: jacobian of (f, l) in (x, y) is det[[0, 1], [1, 0]] = -1
     f = MultiPoly(V2, {(0, 1): 1.0, (0, 0): -0.3})
     v = VarietySpec(("x",), ("y",), [f])
-    fiber = solve_fiber(v, PlaneChart([[0.0]], [2.0]))
+    fiber = solve_fiber(v, PlaneChart([[0.0]], [2.0]), expected_degree=1)
     assert fiber.jacobians[0] == pytest.approx(-1.0)

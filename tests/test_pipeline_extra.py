@@ -92,7 +92,7 @@ def test_radon_cluster_sample_flagged_not_dropped():
     f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
     data = ResidueData(VarietySpec(("x",), ("y",), [f]),
                        MultiPoly.constant(1.0, V2))
-    dom = DomainSpec(PlaneChart.vertical([0.0]), {"b1": 0.5})
+    dom = DomainSpec(PlaneChart([[0.0]], [0.0]), {"b1": 0.5})
     from abeltrace.residues import ListPlan
 
     rt = radon_coefficients(data, dom, ListPlan(({"b1": 0.0}, {"b1": 0.3})))
@@ -110,7 +110,7 @@ def test_weight_pole_outside_disk_gives_meromorphic_numerator():
     w = MultiPoly(V2, {(1, 0): 1.0, (0, 0): -6.0})
     data = ResidueData(VarietySpec(("x",), ("y",), [f]),
                        MultiPoly.constant(1.0, V2), weight=w)
-    dom = DomainSpec(PlaneChart.vertical([3.0]), {"b1": 0.5})
+    dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 0.5})
     t = trace_table(data, dom, 5, TorusPlan(16))
     minimal = fit_minimal_polys(t, 2)
     assert minimal.degrees == (2,)
@@ -128,7 +128,7 @@ def test_degree_four_base_varying_round_trip():
     f = MultiPoly(V2, {(0, 4): 1.0, (1, 1): 1.0, (0, 0): -1.2})
     psi = MultiPoly(V2, {(0, 1): 0.7, (1, 0): -0.3j, (0, 0): 1.1})
     data = ResidueData(VarietySpec(("x",), ("y",), [f]), psi)
-    dom = DomainSpec(PlaneChart.vertical([0.4 + 0.1j]), {"b1": 0.3})
+    dom = DomainSpec(PlaneChart([[0.0]], [0.4 + 0.1j]), {"b1": 0.3})
     t = trace_table(data, dom, 9, TorusPlan(12))
     minimal = fit_minimal_polys(t, 4)
     assert minimal.degrees == (4,)

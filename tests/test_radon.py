@@ -39,9 +39,9 @@ from abeltrace.residues import (
 V2 = ("x", "y")
 
 
-def make_data(terms, psi_terms=None, weight_terms=None, degree=None):
+def make_data(terms, psi_terms=None, weight_terms=None):
     f = MultiPoly(V2, terms)
-    v = VarietySpec(("x",), ("y",), [f], degree=degree)
+    v = VarietySpec(("x",), ("y",), [f])
     psi = MultiPoly(V2, psi_terms) if psi_terms else MultiPoly.constant(1.0, V2)
     w = MultiPoly(V2, weight_terms) if weight_terms else None
     return ResidueData(v, psi, weight=w)
@@ -736,14 +736,16 @@ class TestPropagation:
         with pytest.raises(ValueError, match="non-finite.*probe 2"):
             propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)
 
-    @pytest.mark.parametrize("error", [PoleDetected, DegreeDrop])
+    @pytest.mark.parametrize("error", [PoleDetected("no order-0 value", None),
+                                       DegreeDrop("no order-0 value", None, None)],
+                             ids=["PoleDetected", "DegreeDrop"])
     def test_evaluator_failure_crosses_pole(self, error):
         data = parabola_data()
         small, big = self._domains()
         t = trace_table(data, small, 2, TorusPlan(6))
 
         def u0_ext(charts):
-            raise error("no order-0 value")
+            raise error
 
         with pytest.raises(PathCrossesPole, match="blows up"):
             propagate_trace_extension(t, u0_ext, big, order=2, fft_nodes=8)

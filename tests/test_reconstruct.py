@@ -15,7 +15,7 @@ from abeltrace.errors import (
     OverdeterminedMismatch,
     UnsupportedDimension,
 )
-from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
+from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec, solve_fiber
 from abeltrace.multipoly import MultiPoly
 from abeltrace.numeric import UniPoly
 from abeltrace.reconstruct import (
@@ -70,7 +70,7 @@ def random_pair(rng, d):
 
 
 def constant_table(data, max_order, x0=0.4):
-    dom = DomainSpec(PlaneChart.vertical([x0]), {})
+    dom = DomainSpec(PlaneChart([[0.0]], [x0]), {})
     return trace_table(data, dom, max_order, ListPlan(({},)))
 
 
@@ -79,7 +79,7 @@ class TestFitMinimalPolys:
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]),
                            MultiPoly.constant(1.0, V2))
-        dom = DomainSpec(PlaneChart.vertical([3.0 + 0.5j]), {"b1": 0.6})
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0 + 0.5j]), {"b1": 0.6})
         t = trace_table(data, dom, 5, TorusPlan(9))
         m = fit_minimal_polys(t, 2)
         assert m.degrees == (2,)
@@ -93,7 +93,7 @@ class TestFitMinimalPolys:
         f = MultiPoly(V2, {(0, 1): 1.0, (1, 0): -2.0, (0, 0): -0.5})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]),
                            MultiPoly.constant(1.0, V2))
-        dom = DomainSpec(PlaneChart.vertical([1.0]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [1.0]), {"b1": 0.5})
         t = trace_table(data, dom, 3, TorusPlan(7))
         m = fit_minimal_polys(t, 2)
         assert m.degrees == (1,)
@@ -109,6 +109,18 @@ class TestFitMinimalPolys:
             fit_minimal_polys(t, 2)
         assert info.value.zero_moments
 
+    @pytest.mark.parametrize("d_max", [0, -1, 2.5, True, None])
+    def test_d_max_below_one_or_not_an_integer(self, d_max):
+        # refused before any work, also on all-zero traces, where
+        # reconstruct_global would otherwise return the zero data
+        f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
+        for num in (MultiPoly.constant(1.0, V2), MultiPoly.zero(V2)):
+            t = constant_table(ResidueData(VarietySpec(("x",), ("y",), [f]), num), 4)
+            for step in (lambda: fit_minimal_polys(t, d_max),
+                         lambda: reconstruct_global(t, d_max, None)):
+                with pytest.raises(ValueError, match="d_max must be an integer of at least 1"):
+                    step()
+
     @pytest.mark.parametrize("case, error, message", [
         ("two base variables", UnsupportedDimension, "one base variable"),
         ("slanted charts", ValueError, "vertical charts"),
@@ -119,12 +131,12 @@ class TestFitMinimalPolys:
         # both reconstruction steps read the table's samples the same way
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
-        chart, radii = PlaneChart.vertical([3.0]), {"b1": 0.5}
+        chart, radii = PlaneChart([[0.0]], [3.0]), {"b1": 0.5}
         if case == "two base variables":
             V = ("x1", "x2", "y")
             f = MultiPoly(V, {(0, 0, 2): 1.0, (1, 0, 0): -1.0, (0, 1, 0): 0.5})
             data = ResidueData(VarietySpec(("x1", "x2"), ("y",), [f]), MultiPoly.constant(1.0, V))
-            chart = PlaneChart.vertical([3.0, 1.0])
+            chart = PlaneChart([[0.0], [0.0]], [3.0, 1.0])
         elif case == "slanted charts":
             chart = PlaneChart([[0.1]], [3.0])
         elif case == "a1.1 varies":
@@ -144,7 +156,7 @@ class TestFitMinimalPolys:
         f = MultiPoly(V2, {(1, 2): 1.0, (0, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]),
                            MultiPoly.constant(1.0, V2))
-        dom = DomainSpec(PlaneChart.vertical([2.0]), {"b1": 0.7})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.0]), {"b1": 0.7})
         t = trace_table(data, dom, 5, TorusPlan(16))
         with pytest.raises(OverdeterminedMismatch):
             fit_minimal_polys(t, 2, coeff_deg_bound=4)
@@ -221,7 +233,7 @@ class TestRoundTrip:
         v = VarietySpec(("x",), ("y1", "y2"), [f1, f2])
         data = ResidueData(v, MultiPoly.constant(1.0, V3))
         x0 = 0.7 + 0.2j
-        dom = DomainSpec(PlaneChart.vertical([x0], p=2), {})
+        dom = DomainSpec(PlaneChart([[0.0, 0.0]], [x0]), {})
         t = trace_table(data, dom, 5, ListPlan(({},)))
         m = fit_minimal_polys(t, 2)
         assert m.degrees == (2, 2)
@@ -255,14 +267,14 @@ class TestVerifyTracesMatch:
 
     def test_self_match(self):
         data = self._parabola()
-        dom = DomainSpec(PlaneChart.vertical([2.5]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.5]), {"b1": 0.5})
         rep = verify_traces_match(data, data, dom, 4, 1e-12)
         assert rep.passed and rep.max_residual == 0.0
 
     def test_against_zero(self):
         data = self._parabola()
         zero = self._parabola(MultiPoly.zero(V2))
-        dom = DomainSpec(PlaneChart.vertical([2.5]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.5]), {"b1": 0.5})
         rep = verify_traces_match(data, zero, dom, 4, 1e-12)
         assert not rep.passed
         # the discrepancy is exactly the data's own largest trace
@@ -282,7 +294,7 @@ class TestVerifyTracesMatch:
         v = VarietySpec(("x",), ("y",), [f])
         d1 = ResidueData(v, psi * factor, weight=factor)
         d2 = ResidueData(v, psi)
-        dom = DomainSpec(PlaneChart.vertical([2.5]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.5]), {"b1": 0.5})
         assert trace_table(d1, dom, 4, TorusPlan(6)).flags == ("pole",) + ("clean",) * 5
         rep = verify_traces_match(d1, d2, dom, 4, 1e-10)
         assert rep.passed and rep.samples == 5
@@ -293,13 +305,13 @@ class TestVerifyTracesMatch:
         psi = MultiPoly(V2, {(0, 1): 1.0, (0, 0): 0.3})
         d1 = ResidueData(VarietySpec(("x",), ("y",), [f]), psi)
         d2 = ResidueData(VarietySpec(("x",), ("y",), [f * unit]), psi * unit)
-        dom = DomainSpec(PlaneChart.vertical([2.5]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.5]), {"b1": 0.5})
         rep = verify_traces_match(d1, d2, dom, 4, 1e-10)
         assert rep.passed
 
     def test_reconstruction_matches_source(self):
         data = self._parabola()
-        dom = DomainSpec(PlaneChart.vertical([3.0 + 0.5j]), {"b1": 0.6})
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0 + 0.5j]), {"b1": 0.6})
         t = trace_table(data, dom, 5, TorusPlan(9))
         rec = reconstruct_global(t, 2, 3)
         rep = verify_traces_match(data, rec.to_residue_data(), dom, 5, 1e-9)
@@ -326,7 +338,7 @@ class TestReconstructGlobal:
         )
         data = ResidueData(VarietySpec(("x",), ("y",), [f]),
                            MultiPoly.constant(1.0, V2))
-        dom = DomainSpec(PlaneChart.vertical([10.0]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [10.0]), {"b1": 0.5})
         t = trace_table(data, dom, 5, TorusPlan(16))
         rec = reconstruct_global(t, 2, 3)
         assert rec.minimal.degrees == (2,)
@@ -343,7 +355,7 @@ class TestReconstructGlobal:
     def test_zero_traces_map_to_zero_data(self):
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.zero(V2))
-        dom = DomainSpec(PlaneChart.vertical([2.0]), {"b1": 0.4})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.0]), {"b1": 0.4})
         t = trace_table(data, dom, 4, TorusPlan(6))
         rec = reconstruct_global(t, 2, 2)
         assert rec.is_zero and rec.numerator.is_zero
@@ -367,7 +379,7 @@ class TestReconstructGlobal:
                     term = term * factors[j]
             psi = psi + term
         data = ResidueData(VarietySpec(("x",), ("y",), [curve]), psi)
-        dom = DomainSpec(PlaneChart.vertical([0.8]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [0.8]), {"b1": 0.5})
         t = trace_table(data, dom, 7, TorusPlan(16))
         rec = reconstruct_global(t, 3, 3)
         assert rec.minimal.degrees == (3,)
@@ -393,7 +405,7 @@ class TestInjectivityAndStructure:
         psi = MultiPoly(V2, {(0, 1): 1.0, (0, 0): 0.3})
         d1 = ResidueData(VarietySpec(("x",), ("y",), [f]), psi)
         d2 = ResidueData(VarietySpec(("x",), ("y",), [f * unit]), psi * unit)
-        dom = DomainSpec(PlaneChart.vertical([2.5]), {"b1": 0.5})
+        dom = DomainSpec(PlaneChart([[0.0]], [2.5]), {"b1": 0.5})
         rep = verify_traces_match(d1, d2, dom, 4, 1e-10)
         assert rep.passed
         recs = []
@@ -437,8 +449,9 @@ def test_reconstructed_data_to_residue_data():
     m = fit_minimal_polys(t, 4)
     rec = reconstruct_numerator(t, m)
     back = rec.to_residue_data()
-    assert back.variety.degree == 3 and back.label == "reconstructed"
-    dom = DomainSpec(PlaneChart.vertical([0.4]), {})
+    assert back.label == "reconstructed"
+    dom = DomainSpec(PlaneChart([[0.0]], [0.4]), {})
+    assert solve_fiber(back.variety, dom.chart, expected_degree=None).total_multiplicity == 3
     rep = verify_traces_match(data, back, dom, 6, 1e-8)
     assert rep.passed
 
@@ -448,7 +461,7 @@ def synthetic_table(xs, moments, x0=0.4):
     given moment columns {index: values over xs}."""
     f = MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})
     data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
-    dom = DomainSpec(PlaneChart.vertical([x0]), {"b1": 1.0})
+    dom = DomainSpec(PlaneChart([[0.0]], [x0]), {"b1": 1.0})
     offsets = [{"b1": complex(x) - x0} for x in xs]
     return TraceTable(data, dom, offsets, {idx: np.asarray(v, dtype=complex)
                                            for idx, v in moments.items()},

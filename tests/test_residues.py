@@ -66,7 +66,7 @@ class TestPunctualResidue:
     def test_parabola_point(self):
         data = parabola_data()
         chart = PlaneChart([[0.0]], [4.0])
-        fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart, expected_degree=2)
         pts = {complex(np.round(p.coords[1], 9)): p for p in fiber_points(fiber)}
         # jacobian at (4, 2) is -4, so the residue of 1 against y^0 is -1/4
         val = punctual_residue(data, chart, pts[2.0 + 0j], (0,))
@@ -76,7 +76,7 @@ class TestPunctualResidue:
     def test_zero_numerator(self):
         data = parabola_data(MultiPoly.zero(V2))
         chart = PlaneChart([[0.0]], [4.0])
-        fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart, expected_degree=2)
         assert punctual_residue(data, chart, fiber_points(fiber)[0], (1,)) == 0
 
     def test_single_sheet_unimodular(self):
@@ -85,7 +85,7 @@ class TestPunctualResidue:
         v = VarietySpec(("x",), ("y",), [f])
         data = ResidueData(v, MultiPoly.constant(1.0, V2))
         chart = PlaneChart([[0.0]], [1.3])
-        fiber = solve_fiber(v, chart)
+        fiber = solve_fiber(v, chart, expected_degree=1)
         val = punctual_residue(data, chart, fiber_points(fiber)[0], (1,))
         assert abs(fiber.jacobians[0]) == pytest.approx(1.0)
         assert val == pytest.approx(-c)
@@ -93,7 +93,7 @@ class TestPunctualResidue:
     def test_cluster_point_rejected(self):
         data = parabola_data()
         chart = PlaneChart([[0.0]], [0.0])
-        fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart, expected_degree=2)
         with pytest.raises(ClusterPoint):
             punctual_residue(data, chart, fiber_points(fiber)[0], (0,))
 
@@ -248,7 +248,7 @@ class TestTraceList:
     def test_charts_of_different_shapes(self):
         # one list is one batch, so its charts share (n, p)
         with pytest.raises(DimensionMismatch, match="shapes"):
-            trace(parabola_data(), [PlaneChart.vertical([1.0]), PlaneChart([[0, 0]], [1.0])], 0)
+            trace(parabola_data(), [PlaneChart([[0.0]], [1.0]), PlaneChart([[0, 0]], [1.0])], 0)
 
     @staticmethod
     def _parent_flow(monkeypatch):
@@ -320,7 +320,7 @@ class TestTraceList:
         # raises for it
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
-        charts = [PlaneChart.vertical([b]) for b in (b0, 0.5, 0.3j)]
+        charts = [PlaneChart([[0.0]], [b]) for b in (b0, 0.5, 0.3j)]
         found = solve_family(data.variety, Charts.stack(charts), None)
         if b0 == -1.0:
             assert found[0].tolist() == [0] and found[1].shape[1] == 1
@@ -352,8 +352,8 @@ class TestTraceList:
         # must not sum that chart's one point as its trace
         f = MultiPoly(V2, {(0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
-        assert data.variety.degree == 2
-        charts = [PlaneChart.vertical([b]) for b in (0.5, -1.0, 0.3j)]
+        charts = [PlaneChart([[0.0]], [b]) for b in (0.5, -1.0, 0.3j)]
+        assert solve_fiber(data.variety, charts[0], expected_degree=None).total_multiplicity == 2
         with pytest.raises(DegreeDrop):
             trace(data, charts[1], 1, expected_degree=2)
         with pytest.raises(DegreeDrop):
@@ -418,7 +418,7 @@ class TestClusteredResidue:
         # at b -> 0 the parabola's double point: u_1 = -1 and u_3 = -b -> 0
         data = parabola_data()
         chart = PlaneChart([[0.0]], [0.0])
-        fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart, expected_degree=2)
         val1 = clustered_residue(data, chart, fiber_points(fiber), (1,))
         val3 = clustered_residue(data, chart, fiber_points(fiber), (3,))
         assert val1 == pytest.approx(-1.0, abs=1e-10)
@@ -430,8 +430,8 @@ class TestClusteredResidue:
         # u_3 = -1, u_5 = -2 and u_k = 0 for the other k up to 6
         f = MultiPoly(V2, {(0, 4): 1.0, (0, 2): -2.0, (0, 0): 1.0, (1, 0): -1.0})
         data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
-        chart = PlaneChart.vertical([0.0])
-        fiber = solve_fiber(data.variety, chart)
+        chart = PlaneChart([[0.0]], [0.0])
+        fiber = solve_fiber(data.variety, chart, expected_degree=4)
         assert fiber.multiplicities.tolist() == [2, 2]
         ev = evaluate_chart(data, chart)
         assert ev.flags == ("cluster",)
@@ -442,7 +442,7 @@ class TestClusteredResidue:
     def test_zero_numerator_cluster(self):
         data = parabola_data(MultiPoly.zero(V2))
         chart = PlaneChart([[0.0]], [0.0])
-        fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart, expected_degree=2)
         assert clustered_residue(data, chart, fiber_points(fiber), (2,)) == 0
 
     def test_ladder_moves_only_b1(self, monkeypatch):
@@ -491,7 +491,7 @@ class TestClusteredResidue:
         # extrapolated sum must agree with the direct sum of residues
         data = parabola_data()
         chart = PlaneChart([[0.0]], [4.0])
-        fiber = solve_fiber(data.variety, chart)
+        fiber = solve_fiber(data.variety, chart, expected_degree=2)
         direct = sum(
             punctual_residue(data, chart, pt, (3,)) for pt in fiber_points(fiber)
         )
@@ -528,6 +528,19 @@ class TestClusteredResidue:
 
 
 class TestTraceTable:
+    def test_improper_projection_refused_when_sampling(self):
+        # x - 2 builds, but the centre chart x = 3 meets it nowhere: the
+        # domain's baseline refuses it, for a table, a transform and a
+        # chart list's own degree alike
+        data = ResidueData(VarietySpec(("x",), ("y",), [MultiPoly(V2, {(1, 0): 1.0, (0, 0): -2.0})]),
+                           MultiPoly.constant(1.0, V2))
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 0.5})
+        for sample in (lambda: trace_table(data, dom, 2, TorusPlan(4)),
+                       lambda: radon_coefficients(data, dom, TorusPlan(4)),
+                       lambda: trace(data, [dom.chart], 1)):
+            with pytest.raises(ValueError, match="projection is not proper"):
+                sample()
+
     def test_parabola_entry_zero(self):
         data = parabola_data()
         dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 1.0})
@@ -633,7 +646,7 @@ class TestTraceTable:
         v = VarietySpec(("x",), ("y1", "y2"), [f1, f2])
         escaped = PlaneChart([[0.0, 0.0]], [1.5 + 1e-9])
         with pytest.raises(DegreeDrop):
-            solve_fiber(v, escaped)
+            solve_fiber(v, escaped, expected_degree=2)
         assert len(solve_family(v, Charts.stack([escaped]), 2)[0]) == 0
         dom = DomainSpec(PlaneChart([[0.0, 0.0]], [2.0]), {"b1": 1.0})
         t = trace_table(ResidueData(v, MultiPoly.constant(1.0, V3)), dom, 1,
@@ -653,7 +666,7 @@ class TestTraceTable:
                  for i in range(4) for j in range(4 - i)}
             t[(1, 0, 0)] = 1.0
             defs.append(MultiPoly(V3, t))
-        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs, degree=9),
+        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs),
                            MultiPoly.constant(1.0, V3))
         dom = DomainSpec(PlaneChart([[0.3 + 0.1j, -0.2 + 0.4j]], [0.7 - 0.2j]), {"b1": 0.5})
         far = {"b1": (0.7 - 0.2j) * (1e7 - 1)}
@@ -681,7 +694,7 @@ class TestTraceTable:
                  for i in range(4) for j in range(4 - i)}
             t[(1, 0, 0)] = 1.0
             defs.append(MultiPoly(V3, t))
-        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs, degree=9),
+        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs),
                            MultiPoly.constant(1.0, V3))
         dom = DomainSpec(PlaneChart([[0.002 - 0.01j, 0.0003 + 0.0004j]], [-2.0]), {"b1": 0.5})
         with pytest.raises(PerturbationFailure):
@@ -799,7 +812,7 @@ class TestPlans:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_offset(self, bad):
-        dom = DomainSpec(PlaneChart.vertical([3.0]), {"b1": 1.0})
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 1.0})
         plan = ListPlan(({"b1": 0.1}, {"b1": bad}, {"b1": 0.2}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -861,7 +874,7 @@ def _family_case(kind, rng):
             complex(*rng.standard_normal(2)) if k < d[s] else float(e == 0))
             for e in range(3) for k in range(d[s] + 1)}) for s in range(2)]
         v = VarietySpec(("x",), ("y1", "y2"), defs[::-1] if kind.endswith("y2") else defs)
-        chart = PlaneChart.vertical([0.5 * complex(*rng.standard_normal(2))], p=2)
+        chart = PlaneChart([[0.0, 0.0]], [0.5 * complex(*rng.standard_normal(2))])
         return ResidueData(v, _dense(rng, V3, 2)), DomainSpec(chart, {"b1": 0.3}), 3
     if kind == "lifted":
         curve = VarietySpec(("x",), ("y",), [_dense(rng, V2, 3)])
@@ -937,10 +950,10 @@ def test_p3_triangular_cascade_is_product_of_slots():
     defs = [MultiPoly(v4, {(e,) + tuple(k * (s == i) for i in range(3)): c
                            for (e, k), c in slot.items()}) for s, slot in enumerate(slots)]
     data = ResidueData(VarietySpec(("x",), ("y1", "y2", "y3"), defs), MultiPoly.constant(1.0, v4))
-    t3 = trace_table(data, DomainSpec(PlaneChart.vertical([0.4 + 0.2j], p=3), {"b1": 0.3}),
+    t3 = trace_table(data, DomainSpec(PlaneChart([[0.0, 0.0, 0.0]], [0.4 + 0.2j]), {"b1": 0.3}),
                      4, TorusPlan(6))
     assert len(t3.entries) == 35 and set(t3.flags) == {"clean"}
-    dom1 = DomainSpec(PlaneChart.vertical([0.4 + 0.2j]), {"b1": 0.3})
+    dom1 = DomainSpec(PlaneChart([[0.0]], [0.4 + 0.2j]), {"b1": 0.3})
     t1 = [trace_table(ResidueData(VarietySpec(("x",), ("y",), [MultiPoly(V2, slot)]),
                                   MultiPoly.constant(1.0, V2)), dom1, 4, TorusPlan(6))
           for slot in slots]
@@ -984,7 +997,7 @@ class TestChartFamily:
         # drops, so the list holds no chart
         data, domain, _ = _family_case(kind, np.random.default_rng(5))
         charts = domain.charts_at(TorusPlan(3).offset_array(domain))
-        count = solve_fiber(data.variety, domain.chart).total_multiplicity
+        count = solve_fiber(data.variety, domain.chart, expected_degree=None).total_multiplicity
         for degree in (0, count - 1, count + 1, 50):
             if degree in (0, 50):
                 assert solve_family(data.variety, charts, degree) is None
@@ -1023,7 +1036,7 @@ class TestChartFamily:
         # the grid's centre, and a weight x - 0.05 vanishing on the whole
         # fiber of the chart b = 0.05
         plan = GridPlan({"b1": 5})
-        domain = DomainSpec(PlaneChart.vertical([0.0]), {"b1": 0.1})
+        domain = DomainSpec(PlaneChart([[0.0]], [0.0]), {"b1": 0.1})
         data = ResidueData(parabola_data().variety, MultiPoly(V2, {(0, 0): 1.0, (0, 1): 0.7}),
                            weight=MultiPoly(V2, {(1, 0): 1.0, (0, 0): -0.05}))
         want = _per_chart_table(data, domain, 3, plan)
@@ -1042,7 +1055,7 @@ class TestChartFamily:
         # the whole fiber of the vertical chart b = 0.05
         data = ResidueData(parabola_data().variety, MultiPoly(V2, {(0, 0): 1.0}),
                            weight=MultiPoly(V2, {(1, 0): 1.0, (0, 0): -0.05}))
-        charts = [PlaneChart.vertical([b]) for b in (0.3, 0.05, -0.2 + 0.1j)]
+        charts = [PlaneChart([[0.0]], [b]) for b in (0.3, 0.05, -0.2 + 0.1j)]
         solved = []
         real = residues._evaluate_one
         monkeypatch.setattr(residues, "_evaluate_one", lambda data, chart, *args: solved.append(
@@ -1070,7 +1083,7 @@ class TestChartFamily:
                   (0, 0, 0): -1.0}),
         ])
         data = ResidueData(v, poly({(0, 0, 0): 1.0, (0, 1, 0): 0.6, (0, 0, 1): -0.4j}))
-        domain = DomainSpec(PlaneChart.vertical([0.0], p=2), {"b1": 0.2})
+        domain = DomainSpec(PlaneChart([[0.0, 0.0]], [0.0]), {"b1": 0.2})
         plan = GridPlan({"b1": 5})
         want = _per_chart_table(data, domain, 3, plan)
         calls = []
@@ -1109,7 +1122,7 @@ class TestChartFamily:
         v = VarietySpec(("x",), ("y1", "y2"), [f1, _dense(rng, V3, 2)])
         data = ResidueData(v, _dense(rng, V3, 1))
         if vertical:
-            domain = DomainSpec(PlaneChart.vertical([0.4 - 0.2j], p=2), {"b1": 0.3})
+            domain = DomainSpec(PlaneChart([[0.0, 0.0]], [0.4 - 0.2j]), {"b1": 0.3})
         else:
             chart = PlaneChart([[0.2, -0.1j]], [0.4 - 0.2j])
             domain = DomainSpec(chart, {"a1.1": 0.2, "b1": 0.3})
@@ -1140,8 +1153,8 @@ class TestChartFamily:
             (0, 2): 1.0, (1, 2): 1.0, (0, 1): -1.0, (1, 0): -1.0})]), MultiPoly.constant(1.0, V2))
         root = np.roots([1.0, -0.5, 0.0625 - 0.05])[0]
         p2, domain = self._tangent_family(MultiPoly(V3, {(0, 1, 0): 1.0, (0, 0, 0): -root}))
-        cases = [(p1, [PlaneChart.vertical([b]) for b in (0.3, 0.05, 0.0, -0.2 + 0.1j)], 2),
-                 (drop, [PlaneChart.vertical([b]) for b in (0.5, -1.0, 0.3j)], 2),
+        cases = [(p1, [PlaneChart([[0.0]], [b]) for b in (0.3, 0.05, 0.0, -0.2 + 0.1j)], 2),
+                 (drop, [PlaneChart([[0.0]], [b]) for b in (0.5, -1.0, 0.3j)], 2),
                  (p2, list(domain.charts_at(GridPlan({"b1": 5}).offset_array(domain))), None)]
         flags = []
         for data, charts, degree in cases:

@@ -1,5 +1,5 @@
 """Fail when a name defined in src/abeltrace has no caller, or a default
-that no caller sets.
+that no caller sets or that every caller sets.
 
 Every function, class, method and module-level assignment in
 ``src/abeltrace`` is checked; dunders are not. A name counts as read where
@@ -10,7 +10,6 @@ it appears as a loaded name, an attribute or an imported alias.
   The re-exports in ``src/abeltrace/__init__.py`` are not reads, and
   neither is anything under ``bench/tests``. A public name the paper
   defines but no workflow calls goes on ``ALLOWED``, with its reason.
-- An ``ALLOWED`` entry that names nothing defined fails too.
 - Every parameter with a default, of a module-level function or a
   method (a class's ``__init__`` included), must be set by some call in
   ``src/abeltrace`` or ``bench/*.py``: passed by keyword, or reached by
@@ -18,11 +17,16 @@ it appears as a loaded name, an attribute or an imported alias.
   call through a class name is a call of its ``__init__``. Calls match
   by name, as reads do; a call that unpacks ``*args`` or ``**kwargs``
   sets every parameter of its name.
+- Some such call must also leave the default at its value: a default
+  that every call sets is a value only tests use, so the parameter
+  should be required. One kept on purpose goes on ``ALWAYS_SET``, with
+  its reason.
+- An ``ALLOWED`` or ``ALWAYS_SET`` entry that names nothing defined fails.
 
 Usage: ``python3 tools/check_callers.py``; it checks the repository that
 holds the script. Exits 0 when every name has a caller and every default
-is set by one, and 1 otherwise, with one line per offending name or
-parameter that gives its file.
+is set by some call and left at its value by another, and 1 otherwise,
+with one line per offending name or parameter that gives its file.
 """
 
 from __future__ import annotations
@@ -39,6 +43,26 @@ ALLOWED = {
     "punctual_residue": "the paper's punctual residue of one simple point (README, traces)",
     "clustered_residue": "the paper's cluster sum of residues over a collision (README, traces)",
     "hypersurface_trace": "the Veronese cross-check on the hypersurface section (README, lifts)",
+}
+
+# defaults that every call in src/abeltrace and bench/*.py overrides, kept
+# with their reason. A tolerance default is the constant each library call
+# passes down from its own caller's default, so it adds no second mode.
+_PASSED_DOWN = "a public tolerance: library calls pass their caller's own, which defaults to it"
+ALWAYS_SET = {
+    "solve_fiber(tol)": _PASSED_DOWN,
+    "solve_family(tol)": _PASSED_DOWN,
+    "poly_roots(tol)": _PASSED_DOWN,
+    "evaluate_chart(tol)": _PASSED_DOWN,
+    "poly_interpolate(tol)": _PASSED_DOWN,
+    "fit_minimal_polys(tol)": _PASSED_DOWN,
+    "reconstruct_numerator(tol)": _PASSED_DOWN,
+    "reconstruct_global(tol)": _PASSED_DOWN,
+    "reparametrize_check(tol)": _PASSED_DOWN,
+    "fit_minimal_polys(coeff_deg_bound)":
+        "None (the lowest degree that fits) is reconstruct_global's deg_bounds passed down",
+    "reconstruct_numerator(coeff_deg_bound)":
+        "None (the lowest degree that fits) is reconstruct_global's deg_bounds passed down",
 }
 
 
@@ -96,18 +120,17 @@ def _defaults(tree):
 
 
 def _calls(tree, into):
-    """Record in ``into``, by called name, what the calls in a tree set:
-    the largest positional reach (inf for a call that unpacks ``*args``)
-    and every keyword passed (None for ``**kwargs``)."""
+    """Append to ``into``, by called name, what each call in a tree sets:
+    its positional reach (inf for a call that unpacks ``*args``) and the
+    keywords it passes (None for ``**kwargs``)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         if name:
-            entry = into.setdefault(name, [0, set()])
             unpacks = any(isinstance(a, ast.Starred) for a in node.args)
-            entry[0] = max(entry[0], float("inf") if unpacks else len(node.args))
-            entry[1] |= {kw.arg for kw in node.keywords}
+            into.setdefault(name, []).append(
+                (float("inf") if unpacks else len(node.args), {kw.arg for kw in node.keywords}))
 
 
 def _parse(path):
@@ -116,8 +139,9 @@ def _parse(path):
 
 def check(root):
     """Return one message per name without a caller, per default no
-    caller sets and per stale ``ALLOWED`` entry, then the counts of names
-    and of defaults checked."""
+    caller sets or every caller sets and per stale ``ALLOWED`` or
+    ``ALWAYS_SET`` entry, then the counts of names and of defaults
+    checked."""
     defined = {}                              # name -> first file defining it
     defaults = []                             # (file, called, qualified, parameter, slot)
     src_reads, bench_reads, calls = set(), set(), {}
@@ -140,12 +164,20 @@ def check(root):
         elif nm not in src_reads and nm not in bench_reads and nm not in ALLOWED:
             problems.append(f"{path}: public name {nm} has no caller in {PACKAGE} or bench")
     for path, called, qualified, param, slot in defaults:
-        reach, keywords = calls.get(called, (0, set()))
-        if not (param in keywords or None in keywords or (slot is not None and reach > slot)):
+        sets = [param in keywords or None in keywords or (slot is not None and reach > slot)
+                for reach, keywords in calls.get(called, [])]
+        if not any(sets):
             problems.append(f"{path}: default of {qualified}({param}) is set by no caller "
+                            f"in {PACKAGE} or bench")
+        elif all(sets) and f"{qualified}({param})" not in ALWAYS_SET:
+            problems.append(f"{path}: default of {qualified}({param}) is set by every caller "
                             f"in {PACKAGE} or bench")
     for nm in sorted(set(ALLOWED) - set(defined)):
         problems.append(f"{Path(__file__).name}: allowed name {nm} is defined nowhere in {PACKAGE}")
+    known = {f"{qualified}({param})" for _, _, qualified, param, _ in defaults}
+    for nm in sorted(set(ALWAYS_SET) - known):
+        problems.append(f"{Path(__file__).name}: always-set default {nm} is defined nowhere "
+                        f"in {PACKAGE}")
     return problems, len(defined), len(defaults)
 
 
