@@ -9,6 +9,7 @@ from .errors import (
     DegreeUndetectable,
     DimensionMismatch,
     EvaluationError,
+    ExcessPoints,
     IllConditioned,
     InconsistentTraces,
     InsufficientMargin,

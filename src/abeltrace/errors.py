@@ -66,6 +66,10 @@ class DegreeDrop(AbelTraceError):
         self.expected = expected
 
 
+class ExcessPoints(AbelTraceError):
+    """A resultant solve found more points than its resultant's degree."""
+
+
 class UnsupportedDimension(AbelTraceError):
     """Operation restricted to small ambient dimension."""
 

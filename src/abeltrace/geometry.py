@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DegreeDrop,
     DimensionMismatch,
+    ExcessPoints,
     NonConvergence,
     UnsupportedDimension,
     UnsupportedShape,
@@ -328,9 +329,9 @@ def _newton_polish(exps, coefs, y, active):
         active[ci, pi] = go & (np.abs(step).max(axis=1) >= 1e-15 * (1.0 + np.abs(ya).max(axis=1)))
         active &= np.abs(y).max(axis=-1) <= ESCAPE_RADIUS
     z = tuple(np.where(np.abs(y) <= ESCAPE_RADIUS, y, 0.0).transpose(2, 0, 1))
-    vals = (_monomials(exps, z) @ coefs)[..., :p]
+    vals = _monomials(exps, z) @ coefs[..., :p]
     floor = [np.maximum(1.0, np.abs(c)) for c in z]
-    scale = (_monomials(exps, floor) @ np.abs(coefs))[..., :p]
+    scale = _monomials(exps, floor) @ np.abs(coefs[..., :p])
     res = np.max(np.abs(vals) / np.maximum(scale.real, 1e-300), axis=-1, initial=0.0)
     return np.where(np.abs(y).max(axis=-1, initial=0.0) <= ESCAPE_RADIUS, res, 0.0)
 
@@ -457,10 +458,14 @@ def _resultants(t1, t2, bound):
 def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     """Common zeros of two polynomials in two variables via one resultant
     elimination step (evaluation-interpolation of the Sylvester
-    determinant), then back-substitution and Newton polish.
+    determinant), then back-substitution and Newton polish: first by the
+    family kernel (_resultant_points, _polished_points) when both
+    polynomials involve both variables, as simple points if it certifies
+    the system, else one resultant root at a time.
 
     Returns a list of ((u, w), multiplicity) pairs, the values aligned
-    with the polynomials' variables (u, w).
+    with the polynomials' variables (u, w). Raises ExcessPoints when the
+    merged total multiplicity exceeds the resultant's degree.
     """
     if g1.vars != g2.vars or len(g1.vars) != 2:
         raise UnsupportedShape("solve_bivariate needs two polynomials in the same two variables")
@@ -472,13 +477,18 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     if dw1 == 0 and dw2 == 0:
         raise UnsupportedShape("neither polynomial involves the elimination variable")
 
-    (m1, m2), _ = _coefficient_tensors((g1.terms, g2.terms), 1)
-    coeffs = _resultants(m1, m2, max(du1 * dw2 + du2 * dw1, 1))[0]
+    (m1, m2), degrees = _coefficient_tensors((g1.terms, g2.terms), 1)
+    coeffs = _resultants(m1, m2, max(du1 * dw2 + du2 * dw1, 1))
     if not coeffs.any():
         raise ValueError("resultant vanishes identically; common component present")
-    res_poly = UniPoly(coeffs)
+    res_poly = UniPoly(coeffs[0])
     if res_poly.degree < 1:
         return []
+    if min(map(min, degrees)) > 0:
+        idx, y = _polished_points((m1, m2), *_resultant_points(m1, m2, degrees, coeffs,
+                                                               res_poly.degree, tol))
+        if len(idx):
+            return [(tuple(pt), 1) for pt in y[0].tolist()]
 
     m1, m2 = m1[0], m2[0]
     du = m1.shape[1] - 1
@@ -514,6 +524,8 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
                 break
         else:
             merged.append([vec, m])
+    if (total := sum(m for _, m in merged)) > res_poly.degree:
+        raise ExcessPoints(f"{total} points found, above the resultant's degree {res_poly.degree}")
     return [(tuple(map(complex, vec)), m) for vec, m in merged]
 
 
@@ -613,7 +625,8 @@ def _with_lead(c):
     2 ESCAPE_RADIUS replaced by 1, and a mask of where it was large
     enough (a smaller, or zero, one puts a root beyond ESCAPE_RADIUS)."""
     d = c.shape[-1] - 1
-    top = np.abs(c[..., d]) * (2.0 * ESCAPE_RADIUS) ** d > np.max(np.abs(c), axis=-1)
+    # |c_d| (2 ESCAPE_RADIUS)^d > max |c|, taken to the power 1/d: no overflow
+    top = np.abs(c[..., d]) ** (1 / d) * (2.0 * ESCAPE_RADIUS) > np.max(np.abs(c), axis=-1) ** (1 / d)
     return np.where((np.arange(d + 1) < d) | top[..., None], c, 1.0), top
 
 
@@ -649,37 +662,31 @@ def _family_roots(c):
 
 def _certified_roots(c, tol):
     """Roots of polynomials stacked on leading axes (coefficients lowest
-    first): _family_roots, then two Newton steps. Also returns,
-    per polynomial, whether its roots are certified: the leading
-    coefficient passes _with_lead, every root passes poly_roots' residual
-    rule and lies within ESCAPE_RADIUS, and none lies within another's
-    merge radius max(1, |z|) tol^(1/2); poly_roots then finds the same
-    simple roots."""
+    first): _family_roots, then two Newton steps, each step and the last
+    residual a product with the Vandermonde rows (z/s)^k s^(k-d), s =
+    max(1, |z|): no power overflows, and outside the unit disc that is the
+    reversed polynomial at 1/z (poly_roots' rule) times a unit. Also
+    returns whether each polynomial's roots are certified (its leading
+    coefficient passes _with_lead; every root passes the residual rule and
+    lies within ESCAPE_RADIUS and outside the others' merge radius max(1,
+    |z|) tol^(1/2), so poly_roots finds the same simple roots) and g' at
+    each root of a certified polynomial."""
     d = c.shape[-1] - 1
     c, top = _with_lead(c)
+    k = np.arange(d + 1)
     z = _family_roots(c)
     for step in range(3):
-        # poly_roots' residual orientation: the reversed polynomial at
-        # 1/z outside the unit disc, where p/p' = z q / (d q - r q')
-        out = np.abs(z) > 1.0
-        r = np.where(out, 1.0 / np.where(out, z, 1.0), z)
-        cc = np.where(out[..., None], c[..., None, ::-1], c[..., None, :])
-        # Horner from the top two coefficients; the last sweep needs no der
-        der, val = cc[..., d], cc[..., d] * r + cc[..., d - 1]
-        for k in range(d - 2, -1, -1):
-            if step < 2:
-                der = der * r + val
-            val = val * r + cc[..., k]
-        if step == 2:
-            break
-        num = np.where(out, z * val, val)
-        den = np.where(out, d * val - r * der, der)
-        z = z - np.divide(num, den, out=np.zeros_like(z), where=den != 0)
-    scale = np.maximum(np.sum(np.abs(cc) * np.abs(r)[..., None] ** np.arange(d + 1), -1),
-                       np.max(np.abs(c), axis=-1)[..., None])
+        s = np.maximum(1.0, np.abs(z))
+        vand = (z / s)[..., None] ** k * s[..., None] ** (k - d)
+        val = np.einsum("...rk,...k->...r", vand, c)
+        der = np.einsum("...rk,...k->...r", vand[..., :-1], c[..., 1:] * k[1:])
+        if step < 2:
+            z = z - np.divide(val, der, out=np.zeros_like(z), where=der != 0)
+    scale = np.einsum("...rk,...k->...r", np.abs(vand), np.abs(c))
+    scale = np.maximum(scale, np.max(np.abs(c), axis=-1)[..., None])
     ok = (top & np.all((np.abs(val) <= tol * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=-1)
           & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * tol**0.5))
-    return z, ok
+    return z, ok, der * np.where(ok[..., None], s, 1.0) ** d
 
 
 def _dense_values(t, u, w):
@@ -696,32 +703,27 @@ def _separated(z, reach):
     return ~np.any((gap <= reach[..., None]) & ~np.eye(z.shape[-2], dtype=bool), axis=(-2, -1))
 
 
-def _resultant_points(t1, t2, degrees, degree, tol):
+def _resultant_points(t1, t2, degrees, res, degree, tol):
     """Points (u, w) of the charts of a family in which both polynomials
-    involve both variables: the roots u of each resultant, then the
-    w-roots of one polynomial at each u, kept where the other vanishes. A
-    chart counts when it has the family's degrees, its resultant has
-    degree ``degree`` and certified roots, and each root has exactly one
-    w candidate. Returns (positions, points of shape (k, degree, 2)), or
-    None when no chart can have ``degree`` points."""
-    (dw1, du1), (dw2, du2) = degrees
-    bound = du1 * dw2 + du2 * dw1
-    if not 1 <= degree <= bound:
+    involve both variables: the roots u of each resultant ``res``, then
+    the w-roots of one polynomial at each u, kept where the other
+    vanishes. A chart counts when it has the family's degrees, its
+    resultant has degree ``degree`` and certified roots, and each root
+    has exactly one w candidate. Returns (positions, points of shape
+    (k, degree, 2)), or None when no chart can have ``degree`` points."""
+    if not 1 <= degree < res.shape[1]:
         return None
     ok = np.logical_and.reduce([t[:, :, d_u].any(axis=1) & t[:, d_w].any(axis=1)
                                 for t, (d_w, d_u) in zip((t1, t2), degrees)])
-    idx, t1, t2 = (arr[ok] for arr in (np.arange(len(t1)), t1, t2))
-
     # u: roots of each resultant, which must have degree ``degree``
-    res = _resultants(t1, t2, bound)
-    ok = (res[:, degree] != 0) & ~res[:, degree + 1:].any(axis=1)
-    idx, t1, t2, res = (arr[ok] for arr in (idx, t1, t2, res[:, :degree + 1]))
-    z, ok = _certified_roots(res, tol)
+    ok &= (res[:, degree] != 0) & ~res[:, degree + 1:].any(axis=1)
+    idx, t1, t2, res = (arr[ok] for arr in (np.arange(len(t1)), t1, t2, res[:, :degree + 1]))
+    z, ok, _ = _certified_roots(res, tol)
     idx, t1, t2, z = (arr[ok] for arr in (idx, t1, t2, z))
 
     # w: roots of the w-polynomial of higher degree at each u (g1 on a
     # tie), kept where the other polynomial vanishes (solve_bivariate's test)
-    (lead, dl), (other, do) = sorted([(t1, dw1), (t2, dw2)], key=lambda td: -td[1])
+    (lead, _), (other, do) = sorted(zip((t1, t2), [d_w for d_w, _ in degrees]), key=lambda td: -td[1])
     h, top = _with_lead(np.einsum("cji,cdi->cdj", lead, z[..., None] ** np.arange(lead.shape[2])))
     w = _family_roots(h)
     ok = np.all(top & np.all(np.abs(w) <= ESCAPE_RADIUS, axis=-1), axis=1)
@@ -750,13 +752,30 @@ def _triangular_points(t1, t2, degrees, degree, tol):
     (ta, (_, du)), (tb, (dw, _)) = sorted(zip((t1, t2), degrees), key=lambda td: td[1][0])
     if min(du, dw) < 1 or du * dw != degree:
         return None
-    z, ok = _certified_roots(ta[:, 0, :du + 1], tol)
+    z, ok, _ = _certified_roots(ta[:, 0, :du + 1], tol)
     idx, tb, z = np.flatnonzero(ok), tb[ok], z[ok]
-    w, ok = _certified_roots(
+    w, ok, _ = _certified_roots(
         np.einsum("cji,cdi->cdj", tb[:, :dw + 1], z[..., None] ** np.arange(tb.shape[2])), tol)
     ok = np.all(ok, axis=1)
     y = np.stack(np.broadcast_arrays(z[ok, :, None], w[ok]), axis=-1).reshape(-1, degree, 2)
     return idx[ok], y[..., ::-1] if swap else y
+
+
+def _polished_points(tensors, idx, y):
+    """_newton_polish of points y (k, degree, 2) of charts ``idx`` on two systems
+    ``tensors`` and their partials; keeps (positions, points) of the charts whose
+    points are 1e-7 apart, within ESCAPE_RADIUS and pass the 1e-6 residual rule."""
+    grid = np.indices((max(t.shape[1] for t in tensors), tensors[0].shape[2]))
+    ts = np.zeros((len(idx),) + grid.shape[1:] + (6,), dtype=complex)
+    for s, t in enumerate(t[idx] for t in tensors):
+        dw = t.shape[1]
+        ts[:, :dw, :, s], ts[:, :dw, :-1, 2 + 2 * s] = t, t[..., 1:] * grid[1, :dw, 1:]
+        ts[:, :dw - 1, :, 3 + 2 * s] = t[:, 1:] * grid[0, 1:dw]
+    res = _newton_polish(grid[::-1].reshape(2, -1).T, ts.reshape(len(idx), grid[0].size, 6), y,
+                         np.ones(y.shape[:2], dtype=bool))
+    ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
+          & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)) & np.all(res <= 1e-6, axis=1))
+    return idx[ok], y[ok]
 
 
 def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
@@ -793,41 +812,31 @@ def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
     tensors, degrees = _coefficient_tensors(systems, len(b))
     if v.p == 1:
         # a chart counts when its coefficients above ``degree`` are exactly
-        # 0 and its roots are certified
+        # 0 and its roots are certified; the Jacobian is (-1)^n g'(y)
         c = tensors[0][:, 0]
         degree = int(np.flatnonzero(c[0]).max(initial=0)) if own else degree
         if not 1 <= degree < c.shape[1]:
             return None
-        z, ok = _certified_roots(c[:, :degree + 1], tol)
+        z, ok, der = _certified_roots(c[:, :degree + 1], tol)
         ok &= ~c[:, degree + 1:].any(axis=1)
-        found = np.flatnonzero(ok), z[ok, :, None]
+        found, jac = (np.flatnonzero(ok), z[ok, :, None]), (-1) ** v.n * der[ok]
     elif min(map(min, degrees)) > 0:
-        found = _resultant_points(*tensors, degrees, degree, tol)
+        (dw1, du1), (dw2, du2) = degrees
+        res = _resultants(*tensors, du1 * dw2 + du2 * dw1)
+        found = _resultant_points(*tensors, degrees, res, degree, tol)
     else:
         found = None if v.lift is not None else _triangular_points(*tensors, degrees, degree, tol)
     if found is None:
         return None
-    idx, y = found
-    if v.p > 1:
-        # both systems, then their u- and w-partials, over one (u, w) exponent grid
-        grid = np.indices((max(t.shape[1] for t in tensors), tensors[0].shape[2]))
-        ts = np.zeros((len(idx),) + grid.shape[1:] + (6,), dtype=complex)
-        for s, t in enumerate(t[idx] for t in tensors):
-            dw = t.shape[1]
-            ts[:, :dw, :, s], ts[:, :dw, :-1, 2 + 2 * s] = t, t[..., 1:] * grid[1, :dw, 1:]
-            ts[:, :dw - 1, :, 3 + 2 * s] = t[:, 1:] * grid[0, 1:dw]
-        res = _newton_polish(grid[::-1].reshape(2, -1).T, ts.reshape(len(idx), grid[0].size, 6), y,
-                             np.ones(y.shape[:2], dtype=bool))
-        ok = (_separated(y, 1e-7 * (1.0 + np.max(np.abs(y), axis=-1)))
-              & np.all(np.abs(y) <= ESCAPE_RADIUS, axis=(1, 2)) & np.all(res <= 1e-6, axis=1))
-        idx, y = idx[ok], y[ok]
+    idx, y = found if v.p == 1 else _polished_points(tensors, *found)
     a, b = a[idx], b[idx]
 
     if v.lift is not None:
         coords = _lift_points(v.lift.coordinate_map, y)
     else:
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
-    jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
+    if v.p > 1:
+        jac = _jacobian_dets(v, a[:, None], tuple(coords.transpose(2, 0, 1)))
     ok = np.all(np.all(np.abs(coords) <= ESCAPE_RADIUS, axis=-1) & (jac != 0), axis=1)
     return idx[ok], coords[ok], jac[ok]
 

@@ -25,6 +25,7 @@ from .errors import (
     AbelTraceError,
     ClusterPoint,
     DegreeDrop,
+    ExcessPoints,
     NonConvergence,
     PerturbationFailure,
     PoleDetected,
@@ -223,8 +224,8 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     certifies but finds on the weight's pole divisor is flagged POLE with
     its PoleDetected at once; each chart the family declines is solved on
     its own at that degree, and one that raises PoleDetected, DegreeDrop,
-    NonConvergence or PerturbationFailure is flagged POLE, DROPPED or
-    UNCONVERGED and keeps its exception instead of raising."""
+    NonConvergence, ExcessPoints or PerturbationFailure is flagged POLE,
+    DROPPED or UNCONVERGED and keeps its exception instead of raising."""
     if isinstance(chart, PlaneChart):
         return _evaluate_one(data, chart, tol, expected_degree)
     charts, v = chart if isinstance(chart, Charts) else Charts.stack(list(chart)), data.variety
@@ -245,7 +246,7 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     for s in np.flatnonzero(np.bincount(pos, minlength=len(charts)) == 0):
         try:
             ev = _evaluate_one(data, charts[s], tol, degree)
-        except (PoleDetected, DegreeDrop, NonConvergence, PerturbationFailure) as exc:
+        except (PoleDetected, DegreeDrop, NonConvergence, ExcessPoints, PerturbationFailure) as exc:
             flags[s] = (POLE if isinstance(exc, PoleDetected) else
                         DROPPED if isinstance(exc, DegreeDrop) else UNCONVERGED)
             errors[s] = exc

@@ -9,6 +9,7 @@ from abeltrace import geometry
 from abeltrace.errors import (
     DegreeDrop,
     DimensionMismatch,
+    ExcessPoints,
     NonConvergence,
     UnsupportedDimension,
     UnsupportedShape,
@@ -22,6 +23,7 @@ from abeltrace.geometry import (
     VarietySpec,
     _certified_roots,
     _triangular_order,
+    _with_lead,
     full_jacobian,
     plane_substitute,
     solve_bivariate,
@@ -359,6 +361,52 @@ class TestSolveBivariate:
                 assert abs(g.evaluate(sol)) <= 1e-12 * scale
 
 
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 3), d2=st.integers(1, 3))
+    def test_kernel_matches_root_by_root(self, seed, d1, d2):
+        # with the family kernel declining every system, the root-by-root
+        # loop returns the same points and multiplicities
+        rng = np.random.default_rng(seed)
+        g1, g2 = (MultiPoly(V2, {(i, j): _cn(rng, 1.0) for i in range(d + 1) for j in range(d + 1 - i)})
+                  for d in (d1, d2))
+        got = solve_bivariate(g1, g2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_resultant_points",
+                       lambda t1, t2, degrees, res, degree, tol: (np.zeros(0, int),
+                                                                  np.zeros((0, degree, 2), complex)))
+            want = solve_bivariate(g1, g2)
+        assert sorted(m for _, m in got) == sorted(m for _, m in want)
+        for pt, m in got:
+            near = [q for q, k in want
+                    if k == m and np.max(np.abs(np.subtract(q, pt))) <= 1e-12 * max(1.0, np.max(np.abs(q)))]
+            assert len(near) == 1
+
+    def test_generic_systems_take_the_kernel(self, monkeypatch):
+        # dense (3, 3) systems at scale 1: the kernel certifies each one,
+        # so no resultant root is found one at a time
+        def no_roots(*args):
+            raise AssertionError("root-by-root loop ran")
+
+        monkeypatch.setattr(geometry, "poly_roots", no_roots)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g1, g2 = (MultiPoly(V2, {(i, j): _cn(rng, 1.0) for i in range(4) for j in range(4 - i)})
+                      for _ in range(2))
+            sols = solve_bivariate(g1, g2)
+            assert [m for _, m in sols] == [1] * 9
+
+    @pytest.mark.parametrize("seed", [0, 7, 13, 26, 39])
+    def test_more_points_than_the_resultant_degree_raise(self, seed):
+        # dense quartic x cubic systems with the coefficient of x^i y^j
+        # divided by 1e-3^(i + j): the loop's back-substitution finds more
+        # points than the resultant's degree (16 or 20 against 12)
+        rng = np.random.default_rng(seed)
+        g1, g2 = (MultiPoly(V2, {(i, j): complex(*rng.standard_normal(2)) / 1e-3 ** (i + j)
+                                 for i in range(d + 1) for j in range(d + 1 - i)})
+                  for d in (4, 3))
+        with pytest.raises(ExcessPoints, match="above the resultant's degree 12"):
+            solve_bivariate(g1, g2)
+
     def test_far_polished_point_raises(self):
         # degrees (3, 3) with the coefficient of y1^i y2^j divided by
         # 1000^(i + j): the resultant roots come back inaccurate and the
@@ -542,6 +590,24 @@ class TestUnivariateFamily:
             assert np.any(solve_fiber(v2, chart, expected_degree=d).multiplicities > 1)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jacobian_is_signed_derivative(self, n):
+        # a p = 1 family takes each Jacobian as (-1)^n g'(y), g the def on
+        # the chart; full_jacobian takes the (n + 1) x (n + 1) determinant
+        rng = np.random.default_rng(n)
+        names = tuple(f"x{i}" for i in range(n)) + ("y",)
+        terms = {e: _cn(rng, 0.4) for e in np.ndindex(*(2,) * n + (4,)) if sum(e) <= 3}
+        terms[(0,) * n + (3,)] = 1.0
+        v = VarietySpec(names[:n], ("y",), [MultiPoly(names, terms)])
+        charts = Charts(0.1 * (rng.standard_normal((6, n, 1)) + 1j * rng.standard_normal((6, n, 1))),
+                        0.5 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))))
+        index, coords, jac = solve_family(v, charts, 3)
+        assert index.tolist() == list(range(6))
+        for k, points, jacs in zip(index, coords, jac):
+            want = full_jacobian(v, charts[k], tuple(points.T))
+            assert np.all(np.abs(jacs - want) <= 1e-13 * np.abs(want))
+
+
 class TestFamilyRoots:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
@@ -574,7 +640,7 @@ class TestFamilyRoots:
         c = np.concatenate(rows)
         assert np.all(c[16:24, 0] == 0)
 
-        z, ok = _certified_roots(c, TOL_ARITH)
+        z, ok, _ = _certified_roots(c, TOL_ARITH)
         assert np.all(ok[:24]) and not np.any(ok[24:])
         for got, want in zip(z[:24], roots):
             nearest = np.min(np.abs(got[:, None] - want[None, :]), axis=0)
@@ -582,8 +648,30 @@ class TestFamilyRoots:
         assert np.all(np.any(z[16:24] == 0, axis=1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_family_roots", _companion_roots)
-            _, want_ok = _certified_roots(c, TOL_ARITH)
+            _, want_ok, _ = _certified_roots(c, TOL_ARITH)
         assert np.array_equal(ok, want_ok)
+
+
+    @pytest.mark.parametrize("lead", [1.0, 1e-10, 1e-30, 1e-60, 1e-150])
+    def test_any_degree_and_tiny_leads(self, lead):
+        # degrees 1-72, the leading coefficient scaled by ``lead``: no
+        # power overflows (no warning), and no row whose leading
+        # coefficient puts a root beyond 2 ESCAPE_RADIUS is certified
+        rng = np.random.default_rng(72)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in range(1, 73):
+                c = rng.standard_normal((4, d + 1)) + 1j * rng.standard_normal((4, d + 1))
+                c[:, d] *= lead
+                z, ok, der = _certified_roots(c, TOL_ARITH)
+                big = np.log10(np.abs(c[:, d]) / np.max(np.abs(c), axis=1)) + d * np.log10(2 * ESCAPE_RADIUS)
+                assert np.array_equal(_with_lead(c)[1], big > 0)
+                assert not np.any(ok & (big <= 0))
+                if lead == 1.0 and d <= 3:
+                    assert np.all(ok)
+                for row, roots, ders in zip(c[ok], z[ok], der[ok]):
+                    k = np.arange(d + 1)
+                    assert np.allclose(ders, (roots[:, None] ** k[:-1]) @ (row[1:] * k[1:]), rtol=1e-9)
 
 
 class TestVeroneseLift:

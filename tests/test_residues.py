@@ -11,6 +11,7 @@ from abeltrace.errors import (
     ClusterPoint,
     DegreeDrop,
     DimensionMismatch,
+    ExcessPoints,
     NonConvergence,
     PerturbationFailure,
     PoleDetected,
@@ -683,10 +684,32 @@ class TestTraceTable:
         assert all(not poles for poles in verify_holomorphy(rt, 1e-6).pole_samples.values())
 
     def test_degenerate_cluster_chart_flagged(self):
-        # the far-scaled seed-0 system of
-        # TestSolveBivariate::test_far_polished_point_raises: at this
-        # chart a cluster stays degenerate under every perturbation tried
-        # (PerturbationFailure), and the nearby chart fails its polish
+        # the doubled line (y1 - y2)^2 against y1 y2 + y1 + x - 1: every
+        # chart's fiber is two double points, so each cluster stays
+        # degenerate under every perturbation (PerturbationFailure), and
+        # a table flags every such chart
+        f1 = MultiPoly(V3, {(0, 2, 0): 1.0, (0, 1, 1): -2.0, (0, 0, 2): 1.0})
+        f2 = MultiPoly(V3, {(0, 1, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): 1.0, (0, 0, 0): -1.0})
+        data = ResidueData(VarietySpec(("x",), ("y1", "y2"), [f1, f2]),
+                           MultiPoly.constant(1.0, V3))
+        dom = DomainSpec(PlaneChart([[0.2 - 0.1j, 0.3 + 0.4j]], [0.5]), {"b1": 0.5})
+        assert solve_fiber(data.variety, dom.chart, 4).multiplicities.tolist() == [2, 2]
+        with pytest.raises(PerturbationFailure):
+            evaluate_chart(data, dom.chart)
+        t = residues._sample_charts(data, dom, ListPlan(({"b1": 0.0}, {"b1": 0.1})),
+                                    [(0, 0), (1, 0), (0, 1)], 4, residues.TOL_ARITH)
+        assert t.flags == ("unconverged", "unconverged")
+        assert all(isinstance(e, PerturbationFailure)
+                   for e in evaluate_chart(data, [dom.chart, dom.chart_at({"b1": 0.1})]).errors)
+        assert all(np.isnan(vals).all() for vals in t.entries.values())
+        # an all-flagged table has scale 0, with no all-NaN warning
+        assert t.scale() == 0.0
+
+    def test_excess_chart_flagged(self):
+        # the seed-0 system of TestSolveBivariate::test_far_polished_point_raises
+        # scaled by 1e3: at this chart the loop finds 9 points against a
+        # resultant of degree 3 (ExcessPoints), and the nearby chart fails
+        # its polish; a table flags both
         rng = np.random.default_rng(0)
         defs = []
         for _ in range(2):
@@ -697,14 +720,27 @@ class TestTraceTable:
         data = ResidueData(VarietySpec(("x",), ("y1", "y2"), defs),
                            MultiPoly.constant(1.0, V3))
         dom = DomainSpec(PlaneChart([[0.002 - 0.01j, 0.0003 + 0.0004j]], [-2.0]), {"b1": 0.5})
-        with pytest.raises(PerturbationFailure):
+        with pytest.raises(ExcessPoints, match="9 points .* degree 3"):
             evaluate_chart(data, dom.chart)
         t = residues._sample_charts(data, dom, ListPlan(({"b1": 0.0}, {"b1": 0.1})),
                                     [(0, 0), (1, 0), (0, 1)], 9, residues.TOL_ARITH)
         assert t.flags == ("unconverged", "unconverged")
+        ev = evaluate_chart(data, [dom.chart, dom.chart_at({"b1": 0.1})], expected_degree=9)
+        assert [type(e) for e in ev.errors] == [ExcessPoints, NonConvergence]
         assert all(np.isnan(vals).all() for vals in t.entries.values())
-        # an all-flagged table has scale 0, with no all-NaN warning
-        assert t.scale() == 0.0
+
+    @pytest.mark.parametrize("d", [38, 40, 60])
+    def test_high_degree_curve_reads_clean(self, d):
+        # y^d - x - 2 on charts near x = 2 + 0.5 i: d simple roots near
+        # the unit circle, and sum y^k / J vanishes for k <= d - 2
+        f = MultiPoly(V2, {(0, d): 1.0, (1, 0): -1.0, (0, 0): -2.0})
+        data = ResidueData(VarietySpec(("x",), ("y",), [f]), MultiPoly.constant(1.0, V2))
+        dom = DomainSpec(PlaneChart([[0.05]], [2.0 + 0.5j]), {"b1": 0.3})
+        t = trace_table(data, dom, 3, GridPlan({"b1": 4}))
+        assert t.baseline_degree == d
+        assert t.flags == ("clean",) * 4
+        for vals, scale in zip(np.array(list(t.entries.values())).T, t.term_scales):
+            assert np.all(np.abs(vals) <= 1e-13 * d * scale)
 
     def test_scale_is_largest_clean_entry(self):
         # a pole sample (NaN), a clean one with a NaN entry, and clean
