@@ -142,8 +142,7 @@ def _run_trace(job):
     data = _load_data(job)
     domain = ser.decode_domain(ser.load_json(job.inputs["domain"]))
     plan = _parse_plan(job.params["grid"], domain)
-    t = trace_table(data, domain, job.params["order"], plan,
-                    tol=job.params["tol"])
+    t = trace_table(data, domain, job.params["order"], plan)
     clean = int(sum(1 for f in t.flags if f == "clean"))
     _emit(job, {"result": ser.encode_trace_table(t)}, [
         f"trace table: {len(t.indices())} indices x {len(t.offsets)} samples, "
@@ -156,7 +155,7 @@ def _run_radon(job):
     data = _load_data(job)
     domain = ser.decode_domain(ser.load_json(job.inputs["domain"]))
     plan = _parse_plan(job.params["grid"], domain)
-    rt = radon_coefficients(data, domain, plan, tol=job.params["tol"])
+    rt = radon_coefficients(data, domain, plan)
     poles = [i for i, f in enumerate(rt.flags) if f == "pole"]
     _emit(job, {"result": ser.encode_radon(rt)}, [
         f"transform: {len(rt.coeffs)} coefficient labels x {len(rt.offsets)} "
@@ -184,12 +183,9 @@ def _run_reconstruct(job):
 
 def _run_extend(job):
     t = ser.decode_trace_table(_load_artifact(job.inputs["traces"]))
-    t.tol = job.params["tol"]  # a table stores no tol: resample at this one
     big = ser.decode_domain(ser.load_json(job.inputs["domain"]))
-    ext = propagate_trace_extension(
-        t, lambda charts: trace(t.data, charts, (0,) * t.p, tol=t.tol),
-        big, job.params["order"],
-    )
+    ext = propagate_trace_extension(t, lambda charts: trace(t.data, charts, (0,) * t.p),
+                                    big, job.params["order"])
     _emit(job, {"result": ser.encode_trace_table(ext)}, [
         f"extension: {len(ext.indices())} indices on the enlarged polydisc, "
         f"{len(ext.offsets)} samples",
@@ -242,16 +238,20 @@ def _add_data_args(sp):
     sp.add_argument("--label", default="", help="data label for reports")
 
 
-def _common(sp):
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("-o", "--output", help="output JSON path (default stdout)")
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error (a missing or unknown argument or command)
+    on EXIT_INPUT, not argparse's 2 (EXIT_FAILED); subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parse_args fills a
     fresh namespace from the defaults on every call."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="abeltrace",
         description="Traces and the Abel-Radon transform of rational residue "
                     "data, with inverse reconstruction from trace moments.",
@@ -263,13 +263,13 @@ def build_parser():
     sp.add_argument("--domain", required=True)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--grid", default="torus:8")
-    _common(sp)
+    sp.add_argument("-o", "--output", help="output JSON path (default stdout)")
 
     sp = sub.add_parser("radon", help="sample the transform's coefficients")
     _add_data_args(sp)
     sp.add_argument("--domain", required=True)
     sp.add_argument("--grid", default="5x5")
-    _common(sp)
+    sp.add_argument("-o", "--output", help="output JSON path (default stdout)")
 
     sp = sub.add_parser("reconstruct", help="recover data from a trace table")
     sp.add_argument("--traces", required=True)
@@ -282,7 +282,7 @@ def build_parser():
     sp.add_argument("--traces", required=True)
     sp.add_argument("--domain", required=True, help="enlarged DomainSpec JSON")
     sp.add_argument("--order", type=int, required=True)
-    _common(sp)
+    sp.add_argument("-o", "--output", help="output JSON path (default stdout)")
 
     vp = sub.add_parser("verify", help="verification reports")
     vsub = vp.add_subparsers(dest="check", required=True)

@@ -353,13 +353,13 @@ def _polish_solutions(polys, solutions):
 
 # -- shape-specific solvers -------------------------------------------------
 
-def _solve_univariate(subs, y_name, tol):
+def _solve_univariate(subs, y_name):
     g = subs[0].as_univariate(y_name)
     if g.is_zero:
         raise ValueError("substituted system vanishes identically; not zero-dimensional")
     if g.degree < 1:
         return []
-    return [((r,), m) for r, m in poly_roots(g, tol)]
+    return [((r,), m) for r, m in poly_roots(g)]
 
 
 def _triangular_order(subs, y_names):
@@ -385,7 +385,7 @@ def _triangular_order(subs, y_names):
     return order
 
 
-def _solve_triangular(subs, y_names, order, tol):
+def _solve_triangular(subs, y_names, order):
     branches = [({}, 1)]
     for k, var in order:
         coeff_polys = subs[k].univariate_coeffs(var)
@@ -399,7 +399,7 @@ def _solve_triangular(subs, y_names, order, tol):
                 raise ValueError("triangular stage vanishes identically")
             if g.degree < 1:
                 continue
-            for r, m in poly_roots(g, tol):
+            for r, m in poly_roots(g):
                 new_branches.append(({**assignment, var: r}, mult * m))
         branches = new_branches
     return _polish_solutions(
@@ -455,7 +455,7 @@ def _resultants(t1, t2, bound):
     return np.where(np.abs(coeffs) <= cutoff, 0.0, coeffs)
 
 
-def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
+def solve_bivariate(g1: MultiPoly, g2: MultiPoly):
     """Common zeros of two polynomials in two variables via one resultant
     elimination step (evaluation-interpolation of the Sylvester
     determinant), then back-substitution and Newton polish: first by the
@@ -486,7 +486,7 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
         return []
     if min(map(min, degrees)) > 0:
         idx, y = _polished_points((m1, m2), *_resultant_points(m1, m2, degrees, coeffs,
-                                                               res_poly.degree, tol))
+                                                               res_poly.degree))
         if len(idx):
             return [(tuple(pt), 1) for pt in y[0].tolist()]
 
@@ -494,7 +494,7 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
     du = m1.shape[1] - 1
 
     out = []
-    for u_val, u_mult in poly_roots(res_poly, tol):
+    for u_val, u_mult in poly_roots(res_poly):
         upow = u_val ** np.arange(du + 1)
         h1 = UniPoly(m1 @ upow)
         h2 = UniPoly(m2 @ upow)
@@ -503,7 +503,7 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly, tol=TOL_ARITH):
             continue
         oscale = max(other.coefficient_scale(), 1e-300)
         cands = []
-        for w_val, _ in poly_roots(lead, tol):
+        for w_val, _ in poly_roots(lead):
             if abs(other.evaluate((u_val, w_val))) <= 1e-6 * oscale * max(
                 1.0, abs(w_val)
             ) ** other.degree(w):
@@ -540,24 +540,23 @@ def _lifted_plane(cmap, a, b):
     return terms
 
 
-def _lift_points(cmap, points):
-    """Points of the original curve, shape (..., 2), in lifted
-    coordinates, shape (..., len(cmap)): the coordinate map's values."""
-    exps, coefs = _term_matrix(cmap)
-    return _monomials(exps, np.moveaxis(points, -1, 0)) @ coefs
+def _lift_points(lift, points):
+    """Points of the original curve (..., 2) in the lifted coordinates: the
+    monomials of degree 1..lift.degree, in the coordinate map's order."""
+    return _monomials(np.array(_monomials_up_to(lift.degree)), np.moveaxis(points, -1, 0))
 
 
-def _solve_lifted(v, chart, tol):
+def _solve_lifted(v, chart):
     """Fiber of a lifted variety through the graph correspondence: pull the
     plane back to the original chart and solve there. Returns
     solve_bivariate's (original coordinates, multiplicity) pairs."""
     if chart.n != 1:
         raise UnsupportedShape("lifted fibers support a single plane equation")
     hyper = MultiPoly(v.lift.original.vars, _lifted_plane(v.lift.coordinate_map, chart.a, chart.b))
-    return solve_bivariate(v.lift.original.defs[0], hyper, tol)
+    return solve_bivariate(v.lift.original.defs[0], hyper)
 
 
-def solve_fiber(v: VarietySpec, chart: PlaneChart, expected_degree, tol=TOL_ARITH):
+def solve_fiber(v: VarietySpec, chart: PlaneChart, expected_degree):
     """All intersection points of the variety with the chart's plane.
 
     Supported shapes: p = 1 (univariate after substitution); triangular
@@ -581,19 +580,18 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, expected_degree, tol=TOL_ARIT
         raise DimensionMismatch(f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})")
 
     if v.lift is not None:
-        solutions = _solve_lifted(v, chart, tol)
-        coords = _lift_points(v.lift.coordinate_map,
-                              np.array([c for c, _ in solutions], dtype=complex).reshape(-1, 2))
+        solutions = _solve_lifted(v, chart)
+        coords = _lift_points(v.lift, np.array([c for c, _ in solutions], dtype=complex).reshape(-1, 2))
     else:
         subs = plane_substitute(v, chart)
         if v.p == 1:
-            solutions = _solve_univariate(subs, v.y_vars[0], tol)
+            solutions = _solve_univariate(subs, v.y_vars[0])
         else:
             order = _triangular_order(subs, v.y_vars)
             if order is not None:
-                solutions = _solve_triangular(subs, v.y_vars, order, tol)
+                solutions = _solve_triangular(subs, v.y_vars, order)
             elif v.p == 2:
-                solutions = solve_bivariate(subs[0], subs[1], tol)
+                solutions = solve_bivariate(subs[0], subs[1])
             else:
                 raise UnsupportedShape(
                     f"no supported solve path for p={v.p} non-triangular systems"
@@ -660,7 +658,7 @@ def _family_roots(c):
     return z if d == 2 else np.concatenate([z1[..., None], z], axis=-1)
 
 
-def _certified_roots(c, tol):
+def _certified_roots(c):
     """Roots of polynomials stacked on leading axes (coefficients lowest
     first): _family_roots, then two Newton steps, each step and the last
     residual a product with the Vandermonde rows (z/s)^k s^(k-d), s =
@@ -669,8 +667,8 @@ def _certified_roots(c, tol):
     returns whether each polynomial's roots are certified (its leading
     coefficient passes _with_lead; every root passes the residual rule and
     lies within ESCAPE_RADIUS and outside the others' merge radius max(1,
-    |z|) tol^(1/2), so poly_roots finds the same simple roots) and g' at
-    each root of a certified polynomial."""
+    |z|) TOL_ARITH^(1/2), so poly_roots finds the same simple roots) and
+    g' at each root of a certified polynomial."""
     d = c.shape[-1] - 1
     c, top = _with_lead(c)
     k = np.arange(d + 1)
@@ -684,8 +682,8 @@ def _certified_roots(c, tol):
             z = z - np.divide(val, der, out=np.zeros_like(z), where=der != 0)
     scale = np.einsum("...rk,...k->...r", np.abs(vand), np.abs(c))
     scale = np.maximum(scale, np.max(np.abs(c), axis=-1)[..., None])
-    ok = (top & np.all((np.abs(val) <= tol * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=-1)
-          & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * tol**0.5))
+    ok = (top & np.all((np.abs(val) <= TOL_ARITH * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=-1)
+          & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * TOL_ARITH**0.5))
     return z, ok, der * np.where(ok[..., None], s, 1.0) ** d
 
 
@@ -703,7 +701,7 @@ def _separated(z, reach):
     return ~np.any((gap <= reach[..., None]) & ~np.eye(z.shape[-2], dtype=bool), axis=(-2, -1))
 
 
-def _resultant_points(t1, t2, degrees, res, degree, tol):
+def _resultant_points(t1, t2, degrees, res, degree):
     """Points (u, w) of the charts of a family in which both polynomials
     involve both variables: the roots u of each resultant ``res``, then
     the w-roots of one polynomial at each u, kept where the other
@@ -718,7 +716,7 @@ def _resultant_points(t1, t2, degrees, res, degree, tol):
     # u: roots of each resultant, which must have degree ``degree``
     ok &= (res[:, degree] != 0) & ~res[:, degree + 1:].any(axis=1)
     idx, t1, t2, res = (arr[ok] for arr in (np.arange(len(t1)), t1, t2, res[:, :degree + 1]))
-    z, ok, _ = _certified_roots(res, tol)
+    z, ok, _ = _certified_roots(res)
     idx, t1, t2, z = (arr[ok] for arr in (idx, t1, t2, z))
 
     # w: roots of the w-polynomial of higher degree at each u (g1 on a
@@ -736,7 +734,7 @@ def _resultant_points(t1, t2, degrees, res, degree, tol):
     return idx[ok], y[ok]
 
 
-def _triangular_points(t1, t2, degrees, degree, tol):
+def _triangular_points(t1, t2, degrees, degree):
     """Points (u, w) of the charts of a triangular family, stage by stage:
     the roots of the polynomial of w-degree 0, then at each of them the
     w-roots of the other polynomial; every pair is a point. With no
@@ -752,10 +750,10 @@ def _triangular_points(t1, t2, degrees, degree, tol):
     (ta, (_, du)), (tb, (dw, _)) = sorted(zip((t1, t2), degrees), key=lambda td: td[1][0])
     if min(du, dw) < 1 or du * dw != degree:
         return None
-    z, ok, _ = _certified_roots(ta[:, 0, :du + 1], tol)
+    z, ok, _ = _certified_roots(ta[:, 0, :du + 1])
     idx, tb, z = np.flatnonzero(ok), tb[ok], z[ok]
     w, ok, _ = _certified_roots(
-        np.einsum("cji,cdi->cdj", tb[:, :dw + 1], z[..., None] ** np.arange(tb.shape[2])), tol)
+        np.einsum("cji,cdi->cdj", tb[:, :dw + 1], z[..., None] ** np.arange(tb.shape[2])))
     ok = np.all(ok, axis=1)
     y = np.stack(np.broadcast_arrays(z[ok, :, None], w[ok]), axis=-1).reshape(-1, degree, 2)
     return idx[ok], y[..., ::-1] if swap else y
@@ -778,7 +776,7 @@ def _polished_points(tensors, idx, y):
     return idx[ok], y[ok]
 
 
-def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
+def solve_family(v: VarietySpec, charts: Charts, degree):
     """Fibers of a batch of charts in one stacked pass, for the charts it
     certifies; the rest are left to solve_fiber. Covers p = 1 families,
     p = 2 families and Veronese lifts in which both polynomials involve
@@ -817,22 +815,22 @@ def solve_family(v: VarietySpec, charts: Charts, degree, tol=TOL_ARITH):
         degree = int(np.flatnonzero(c[0]).max(initial=0)) if own else degree
         if not 1 <= degree < c.shape[1]:
             return None
-        z, ok, der = _certified_roots(c[:, :degree + 1], tol)
+        z, ok, der = _certified_roots(c[:, :degree + 1])
         ok &= ~c[:, degree + 1:].any(axis=1)
         found, jac = (np.flatnonzero(ok), z[ok, :, None]), (-1) ** v.n * der[ok]
     elif min(map(min, degrees)) > 0:
         (dw1, du1), (dw2, du2) = degrees
         res = _resultants(*tensors, du1 * dw2 + du2 * dw1)
-        found = _resultant_points(*tensors, degrees, res, degree, tol)
+        found = _resultant_points(*tensors, degrees, res, degree)
     else:
-        found = None if v.lift is not None else _triangular_points(*tensors, degrees, degree, tol)
+        found = None if v.lift is not None else _triangular_points(*tensors, degrees, degree)
     if found is None:
         return None
     idx, y = found if v.p == 1 else _polished_points(tensors, *found)
     a, b = a[idx], b[idx]
 
     if v.lift is not None:
-        coords = _lift_points(v.lift.coordinate_map, y)
+        coords = _lift_points(v.lift, y)
     else:
         coords = np.concatenate([np.einsum("cij,cdj->cdi", a, y) + b[:, None], y], axis=-1)
     if v.p > 1:

@@ -3,9 +3,9 @@ root finding, Cauchy-integral differentiation, least-squares polynomial
 interpolation, polydisc Taylor models fitted on torus grids, and
 Gauss-Legendre segment quadrature.
 
-Default tolerances: 1e-10 for arithmetic-level checks (roots, zero snaps),
-1e-8 for fitting-level checks (the shifted-Hankel recurrence fit in
-reconstruct, interpolation).
+Tolerances: TOL_ARITH = 1e-10, fixed, for arithmetic-level checks (roots,
+zero snaps); TOL_FIT = 1e-8, the default of fitting-level checks (the
+shifted-Hankel recurrence fit in reconstruct, interpolation).
 """
 
 from __future__ import annotations
@@ -202,20 +202,19 @@ def _cluster_residuals_ok(coeffs, merged, tol):
     return worst
 
 
-def poly_roots(p, tol=TOL_ARITH):
+def poly_roots(p):
     """All roots of ``p`` with multiplicities.
 
     Companion-matrix eigenvalues (``_companion_roots``) start a simultaneous
     Aberth-Ehrlich refinement. Nearby iterates are merged into clusters
-    whose radius scales like tol^(1/multiplicity); a merged cluster
+    whose radius scales like TOL_ARITH^(1/multiplicity); a merged cluster
     carries the summed multiplicity so downstream residue code can sum
     over it. Every cluster's residual is then checked against the local
-    evaluation scale.
+    evaluation scale, at relative tolerance TOL_ARITH.
 
     Parameters
     ----------
     p : UniPoly or coefficient sequence (lowest degree first)
-    tol : residual tolerance relative to the local evaluation scale
 
     Returns
     -------
@@ -224,7 +223,7 @@ def poly_roots(p, tol=TOL_ARITH):
 
     Raises
     ------
-    ValueError : a coefficient is not finite, or tol is not positive.
+    ValueError : a coefficient is not finite.
     ZeroPolynomial : degree < 1.
     NonConvergence : a residual is above tolerance after refinement;
         carries the worst relative residual.
@@ -235,8 +234,6 @@ def poly_roots(p, tol=TOL_ARITH):
         raise ValueError("polynomial coefficients must be finite")
     if p.degree < 1:
         raise ZeroPolynomial(f"need degree >= 1, got degree {p.degree}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     top = max(map(abs, p.coeffs))
     coeffs = tuple(c / top for c in p.coeffs)
@@ -247,8 +244,8 @@ def poly_roots(p, tol=TOL_ARITH):
         k0 += 1
     work = coeffs[k0:]
     z = _aberth_refine(work, _companion_roots(np.asarray(work))) if len(work) > 1 else []
-    merged = _merge_clusters(list(z) + [0.0] * k0, tol, coeffs)
-    worst = _cluster_residuals_ok(coeffs, merged, tol)
+    merged = _merge_clusters(list(z) + [0.0] * k0, TOL_ARITH, coeffs)
+    worst = _cluster_residuals_ok(coeffs, merged, TOL_ARITH)
     if worst > 0.0:
         raise NonConvergence(
             f"root refinement stalled (worst relative residual {worst:.3e})",

@@ -30,7 +30,6 @@ from .errors import (
 from .geometry import Charts, DomainSpec, ResidueData
 from .multipoly import MultiPoly
 from .numeric import (
-    TOL_ARITH,
     cauchy_derivative,
     cauchy_nodes,
     gauss_legendre_segment,
@@ -81,12 +80,12 @@ class RadonTransform(TraceTable):
         }
 
 
-def radon_coefficients(data: ResidueData, domain: DomainSpec, plan, tol=TOL_ARITH):
+def radon_coefficients(data: ResidueData, domain: DomainSpec, plan):
     """Sample every coefficient of the transform on the plan's charts."""
     p = data.variety.p
     indices = sorted({label_index(lb, p) for lb in radon_labels(data.variety.n, p)})
-    baseline = _baseline_degree(data, domain.chart, tol)
-    return _sample_charts(data, domain, plan, indices, baseline, tol, cls=RadonTransform)
+    baseline = _baseline_degree(data, domain.chart)
+    return _sample_charts(data, domain, plan, indices, baseline, cls=RadonTransform)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap, to
     # its samples to the centre's); the first failed chart raises
     tps = domain.charts_at(_probe_offsets(domain, probes)).params()
     images = Charts.from_params(n, p, [mu(tp) for tp in [domain.chart.to_params(), *tps]])
-    ev = evaluate_chart(data, images, TOL_ARITH).checked()
+    ev = evaluate_chart(data, images).checked()
 
     # pullback side: the label coefficients u_(e_1), .., u_(e_p), u_0 at
     # each image chart (one per parameter row), chain rule
@@ -414,9 +413,11 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec, ord
 
     Raises PathCrossesPole when the extension evaluator blows up on P'
     (the extension is meromorphic there), InsufficientMargin when the
-    required parameters are frozen, and ValueError when it returns a
+    required parameters are frozen, and ValueError for an ``order`` that
+    is not an integer of at least 0 or when the evaluator returns a
     non-finite value on the grid or at a probe.
     """
+    _check_counts({"order": order}, least=0)
     n, p = t.n, t.p
     if n != 1:
         raise UnsupportedDimension("trace propagation supports n = 1")
@@ -502,4 +503,4 @@ def propagate_trace_extension(t: TraceTable, u0_ext, big_domain: DomainSpec, ord
     return TraceTable(t.data, big_domain, _offset_dicts(big_domain, offsets),
                       entries, np.max(np.abs(list(entries.values())), axis=0),
                       (CLEAN,) * len(offsets), max(order, t.max_order), t.baseline_degree,
-                      models=models, tol=t.tol)
+                      models=models)

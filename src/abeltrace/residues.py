@@ -42,7 +42,7 @@ from .geometry import (
     solve_fiber,
 )
 from .multipoly import _monomials
-from .numeric import TOL_ARITH, torus_nodes
+from .numeric import torus_nodes
 
 POLE_REL_TOL = 1e-8
 # cluster perturbation ladder: first b_1 step (relative to |b_1| + 1),
@@ -160,7 +160,7 @@ def _point_arrays(data, points):
             np.array([pt.cluster_size for pt in points], dtype=int))
 
 
-def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
+def _cluster_terms(data, chart, coords, multiplicities, expected=None):
     """Perturb the chart in b_1, match the simple points of the cluster
     ``coords`` (k, n + p) with ``multiplicities`` (k,) at a geometric
     ladder of perturbation sizes, and return them as the arrays (coords,
@@ -179,7 +179,7 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
             d = CLUSTER_DELTA * base / 2.0**lev
             pchart = PlaneChart(chart.a, np.r_[chart.b[0] + d * direction, chart.b[1:]])
             try:
-                fiber = solve_fiber(data.variety, pchart, expected, tol)
+                fiber = solve_fiber(data.variety, pchart, expected)
             except (AbelTraceError, ValueError):
                 break
             # the m points nearest the centre (ties in fiber order), taken
@@ -196,14 +196,14 @@ def _cluster_terms(data, chart, coords, multiplicities, tol, expected=None):
     raise PerturbationFailure(f"cluster of multiplicity {m} stayed degenerate under perturbation")
 
 
-def _evaluate_one(data, chart, tol, expected_degree):
+def _evaluate_one(data, chart, expected_degree):
     """The ChartEvaluation of one chart from its own fiber solve, clusters
     through the perturbation ladder; raises as those do."""
-    fiber = solve_fiber(data.variety, chart, expected_degree, tol)
+    fiber = solve_fiber(data.variety, chart, expected_degree)
     simple = fiber.multiplicities == 1
     parts = [(fiber.coords[simple], _point_weights(
         data, fiber.coords[simple], fiber.jacobians[simple], chart.to_params()))]
-    parts += [_cluster_terms(data, chart, fiber.coords[[i]], fiber.multiplicities[[i]], tol,
+    parts += [_cluster_terms(data, chart, fiber.coords[[i]], fiber.multiplicities[[i]],
                              expected=expected_degree)
               for i in np.flatnonzero(~simple)]
     coords, weights = map(np.concatenate, zip(*parts))
@@ -211,7 +211,7 @@ def _evaluate_one(data, chart, tol, expected_degree):
                            (CLUSTER if len(parts) > 1 else CLEAN,), (None,))
 
 
-def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None):
+def evaluate_chart(data: ResidueData, chart, *, expected_degree=None):
     """Build the ChartEvaluation of one chart, or of a list of charts
     (shared by all indices).
 
@@ -227,15 +227,15 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
     NonConvergence, ExcessPoints or PerturbationFailure is flagged POLE,
     DROPPED or UNCONVERGED and keeps its exception instead of raising."""
     if isinstance(chart, PlaneChart):
-        return _evaluate_one(data, chart, tol, expected_degree)
+        return _evaluate_one(data, chart, expected_degree)
     charts, v = chart if isinstance(chart, Charts) else Charts.stack(list(chart)), data.variety
-    found = solve_family(v, charts, expected_degree, tol)
+    found = solve_family(v, charts, expected_degree)
     degree = expected_degree
     if degree is None and len(charts):
         degree = (found[1].shape[1] if found and found[0][:1].tolist() == [0]
-                  else _baseline_degree(data, charts[0], tol))
+                  else _baseline_degree(data, charts[0]))
         if not found or found[1].shape[1] != degree:
-            found = solve_family(v, charts, degree, tol)
+            found = solve_family(v, charts, degree)
     pos, coords, jac = found or (np.zeros(0, int), np.zeros((0, 0, len(v.vars))), np.zeros((0, 0)))
     clear, weights = _family_weights(data, coords, jac)
     # (positions, points, weights): the family's rows, then each other chart's
@@ -245,7 +245,7 @@ def evaluate_chart(data: ResidueData, chart, tol=TOL_ARITH, expected_degree=None
         flags[s], errors[s] = POLE, _pole(charts.params()[s])
     for s in np.flatnonzero(np.bincount(pos, minlength=len(charts)) == 0):
         try:
-            ev = _evaluate_one(data, charts[s], tol, degree)
+            ev = _evaluate_one(data, charts[s], degree)
         except (PoleDetected, DegreeDrop, NonConvergence, ExcessPoints, PerturbationFailure) as exc:
             flags[s] = (POLE if isinstance(exc, PoleDetected) else
                         DROPPED if isinstance(exc, DegreeDrop) else UNCONVERGED)
@@ -292,12 +292,11 @@ def clustered_residue(data: ResidueData, chart: PlaneChart, cluster, index):
     """
     index = _normalize_index(index, data.variety.p)
     coords, _, multiplicities = _point_arrays(data, list(cluster))
-    coords, weights = _cluster_terms(data, chart, coords, multiplicities, TOL_ARITH)
+    coords, weights = _cluster_terms(data, chart, coords, multiplicities)
     return complex(_read(coords, weights, data.variety.n, [index])[0][0])
 
 
-def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
-          expected_degree=None):
+def trace(data: ResidueData, chart, index, *, expected_degree=None):
     """Trace of the data against y^index over one chart: the sum of
     punctual (or cluster-summed) residues over the fiber.
 
@@ -310,7 +309,7 @@ def trace(data: ResidueData, chart, index, tol=TOL_ARITH,
     its error, so no trace sums fewer points than the others."""
     one_index = not isinstance(index, list)
     indices = [_normalize_index(i, data.variety.p) for i in ([index] if one_index else index)]
-    ev = evaluate_chart(data, chart, tol, expected_degree=expected_degree).checked()
+    ev = evaluate_chart(data, chart, expected_degree=expected_degree).checked()
     out = ev.value(indices)[0]
     out = out[..., 0] if one_index else out
     return complex(out) if out.ndim == 0 else out
@@ -421,7 +420,7 @@ class TraceTable:
     """
 
     def __init__(self, data, domain, offsets, entries, term_scales, flags,
-                 max_order, baseline_degree, models=None, tol=TOL_ARITH):
+                 max_order, baseline_degree, models=None):
         self.data = data
         self.domain = domain
         self.offsets = tuple(offsets)
@@ -431,7 +430,6 @@ class TraceTable:
         self.max_order = int(max_order)
         self.baseline_degree = int(baseline_degree)
         self.models = models or {}
-        self.tol = tol
 
     @property
     def n(self):
@@ -458,11 +456,11 @@ class TraceTable:
 
     def value(self, index, chart):
         """Direct trace at an arbitrary chart, on or off the plan: one
-        ``trace`` call at the table's tolerance and fiber degree, which
+        ``trace`` call at the table's fiber degree, which
         takes one index or a list of indices and one chart, a list of
         charts or a batch (solved as one family). Nothing is kept, so
         reading a chart again solves it again."""
-        return trace(self.data, chart, index, self.tol, self.baseline_degree)
+        return trace(self.data, chart, index, expected_degree=self.baseline_degree)
 
     def model_value(self, index, chart):
         cur = dict(zip(chart.param_names(), chart.to_params()))
@@ -484,7 +482,7 @@ def _family_weights(data, coords, jac):
     return clear, (data.numerator.evaluate(cols) / np.where(clear[:, None], wval * jac, 1.0))[clear]
 
 
-def _sample_charts(data, domain, plan, indices, baseline, tol, cls=TraceTable):
+def _sample_charts(data, domain, plan, indices, baseline, cls=TraceTable):
     """Evaluate the plan's charts as one list (``evaluate_chart``) against
     the ``baseline`` fiber degree and read off the listed indices.
 
@@ -496,13 +494,13 @@ def _sample_charts(data, domain, plan, indices, baseline, tol, cls=TraceTable):
     per-slot entry of ``indices``.
     """
     offsets = plan.offset_array(domain)
-    ev = evaluate_chart(data, domain.charts_at(offsets), tol, baseline)
+    ev = evaluate_chart(data, domain.charts_at(offsets), expected_degree=baseline)
     values, term_scales = ev.value(indices)
     return cls(data, domain, _offset_dicts(domain, offsets), dict(zip(indices, values.T.copy())),
-               term_scales, ev.flags, max(max(idx) for idx in indices), baseline, tol=tol)
+               term_scales, ev.flags, max(max(idx) for idx in indices), baseline)
 
 
-def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan, tol=TOL_ARITH):
+def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan):
     """Sample all traces u_I with per-slot index up to ``max_order`` over
     the plan's charts (total degree up to max_order for p >= 3, where the
     full box would explode).
@@ -513,13 +511,16 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan, tol=TOL_
     (domain-local properness); samples that drop degree or meet the
     weight's pole divisor are flagged and hold NaN.
 
-    Raises TooFewCleanSamples when fewer than MIN_CLEAN_FRACTION of the
-    samples are usable.
+    Raises ValueError, before any solve, for a ``max_order`` that is
+    neither None nor an integer of at least 0, and TooFewCleanSamples
+    when fewer than MIN_CLEAN_FRACTION of the samples are usable.
     """
-    baseline = _baseline_degree(data, domain.chart, tol)
+    if max_order is not None:
+        _check_counts({"order": max_order}, least=0)
+    baseline = _baseline_degree(data, domain.chart)
     if max_order is None:
         max_order = 2 * baseline + 1
-    t = _sample_charts(data, domain, plan, _box_indices(data.variety.p, max_order), baseline, tol)
+    t = _sample_charts(data, domain, plan, _box_indices(data.variety.p, max_order), baseline)
     m, clean = len(t.offsets), int(np.sum(t.clean_mask()))
     if clean < max(1, int(np.ceil(MIN_CLEAN_FRACTION * m))):
         raise TooFewCleanSamples(
@@ -527,11 +528,11 @@ def trace_table(data: ResidueData, domain: DomainSpec, max_order, plan, tol=TOL_
     return t
 
 
-def _baseline_degree(data, chart, tol):
+def _baseline_degree(data, chart):
     """Fiber degree at one chart (a domain's properness baseline at its
     centre). Raises ValueError when that fiber is empty: the projection is
     not proper there."""
-    degree = solve_fiber(data.variety, chart, None, tol).total_multiplicity
+    degree = solve_fiber(data.variety, chart, None).total_multiplicity
     if degree == 0:
         raise ValueError(f"the fiber at {chart} is empty; the projection is not proper there")
     return degree

@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from abeltrace import residues
 from abeltrace import serialize as ser
 from abeltrace.cli import main
 from abeltrace.errors import DimensionMismatch
 from abeltrace.geometry import DomainSpec, PlaneChart, ResidueData, VarietySpec
 from abeltrace.multipoly import MultiPoly
-from abeltrace.radon import radon_coefficients
+from abeltrace.radon import radon_coefficients, verify_shock_relations
 from abeltrace.residues import GridPlan, TorusPlan, TraceTable, trace_table
 
 V2 = ("x", "y")
@@ -166,6 +165,32 @@ class TestSerialization:
         for idx, vals in entries.items():
             assert back.entries[idx].tobytes() == vals.tobytes()
         assert ser.dumps(ser.encode_trace_table(back)) == text
+
+    @pytest.mark.parametrize("case", ["p1_weighted", "p2"])
+    def test_decoded_table_samples_alike(self, case):
+        # a table's artifact keeps every sampling setting: off-plan reads
+        # and the shock check of the decoded table are bitwise the original's
+        if case == "p1_weighted":
+            f = MultiPoly(V2, {(0, 3): 1.0, (1, 1): 0.5 - 0.2j, (1, 0): -1.0, (0, 0): 0.3})
+            data = ResidueData(VarietySpec(("x",), ("y",), [f]),
+                               MultiPoly(V2, {(0, 0): 1.0, (0, 1): 0.3, (1, 1): -0.7j}),
+                               weight=MultiPoly(V2, {(1, 0): 1.0, (0, 0): -7.0}))
+            dom = DomainSpec(PlaneChart([[0.15 + 0.05j]], [3.0 + 0.2j]), {"a1.1": 0.4, "b1": 0.8})
+            t, offsets = trace_table(data, dom, 3, TorusPlan(6)), [[0.1 + 0.2j, -0.3j], [0.05, 0.7]]
+        else:
+            v3 = ("x", "y1", "y2")
+            f1 = MultiPoly(v3, {(0, 2, 0): 1.0, (1, 0, 0): -1.0, (0, 0, 1): -0.3, (0, 1, 1): 0.2})
+            f2 = MultiPoly(v3, {(0, 0, 2): 1.0, (0, 1, 0): 0.2, (0, 0, 0): -2.0, (1, 0, 0): 0.1j})
+            data = ResidueData(VarietySpec(("x",), ("y1", "y2"), [f1, f2]),
+                               MultiPoly(v3, {(0, 0, 0): 1.0, (0, 1, 0): 0.4}))
+            dom = DomainSpec(PlaneChart([[0.1, 0.05j]], [1.5]),
+                             {"a1.1": 0.2, "a1.2": 0.2, "b1": 0.3})
+            t, offsets = trace_table(data, dom, 2, TorusPlan(3)), [[0.1j, -0.1j, 0.1], [0.05, 0.1, -0.2j]]
+        back = ser.decode_trace_table(strict_loads(ser.dumps(ser.encode_trace_table(t))))
+        charts = dom.charts_at(np.array(offsets))
+        assert back.value(t.indices(), charts).tobytes() == t.value(t.indices(), charts).tobytes()
+        assert back.value(1, charts[0]) == t.value(1, charts[0])
+        assert verify_shock_relations(back, 1e-6) == verify_shock_relations(t, 1e-6)
 
     def test_dumps_deterministic(self):
         obj = {"b": [1.0, 2.0], "a": {"z": 0.1}}
@@ -372,29 +397,6 @@ class TestCli:
         obj = json.loads((tmp_path / "ext.json").read_text())
         assert obj["result"]["kind"] == "trace_table"
 
-    def test_extend_solves_at_its_tol(self, parabola_files, tmp_path, monkeypatch):
-        # a table stores no tol, so the order-0 grid, the probes and the
-        # base slices are all solved at the command's --tol
-        _, paths = parabola_files
-        out = self.run_trace(paths, tmp_path, "tsmall.json", grid="torus:5")
-        big = DomainSpec(PlaneChart([[0.1]], [3.0]), {"a1.1": 0.4, "b1": 1.6})
-        bpath = tmp_path / "big.json"
-        bpath.write_text(ser.dumps(ser.encode_domain(big)))
-        seen = []
-        solve = residues.solve_family
-
-        def spy(v, charts, degree, tol):
-            seen.append(tol)
-            return solve(v, charts, degree, tol)
-
-        monkeypatch.setattr(residues, "solve_family", spy)
-        code = main([
-            "extend", "--traces", str(out), "--domain", str(bpath),
-            "--order", "2", "--tol", "1e-9", "-o", str(tmp_path / "ext.json"),
-        ])
-        assert code == 0
-        assert seen and set(seen) == {1e-9}
-
     def test_repeated_calls_keep_defaults(self, parabola_files):
         # one parser serves every call; an option given in one call must
         # not leak into a later call that omits it
@@ -403,7 +405,7 @@ class TestCli:
                 "--domain", str(paths["vdomain"])]
         first = tmp_path / "first.json"
         assert main(["trace", *data, "--order", "5", "--grid", "torus:9",
-                     "--tol", "1e-9", "--label", "tagged", "-o", str(first)]) == 0
+                     "--label", "tagged", "-o", str(first)]) == 0
         assert main(["reconstruct", "--traces", str(first), "--d-max", "2",
                      "--tol", "1e-7", "-o", str(tmp_path / "rec.json")]) == 0
         slanted = self.run_trace(paths, tmp_path, "slanted.json")
@@ -417,12 +419,10 @@ class TestCli:
         def params(name):
             return json.loads((tmp_path / name).read_text())["provenance"]["params"]
 
-        assert params("first.json") == {"grid": "torus:9", "label": "tagged",
-                                        "order": 5, "tol": 1e-9}
+        assert params("first.json") == {"grid": "torus:9", "label": "tagged", "order": 5}
         assert params("rec.json") == {"d_max": 2, "deg_bound": None, "tol": 1e-7}
         assert params("shock.json") == {"tol": 1e-6}
-        assert params("second.json") == {"grid": "torus:8", "label": "", "order": 3,
-                                         "tol": 1e-10}
+        assert params("second.json") == {"grid": "torus:8", "label": "", "order": 3}
         assert params("rec2.json") == {"d_max": 2, "deg_bound": None, "tol": 1e-8}
         assert len(json.loads(second.read_text())["result"]["offsets"]) == 8
 
@@ -485,6 +485,57 @@ class TestCli:
         assert code == 1
         assert "d_max must be an integer of at least 1" in capsys.readouterr().err
         assert not (tmp_path / "rec.json").exists()
+
+    @pytest.mark.parametrize("argv", [["trace"], ["verify", "shock"], ["frobnicate"],
+                                      ["reconstruct", "--traces", "t.json", "--bogus"]])
+    def test_usage_error_exit_code(self, argv, capsys):
+        # a missing argument, an unknown command or flag is a usage error
+        # (1), not argparse's 2, which here means a failed verification
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "radon", "extend"])
+    def test_arithmetic_tol_flag_rejected(self, parabola_files, capsys, command):
+        # the root-finding tolerance is fixed; a stale --tol is a usage error
+        tmp_path, paths = parabola_files
+        data = ["--variety", str(paths["variety"]), "--numerator", str(paths["numerator"])]
+        args = {"trace": [*data, "--order", "2"], "radon": data,
+                "extend": ["--traces", str(tmp_path / "t.json"), "--order", "2"]}[command]
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as info:
+            main([command, *args, "--domain", str(paths["domain"]), "--tol", "1e-9",
+                  "-o", str(out)])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["trace", "--help"], ["verify", "shock", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["trace", "extend"])
+    def test_negative_order_rejected(self, parabola_files, capsys, command):
+        # an order below 0 is bad input, for trace before any solve and
+        # for extend before an order-0 extension is written
+        tmp_path, paths = parabola_files
+        if command == "trace":
+            args = ["--variety", str(paths["variety"]), "--numerator", str(paths["numerator"]),
+                    "--domain", str(paths["domain"])]
+        else:
+            big = tmp_path / "big.json"
+            big.write_text(ser.dumps(ser.encode_domain(
+                DomainSpec(PlaneChart([[0.1]], [3.0]), {"a1.1": 0.4, "b1": 1.6}))))
+            args = ["--traces", str(self.run_trace(paths, tmp_path, "tsmall.json", grid="torus:5")),
+                    "--domain", str(big)]
+        out = tmp_path / "out.json"
+        assert main([command, *args, "--order", "-1", "-o", str(out)]) == 1
+        assert "order count must be an integer of at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_input_error_exit_code(self, tmp_path):
         code = main([

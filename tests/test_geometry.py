@@ -372,8 +372,8 @@ class TestSolveBivariate:
         got = solve_bivariate(g1, g2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_resultant_points",
-                       lambda t1, t2, degrees, res, degree, tol: (np.zeros(0, int),
-                                                                  np.zeros((0, degree, 2), complex)))
+                       lambda t1, t2, degrees, res, degree: (np.zeros(0, int),
+                                                             np.zeros((0, degree, 2), complex)))
             want = solve_bivariate(g1, g2)
         assert sorted(m for _, m in got) == sorted(m for _, m in want)
         for pt, m in got:
@@ -640,7 +640,7 @@ class TestFamilyRoots:
         c = np.concatenate(rows)
         assert np.all(c[16:24, 0] == 0)
 
-        z, ok, _ = _certified_roots(c, TOL_ARITH)
+        z, ok, _ = _certified_roots(c)
         assert np.all(ok[:24]) and not np.any(ok[24:])
         for got, want in zip(z[:24], roots):
             nearest = np.min(np.abs(got[:, None] - want[None, :]), axis=0)
@@ -648,7 +648,7 @@ class TestFamilyRoots:
         assert np.all(np.any(z[16:24] == 0, axis=1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_family_roots", _companion_roots)
-            _, want_ok, _ = _certified_roots(c, TOL_ARITH)
+            _, want_ok, _ = _certified_roots(c)
         assert np.array_equal(ok, want_ok)
 
 
@@ -663,7 +663,7 @@ class TestFamilyRoots:
             for d in range(1, 73):
                 c = rng.standard_normal((4, d + 1)) + 1j * rng.standard_normal((4, d + 1))
                 c[:, d] *= lead
-                z, ok, der = _certified_roots(c, TOL_ARITH)
+                z, ok, der = _certified_roots(c)
                 big = np.log10(np.abs(c[:, d]) / np.max(np.abs(c), axis=1)) + d * np.log10(2 * ESCAPE_RADIUS)
                 assert np.array_equal(_with_lead(c)[1], big > 0)
                 assert not np.any(ok & (big <= 0))

@@ -659,6 +659,19 @@ class TestPropagation:
         ch = big.chart_at({"a1.1": 0.1j, "b1": -1.2})
         assert abs(ext.model_value(0, ch) - trace(data, ch, 0)) < 1e-6
 
+    @pytest.mark.parametrize("order", [-1, 2.5])
+    def test_bad_order_refused_before_any_read(self, order):
+        # an order below 0 would otherwise give an order-0 extension
+        data = parabola_data()
+        small, big = self._domains()
+        t = trace_table(data, small, 2, TorusPlan(6))
+
+        def u0_ext(charts):
+            raise AssertionError("read the order-0 grid")
+
+        with pytest.raises(ValueError, match="order count must be an integer of at least 0"):
+            propagate_trace_extension(t, u0_ext, big, order=order, fft_nodes=16)
+
     def test_zero_data_extends_to_zero(self):
         data = ResidueData(parabola_data().variety, MultiPoly.zero(V2))
         small, big = self._domains()

@@ -272,7 +272,7 @@ class TestTraceList:
         data, domain, _ = _family_case("p1_weight" if weighted else "p1",
                                        np.random.default_rng(seed))
         charts = domain.charts_at(TorusPlan(3).offset_array(domain))
-        baseline = residues._baseline_degree(data, charts[0], 1e-10)
+        baseline = residues._baseline_degree(data, charts[0])
         found = solve_family(data.variety, charts, None)
         if np.all(solve_fiber(data.variety, charts[0], expected_degree=None).multiplicities == 1):
             assert found is not None and 0 in found[0]
@@ -325,7 +325,7 @@ class TestTraceList:
         found = solve_family(data.variety, Charts.stack(charts), None)
         if b0 == -1.0:
             assert found[0].tolist() == [0] and found[1].shape[1] == 1
-            assert residues._baseline_degree(data, charts[0], 1e-10) == 1
+            assert residues._baseline_degree(data, charts[0]) == 1
         else:
             assert 0 not in found[0]
         got = self._outcome(data, charts, 1)
@@ -542,6 +542,17 @@ class TestTraceTable:
             with pytest.raises(ValueError, match="projection is not proper"):
                 sample()
 
+    @pytest.mark.parametrize("max_order", [-1, 1.5, "3"])
+    def test_bad_max_order_refused_before_any_solve(self, monkeypatch, max_order):
+        def no_solve(*args, **kw):
+            raise AssertionError("solved a chart")
+
+        monkeypatch.setattr(residues, "solve_fiber", no_solve)
+        monkeypatch.setattr(residues, "solve_family", no_solve)
+        dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 1.0})
+        with pytest.raises(ValueError, match="order count must be an integer of at least 0"):
+            trace_table(parabola_data(), dom, max_order, GridPlan({"b1": 3}))
+
     def test_parabola_entry_zero(self):
         data = parabola_data()
         dom = DomainSpec(PlaneChart([[0.0]], [3.0]), {"b1": 1.0})
@@ -697,7 +708,7 @@ class TestTraceTable:
         with pytest.raises(PerturbationFailure):
             evaluate_chart(data, dom.chart)
         t = residues._sample_charts(data, dom, ListPlan(({"b1": 0.0}, {"b1": 0.1})),
-                                    [(0, 0), (1, 0), (0, 1)], 4, residues.TOL_ARITH)
+                                    [(0, 0), (1, 0), (0, 1)], 4)
         assert t.flags == ("unconverged", "unconverged")
         assert all(isinstance(e, PerturbationFailure)
                    for e in evaluate_chart(data, [dom.chart, dom.chart_at({"b1": 0.1})]).errors)
@@ -723,7 +734,7 @@ class TestTraceTable:
         with pytest.raises(ExcessPoints, match="9 points .* degree 3"):
             evaluate_chart(data, dom.chart)
         t = residues._sample_charts(data, dom, ListPlan(({"b1": 0.0}, {"b1": 0.1})),
-                                    [(0, 0), (1, 0), (0, 1)], 9, residues.TOL_ARITH)
+                                    [(0, 0), (1, 0), (0, 1)], 9)
         assert t.flags == ("unconverged", "unconverged")
         ev = evaluate_chart(data, [dom.chart, dom.chart_at({"b1": 0.1})], expected_degree=9)
         assert [type(e) for e in ev.errors] == [ExcessPoints, NonConvergence]

@@ -50,10 +50,6 @@ ALLOWED = {
 # passes down from its own caller's default, so it adds no second mode.
 _PASSED_DOWN = "a public tolerance: library calls pass their caller's own, which defaults to it"
 ALWAYS_SET = {
-    "solve_fiber(tol)": _PASSED_DOWN,
-    "solve_family(tol)": _PASSED_DOWN,
-    "poly_roots(tol)": _PASSED_DOWN,
-    "evaluate_chart(tol)": _PASSED_DOWN,
     "poly_interpolate(tol)": _PASSED_DOWN,
     "fit_minimal_polys(tol)": _PASSED_DOWN,
     "reconstruct_numerator(tol)": _PASSED_DOWN,
