@@ -336,76 +336,75 @@ def _newton_polish(exps, coefs, y, active):
     return np.where(np.abs(y).max(axis=-1, initial=0.0) <= ESCAPE_RADIUS, res, 0.0)
 
 
-def _polish_solutions(polys, solutions):
-    """_newton_polish from each simple one of ``solutions``, (values,
-    multiplicity) pairs; values come back as tuples of complex, and
-    NonConvergence when a polished point misses the system by over 1e-6."""
+def _polish_solutions(polys, points, multiplicities):
+    """_newton_polish, in place, from each simple one of ``points`` (k, p)
+    of multiplicities (k,); returns both, and raises NonConvergence when a
+    polished point misses the system by over 1e-6."""
     exps, coefs = _term_matrix(
         list(polys) + [f.partial(nm) for f in polys for nm in polys[0].vars])
-    y = np.array([ys for ys, _ in solutions], dtype=complex).reshape(1, -1, len(polys))
-    simple = np.array([[m == 1 for _, m in solutions]], dtype=bool)
-    worst = _newton_polish(exps, coefs[None], y, simple.copy())[simple].max(initial=0.0)
+    simple = multiplicities[None] == 1
+    worst = _newton_polish(exps, coefs[None], points[None], simple.copy())[simple].max(initial=0.0)
     if worst > 1e-6:
         raise NonConvergence(f"polished fiber point misses the system (relative residual "
                              f"{worst:.3e})", worst_residual=worst)
-    return [(tuple(ys), m) for ys, (_, m) in zip(y[0].tolist(), solutions)]
+    return points, multiplicities
 
 
 # -- shape-specific solvers -------------------------------------------------
 
-def _solve_univariate(subs, y_name):
-    g = subs[0].as_univariate(y_name)
-    if g.is_zero:
-        raise ValueError("substituted system vanishes identically; not zero-dimensional")
-    if g.degree < 1:
-        return []
-    return [((r,), m) for r, m in poly_roots(g)]
+def _branch_roots(f, j, points, multiplicities):
+    """One triangular stage: each branch of ``points`` (k, p), whose
+    coordinate j is still unsolved (0), with multiplicities (k,), becomes
+    one branch per poly_roots root in y_j of f at its solved coordinates,
+    of the product multiplicity. A branch where f has degree 0 in y_j
+    ends; ValueError where f vanishes there. Every branch's coefficient
+    row in y_j is one _monomials(...) @ coefs from f.matrix()."""
+    exps, coefs = f.matrix()
+    base = exps.copy()
+    base[:, j] = 0
+    rows = _monomials(base, tuple(points.T)) @ (coefs * (exps[:, j, None] == np.arange(f._degrees[j] + 1)))
+    counts, found = [], []
+    for g in map(UniPoly, rows):
+        if g.is_zero:
+            raise ValueError("substituted system vanishes identically; not zero-dimensional")
+        roots = poly_roots(g) if g.degree >= 1 else []
+        counts.append(len(roots))
+        found += roots
+    points = np.repeat(points, counts, axis=0)
+    points[:, j] = [r for r, _ in found]
+    return points, np.repeat(multiplicities, counts) * np.array([m for _, m in found], dtype=int)
+
+
+def _solve_univariate(subs):
+    """Roots and multiplicities of the one substituted def, unpolished."""
+    return _branch_roots(subs[0], 0, np.zeros((1, 1), dtype=complex), np.ones(1, dtype=int))
 
 
 def _triangular_order(subs, y_names):
-    """Order (def_index, var) pairs so each def is univariate in a new
-    variable given the previously solved ones; None if not triangular."""
-    remaining = set(range(len(subs)))
-    unsolved = set(y_names)
-    order = []
+    """Order (def_index, variable position in y_names) pairs so each def
+    is univariate in a new variable given the previously solved ones;
+    None if not triangular."""
+    used = np.array([f._degrees for f in subs]) > 0
+    unsolved = np.ones(len(y_names), dtype=bool)
+    remaining, order = list(range(len(subs))), []
     while remaining:
-        progress = False
-        for k in sorted(remaining):
-            used = {v for v in y_names if subs[k].uses(v)}
-            new = used & unsolved
-            if len(new) == 1:
-                var = new.pop()
-                order.append((k, var))
-                unsolved.discard(var)
-                remaining.discard(k)
-                progress = True
-                break
-        if not progress:
+        k = next((k for k in remaining if np.count_nonzero(used[k] & unsolved) == 1), None)
+        if k is None:
             return None
+        j = int(np.flatnonzero(used[k] & unsolved)[0])
+        order.append((k, j))
+        unsolved[j] = False
+        remaining.remove(k)
     return order
 
 
-def _solve_triangular(subs, y_names, order):
-    branches = [({}, 1)]
-    for k, var in order:
-        coeff_polys = subs[k].univariate_coeffs(var)
-        new_branches = []
-        for assignment, mult in branches:
-            # later variables are unused at this stage; 0 is a placeholder
-            point = {v: assignment.get(v, 0.0) for v in y_names}
-            coeffs = [cp.evaluate(point) for cp in coeff_polys]
-            g = UniPoly(coeffs)
-            if g.is_zero:
-                raise ValueError("triangular stage vanishes identically")
-            if g.degree < 1:
-                continue
-            for r, m in poly_roots(g):
-                new_branches.append(({**assignment, var: r}, mult * m))
-        branches = new_branches
-    return _polish_solutions(
-        subs,
-        [(tuple(assignment[v] for v in y_names), mult) for assignment, mult in branches],
-    )
+def _solve_triangular(subs, order):
+    """Polished points (k, p) and multiplicities (k,) of a triangular
+    system, stage by stage in ``order`` (_branch_roots)."""
+    points, multiplicities = np.zeros((1, len(subs)), dtype=complex), np.ones(1, dtype=int)
+    for k, j in order:
+        points, multiplicities = _branch_roots(subs[k], j, points, multiplicities)
+    return _polish_solutions(subs, points, multiplicities)
 
 
 def _coefficient_tensors(systems, m):
@@ -463,9 +462,10 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly):
     polynomials involve both variables, as simple points if it certifies
     the system, else one resultant root at a time.
 
-    Returns a list of ((u, w), multiplicity) pairs, the values aligned
-    with the polynomials' variables (u, w). Raises ExcessPoints when the
-    merged total multiplicity exceeds the resultant's degree.
+    Returns points (k, 2), aligned with the polynomials' variables (u, w),
+    and their multiplicities (k,); (0, 2) and (0,) arrays when the
+    resultant has degree 0. Raises ExcessPoints when the merged total
+    multiplicity exceeds the resultant's degree.
     """
     if g1.vars != g2.vars or len(g1.vars) != 2:
         raise UnsupportedShape("solve_bivariate needs two polynomials in the same two variables")
@@ -483,50 +483,47 @@ def solve_bivariate(g1: MultiPoly, g2: MultiPoly):
         raise ValueError("resultant vanishes identically; common component present")
     res_poly = UniPoly(coeffs[0])
     if res_poly.degree < 1:
-        return []
+        return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=int)
     if min(map(min, degrees)) > 0:
         idx, y = _polished_points((m1, m2), *_resultant_points(m1, m2, degrees, coeffs,
                                                                res_poly.degree))
         if len(idx):
-            return [(tuple(pt), 1) for pt in y[0].tolist()]
+            return y[0], np.ones(len(y[0]), dtype=int)
 
     m1, m2 = m1[0], m2[0]
     du = m1.shape[1] - 1
 
-    out = []
+    points, mults = [np.zeros((0, 2), dtype=complex)], [np.zeros(0, dtype=int)]
     for u_val, u_mult in poly_roots(res_poly):
         upow = u_val ** np.arange(du + 1)
         h1 = UniPoly(m1 @ upow)
         h2 = UniPoly(m2 @ upow)
-        lead, other = (h1, g2) if h1.degree >= h2.degree else (h2, g1)
+        lead, (other, dense) = (h1, (g2, m2)) if h1.degree >= h2.degree else (h2, (g1, m1))
         if lead.degree < 1:
             continue
-        oscale = max(other.coefficient_scale(), 1e-300)
-        cands = []
-        for w_val, _ in poly_roots(lead):
-            if abs(other.evaluate((u_val, w_val))) <= 1e-6 * oscale * max(
-                1.0, abs(w_val)
-            ) ** other.degree(w):
-                cands.append(w_val)
+        w_vals = np.array([w_val for w_val, _ in poly_roots(lead)])
+        hit = (np.abs(other.evaluate((u_val, w_vals))) <= 1e-6 * max(np.abs(dense).max(), 1e-300)
+               * np.maximum(1.0, np.abs(w_vals)) ** other.degree(w))
         # a multiple resultant root with a single fiber candidate is a
         # genuine multiple intersection point; keep its full count
-        for w_val in cands:
-            out.append(((u_val, w_val), u_mult if len(cands) == 1 else 1))
-    out = _polish_solutions([g1, g2], out)
+        k = int(hit.sum())
+        points.append(np.column_stack([np.full(k, u_val), w_vals[hit]]))
+        mults.append(np.full(k, u_mult if k == 1 else 1))
+    y, mults = _polish_solutions([g1, g2], np.concatenate(points), np.concatenate(mults))
 
-    # merge duplicates into clusters
-    merged = []
-    for sol, m in out:
-        vec = np.array(sol)
-        for entry in merged:
-            if np.max(np.abs(vec - entry[0])) < 1e-7 * (1.0 + np.max(np.abs(vec))):
-                entry[1] += m
-                break
-        else:
-            merged.append([vec, m])
-    if (total := sum(m for _, m in merged)) > res_poly.degree:
+    # merge duplicates into clusters: each point joins the first earlier
+    # representative within 1e-7 of it
+    first = np.arange(len(y))
+    for i in range(len(y)):
+        reps = np.flatnonzero(first[:i] == np.arange(i))
+        near = reps[np.max(np.abs(y[i] - y[reps]), axis=1) < 1e-7 * (1.0 + np.max(np.abs(y[i])))]
+        first[i] = near[0] if len(near) else i
+    merged = np.zeros(len(y), dtype=int)
+    np.add.at(merged, first, mults)
+    keep = first == np.arange(len(y))
+    if (total := int(merged.sum())) > res_poly.degree:
         raise ExcessPoints(f"{total} points found, above the resultant's degree {res_poly.degree}")
-    return [(tuple(map(complex, vec)), m) for vec, m in merged]
+    return y[keep], merged[keep]
 
 
 def _lifted_plane(cmap, a, b):
@@ -549,7 +546,7 @@ def _lift_points(lift, points):
 def _solve_lifted(v, chart):
     """Fiber of a lifted variety through the graph correspondence: pull the
     plane back to the original chart and solve there. Returns
-    solve_bivariate's (original coordinates, multiplicity) pairs."""
+    solve_bivariate's points of the original curve and multiplicities."""
     if chart.n != 1:
         raise UnsupportedShape("lifted fibers support a single plane equation")
     hyper = MultiPoly(v.lift.original.vars, _lifted_plane(v.lift.coordinate_map, chart.a, chart.b))
@@ -561,10 +558,10 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, expected_degree):
 
     Supported shapes: p = 1 (univariate after substitution); triangular
     cascades for p >= 2; general p = 2 via one resultant step; Veronese
-    lifts via the graph correspondence. Every path but the lifted one
-    returns (y values, multiplicity) pairs, and the plane gives the x
-    values; the lifted one returns points of the original curve, which
-    _lift_points maps. The Fiber holds the coordinates aligned with
+    lifts via the graph correspondence. Every path returns point and
+    multiplicity arrays: y values (k, p), to which the plane adds the x
+    values, or on the lifted path points of the original curve (k, 2),
+    which _lift_points maps. The Fiber holds the coordinates aligned with
     v.vars, the determinant of the full (n+p) x (n+p) Jacobian of (defs,
     plane equations) in the repo variable order and the multiplicity of
     each point.
@@ -580,26 +577,24 @@ def solve_fiber(v: VarietySpec, chart: PlaneChart, expected_degree):
         raise DimensionMismatch(f"chart is ({chart.n},{chart.p}) but variety is ({v.n},{v.p})")
 
     if v.lift is not None:
-        solutions = _solve_lifted(v, chart)
-        coords = _lift_points(v.lift, np.array([c for c, _ in solutions], dtype=complex).reshape(-1, 2))
+        points, mults = _solve_lifted(v, chart)
+        coords = _lift_points(v.lift, points)
     else:
         subs = plane_substitute(v, chart)
         if v.p == 1:
-            solutions = _solve_univariate(subs, v.y_vars[0])
+            ys, mults = _solve_univariate(subs)
         else:
             order = _triangular_order(subs, v.y_vars)
             if order is not None:
-                solutions = _solve_triangular(subs, v.y_vars, order)
+                ys, mults = _solve_triangular(subs, order)
             elif v.p == 2:
-                solutions = solve_bivariate(subs[0], subs[1])
+                ys, mults = solve_bivariate(subs[0], subs[1])
             else:
                 raise UnsupportedShape(
                     f"no supported solve path for p={v.p} non-triangular systems"
                 )
-        ys = np.array([ys for ys, _ in solutions], dtype=complex).reshape(-1, v.p)
         coords = np.concatenate([ys @ chart.a.T + chart.b, ys], axis=1)
-    fiber = Fiber(coords, full_jacobian(v, chart, tuple(coords.T)),
-                  np.array([m for _, m in solutions], dtype=int))
+    fiber = Fiber(coords, full_jacobian(v, chart, tuple(coords.T)), mults)
     if not np.all(np.abs(coords) <= ESCAPE_RADIUS):
         raise DegreeDrop(
             f"fiber point escaped beyond |z| = {ESCAPE_RADIUS:g}",
@@ -849,10 +844,9 @@ def hypersurface_section(v: VarietySpec, hyper: MultiPoly):
     h = hyper if hyper.vars == v.vars else hyper.with_vars(v.vars)
     # Jacobian rows: the def's partials, then the hypersurface's
     exps, coefs = _term_matrix([f.partial(nm) for f in (v.defs[0], h) for nm in v.vars])
-    sols = solve_bivariate(v.defs[0], h)
-    pts = tuple(np.array([c for c, _ in sols], dtype=complex).reshape(-1, 2).T)
-    jac = np.linalg.det((_monomials(exps, pts) @ coefs).reshape(-1, 2, 2))
-    return [FiberPoint(c, j, m) for (c, m), j in zip(sols, jac.tolist())]
+    points, mults = solve_bivariate(v.defs[0], h)
+    jac = np.linalg.det((_monomials(exps, tuple(points.T)) @ coefs).reshape(-1, 2, 2))
+    return [FiberPoint(tuple(c), j, m) for c, j, m in zip(points.tolist(), jac.tolist(), mults.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ import operator
 
 import numpy as np
 
-from .numeric import UniPoly
-
 
 def _mul_terms(t1, t2):
     """Product of two exponent-vector -> coefficient maps."""
@@ -149,12 +147,6 @@ class MultiPoly:
             return -1
         return self._degrees[self.vars.index(name)]
 
-    def uses(self, name):
-        return self._degrees[self.vars.index(name)] > 0
-
-    def coefficient_scale(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -271,28 +263,6 @@ class MultiPoly:
                 ne[p] = k
             terms[tuple(ne)] = c
         return MultiPoly(new_vars, terms)
-
-    def as_univariate(self, name):
-        """View as UniPoly in ``name``; all other variables must be unused."""
-        idx = self.vars.index(name)
-        coeffs = np.zeros(self.degree(name) + 1 if self.terms else 0, dtype=complex)
-        for e, c in self.terms.items():
-            if any(k and i != idx for i, k in enumerate(e)):
-                raise ValueError(f"polynomial is not univariate in {name}")
-            coeffs[e[idx]] += c
-        return UniPoly(coeffs)
-
-    def univariate_coeffs(self, name):
-        """Coefficients in ``name`` as MultiPolys over the other variables,
-        lowest degree first."""
-        idx = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        d = self.degree(name)
-        buckets = [dict() for _ in range(max(d + 1, 1))]
-        for e, c in self.terms.items():
-            re = tuple(k for i, k in enumerate(e) if i != idx)
-            buckets[e[idx]][re] = buckets[e[idx]].get(re, 0j) + c
-        return [MultiPoly(rest, b) for b in buckets]
 
     # -- display ---------------------------------------------------------
 

@@ -43,6 +43,7 @@ from .residues import (
     TraceTable,
     _baseline_degree,
     _check_counts,
+    _check_tol,
     _offset_dicts,
     _sample_charts,
     evaluate_chart,
@@ -120,12 +121,13 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     index in one ``TraceTable.value`` call (one chart family), and each
     circle's rows are differentiated in one ``cauchy_derivative`` call.
     Raises ValueError, before any chart is solved, unless ``probes`` is an
-    integer of at least 1 and ``nodes`` one of at least 16;
-    InsufficientMargin when no (index, slot) pair exists and
+    integer of at least 1, ``nodes`` one of at least 16 and ``tol`` finite
+    and at least 0; InsufficientMargin when no (index, slot) pair exists and
     EvaluationError when a circle chart fails.
     """
     _check_counts({"probe": probes})
     _check_counts({"node": nodes}, least=16)
+    _check_tol(tol)
     n, p = t.n, t.p
     pairs = []
     for i in range(1, n + 1):
@@ -207,8 +209,10 @@ def verify_holomorphy(rt: RadonTransform, tol):
     coefficient/term scale. When neither a model of the values nor one of
     the reciprocals fits, the verdict is inconclusive (reported, never
     silently passed). Each degree is one least-squares solve per set of
-    samples fitted. A numerical classification, not a proof.
+    samples fitted. A numerical classification, not a proof. ValueError
+    unless ``tol`` is finite and at least 0.
     """
+    _check_tol(tol)
     mask = rt.clean_mask()
     # the clean samples' offsets over the radii, one row per sample; real
     # and imaginary parts divided apart, as complex / float divides them
@@ -331,9 +335,10 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap, to
     equals the pullback term by term for any residue weights: the check
     tests the chain rule through the transform's labels, not the
     residues themselves. ValueError unless ``probes`` is an integer of at
-    least 1.
+    least 1 and ``tol`` finite and at least 0.
     """
     _check_counts({"probe": probes})
+    _check_tol(tol)
     n, p = data.variety.n, data.variety.p
     if n != 1:
         raise UnsupportedDimension("reparametrize_check supports n = 1")

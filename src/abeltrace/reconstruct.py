@@ -37,6 +37,7 @@ from .residues import (
     CLEAN,
     TorusPlan,
     TraceTable,
+    _check_tol,
     moment_sign,
     trace_table,
 )
@@ -208,10 +209,11 @@ def fit_minimal_polys(t: TraceTable, d_max, tol=TOL_FIT, coeff_deg_bound=None):
     number above COND_CAP), OverdeterminedMismatch when a coefficient is
     not polynomial within the degree bound. The reported condition is the
     worst over all samples. ValueError, before any work, unless ``d_max``
-    is an integer of at least 1.
+    is an integer of at least 1 and ``tol`` finite and at least 0.
     """
     if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral) or d_max < 1:
         raise ValueError(f"d_max must be an integer of at least 1, got {d_max!r}")
+    _check_tol(tol)
     xs, moments, cols = _reconstruction_samples(t)
     p = t.p
     scale = t.scale()
@@ -281,8 +283,10 @@ def reconstruct_numerator(t: TraceTable, minimal: MinimalPolySet, tol=TOL_FIT,
 
     Raises InconsistentTraces when the recurrence defect beyond the
     reconstruction window exceeds tolerance (the traces are not generated
-    by rational data of this shape).
+    by rational data of this shape). ValueError, before any work, unless
+    ``tol`` is finite and at least 0.
     """
+    _check_tol(tol)
     xs, moments, cols = _reconstruction_samples(t)
     p = t.p
     sign = moment_sign(t.n, p)
@@ -346,7 +350,9 @@ def verify_traces_match(data1: ResidueData, data2: ResidueData, domain: DomainSp
     """Max trace discrepancy between two datasets over the shared plan
     TorusPlan(6), at the samples clean in both tables; the computational
     form of trace injectivity (matching traces on enough indices pin the
-    data)."""
+    data). ValueError, before any chart is solved, unless ``tol`` is
+    finite and at least 0."""
+    _check_tol(tol)
     if data1.variety.p != data2.variety.p:
         raise ValueError("datasets have different fiber dimension")
     plan = TorusPlan(6)

@@ -346,6 +346,11 @@ def _check_counts(counts, least=1):
             raise ValueError(f"{name} count must be an integer of at least {least}, got {c!r}")
 
 
+def _check_tol(tol):
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number of at least 0, got {tol!r}")
+
+
 def _offset_dicts(domain: DomainSpec, rows):
     """Offset rows (m, len(domain.varying)), the array charts_at takes, as
     the dicts keyed by varying parameter that a table keeps."""

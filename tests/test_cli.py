@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from abeltrace import residues
 from abeltrace import serialize as ser
 from abeltrace.cli import main
 from abeltrace.errors import DimensionMismatch
@@ -485,6 +486,44 @@ class TestCli:
         assert code == 1
         assert "d_max must be an integer of at least 1" in capsys.readouterr().err
         assert not (tmp_path / "rec.json").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_rejected(self, parabola_files, tmp_path, capsys, monkeypatch, tol):
+        # a negative, NaN or infinite --tol is bad input to every check and
+        # to reconstruct: exit 1, no artifact and no chart solved
+        _, paths = parabola_files
+        table = str(self.run_trace(paths, tmp_path, "tv.json", domain="vdomain",
+                                   grid="torus:9", order=5))
+        assert main(["radon", "--variety", str(paths["variety"]),
+                     "--numerator", str(paths["numerator"]), "--domain", str(paths["domain"]),
+                     "--grid", "3x3", "-o", str(tmp_path / "rt.json")]) == 0
+        data = tmp_path / "d.json"
+        data.write_text(ser.dumps(ser.encode_residue_data(ResidueData(
+            VarietySpec(("x",), ("y",), [MultiPoly(V2, {(0, 2): 1.0, (1, 0): -1.0})]),
+            MultiPoly.constant(1.0, V2)))))
+        (tmp_path / "mu.json").write_text(DIAG_MAP)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a chart was solved")
+
+        monkeypatch.setattr(residues, "solve_fiber", no_solve)
+        monkeypatch.setattr(residues, "solve_family", no_solve)
+        commands = {
+            "shock": ["verify", "shock", "--traces", table],
+            "holomorphy": ["verify", "holomorphy", "--radon", str(tmp_path / "rt.json")],
+            "match": ["verify", "match", "--data1", str(data), "--data2", str(data),
+                      "--domain", str(paths["vdomain"])],
+            "equivariance": ["verify", "equivariance", "--variety", str(paths["variety"]),
+                             "--numerator", str(paths["numerator"]), "--domain",
+                             str(paths["domain"]), "--map", str(tmp_path / "mu.json")],
+            "reconstruct": ["reconstruct", "--traces", table],
+        }
+        capsys.readouterr()
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert main([*argv, "--tol", tol, "-o", str(out)]) == 1, name
+            assert "tol must be a finite number of at least 0" in capsys.readouterr().err, name
+            assert not out.exists(), name
 
     @pytest.mark.parametrize("argv", [["trace"], ["verify", "shock"], ["frobnicate"],
                                       ["reconstruct", "--traces", "t.json", "--bogus"]])

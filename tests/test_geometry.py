@@ -281,10 +281,10 @@ class TestSolveBivariate:
         # y = x^2 and x + y = 2: x^2 + x - 2 = 0 gives x = 1, -2
         f = MultiPoly(V2, {(0, 1): 1.0, (2, 0): -1.0})
         g = MultiPoly(V2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -2.0})
-        sols = solve_bivariate(f, g)
+        points, _ = solve_bivariate(f, g)
         got = {
             (complex(np.round(s[0], 9)), complex(np.round(s[1], 9)))
-            for s, _ in sols
+            for s in points
         }
         assert got == {(1 + 0j, 1 + 0j), (-2 + 0j, 4 + 0j)}
 
@@ -311,15 +311,31 @@ class TestSolveBivariate:
 
     def test_parallel_lines_meet_nowhere(self):
         # y and y - 1: the resultant in x is the constant -1
-        assert solve_bivariate(MultiPoly(V2, {(0, 1): 1.0}),
-                               MultiPoly(V2, {(0, 1): 1.0, (0, 0): -1.0})) == []
+        points, _ = solve_bivariate(MultiPoly(V2, {(0, 1): 1.0}),
+                                    MultiPoly(V2, {(0, 1): 1.0, (0, 0): -1.0}))
+        assert len(points) == 0
+
+    @pytest.mark.parametrize("case, count", [("kernel", 2), ("tangency", 1), ("parallel", 0)])
+    def test_returns_point_and_multiplicity_arrays(self, case, count):
+        # complex points (k, 2) and integer multiplicities (k,), from the
+        # kernel, from the root-by-root loop (a double point), and empty
+        # when the resultant has degree 0
+        g1, g2 = {
+            "kernel": ({(0, 1): 1.0, (2, 0): -1.0, (0, 0): 1.0}, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
+            "tangency": ({(0, 1): 1.0, (2, 0): -1.0}, {(0, 1): 1.0, (1, 0): -2.0, (0, 0): 1.0}),
+            "parallel": ({(0, 1): 1.0}, {(0, 1): 1.0, (0, 0): -1.0}),
+        }[case]
+        points, mults = solve_bivariate(MultiPoly(V2, g1), MultiPoly(V2, g2))
+        assert points.shape == (count, 2) and points.dtype == complex
+        assert mults.shape == (count,) and mults.dtype.kind == "i"
+        assert mults.sum() == {"kernel": 2, "tangency": 2, "parallel": 0}[case]
 
     def test_conic_meets_cubic_count(self):
         f = MultiPoly(V2, {(0, 2): 1.0, (3, 0): -1.0, (0, 0): -1.0})
         c = MultiPoly(V2, {(2, 0): 1.0, (0, 2): 0.7, (1, 0): -0.3, (0, 0): -1.1})
-        sols = solve_bivariate(f, c)
-        assert sum(m for _, m in sols) == 6
-        for s, _ in sols:
+        points, mults = solve_bivariate(f, c)
+        assert mults.sum() == 6
+        for s in points:
             assert abs(f.evaluate(s)) < 1e-8
             assert abs(c.evaluate(s)) < 1e-8
 
@@ -328,9 +344,9 @@ class TestSolveBivariate:
         # point (1, 1) must carry multiplicity 2
         f = MultiPoly(V2, {(0, 1): 1.0, (2, 0): -1.0})
         g = MultiPoly(V2, {(0, 1): 1.0, (1, 0): -2.0, (0, 0): 1.0})
-        sols = solve_bivariate(f, g)
-        assert len(sols) == 1
-        sol, mult = sols[0]
+        points, mults = solve_bivariate(f, g)
+        assert len(points) == 1
+        sol, mult = points[0], mults[0]
         assert mult == 2
         assert abs(sol[0] - 1.0) < 1e-4 and abs(sol[1] - 1.0) < 1e-4
 
@@ -348,9 +364,9 @@ class TestSolveBivariate:
             })
 
         g1, g2 = dense(d1), dense(d2)
-        sols = solve_bivariate(g1, g2)
-        assert sum(m for _, m in sols) == d1 * d2
-        for sol, m in sols:
+        points, mults = solve_bivariate(g1, g2)
+        assert mults.sum() == d1 * d2
+        for sol, m in zip(points, mults):
             if m > 1:
                 continue
             for g in (g1, g2):
@@ -369,12 +385,12 @@ class TestSolveBivariate:
         rng = np.random.default_rng(seed)
         g1, g2 = (MultiPoly(V2, {(i, j): _cn(rng, 1.0) for i in range(d + 1) for j in range(d + 1 - i)})
                   for d in (d1, d2))
-        got = solve_bivariate(g1, g2)
+        got = list(zip(*solve_bivariate(g1, g2)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_resultant_points",
                        lambda t1, t2, degrees, res, degree: (np.zeros(0, int),
                                                              np.zeros((0, degree, 2), complex)))
-            want = solve_bivariate(g1, g2)
+            want = list(zip(*solve_bivariate(g1, g2)))
         assert sorted(m for _, m in got) == sorted(m for _, m in want)
         for pt, m in got:
             near = [q for q, k in want
@@ -392,8 +408,8 @@ class TestSolveBivariate:
             rng = np.random.default_rng(seed)
             g1, g2 = (MultiPoly(V2, {(i, j): _cn(rng, 1.0) for i in range(4) for j in range(4 - i)})
                       for _ in range(2))
-            sols = solve_bivariate(g1, g2)
-            assert [m for _, m in sols] == [1] * 9
+            _, mults = solve_bivariate(g1, g2)
+            assert mults.tolist() == [1] * 9
 
     @pytest.mark.parametrize("seed", [0, 7, 13, 26, 39])
     def test_more_points_than_the_resultant_degree_raise(self, seed):
@@ -455,6 +471,20 @@ def _fiber_case(path, rng):
         a = [0.35 * _cn(rng, 1.0) for _ in range(3)]
         a.append((0.25 + 0.25 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
         return v, PlaneChart([a], [0.8 + 0.25 * _cn(rng, 1.0)]), 6
+    if path == "triangular3":
+        # a p = 3 cascade on a chart with a_12 = a_13 = 0: f1 in (x, y1),
+        # f2 in (x, y1, y2), f3 in all four, each monic in its new variable
+        v4 = ("x", "y1", "y2", "y3")
+        ds = [int(k) for k in rng.integers(1, 4, size=3)]
+        defs = []
+        for s, d in enumerate(ds):
+            top = tuple(d * (i == s + 1) for i in range(4))
+            f = {top: 1.0}
+            for e in np.ndindex(*([2] * (s + 1) + [d] + [1] * (2 - s))):
+                f[e] = _cn(rng, 0.4)
+            defs.append(MultiPoly(v4, f))
+        chart = PlaneChart([[_cn(rng, 0.1), 0.0, 0.0]], [_cn(rng, 0.5)])
+        return VarietySpec(("x",), v4[1:], defs), chart, int(np.prod(ds))
     d1, d2 = (int(k) for k in rng.integers(1, 4, size=2))
     if path == "triangular":
         # f1 in (x, y1) only and a chart with a_12 = 0; f2 monic in y2
@@ -489,7 +519,8 @@ def _evaluation_scale(f, coords):
 
 
 class TestFiberContract:
-    @pytest.mark.parametrize("path", ["univariate", "triangular", "resultant", "lifted"])
+    @pytest.mark.parametrize("path", ["univariate", "triangular", "triangular3", "resultant",
+                                      "lifted"])
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_every_solve_path(self, path, seed):
@@ -510,6 +541,34 @@ class TestFiberContract:
             plane = xs - chart.a @ ys - chart.b
             scale = np.abs(xs) + np.abs(chart.a) @ np.abs(ys) + np.abs(chart.b)
             assert np.all(np.abs(plane) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("case", ["double first stage", "double second stage of p = 3"])
+    def test_triangular_multiplicities_multiply(self, case):
+        # a branch's multiplicity is the product of its stages' root
+        # multiplicities, and the total is the product of the stage degrees
+        if case == "double first stage":
+            # (y1 - 1)^2 (y1 + 2), then y2^2 = x + 3 at each y1
+            vs = ("x", "y1", "y2")
+            defs = [{(0, 3, 0): 1.0, (0, 1, 0): -3.0, (0, 0, 0): 2.0},
+                    {(0, 0, 2): 1.0, (1, 0, 0): -1.0, (0, 0, 0): -3.0}]
+            want, total = [1, 1, 2, 2], 6
+        else:
+            # y1^2 = 4, then (y2 - y1)^2 (y2 + 1), then y3^2 = y2 + x + 5
+            vs = ("x", "y1", "y2", "y3")
+            defs = [{(0, 2, 0, 0): 1.0, (0, 0, 0, 0): -4.0},
+                    {(0, 0, 3, 0): 1.0, (0, 1, 2, 0): -2.0, (0, 0, 2, 0): 1.0,
+                     (0, 2, 1, 0): 1.0, (0, 1, 1, 0): -2.0, (0, 2, 0, 0): 1.0},
+                    {(0, 0, 0, 2): 1.0, (0, 0, 1, 0): -1.0, (1, 0, 0, 0): -1.0,
+                     (0, 0, 0, 0): -5.0}]
+            want, total = [1, 1, 1, 1, 2, 2, 2, 2], 12
+        v = VarietySpec(("x",), vs[1:], [MultiPoly(vs, f) for f in defs])
+        chart = PlaneChart([[0.25] + [0.0] * (len(vs) - 2)], [0.5])
+        fiber = solve_fiber(v, chart, expected_degree=total)
+        assert sorted(fiber.multiplicities.tolist()) == want
+        assert fiber.total_multiplicity == total
+        for coords in fiber.coords:
+            for f in v.defs:
+                assert abs(f.evaluate(coords)) <= 1e-6 * _evaluation_scale(f, coords)
 
 
 class TestFullJacobian:
