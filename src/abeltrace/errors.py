@@ -20,7 +20,7 @@ class NonConvergence(AbelTraceError):
 
 
 class EvaluationError(AbelTraceError):
-    """A user-supplied evaluator raised during quadrature."""
+    """A Cauchy circle chart of the shock check failed; its error is the cause."""
 
 
 class DegreeUndetectable(AbelTraceError):

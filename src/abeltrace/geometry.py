@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedShape,
 )
 from .multipoly import MultiPoly, _monomials, _substitute_terms, _term_matrix
-from .numeric import TOL_ARITH, UniPoly, _companion_roots, poly_roots
+from .numeric import TOL_ARITH, UniPoly, _companion_roots, _scaled_rows, poly_roots
 
 ESCAPE_RADIUS = 1e8
 
@@ -179,7 +179,7 @@ class VarietySpec:
     domain's centre chart and refuses an empty fiber there.
     """
 
-    __slots__ = ("x_vars", "y_vars", "defs", "lift", "_partials", "_degrees")
+    __slots__ = ("x_vars", "y_vars", "defs", "lift", "_partials")
 
     def __init__(self, x_vars, y_vars, defs, lift=None):
         self.x_vars = tuple(x_vars)
@@ -200,7 +200,6 @@ class VarietySpec:
             fixed.append(f)
         self.defs = tuple(fixed)
         self.lift = lift
-        self._degrees = tuple(map(max, zip(*(f._degrees for f in self.defs))))
         # every partial, def by def
         self._partials = _term_matrix([f.partial(var) for f in self.defs for var in allv])
 
@@ -656,9 +655,8 @@ def _family_roots(c):
 def _certified_roots(c):
     """Roots of polynomials stacked on leading axes (coefficients lowest
     first): _family_roots, then two Newton steps, each step and the last
-    residual a product with the Vandermonde rows (z/s)^k s^(k-d), s =
-    max(1, |z|): no power overflows, and outside the unit disc that is the
-    reversed polynomial at 1/z (poly_roots' rule) times a unit. Also
+    residual a product with numeric._scaled_rows, the rows poly_roots
+    judges its residuals by (so the rule is the same). Also
     returns whether each polynomial's roots are certified (its leading
     coefficient passes _with_lead; every root passes the residual rule and
     lies within ESCAPE_RADIUS and outside the others' merge radius max(1,
@@ -669,16 +667,16 @@ def _certified_roots(c):
     k = np.arange(d + 1)
     z = _family_roots(c)
     for step in range(3):
-        s = np.maximum(1.0, np.abs(z))
-        vand = (z / s)[..., None] ** k * s[..., None] ** (k - d)
+        vand = _scaled_rows(z, d)
         val = np.einsum("...rk,...k->...r", vand, c)
         der = np.einsum("...rk,...k->...r", vand[..., :-1], c[..., 1:] * k[1:])
         if step < 2:
             z = z - np.divide(val, der, out=np.zeros_like(z), where=der != 0)
     scale = np.einsum("...rk,...k->...r", np.abs(vand), np.abs(c))
     scale = np.maximum(scale, np.max(np.abs(c), axis=-1)[..., None])
+    s = np.maximum(1.0, np.abs(z))
     ok = (top & np.all((np.abs(val) <= TOL_ARITH * scale) & (np.abs(z) <= ESCAPE_RADIUS), axis=-1)
-          & _separated(z[..., None], np.maximum(1.0, np.abs(z)) * TOL_ARITH**0.5))
+          & _separated(z[..., None], s * TOL_ARITH**0.5))
     return z, ok, der * np.where(ok[..., None], s, 1.0) ** d
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, NonConvergence, ZeroPolynomial
+from .errors import NonConvergence, ZeroPolynomial
 
 TOL_ARITH = 1e-10
 TOL_FIT = 1e-8
@@ -181,25 +180,15 @@ def _merge_clusters(roots, tol, coeffs):
             return out + [(r, 1) for r in left]
 
 
-def _cluster_residuals_ok(coeffs, merged, tol):
-    """Residual acceptance against the local evaluation scale, with a
-    coefficient-scale floor so multiple roots (where the evaluation scale
-    itself vanishes) are judged fairly. Returns worst failing residual.
-
-    Outside the unit disc the residual and both scales are divided by
-    |z|^d, i.e. the reversed polynomial is judged at 1/z: the same rule,
-    with no power of |z| that can overflow."""
-    cmax = max(abs(c) for c in coeffs)
-    worst = 0.0
-    for root, mult in merged:
-        c, z = (coeffs, root) if abs(root) <= 1.0 else (coeffs[::-1], 1.0 / root)
-        az = abs(z)
-        scale = max(sum(abs(ck) * az**k for k, ck in enumerate(c)), cmax)
-        rel = abs(_horner(c, z)) / scale
-        eff = tol ** (1.0 / mult) if mult > 1 else tol
-        if rel > eff:
-            worst = max(worst, rel)
-    return worst
+def _scaled_rows(z, d):
+    """The rows (z/s)^k s^(k-d), k = 0..d, s = max(1, |z|), on a new last
+    axis of roots ``z``. A row times the coefficients (lowest first) of a
+    degree-d polynomial is its value at z over s^d: no power overflows,
+    and outside the unit disc that is the reversed polynomial at 1/z
+    times a unit."""
+    s = np.maximum(1.0, np.abs(z))
+    k = np.arange(d + 1)
+    return (z / s)[..., None] ** k * s[..., None] ** (k - d)
 
 
 def poly_roots(p):
@@ -209,8 +198,11 @@ def poly_roots(p):
     Aberth-Ehrlich refinement. Nearby iterates are merged into clusters
     whose radius scales like TOL_ARITH^(1/multiplicity); a merged cluster
     carries the summed multiplicity so downstream residue code can sum
-    over it. Every cluster's residual is then checked against the local
-    evaluation scale, at relative tolerance TOL_ARITH.
+    over it. Every merged root z of multiplicity m must then have a
+    residual |row . c| of at most TOL_ARITH^(1/m) times its scale
+    max(|row| . |c|, max |c|), with ``_scaled_rows``' row at z: the rule
+    of the chart-family certifier. The coefficient floor judges a
+    multiple root, where the evaluation scale itself vanishes, fairly.
 
     Parameters
     ----------
@@ -245,8 +237,14 @@ def poly_roots(p):
     work = coeffs[k0:]
     z = _aberth_refine(work, _companion_roots(np.asarray(work))) if len(work) > 1 else []
     merged = _merge_clusters(list(z) + [0.0] * k0, TOL_ARITH, coeffs)
-    worst = _cluster_residuals_ok(coeffs, merged, TOL_ARITH)
-    if worst > 0.0:
+    roots, mults = zip(*merged)
+    c = np.array(coeffs)
+    rows, ac = _scaled_rows(np.array(roots, dtype=complex), len(c) - 1), np.abs(c)
+    scale = np.maximum(np.einsum("rk,k->r", np.abs(rows), ac), ac.max())
+    rel = np.abs(np.einsum("rk,k->r", rows, c)) / scale
+    failed = rel[rel > TOL_ARITH ** (1.0 / np.array(mults))]
+    if failed.size:
+        worst = float(failed.max())
         raise NonConvergence(
             f"root refinement stalled (worst relative residual {worst:.3e})",
             worst_residual=worst,
@@ -267,30 +265,30 @@ def cauchy_nodes(z0, radius, nodes):
     return theta, z0 + radius * np.exp(1j * theta)
 
 
-def cauchy_derivative(f, z0, radius, nodes):
-    """First derivative of a holomorphic ``f`` at ``z0``.
+def cauchy_derivative(values, radius):
+    """First derivative at a circle's centre of a function holomorphic on
+    its closed disc, from ``values`` sampled at the circle's
+    ``cauchy_nodes``, node axis first.
 
-    Trapezoid rule on the circle |z - z0| = radius applied to the Cauchy
-    integral 1/(2 pi i) * contour integral of f(z)/(z-z0)^2; the relative
-    error decays exponentially in ``nodes`` for f holomorphic on the
-    closed disc. ``f`` is called once, on the array of nodes, and returns
-    values with the node axis first: a complex for scalar values, else an
-    array of derivatives over the trailing axes. ValueError, before ``f``
-    is called, unless ``nodes`` is an integer of at least 16 and
-    ``radius`` is positive.
+    Trapezoid rule applied to the Cauchy integral 1/(2 pi i) * contour
+    integral of f(z)/(z-z0)^2; the relative error decays exponentially in
+    the node count. Each trailing index of ``values`` is one function (a
+    circle, a column); ``radius`` broadcasts against the trailing axes.
+    Returns a complex for 1-D ``values``, else an array over the trailing
+    axes. ValueError for fewer than 16 nodes or a radius that is not
+    positive.
     """
-    if not isinstance(nodes, numbers.Integral) or nodes < 16:
-        raise ValueError(f"node count must be an integer of at least 16, got {nodes!r}")
-    if radius <= 0:
+    vals = np.asarray(values, dtype=complex)
+    nodes = vals.shape[0] if vals.ndim else 0
+    if nodes < 16:
+        raise ValueError(f"need at least 16 nodes on the node axis, got {nodes}")
+    radius = np.asarray(radius, dtype=float)
+    if not np.all(radius > 0):
         raise ValueError("radius must be positive")
-    theta, points = cauchy_nodes(z0, radius, nodes)
-    try:
-        vals = np.asarray(f(points), dtype=complex)
-    except Exception as exc:  # noqa: BLE001 - evaluator contract
-        raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
-    if vals.shape[:1] != (nodes,):
-        raise EvaluationError(f"evaluator returned shape {vals.shape} on {nodes} nodes")
-    out = (np.exp(-1j * theta) @ vals) / (nodes * radius)
+    theta = cauchy_nodes(0.0, 1.0, nodes)[0]
+    # a matrix-vector product per stacked matrix: circles stacked on the
+    # leading trailing axes read as each alone
+    out = (np.moveaxis(vals, 0, -1) @ np.exp(-1j * theta)) / (nodes * radius)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -118,8 +118,8 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     u_I. Derivatives are taken by Cauchy integrals on circles of radius
     SHOCK_MARGIN * (domain radius), so the table's domain must leave that
     much margin in both parameters. Every circle chart is read for every
-    index in one ``TraceTable.value`` call (one chart family), and each
-    circle's rows are differentiated in one ``cauchy_derivative`` call.
+    index in one ``TraceTable.value`` call (one chart family), and every
+    circle is differentiated in one ``cauchy_derivative`` call.
     Raises ValueError, before any chart is solved, unless ``probes`` is an
     integer of at least 1, ``nodes`` one of at least 16 and ``tol`` finite
     and at least 0; InsufficientMargin when no (index, slot) pair exists and
@@ -146,33 +146,31 @@ def verify_shock_relations(t: TraceTable, tol, probes=3, nodes=32):
     if not indices:
         raise InsufficientMargin(f"the order-{t.max_order} table has no index to check")
 
-    # the centre of each (probe, parameter) circle, and the parameter rows
-    # of its node charts, every circle's in one array
-    centres, rows, names = {}, [], t.domain.chart.param_names()
-    for k, here in enumerate(t.domain.charts_at(_probe_offsets(t.domain, probes)).params()):
-        for nm in dict.fromkeys(nm for (i, _, a_name) in pairs for nm in (f"b{i}", a_name)):
-            col, block = names.index(nm), np.repeat(here[None], nodes, axis=0)
-            block[:, col] = cauchy_nodes(here[col], SHOCK_MARGIN * t.domain.radii[nm], nodes)[1]
-            centres[k, nm] = here[col]
-            rows.append(block)
+    # the parameter rows of the node charts of each (probe, parameter)
+    # circle, every circle's in one array (probe, parameter, node, row)
+    varied = list(dict.fromkeys(nm for (i, _, a_name) in pairs for nm in (f"b{i}", a_name)))
+    radii = SHOCK_MARGIN * np.array([t.domain.radii[nm] for nm in varied])
+    here = t.domain.charts_at(_probe_offsets(t.domain, probes)).params()
+    rows = np.tile(here[:, None, None], (1, len(varied), nodes, 1))
+    for c, col in enumerate(map(t.domain.chart.param_names().index, varied)):
+        rows[:, c, :, col] = cauchy_nodes(here[:, col, None], radii[c], nodes)[1]
     # every circle chart, every index, from one read (one chart family);
-    # then each circle's rows differentiated in one cauchy_derivative call
+    # then every circle differentiated in one cauchy_derivative call
     try:
-        values = t.value(t.indices(), Charts.from_params(n, p, np.concatenate(rows)))
+        values = t.value(t.indices(), Charts.from_params(n, p, rows.reshape(-1, here.shape[1])))
     except AbelTraceError as exc:
-        raise EvaluationError(f"evaluator failed on the Cauchy circle: {exc}") from exc
-    values = values.reshape(len(centres), nodes, -1)
+        raise EvaluationError(f"a Cauchy circle chart failed: {exc}") from exc
+    values = np.moveaxis(values.reshape(probes, len(varied), nodes, -1), 2, 0)
+    derivatives = cauchy_derivative(values, radii[:, None])
     columns = {idx: c for c, idx in enumerate(t.indices())}
-    derivatives = {key: cauchy_derivative(lambda _, rows=rows: rows, z0,
-                                          SHOCK_MARGIN * t.domain.radii[key[1]], nodes)
-                   for (key, z0), rows in zip(centres.items(), values)}
 
     max_abs, max_rel, details = 0.0, 0.0, []
     for k in range(probes):
         for idx in indices:
             for (i, j, a_name) in pairs:
-                db = derivatives[k, f"b{i}"][columns[tuple(np.add(idx, _unit(j - 1, p)))]]
-                da = derivatives[k, a_name][columns[idx]]
+                up = columns[tuple(np.add(idx, _unit(j - 1, p)))]
+                db = derivatives[k, varied.index(f"b{i}"), up]
+                da = derivatives[k, varied.index(a_name), columns[idx]]
                 resid = abs(db - da)
                 max_abs = max(max_abs, resid)
                 max_rel = max(max_rel, resid / max(1.0, abs(db), abs(da)))
@@ -343,7 +341,6 @@ def reparametrize_check(data: ResidueData, domain: DomainSpec, mu: AffineMap, to
     if n != 1:
         raise UnsupportedDimension("reparametrize_check supports n = 1")
     k = n * (p + 1)
-    names = domain.chart.param_names()
 
     # composed plane polynomial over (x, y, t'_1..t'_k)
     tvars = tuple(f"t{i + 1}" for i in range(k))

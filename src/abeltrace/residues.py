@@ -341,8 +341,9 @@ def _normalize_index(index, p):
 
 
 def _check_counts(counts, least=1):
+    # a bool is an Integral, but True is no count
     for name, c in counts.items():
-        if not isinstance(c, numbers.Integral) or c < least:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < least:
             raise ValueError(f"{name} count must be an integer of at least {least}, got {c!r}")
 
 

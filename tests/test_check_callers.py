@@ -142,3 +142,37 @@ def test_always_set_entries_are_kept_and_checked(copy):
     out = run(copy)
     assert out.returncode == 1
     assert "always-set default with_default(nothing) is defined nowhere" in out.stdout
+
+
+def test_an_unread_local_fails(copy):
+    # the local that reparametrize_check assigned and never read
+    radon = copy / "src" / "abeltrace" / "radon.py"
+    anchor = "    k = n * (p + 1)\n"
+    text = radon.read_text(encoding="utf-8")
+    assert text.count(anchor) == 1
+    radon.write_text(text.replace(anchor, anchor + "    names = domain.chart.param_names()\n"),
+                     encoding="utf-8")
+    out = run(copy)
+    assert out.returncode == 1
+    assert [line for line in out.stdout.splitlines() if "radon.py" in line] == [
+        "src/abeltrace/radon.py: reparametrize_check assigns local names and never reads it"
+    ], out.stdout
+
+
+@pytest.mark.parametrize("body, flagged", [
+    ("x = 1\n    return 2", ["with_local assigns local x"]),
+    ("x = 0\n    x += 1", ["with_local assigns local x"]),
+    ("return [0 for i in range(2)]", ["with_local assigns local i"]),
+    ("x, _ = 1, 2\n    return x", []),
+    ("x = 1\n    return lambda: x", []),
+    ("global STATE\n    STATE = 1", []),
+])
+def test_which_locals_count_as_unread(copy, body, flagged):
+    # ``_``, a read in a nested lambda and a global are not unread locals
+    append(copy / "src" / "abeltrace" / "numeric.py", f"\n\ndef with_local():\n    {body}\n")
+    (copy / "bench" / "extra.py").write_text(
+        "from abeltrace.numeric import with_local\nwith_local()\n")
+    out = run(copy)
+    lines = [line for line in out.stdout.splitlines() if "numeric.py" in line]
+    assert lines == [f"src/abeltrace/numeric.py: {f} and never reads it" for f in flagged], out.stdout
+    assert out.returncode == (1 if flagged else 0)

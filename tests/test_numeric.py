@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from abeltrace import numeric
 from abeltrace.errors import (
     DegreeUndetectable,
-    EvaluationError,
     IllConditioned,
     NonConvergence,
     OverdeterminedMismatch,
@@ -20,6 +19,7 @@ from abeltrace.numeric import (
     PolydiscModel,
     UniPoly,
     cauchy_derivative,
+    cauchy_nodes,
     gauss_legendre_segment,
     poly_interpolate,
     poly_roots,
@@ -207,16 +207,22 @@ class TestPolyRoots:
         assert len(nearest) == len(roots)
 
 
+def on_circle(f, z0, radius, nodes):
+    """Values of ``f`` at the nodes of the circle |z - z0| = radius."""
+    return f(cauchy_nodes(z0, radius, nodes)[1])
+
+
 class TestCauchyDerivative:
     def test_square(self):
-        assert cauchy_derivative(lambda z: z * z, 1.0, 0.5, nodes=64) == pytest.approx(2.0)
+        got = cauchy_derivative(on_circle(lambda z: z * z, 1.0, 0.5, 64), 0.5)
+        assert got == pytest.approx(2.0)
 
     def test_exp(self):
-        assert cauchy_derivative(np.exp, 0.0, 1.0, nodes=64) == pytest.approx(1.0)
+        assert cauchy_derivative(on_circle(np.exp, 0.0, 1.0, 64), 1.0) == pytest.approx(1.0)
 
     def test_simple_pole_outside(self):
         # d/dz (z-2)^-1 = -(z-2)^-2, so the value at 0 is -1/4
-        val = cauchy_derivative(lambda z: 1.0 / (z - 2.0), 0.0, 1.0, nodes=64)
+        val = cauchy_derivative(on_circle(lambda z: 1.0 / (z - 2.0), 0.0, 1.0, 64), 1.0)
         assert val == pytest.approx(-0.25)
 
     def test_polynomial_exact_across_radii(self):
@@ -226,58 +232,47 @@ class TestCauchyDerivative:
         dp = derivative(p)
         z0 = 0.3 - 0.2j
         for radius in (0.1, 0.5, 1.0, 2.0):
-            val = cauchy_derivative(p, z0, radius, nodes=32)
+            val = cauchy_derivative(on_circle(p, z0, radius, 32), radius)
+            assert isinstance(val, complex)
             assert abs(val - dp(z0)) <= 1e-12 * max(1.0, abs(dp(z0)))
 
-    def test_evaluator_error_wrapped(self):
-        def bad(z):
-            raise RuntimeError("boom")
-
-        with pytest.raises(EvaluationError):
-            cauchy_derivative(bad, 0.0, 1.0, nodes=64)
-
     def test_array_values_match_columns(self):
-        # one call on the node array; each trailing column differentiated
-        # as its own scalar evaluator is
+        # trailing columns are differentiated as each column alone
         rng = np.random.default_rng(4)
         funcs = [np.exp] + [UniPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
                             for _ in range(3)]
-        calls = []
-
-        def columns(z):
-            calls.append(np.shape(z))
-            return np.stack([f(z) for f in funcs], axis=-1)
-
         z0, radius = 0.2 + 0.1j, 0.6
-        got = cauchy_derivative(columns, z0, radius, nodes=32)
-        assert calls == [(32,)] and got.shape == (len(funcs),)
+        got = cauchy_derivative(on_circle(lambda z: np.stack([f(z) for f in funcs], axis=-1),
+                                          z0, radius, 32), radius)
+        assert got.shape == (len(funcs),)
         for col, f in enumerate(funcs):
-            want = cauchy_derivative(f, z0, radius, nodes=32)
-            assert isinstance(want, complex)
+            want = cauchy_derivative(on_circle(f, z0, radius, 32), radius)
             assert abs(got[col] - want) <= 1e-14 * abs(want)
 
-    def test_evaluator_without_node_axis_raises(self):
-        with pytest.raises(EvaluationError):
-            cauchy_derivative(lambda z: 1.0, 0.0, 1.0, nodes=64)
-        with pytest.raises(EvaluationError):
-            cauchy_derivative(lambda z: np.ones((4, 2)), 0.0, 1.0, nodes=16)
+    def test_circles_in_one_call_match_per_circle_calls(self):
+        # circles on a trailing axis, one radius each: bitwise the calls
+        # on each circle's own values
+        rng = np.random.default_rng(5)
+        funcs = [UniPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6)) for _ in range(5)]
+        centres, radii = [0.1j, 0.4, -0.3 + 0.2j], np.array([0.2, 0.5, 1.3])
+        values = np.stack([np.stack([f(cauchy_nodes(z0, r, 32)[1]) for f in funcs], axis=-1)
+                           for z0, r in zip(centres, radii)], axis=1)
+        got = cauchy_derivative(values, radii[:, None])
+        assert values.shape == (32, 3, 5) and got.shape == (3, 5)
+        for c, r in enumerate(radii):
+            assert np.array_equal(got[c], cauchy_derivative(values[:, c], r))
+            for col, f in enumerate(funcs):
+                dp = derivative(f)(centres[c])
+                assert abs(got[c, col] - dp) <= 1e-12 * max(1.0, abs(dp))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            cauchy_derivative(np.exp, 0.0, 1.0, nodes=8)
+            cauchy_derivative(on_circle(np.exp, 0.0, 1.0, 8), 1.0)
         with pytest.raises(ValueError):
-            cauchy_derivative(np.exp, 0.0, -1.0, nodes=64)
-
-    @pytest.mark.parametrize("nodes", [16.5, 32.0, "32", None])
-    def test_node_count_not_an_integer_raises_before_evaluating(self, nodes):
-        # the count is refused as such, not blamed on the evaluator
-        calls = []
-        with pytest.raises(ValueError, match="node count must be an integer"):
-            cauchy_derivative(lambda z: calls.append(z) or np.exp(z), 0.0, 1.0, nodes=nodes)
-        assert calls == []
-
-    def test_numpy_integer_node_count(self):
-        assert cauchy_derivative(np.exp, 0.0, 1.0, nodes=np.int64(32)) == pytest.approx(1.0)
+            cauchy_derivative(np.ones(()), 1.0)
+        for radius in (-1.0, 0.0, np.nan, [1.0, 0.0]):
+            with pytest.raises(ValueError):
+                cauchy_derivative(np.ones((64, 2)), radius)
 
 
 def single_chart_table(roots, numerator, max_order=None):

@@ -259,7 +259,7 @@ class TestShockRelations:
 
     @pytest.mark.parametrize("counts", [
         {"probes": 0}, {"probes": -1}, {"probes": 1.5},
-        {"nodes": 0}, {"nodes": 8}, {"nodes": 16.5},
+        {"nodes": 0}, {"nodes": 8}, {"nodes": 16.5}, {"probes": True},
     ])
     def test_bad_counts_raise_before_any_solve(self, counts, monkeypatch):
         dom = DomainSpec(PlaneChart([[0.1]], [2.5]), {"a1.1": 0.4, "b1": 0.6})

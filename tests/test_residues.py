@@ -542,7 +542,7 @@ class TestTraceTable:
             with pytest.raises(ValueError, match="projection is not proper"):
                 sample()
 
-    @pytest.mark.parametrize("max_order", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("max_order", [-1, 1.5, "3", True])
     def test_bad_max_order_refused_before_any_solve(self, monkeypatch, max_order):
         def no_solve(*args, **kw):
             raise AssertionError("solved a chart")
@@ -835,7 +835,7 @@ class TestPlans:
     @pytest.mark.parametrize("make", [
         lambda: GridPlan({"a1.1": -2}), lambda: GridPlan({"a1.1": 0, "b1": 5}),
         lambda: GridPlan({"b1": 2.5}), lambda: TorusPlan(-3), lambda: TorusPlan(0),
-        lambda: TorusPlan(4.0),
+        lambda: TorusPlan(4.0), lambda: TorusPlan(True), lambda: GridPlan({"b1": True}),
     ])
     def test_count_below_one_or_not_an_integer(self, make):
         with pytest.raises(ValueError, match="integer of at least 1"):

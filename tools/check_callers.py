@@ -21,12 +21,16 @@ it appears as a loaded name, an attribute or an imported alias.
   that every call sets is a value only tests use, so the parameter
   should be required. One kept on purpose goes on ``ALWAYS_SET``, with
   its reason.
+- A module-level function or a method (its nested functions, lambdas and
+  comprehensions counted as its own body) must read every local name it
+  assigns; ``_`` is exempt.
 - An ``ALLOWED`` or ``ALWAYS_SET`` entry that names nothing defined fails.
 
 Usage: ``python3 tools/check_callers.py``; it checks the repository that
-holds the script. Exits 0 when every name has a caller and every default
-is set by some call and left at its value by another, and 1 otherwise,
-with one line per offending name or parameter that gives its file.
+holds the script. Exits 0 when every name has a caller, every default
+is set by some call and left at its value by another and every local is
+read, and 1 otherwise, with one line per offending name, parameter or
+local that gives its file.
 """
 
 from __future__ import annotations
@@ -88,6 +92,15 @@ def _reads(tree, imports=True):
     return used
 
 
+def _functions(tree):
+    """(class or None, function) of every module-level function and of
+    every method of a class in the module."""
+    for owner in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        for fn in owner.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield (owner if owner is not tree else None), fn
+
+
 def _defaults(tree):
     """(called name, qualified name, parameter, positional slot or None)
     of every parameter with a default, in the module's functions and its
@@ -95,24 +108,39 @@ def _defaults(tree):
     and other dunders are skipped. A slot counts positional arguments
     after ``self`` or ``cls``; a keyword-only parameter has none."""
     out = []
-    for owner in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
-        method = owner is not tree
-        for fn in owner.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            called = owner.name if method and fn.name == "__init__" else fn.name
-            if called.startswith("__") and called.endswith("__"):
-                continue
-            bound = method and not any(getattr(d, "id", None) == "staticmethod"
-                                       for d in fn.decorator_list)
-            qualified = f"{owner.name}.{fn.name}" if method else fn.name
-            positional = fn.args.posonlyargs + fn.args.args
-            first = len(positional) - len(fn.args.defaults)
-            out += [(called, qualified, arg.arg, i - bound)
-                    for i, arg in enumerate(positional) if i >= first]
-            out += [(called, qualified, arg.arg, None)
-                    for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    for cls, fn in _functions(tree):
+        called = cls.name if cls and fn.name == "__init__" else fn.name
+        if called.startswith("__") and called.endswith("__"):
+            continue
+        bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                            for d in fn.decorator_list)
+        qualified = f"{cls.name}.{fn.name}" if cls else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        out += [(called, qualified, arg.arg, i - bound)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [(called, qualified, arg.arg, None)
+                for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
     return out
+
+
+def _unread_locals(tree):
+    """(qualified function, name) of every local name that a module-level
+    function or a method assigns and never reads, ``_`` and names declared
+    ``global`` or ``nonlocal`` excepted, and the number of functions
+    checked. Nested functions, lambdas and comprehensions are part of the
+    body around them."""
+    out, functions = [], list(_functions(tree))
+    for cls, fn in functions:
+        stored, read = set(), {"_"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        qualified = f"{cls.name}.{fn.name}" if cls else fn.name
+        out += [(qualified, nm) for nm in sorted(stored - read)]
+    return out, len(functions)
 
 
 def _calls(tree, into):
@@ -135,17 +163,21 @@ def _parse(path):
 
 def check(root):
     """Return one message per name without a caller, per default no
-    caller sets or every caller sets and per stale ``ALLOWED`` or
-    ``ALWAYS_SET`` entry, then the counts of names and of defaults
-    checked."""
+    caller sets or every caller sets, per local name assigned and never
+    read and per stale ``ALLOWED`` or ``ALWAYS_SET`` entry, then the
+    counts of names, of defaults and of functions checked."""
     defined = {}                              # name -> first file defining it
     defaults = []                             # (file, called, qualified, parameter, slot)
+    unread, functions = [], 0                 # (file, qualified, local name)
     src_reads, bench_reads, calls = set(), set(), {}
     for path in sorted((root / PACKAGE).glob("*.py")):
         tree = _parse(path)
         for nm in _definitions(tree):
             defined.setdefault(nm, path.relative_to(root))
         defaults += [(path.relative_to(root), *d) for d in _defaults(tree)]
+        found, count = _unread_locals(tree)
+        unread += [(path.relative_to(root), *u) for u in found]
+        functions += count
         src_reads |= _reads(tree, imports=path.name != "__init__.py")
         _calls(tree, calls)
     for path in sorted((root / "bench").glob("*.py")):
@@ -168,20 +200,23 @@ def check(root):
         elif all(sets) and f"{qualified}({param})" not in ALWAYS_SET:
             problems.append(f"{path}: default of {qualified}({param}) is set by every caller "
                             f"in {PACKAGE} or bench")
+    for path, qualified, nm in unread:
+        problems.append(f"{path}: {qualified} assigns local {nm} and never reads it")
     for nm in sorted(set(ALLOWED) - set(defined)):
         problems.append(f"{Path(__file__).name}: allowed name {nm} is defined nowhere in {PACKAGE}")
     known = {f"{qualified}({param})" for _, _, qualified, param, _ in defaults}
     for nm in sorted(set(ALWAYS_SET) - known):
         problems.append(f"{Path(__file__).name}: always-set default {nm} is defined nowhere "
                         f"in {PACKAGE}")
-    return problems, len(defined), len(defaults)
+    return problems, len(defined), len(defaults), functions
 
 
 def main():
-    problems, names, defaults = check(Path(__file__).resolve().parent.parent)
+    problems, names, defaults, functions = check(Path(__file__).resolve().parent.parent)
     for line in problems:
         print(line)
-    print(f"{names} names and {defaults} defaults checked, {len(problems)} problem(s)")
+    print(f"{names} names, {defaults} defaults and the locals of {functions} functions "
+          f"checked, {len(problems)} problem(s)")
     return 1 if problems else 0
 
 
